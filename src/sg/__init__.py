@@ -14,9 +14,10 @@ Submodules:
 from .game import (Action, MAX_PLAYER, MIN_PLAYER, StochasticGame,
                    affine_reward_map, load_game, make_game, mirror,
                    save_game, validate, with_gamma)
-from .exact import (best_response, evaluate, flux, greedy, policy_iteration,
-                    q_from_v, ratio_scan, stationary_distribution,
-                    strategy_iteration, value_iteration)
+from .exact import (best_response, evaluate, flux, greedy_from_q,
+                    policy_iteration, q_from_v, ratio_scan,
+                    stationary_distribution, strategy_iteration,
+                    value_iteration)
 from .sampler import BatchEstimate, GenerativeModel
 from .qvi import QviConstants, SolveResult, VSSequence, qvi_mdvss, qvi_mivss, solve
 from .checks import (CheckReport, MarkovianPlan, check_eps_optimal_implication,

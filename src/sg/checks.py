@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import (apply_strategy, bellman, best_response, evaluate,
-                    greedy, half_bellman, q_from_v, value_iteration,
+                    greedy_from_q, half_bellman, q_from_v, value_iteration,
                     PolicyLinearSystem)
 from .game import MAX_PLAYER, MIN_PLAYER, StochasticGame, validate_strategy
 from .qvi import DECREASING, INCREASING, VSSequence
@@ -150,7 +150,7 @@ def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
                  lambda p, i=i: (i, p))
 
         # property 4: value consistent with its own Q
-        vq, _ = greedy(game, seq.q_values[i])
+        vq, _ = greedy_from_q(game.space, seq.q_values[i])
         gap = sign * (v_i - vq) - slack
         _collect(violations, "4:greedy", gap > 0, v_i, vq, gap,
                  lambda s, i=i: (i, s))
@@ -246,12 +246,8 @@ def markovian_evaluate(game: StochasticGame, plan: MarkovianPlan) -> tuple[list[
     w = tail_sys.solve(gamma * gamma * _var_under(game, plan.tail, v_tail))
     for t in range(len(plan.prefix) - 1, -1, -1):
         sigma = plan.prefix[t]
-        sys = PolicyLinearSystem(game, sigma, discount=1.0)  # only P needed
-        step_var = _var_under(game, sigma, values[t + 1])
-        pw = sys.P @ w
-        if sys.has_uniform:
-            pw = pw + sys.u * float(w.mean())
-        w = gamma * gamma * (pw + step_var)
+        pw = game.layout.restrict(game.space.chosen_pairs(sigma)).p_dot(w)
+        w = gamma * gamma * (pw + _var_under(game, sigma, values[t + 1]))
     return values, w
 
 
@@ -276,14 +272,6 @@ def variance_bellman_residual(game: StochasticGame, plan: MarkovianPlan,
     def stage_value(t: int) -> np.ndarray:
         return values[min(t, horizon)]
 
-    # dense forward product B_t = P_0 P_1 ... P_{t-1}; fine at validator sizes
-    def dense_p(sigma: np.ndarray) -> np.ndarray:
-        sys = PolicyLinearSystem(game, sigma, discount=1.0)
-        mat = sys.P.toarray()
-        if sys.has_uniform:
-            mat = mat + np.outer(sys.u, np.full(n, 1.0 / n))
-        return mat
-
     total = np.zeros(n)
     product = np.eye(n)
     t = 0
@@ -291,6 +279,8 @@ def variance_bellman_residual(game: StochasticGame, plan: MarkovianPlan,
         sigma_t = stage_sigma(t)
         w_t = _var_under(game, sigma_t, stage_value(t + 1))
         total = total + gamma ** (2 * (t + 1)) * (product @ w_t)
-        product = product @ dense_p(sigma_t)
+        # dense forward product B_t = P_0 P_1 ... P_{t-1}; fine at validator sizes
+        p_t = game.layout.restrict(game.space.chosen_pairs(sigma_t)).dense()
+        product = product @ p_t
         t += 1
     return float(np.abs(var_direct - total).max())

@@ -29,8 +29,6 @@ from . import exact, game as game_mod, hard, qvi
 from .generate import clustered_game
 from .sampler import GenerativeModel
 
-log = logging.getLogger("sg")
-
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
@@ -81,7 +79,9 @@ def _need_seed(args) -> int:
     return args.seed
 
 
-def _write_csv(path: str | None, rows: list[str]) -> None:
+def write_csv(path: str | None, rows: list[str]) -> None:
+    """Write CSV rows to ``path`` (stdout when None); a NaN field is refused
+    before the file is opened."""
     text = "\n".join(rows) + "\n"
     for row in rows:
         if "nan" in row.lower().split(","):
@@ -109,7 +109,7 @@ def cmd_solve(args) -> int:
         _print_value(v, sigma)
         print(f"iterations: {len(trace)}")
         if args.out:
-            trace.to_csv(args.out)
+            write_csv(args.out, trace.csv_rows())
         return EXIT_OK
 
     if args.method == "pi":
@@ -120,7 +120,7 @@ def cmd_solve(args) -> int:
         _print_value(exact.evaluate(g, sigma), sigma)
         print(f"policy evaluations: {trace.total_policy_evaluations}")
         if args.out:
-            trace.to_csv(args.out)
+            write_csv(args.out, trace.csv_rows())
         return EXIT_OK
 
     if args.method == "si":
@@ -131,7 +131,7 @@ def cmd_solve(args) -> int:
         residual = float(np.abs(exact.bellman(g, v) - v).max())
         print(f"equilibrium residual: {residual!r}")
         if args.out:
-            trace.to_csv(args.out)
+            write_csv(args.out, trace.csv_rows())
         return EXIT_OK
 
     # qvi
@@ -167,7 +167,7 @@ def cmd_hard_pi(args) -> int:
     trace, report = hard.verify_pi_path_hi1(args.T, beta_factor=args.beta_factor)
     print(report.summary())
     if args.out:
-        trace.to_csv(args.out)
+        write_csv(args.out, trace.csv_rows())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -183,7 +183,7 @@ def cmd_hard_si(args) -> int:
     print(report.summary())
     print(f"single-action corrections: {hard.si_single_flip_count(trace)}")
     if args.out:
-        trace.to_csv(args.out)
+        write_csv(args.out, trace.csv_rows())
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -201,7 +201,7 @@ def cmd_flux(args) -> int:
     print(f"flux extremes: [{report.delta_min!r}, {report.delta_max!r}] "
           f"ratio {report.flux_ratio!r}")
     if args.out:
-        report.to_csv(args.out)
+        write_csv(args.out, report.csv_rows())
     return EXIT_OK
 
 
@@ -258,7 +258,7 @@ def cmd_scaling(args) -> int:
     rows, slope = scaling_sweep(seed, args.trials)
     csv = ["m1,trial,error"]
     csv += [f"{m1},{t},{err!r}" for m1, t, err in rows]
-    _write_csv(args.out, csv)
+    write_csv(args.out, csv)
     lo, hi = SCALING_SLOPE_BAND
     print(f"log-log slope: {slope!r} (band [{lo}, {hi}])")
     return EXIT_OK if lo <= slope <= hi else EXIT_CHECK_FAILED
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sg", description="stochastic-game solver toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_game_source(p, qvi_ok=True):
+    def add_game_source(p):
         p.add_argument("--game", help="game JSON file")
         p.add_argument("--hi1", type=int, metavar="T",
                        help="policy-iteration hard instance of size T")

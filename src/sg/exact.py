@@ -3,10 +3,10 @@
 Conventions shared by every routine here:
 
 * the MIN player minimizes and the MAX player maximizes discounted reward;
-* greedy selections break ties toward the lowest action index;
-* iterative improvement (policy/strategy iteration) switches a state only on
-  a strict improvement and otherwise keeps the incumbent action, which is the
-  discipline the worst-case instances rely on;
+* ``greedy_from_q`` breaks ties toward the lowest action index;
+* ``improve``, the sweep of policy/strategy iteration, switches a state only
+  on a strict improvement and otherwise keeps the incumbent action, which is
+  the discipline the worst-case instances rely on;
 * one "policy evaluation" is one exact linear solve for a fixed strategy.
 """
 
@@ -78,10 +78,6 @@ class SolveTrace:
                         f"{self.policy_evaluations[i]},{len(self.changes[i])},{enc}")
         return rows
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_rows()) + "\n")
-
 
 @dataclass
 class RatioReport:
@@ -111,10 +107,6 @@ class RatioReport:
             rows.append(f"{sid},{cmin!r},{cmax!r},{dmin!r},{dmax!r}")
         return rows
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_rows()) + "\n")
-
 
 # ---------------------------------------------------------------------------
 # Bellman operators
@@ -136,20 +128,15 @@ def greedy_from_q(space: ActionSpace, q: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     if q.shape != (space.n_pairs,):
         raise ValueError(f"q shape {q.shape} != ({space.n_pairs},)")
-    pad = space.pad_template.copy()
-    pad[space.pad_rows, space.pad_cols] = q
+    pad = space.pad(q)
     v = np.where(space.is_max, pad.max(axis=1), pad.min(axis=1))
     sigma = np.where(space.is_max, pad.argmax(axis=1), pad.argmin(axis=1))
     return v, sigma.astype(np.int64)
 
 
-def greedy(game: StochasticGame, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return greedy_from_q(game.space, q)
-
-
 def bellman(game: StochasticGame, v: np.ndarray) -> np.ndarray:
     """One application of the Bellman operator."""
-    value, _ = greedy(game, q_from_v(game, v))
+    value, _ = greedy_from_q(game.space, q_from_v(game, v))
     return value
 
 
@@ -171,7 +158,7 @@ def half_bellman(game: StochasticGame, v: np.ndarray, pi: np.ndarray,
     if bad.any():
         raise ValueError(f"pi undefined or invalid at owned state {int(np.flatnonzero(bad)[0])}")
     q = q_from_v(game, v)
-    opt, _ = greedy(game, q)
+    opt, _ = greedy_from_q(game.space, q)
     fixed = q[game.space.state_offset[:-1] + np.where(owned, pi, 0)]
     return np.where(owned, fixed, opt)
 
@@ -179,10 +166,10 @@ def half_bellman(game: StochasticGame, v: np.ndarray, pi: np.ndarray,
 # ---------------------------------------------------------------------------
 # linear algebra for a fixed strategy
 
-# A fixed strategy yields P_sigma = S + u (1/n) 1^T where S collects the
-# explicit sparse rows and u marks states whose chosen row is uniform. All
-# solves below factor only M = I - gamma*S and fold the uniform rank-one part
-# in via Sherman-Morrison, followed by iterative refinement.
+# A fixed strategy yields P_sigma = S + u (1/n) 1^T, the game's chain view on
+# the chosen pairs (``sg.game.ChainView``). All solves below factor only
+# M = I - gamma*S and fold the uniform rank-one part in via Sherman-Morrison,
+# followed by iterative refinement.
 
 
 class PolicyLinearSystem:
@@ -194,10 +181,8 @@ class PolicyLinearSystem:
         pairs = lay.space.chosen_pairs(np.asarray(sigma, dtype=np.int64))
         self.gamma = game.gamma if discount is None else float(discount)
         self.n = n
-        self.P = lay.trans[pairs]
-        self.Pt = self.P.T.tocsr()
-        self.u = lay.uniform_mask[pairs].astype(np.float64)
-        self.has_uniform = bool(self.u.any())
+        self.chain = lay.restrict(pairs)
+        self.u = self.chain.uniform_mask.astype(np.float64)
         self.r = lay.space.rewards[pairs]
         self._lu = None
         self._dense = n <= 64  # small systems solve faster without sparse overhead
@@ -208,10 +193,10 @@ class PolicyLinearSystem:
         if self._lu is None:
             if self._dense:
                 import scipy.linalg as sla
-                M = np.eye(self.n) - self.gamma * self.P.toarray()
+                M = np.eye(self.n) - self.gamma * self.chain.trans.toarray()
                 self._lu = sla.lu_factor(M)
             else:
-                M = sp.identity(self.n, format="csc") - self.gamma * self.P.tocsc()
+                M = sp.identity(self.n, format="csc") - self.gamma * self.chain.trans.tocsc()
                 self._lu = spla.splu(M)
         return self._lu
 
@@ -223,21 +208,15 @@ class PolicyLinearSystem:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """(I - gamma * P_sigma) x."""
-        px = self.P @ x
-        if self.has_uniform:
-            px = px + self.u * float(x.mean())
-        return x - self.gamma * px
+        return x - self.gamma * self.chain.p_dot(x)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """(I - gamma * P_sigma^T) y."""
-        out = y - self.gamma * (self.Pt @ y)
-        if self.has_uniform:
-            out = out - (self.gamma / self.n) * float(self.u @ y)
-        return out
+        return y - self.gamma * self.chain.pt_dot(y)
 
     def _solve_once(self, b: np.ndarray) -> np.ndarray:
         x = self._lu_solve(b)
-        if self.has_uniform:
+        if self.chain.has_uniform:
             w = self._lu_solve(self.u)
             c = self.gamma / self.n
             t = float(x.sum()) / (1.0 - c * float(w.sum()))
@@ -246,7 +225,7 @@ class PolicyLinearSystem:
 
     def _solve_t_once(self, b: np.ndarray) -> np.ndarray:
         x = self._lu_solve(b, transpose=True)
-        if self.has_uniform:
+        if self.chain.has_uniform:
             w = self._lu_solve(np.ones(self.n), transpose=True)
             c = self.gamma / self.n
             s = float(self.u @ x) / (1.0 - c * float(self.u @ w))
@@ -275,10 +254,7 @@ class PolicyLinearSystem:
 
     def step_distribution(self, lam: np.ndarray) -> np.ndarray:
         """P_sigma^T lam (one chain step on a distribution)."""
-        out = self.Pt @ lam
-        if self.has_uniform:
-            out = out + float(self.u @ lam) / self.n
-        return out
+        return self.chain.pt_dot(lam)
 
 
 def evaluate(game: StochasticGame, sigma: np.ndarray) -> np.ndarray:
@@ -319,16 +295,17 @@ def stationary_distribution(game: StochasticGame, sigma: np.ndarray,
     sys = PolicyLinearSystem(game, sigma)
     n = game.n_states
     lam = np.full(n, 1.0 / n)
+    nxt = sys.step_distribution(lam)
     plain_phase = 10 ** 4
     for it in range(max_iter):
-        nxt = sys.step_distribution(lam)
         nxt /= nxt.sum()
         if it >= plain_phase:
             nxt = 0.5 * (nxt + lam)
             nxt /= nxt.sum()
-        if float(np.abs(sys.step_distribution(nxt) - nxt).max()) <= tol:
+        step = sys.step_distribution(nxt)  # also the next sweep's first step
+        if float(np.abs(step - nxt).max()) <= tol:
             return nxt
-        lam = nxt
+        lam, nxt = nxt, step
     raise RuntimeError("power iteration did not converge; chain may be periodic or reducible")
 
 
@@ -353,13 +330,13 @@ def value_iteration(game: StochasticGame, tol: float,
     trace = SolveTrace()
     for it in range(1, max_iter + 1):
         q = q_from_v(game, v)
-        v_next, _ = greedy(game, q)
+        v_next, _ = greedy_from_q(game.space, q)
         residual = float(np.abs(v_next - v).max())
         trace.append(it, residual, [], 0)
         v = v_next
         if residual <= threshold:
             q = q_from_v(game, v)
-            value, sigma = greedy(game, q)
+            value, sigma = greedy_from_q(game.space, q)
             return v, sigma, trace
     raise RuntimeError(f"value iteration exceeded {max_iter} sweeps")
 
@@ -368,25 +345,22 @@ def value_iteration(game: StochasticGame, tol: float,
 # policy iteration
 
 
-def _tie_tol(v: np.ndarray) -> float:
-    return 1e-9 * (1.0 + float(np.abs(v).max(initial=0.0)))
+def improve(game: StochasticGame, v: np.ndarray, sigma: np.ndarray,
+            improvable: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]], float]:
+    """One strict-improvement sweep of ``sigma`` against Q(v).
 
-
-def _improve(space: ActionSpace, q: np.ndarray, sigma: np.ndarray,
-             improvable: np.ndarray, tol: float) -> tuple[np.ndarray, list[tuple[int, int, int]], float]:
-    """One strict-improvement sweep with incumbent-keeping tie rule.
-
-    A state switches only if the best action beats the incumbent by more than
-    ``tol``; among near-optimal actions (within ``tol`` of the best) the
-    lowest index wins. Returns (new strategy, flips, max improvement).
+    A state in ``improvable`` switches only if its best action beats the
+    incumbent by more than a tie tolerance scaled to ``v``; among near-optimal
+    actions (within that tolerance of the best) the lowest index wins.
+    Returns (new strategy, flips as (state, old, new), max improvement).
     """
-    pad = space.pad_template.copy()
-    pad[space.pad_rows, space.pad_cols] = q
+    space = game.space
+    tol = 1e-9 * (1.0 + float(np.abs(v).max(initial=0.0)))
+    q = q_from_v(game, v)
+    pad = space.pad(q)
     q_inc = q[space.chosen_pairs(sigma)]
 
-    best_max = pad.max(axis=1)
-    best_min = pad.min(axis=1)
-    best = np.where(space.is_max, best_max, best_min)
+    best = np.where(space.is_max, pad.max(axis=1), pad.min(axis=1))
     gain = np.where(space.is_max, best - q_inc, q_inc - best)
     flip_mask = improvable & (gain > tol)
 
@@ -415,7 +389,6 @@ def _policy_iteration(game: StochasticGame, pi_init: np.ndarray,
 
     Returns the final strategy and its exact value (the last evaluation).
     """
-    space = game.space
     sigma = np.asarray(pi_init, dtype=np.int64).copy()
     if fixed is not None:
         player, fixed_sigma = fixed
@@ -433,8 +406,7 @@ def _policy_iteration(game: StochasticGame, pi_init: np.ndarray,
     for it in range(1, max_iter + 1):
         v = evaluate(game, sigma)
         evals += 1
-        q = q_from_v(game, v)
-        new_sigma, flips, residual = _improve(space, q, sigma, improvable, _tie_tol(v))
+        new_sigma, flips, residual = improve(game, v, sigma, improvable)
         trace.append(it, residual, flips, evals, phase)
         if not flips:
             return sigma, v
@@ -482,8 +454,7 @@ def strategy_iteration(game: StochasticGame, sigma_init: np.ndarray,
                                      "max-pi", max_inner)
         changed_max = bool((sigma != before).any())
 
-        q = q_from_v(game, v)
-        new_sigma, flips, residual = _improve(game.space, q, sigma, min_states, _tie_tol(v))
+        new_sigma, flips, residual = improve(game, v, sigma, min_states)
         trace.append(0, residual, flips, trace.policy_evaluations[-1], "min-greedy")
         changed_min = bool(flips)
         sigma = new_sigma

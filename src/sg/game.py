@@ -4,7 +4,10 @@ A game is a set of states, each owned by the MIN or the MAX player, with one
 or more actions per state. An action carries a reward and a sparse transition
 row. Games are immutable after construction; every transform returns a new
 game. Transition rows that are uniform over the whole state set are stored by
-a compact marker so very large instances stay cheap to build and solve.
+a compact marker so very large instances stay cheap to build and solve: a
+transition law is held as ``P = S + u 1^T / n`` with sparse rows ``S`` and a
+mask ``u`` of uniform rows, and :class:`ChainView` is the one place that
+applies it (``P x``, ``P^T y``, the dense matrix, a subset of rows).
 
 Strategies, value vectors and Q-functions are plain numpy arrays:
 
@@ -64,8 +67,7 @@ class ActionSpace:
     state_offset: np.ndarray  # (n_states + 1,) int, pair range per state
     pair_state: np.ndarray    # (n_pairs,) int
     rewards: np.ndarray       # (n_pairs,) float
-    pad_rows: np.ndarray      # scatter indices into the (n_states, a_max) pad
-    pad_cols: np.ndarray
+    pad_cols: np.ndarray      # action index of each pair within its state
     pad_template: np.ndarray  # (n_states, a_max), +/-inf fill by owner
 
     def pair_index(self, state: int, action: int) -> int:
@@ -75,27 +77,64 @@ class ActionSpace:
         """Flat pair index selected by ``strategy`` at every state."""
         return self.state_offset[:-1] + strategy
 
+    def pad(self, q: np.ndarray) -> np.ndarray:
+        """A flat Q laid out as (n_states, a_max), missing actions at +/-inf."""
+        grid = self.pad_template.copy()
+        grid[self.pair_state, self.pad_cols] = q
+        return grid
+
 
 @dataclass(frozen=True, eq=False)
-class GameLayout:
-    """Action space plus vectorized transition data.
+class ChainView:
+    """Transition rows ``P = S + u 1^T / n`` over ``n`` target states.
 
-    ``trans`` holds the explicit rows (one CSR row per pair, empty for
-    uniform pairs); ``uniform_mask`` marks pairs whose row is uniform over
-    all states.
+    ``trans`` holds the explicit rows S (empty for uniform rows);
+    ``uniform_mask`` marks the rows u that are uniform over all states.
     """
 
-    space: ActionSpace
-    trans: sp.csr_matrix          # (n_pairs, n_states)
-    trans_t: sp.csr_matrix        # transpose, cached for chain iterations
-    uniform_mask: np.ndarray      # (n_pairs,) bool
+    trans: sp.csr_matrix          # (n_rows, n_states)
+    uniform_mask: np.ndarray      # (n_rows,) bool
 
-    def p_dot(self, v: np.ndarray) -> np.ndarray:
-        """Per-pair expectation of ``v`` under one transition."""
-        out = self.trans @ v
-        if self.uniform_mask.any():
-            out = out + self.uniform_mask * float(v.mean())
+    @cached_property
+    def has_uniform(self) -> bool:
+        return bool(self.uniform_mask.any())
+
+    @cached_property
+    def _transpose(self) -> sp.csr_matrix:
+        return self.trans.T.tocsr()
+
+    def p_dot(self, x: np.ndarray) -> np.ndarray:
+        """P x: per-row expectation of ``x`` under one transition."""
+        out = self.trans @ x
+        if self.has_uniform:
+            out = out + self.uniform_mask * float(x.mean())
         return out
+
+    def pt_dot(self, y: np.ndarray) -> np.ndarray:
+        """P^T y: the mass ``y`` on the rows pushed one step forward."""
+        out = self._transpose @ y
+        if self.has_uniform:
+            out = out + float(self.uniform_mask @ y) / self.trans.shape[1]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """P as a dense (n_rows, n_states) array."""
+        mat = self.trans.toarray()
+        if self.has_uniform:
+            n = self.trans.shape[1]
+            mat = mat + np.outer(self.uniform_mask, np.full(n, 1.0 / n))
+        return mat
+
+    def restrict(self, rows: np.ndarray) -> ChainView:
+        """The chain on the selected rows, e.g. the pairs a strategy picks."""
+        return ChainView(self.trans[rows], self.uniform_mask[rows])
+
+
+@dataclass(frozen=True, eq=False)
+class GameLayout(ChainView):
+    """Action space plus the all-pairs transition view (one row per pair)."""
+
+    space: ActionSpace
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,17 +200,15 @@ def _build_layout(game: StochasticGame) -> GameLayout:
         )
     else:
         trans = sp.csr_matrix((n_pairs, n_states))
-    trans_t = trans.T.tocsr()
 
     a_max = int(n_actions.max())
     is_max = game.owners.astype(bool)
-    pad_rows = pair_state
     pad_cols = np.concatenate([np.arange(k, dtype=np.int64) for k in n_actions])
     pad_template = np.where(is_max[:, None], -np.inf, np.inf)
     pad_template = np.broadcast_to(pad_template, (n_states, a_max)).copy()
 
     for arr in (n_actions, state_offset, pair_state, rewards, uniform_mask,
-                pad_rows, pad_cols, pad_template):
+                pad_cols, pad_template):
         arr.setflags(write=False)
 
     space = ActionSpace(
@@ -183,12 +220,10 @@ def _build_layout(game: StochasticGame) -> GameLayout:
         state_offset=state_offset,
         pair_state=pair_state,
         rewards=rewards,
-        pad_rows=pad_rows,
         pad_cols=pad_cols,
         pad_template=pad_template,
     )
-    return GameLayout(space=space, trans=trans, trans_t=trans_t,
-                      uniform_mask=uniform_mask)
+    return GameLayout(trans=trans, uniform_mask=uniform_mask, space=space)
 
 
 def make_game(gamma: float,

@@ -25,9 +25,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .checks import CheckReport, Violation
-from .exact import (SolveTrace, _improve, _tie_tol, evaluate,
-                    policy_iteration, q_from_v, stationary_distribution,
-                    strategy_iteration)
+from .exact import (SolveTrace, evaluate, improve, policy_iteration,
+                    stationary_distribution, strategy_iteration)
 from .game import Action, MAX_PLAYER, MIN_PLAYER, StochasticGame, make_game
 
 U, R = 0, 1  # action indices on two-action chain states
@@ -400,9 +399,7 @@ def build_hi2(T: int, config: Hi2Config | None = None) -> tuple[StochasticGame, 
 def _improvement_step(game: StochasticGame, sigma: np.ndarray,
                       improvable: np.ndarray) -> np.ndarray:
     """One exact evaluate-and-improve sweep (the verifiers' probe)."""
-    v = evaluate(game, sigma)
-    q = q_from_v(game, v)
-    new_sigma, _, _ = _improve(game.space, q, sigma, improvable, _tie_tol(v))
+    new_sigma, _, _ = improve(game, evaluate(game, sigma), sigma, improvable)
     return new_sigma
 
 
@@ -498,9 +495,7 @@ def verify_si_path_hi2(T: int, config: Hi2Config | None = None) -> tuple[SolveTr
         if d is None or d[0] != meta.s_prime:
             violations.append(Violation("si-path:tail", (k,), 0.0, 1.0, 0.0))
 
-    single_flips = sum(
-        1 for k, ch in enumerate(trace.changes)
-        if trace.phases[k] == "max-pi" and len(ch) == 1)
+    single_flips = si_single_flip_count(trace)
     s_prime = meta.s_prime
     lo, hi = s_prime * (s_prime - 1), s_prime * (s_prime + 2)
     if not (lo <= single_flips <= hi):

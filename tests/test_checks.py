@@ -12,6 +12,14 @@ from sg.generate import random_game
 from sg.qvi import DECREASING, INCREASING, VSSequence
 
 
+def with_uniform_rows(game, share, seed):
+    """The same game with about ``share`` of its actions made uniform rows."""
+    rng = np.random.default_rng(seed)
+    actions = [[Action(reward=a.reward, uniform=True) if rng.random() < share else a
+                for a in acts] for acts in game.actions]
+    return make_game(game.gamma, game.owners, actions)
+
+
 def fixed_point_sequence(game, entries=3):
     """Constant sequence sitting at the exact fixed point."""
     vstar, sstar, _ = value_iteration(game, 1e-12)
@@ -240,4 +248,6 @@ def test_variance_identity_on_random_plans():
         counts = g.space.n_actions
         prefix = [rng.integers(0, counts) for _ in range(int(rng.integers(0, 4)))]
         plan = MarkovianPlan.make(prefix, rng.integers(0, counts))
-        assert variance_bellman_residual(g, plan) <= 1e-6
+        for share in (0.0, 0.5, 1.0):
+            mixed = with_uniform_rows(g, share, seed=k)
+            assert variance_bellman_residual(mixed, plan) <= 1e-6

@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from sg.cli import main
-from sg.exact import value_iteration
+from sg.cli import main, write_csv
+from sg.exact import SolveTrace, value_iteration
 from sg.game import save_game
 from sg.generate import random_game
 from sg.qvi import VSSequence, qvi_mdvss, QviConstants
@@ -160,3 +160,13 @@ def test_scaling_emits_csv_and_slope(tmp_path, capsys):
 
 def test_scaling_requires_seed(capsys):
     assert main(["scaling"]) == 2
+
+
+def test_nan_trace_is_refused_and_no_file_is_written(tmp_path):
+    trace = SolveTrace()
+    trace.append(1, 0.5, [], 0)
+    trace.append(2, float("nan"), [], 0)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(RuntimeError, match="NaN"):
+        write_csv(str(path), trace.csv_rows())
+    assert not path.exists()

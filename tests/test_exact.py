@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from sg.cli import write_csv
 from sg.exact import (apply_strategy, bellman, best_response, enumerate_strategies,
-                      evaluate, flux, greedy, half_bellman, policy_iteration,
-                      q_from_v, ratio_scan, stationary_distribution,
-                      strategy_iteration, value_iteration)
+                      evaluate, flux, greedy_from_q, half_bellman,
+                      policy_iteration, q_from_v, ratio_scan,
+                      stationary_distribution, strategy_iteration,
+                      value_iteration)
 from sg.game import Action, MAX_PLAYER, MIN_PLAYER, make_game, with_gamma
 from sg.generate import random_game
 from sg.hard import build_hi1, hi1_mean_value
@@ -26,7 +28,7 @@ def naive_q(game, v):
 
 
 # ---------------------------------------------------------------------------
-# q_from_v / greedy / half_bellman
+# q_from_v / greedy_from_q / half_bellman
 
 
 def test_q_zero_value_gives_rewards():
@@ -51,27 +53,27 @@ def test_greedy_tie_breaks_to_lowest_index():
     g = make_game(0.9, [MAX_PLAYER], [[
         Action(reward=0.0, uniform=True), Action(reward=0.0, uniform=True),
     ]])
-    v, sigma = greedy(g, np.array([2.0, 2.0]))
+    v, sigma = greedy_from_q(g.space, np.array([2.0, 2.0]))
     assert sigma[0] == 0 and v[0] == 2.0
 
 
 def test_greedy_min_state():
     g = make_game(0.9, [MIN_PLAYER], [[Action(reward=0.0, uniform=True)] * 3])
-    v, sigma = greedy(g, np.array([3.0, 1.0, 2.0]))
+    v, sigma = greedy_from_q(g.space, np.array([3.0, 1.0, 2.0]))
     assert v[0] == 1.0 and sigma[0] == 1
 
 
 def test_greedy_prefers_chain_on_hi1():
     game, meta = build_hi1(48)
     v = evaluate(game, meta.policy_uniform())
-    _, sigma = greedy(game, q_from_v(game, v))
+    _, sigma = greedy_from_q(game.space, q_from_v(game, v))
     assert sigma[meta.T - 2] == 1  # chain move beats the uniform restart
 
 
 def test_half_bellman_greedy_collapses_to_full_operator():
     g = random_game(6, 3, 0.9, seed=3)
     v = np.random.default_rng(0).uniform(0, 10, size=6)
-    _, sigma = greedy(g, q_from_v(g, v))
+    _, sigma = greedy_from_q(g.space, q_from_v(g, v))
     for player in (MIN_PLAYER, MAX_PLAYER):
         np.testing.assert_allclose(half_bellman(g, v, sigma, player),
                                    bellman(g, v), atol=1e-12)
@@ -223,7 +225,7 @@ def test_policy_iteration_values_monotone_for_max_player():
     v = evaluate(g, sigma)
     while True:
         q = q_from_v(g, v)
-        _, greedy_sigma = greedy(g, q)
+        _, greedy_sigma = greedy_from_q(g.space, q)
         if np.array_equal(greedy_sigma, sigma):
             break
         sigma = greedy_sigma
@@ -396,7 +398,7 @@ def test_trace_csv_round_trip(tmp_path):
     g = random_game(5, 3, 0.9, seed=30, owners="max")
     _, trace = policy_iteration(g, np.zeros(5, dtype=np.int64))
     path = tmp_path / "trace.csv"
-    trace.to_csv(str(path))
+    write_csv(str(path), trace.csv_rows())
     rows = path.read_text().strip().split("\n")
     assert rows[0] == trace.CSV_HEADER
     assert len(rows) == len(trace) + 1

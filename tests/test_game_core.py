@@ -145,6 +145,61 @@ def test_json_uniform_rows_round_trip(tmp_path):
     np.testing.assert_array_equal(v1, v2)
 
 
+def naive_transition_matrix(game):
+    """One dense row per state-action pair, built straight from the actions."""
+    n = game.n_states
+    rows = []
+    for acts in game.actions:
+        for act in acts:
+            if act.uniform:
+                row = np.full(n, 1.0 / n)
+            else:
+                row = np.zeros(n)
+                np.add.at(row, act.next_states, act.probs)
+            rows.append(row)
+    return np.array(rows)
+
+
+def test_chain_view_matches_naive_matrix():
+    rng = np.random.default_rng(5)
+    n = 7
+    actions = []
+    for s in range(n):
+        acts = []
+        for a in range(int(rng.integers(1, 4))):
+            if (s + a) % 3 == 0:
+                acts.append(Action(reward=0.0, uniform=True))
+            else:
+                support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                acts.append(Action(reward=0.0, next_states=support,
+                                   probs=rng.dirichlet(np.ones(support.size))))
+        actions.append(acts)
+    g = make_game(0.9, [MIN_PLAYER] * n, actions)
+    lay = g.layout
+    P = naive_transition_matrix(g)
+    assert lay.uniform_mask.any() and not lay.uniform_mask.all()
+
+    x = rng.normal(size=n)
+    y = rng.normal(size=g.n_pairs)
+    np.testing.assert_allclose(lay.dense(), P, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(lay.p_dot(x), P @ x, rtol=0, atol=1e-13)
+    for _ in range(2):  # the second call reads the cached transpose
+        np.testing.assert_allclose(lay.pt_dot(y), P.T @ y, rtol=0, atol=1e-13)
+
+    # one row per state: a strategy mixing uniform and sparse rows, and one
+    # that only picks sparse rows
+    mixed = g.space.chosen_pairs(np.array([len(acts) - 1 for acts in g.actions]))
+    sparse = np.flatnonzero(~lay.uniform_mask)[:n]
+    for rows in (mixed, sparse):
+        view = lay.restrict(rows)
+        z = rng.normal(size=rows.size)
+        np.testing.assert_allclose(view.dense(), P[rows], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(view.p_dot(x), P[rows] @ x, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(view.pt_dot(z), P[rows].T @ z, rtol=0, atol=1e-13)
+    assert lay.restrict(mixed).has_uniform
+    assert not lay.restrict(sparse).has_uniform
+
+
 def test_loader_rejects_invalid_game():
     doc = {"gamma": 0.9, "states": [
         {"owner": "max", "actions": [{"reward": 0.0, "next": [{"s": 0, "p": 0.5}]}]}

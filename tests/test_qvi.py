@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sg.checks import check_mdvss, check_mivss
-from sg.exact import best_response, greedy, q_from_v, value_iteration
+from sg.exact import best_response, greedy_from_q, q_from_v, value_iteration
 from sg.game import Action, MAX_PLAYER, make_game
 from sg.generate import random_game
 from sg.qvi import (DECREASING, INCREASING, QviConstants, VSSequence,
@@ -133,7 +133,7 @@ def test_strategy_value_coupling():
     for i in range(1, seq.rounds + 1):
         ok = np.zeros(g.n_states, dtype=bool)
         for k in range(1, i + 1):
-            vk, sk = greedy(g, seq.q_values[k])
+            vk, sk = greedy_from_q(g.space, seq.q_values[k])
             ok |= (vk == seq.values[i]) & (sk == seq.strategies[i])
         ok |= seq.values[i] == seq.values[0]
         assert ok.all()
