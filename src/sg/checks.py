@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import (apply_strategy, bellman, best_response, evaluate,
-                    greedy_from_q, half_bellman, q_from_v, value_iteration,
-                    PolicyLinearSystem)
+from .exact import (apply_strategy, best_response, evaluate, greedy_from_q,
+                    half_from_q, q_from_v, value_iteration, PolicyLinearSystem)
 from .game import MAX_PLAYER, MIN_PLAYER, StochasticGame, validate_strategy
 from .qvi import DECREASING, INCREASING, VSSequence
 
@@ -110,9 +109,11 @@ def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
     """Shared body: sign=+1 checks a decreasing run, -1 an increasing one."""
     vstar = _optimal_value(game, vstar)
     player = MIN_PLAYER if sign > 0 else MAX_PLAYER
+    owned = game.owners == player
     violations: list[Violation] = []
     n_entries = seq.values.shape[0]
     chosen = game.space.chosen_pairs
+    q_prev = None
 
     for i in range(n_entries):
         v_i = seq.values[i]
@@ -129,31 +130,31 @@ def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
             _collect(violations, "1:optimal-bound", gap > 0, v_i, vstar, gap,
                      lambda s, i=i: (i, s))
 
-        # property 2: one-sided fixed-point inequalities
+        # property 2: one-sided fixed-point inequalities, all read off Q(v_i)
+        q_i = q_from_v(game, v_i)
         for name, backup in (
-            ("2:T-sigma", apply_strategy(game, v_i, sigma_i)),
-            ("2:T", bellman(game, v_i)),
-            ("2:half", half_bellman(game, v_i, sigma_i, player)),
+            ("2:T-sigma", q_i[chosen(sigma_i)]),
+            ("2:T", greedy_from_q(game.space, q_i)[0]),
+            ("2:half", half_from_q(game.space, q_i, sigma_i, owned)),
         ):
             gap = sign * (backup - v_i) - slack
             _collect(violations, name, gap > 0, backup, v_i, gap,
                      lambda s, i=i: (i, s))
 
-        if i == 0:
-            continue
+        if i > 0:
+            # property 3: Q against the exact one-step backup of v_{i-1}
+            eps_i = seq.error_bounds[i] if eps_override is None else eps_override
+            target = q_prev + sign * eps_i
+            gap = sign * (seq.q_values[i] - target) - slack
+            _collect(violations, "3:q-backup", gap > 0, seq.q_values[i], target, gap,
+                     lambda p, i=i: (i, p))
 
-        # property 3: Q against the exact one-step backup of v_{i-1}
-        eps_i = seq.error_bounds[i] if eps_override is None else eps_override
-        target = q_from_v(game, seq.values[i - 1]) + sign * eps_i
-        gap = sign * (seq.q_values[i] - target) - slack
-        _collect(violations, "3:q-backup", gap > 0, seq.q_values[i], target, gap,
-                 lambda p, i=i: (i, p))
-
-        # property 4: value consistent with its own Q
-        vq, _ = greedy_from_q(game.space, seq.q_values[i])
-        gap = sign * (v_i - vq) - slack
-        _collect(violations, "4:greedy", gap > 0, v_i, vq, gap,
-                 lambda s, i=i: (i, s))
+            # property 4: value consistent with its own Q
+            vq, _ = greedy_from_q(game.space, seq.q_values[i])
+            gap = sign * (v_i - vq) - slack
+            _collect(violations, "4:greedy", gap > 0, v_i, vq, gap,
+                     lambda s, i=i: (i, s))
+        q_prev = q_i
 
     return _report(violations)
 

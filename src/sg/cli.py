@@ -10,8 +10,9 @@ Subcommands:
 * ``scaling`` - sweep the big-batch size and report the error/log-slope
 
 Exit codes: 0 when every requested check passes, 1 when a check fails,
-2 on malformed input. All randomness flows from ``--seed``; commands that
-need randomness fail without it rather than fall back to a clock seed.
+2 on malformed input, including out-of-range arguments. All randomness
+flows from ``--seed``; commands that need randomness fail without it
+rather than fall back to a clock seed.
 """
 
 from __future__ import annotations
@@ -46,16 +47,17 @@ def _setup_logging() -> None:
 
 def _load_game_arg(args) -> game_mod.StochasticGame:
     sources = [s for s in ("game", "hi1", "hi2") if getattr(args, s, None) is not None]
-    if len(sources) != 1:
-        raise InputError("exactly one of --game/--hi1/--hi2 is required")
+    _require(len(sources) == 1, "exactly one of --game/--hi1/--hi2 is required")
     if args.game is not None:
         try:
             return game_mod.load_game(args.game)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot load game: {exc}") from exc
     if args.hi1 is not None:
+        _check_hi1(args.hi1, args.beta_factor, "--hi1")
         g, _ = hard.build_hi1(args.hi1, beta_factor=args.beta_factor)
         return g
+    _require(args.hi2 >= hard.HI2_MIN_T, f"--hi2 must be at least {hard.HI2_MIN_T}")
     g, _ = hard.build_hi2(args.hi2)
     # sampling-based methods need [0, 1] rewards
     if getattr(args, "method", None) == "qvi":
@@ -73,9 +75,19 @@ def _load_constants(path: str | None) -> qvi.QviConstants:
         raise InputError(f"cannot load constants: {exc}") from exc
 
 
+def _require(ok: bool, message: str) -> None:
+    """Reject a user-facing argument with exit 2 before the library sees it."""
+    if not ok:
+        raise InputError(message)
+
+
+def _check_hi1(T: int, beta_factor: float, flag: str) -> None:
+    _require(T >= hard.HI1_MIN_T, f"{flag} must be at least {hard.HI1_MIN_T}")
+    _require(beta_factor >= 1.0, "--beta-factor must be >= 1")
+
+
 def _need_seed(args) -> int:
-    if args.seed is None:
-        raise InputError("--seed is required for randomized runs")
+    _require(args.seed is not None, "--seed is required for randomized runs")
     return args.seed
 
 
@@ -105,6 +117,7 @@ def _print_value(v: np.ndarray, sigma: np.ndarray) -> None:
 def cmd_solve(args) -> int:
     g = _load_game_arg(args)
     if args.method == "vi":
+        _require(args.eps > 0, "--eps must be positive")
         v, sigma, trace = exact.value_iteration(g, args.eps)
         _print_value(v, sigma)
         print(f"iterations: {len(trace)}")
@@ -113,9 +126,7 @@ def cmd_solve(args) -> int:
         return EXIT_OK
 
     if args.method == "pi":
-        owners = np.unique(g.owners)
-        if owners.size > 1:
-            raise InputError("--method pi needs a single-player game")
+        _require(np.unique(g.owners).size == 1, "--method pi needs a single-player game")
         sigma, trace = exact.policy_iteration(g, np.zeros(g.n_states, dtype=np.int64))
         _print_value(exact.evaluate(g, sigma), sigma)
         print(f"policy evaluations: {trace.total_policy_evaluations}")
@@ -136,10 +147,10 @@ def cmd_solve(args) -> int:
 
     # qvi
     seed = _need_seed(args)
+    _require(0 < args.eps < 1 and 0 < args.delta < 1, "--eps and --delta must lie in (0, 1)")
     r = g.space.rewards
-    if (r < 0).any() or (r > 1).any():
-        raise InputError("--method qvi requires rewards in [0, 1]; "
-                         "apply an affine reward map first")
+    _require(((r >= 0) & (r <= 1)).all(),
+             "--method qvi requires rewards in [0, 1]; apply an affine reward map first")
     consts = _load_constants(args.constants)
     model = GenerativeModel(g, master_seed=seed)
     result = qvi.solve(model, epsilon=args.eps, delta=args.delta, consts=consts)
@@ -164,6 +175,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_hard_pi(args) -> int:
+    _check_hi1(args.T, args.beta_factor, "--T")
     trace, report = hard.verify_pi_path_hi1(args.T, beta_factor=args.beta_factor)
     print(report.summary())
     if args.out:
@@ -179,6 +191,9 @@ def cmd_hard_si(args) -> int:
                 config = hard.Hi2Config.from_json_dict(json.load(fh))
         except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot load reward config: {exc}") from exc
+        _require(config.T == args.T, f"reward config was built for T={config.T}, not {args.T}")
+    else:
+        _require(args.T >= hard.HI2_MIN_T, f"--T must be at least {hard.HI2_MIN_T}")
     trace, report = hard.verify_si_path_hi2(args.T, config)
     print(report.summary())
     print(f"single-action corrections: {hard.si_single_flip_count(trace)}")

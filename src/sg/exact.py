@@ -146,21 +146,24 @@ def apply_strategy(game: StochasticGame, v: np.ndarray, sigma: np.ndarray) -> np
     return q[game.space.chosen_pairs(sigma)]
 
 
+def half_from_q(space: ActionSpace, q: np.ndarray, pi: np.ndarray,
+                owned: np.ndarray) -> np.ndarray:
+    """Half operator read off a flat Q: ``pi`` on ``owned`` states, the optimum elsewhere."""
+    pi = np.asarray(pi)
+    if pi.shape != (space.n_states,):
+        raise ValueError("pi must assign an action to every state (used on owned ones)")
+    bad = owned & ((pi < 0) | (pi >= space.n_actions))
+    if bad.any():
+        raise ValueError(f"pi undefined or invalid at owned state {int(np.flatnonzero(bad)[0])}")
+    opt, _ = greedy_from_q(space, q)
+    fixed = q[space.state_offset[:-1] + np.where(owned, pi, 0)]
+    return np.where(owned, fixed, opt)
+
+
 def half_bellman(game: StochasticGame, v: np.ndarray, pi: np.ndarray,
                  player: int) -> np.ndarray:
     """Half operator: ``pi`` fixed on ``player``'s states, the rest optimized."""
-    pi = np.asarray(pi)
-    owned = game.owners == player
-    if pi.shape != (game.n_states,):
-        raise ValueError("pi must assign an action to every state (used on owned ones)")
-    n_actions = game.space.n_actions
-    bad = owned & ((pi < 0) | (pi >= n_actions))
-    if bad.any():
-        raise ValueError(f"pi undefined or invalid at owned state {int(np.flatnonzero(bad)[0])}")
-    q = q_from_v(game, v)
-    opt, _ = greedy_from_q(game.space, q)
-    fixed = q[game.space.state_offset[:-1] + np.where(owned, pi, 0)]
-    return np.where(owned, fixed, opt)
+    return half_from_q(game.space, q_from_v(game, v), pi, game.owners == player)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ game. Transition rows that are uniform over the whole state set are stored by
 a compact marker so very large instances stay cheap to build and solve: a
 transition law is held as ``P = S + u 1^T / n`` with sparse rows ``S`` and a
 mask ``u`` of uniform rows, and :class:`ChainView` is the one place that
-applies it (``P x``, ``P^T y``, the dense matrix, a subset of rows).
+reads it (``P x``, ``P^T y``, the dense matrix, the normalised rows, a
+subset of rows).
 
 Strategies, value vectors and Q-functions are plain numpy arrays:
 
@@ -71,6 +72,10 @@ class ActionSpace:
     pad_template: np.ndarray  # (n_states, a_max), +/-inf fill by owner
 
     def pair_index(self, state: int, action: int) -> int:
+        if not (0 <= state < self.n_states):
+            raise ValueError(f"invalid state {state}")
+        if not (0 <= action < self.n_actions[state]):
+            raise ValueError(f"invalid action {action} at state {state}")
         return int(self.state_offset[state]) + int(action)
 
     def chosen_pairs(self, strategy: np.ndarray) -> np.ndarray:
@@ -124,6 +129,15 @@ class ChainView:
             n = self.trans.shape[1]
             mat = mat + np.outer(self.uniform_mask, np.full(n, 1.0 / n))
         return mat
+
+    def rows(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each row as ``(support, probs)`` with ``probs`` normalised to sum 1;
+        a uniform row lists every state at 1/n."""
+        n = self.trans.shape[1]
+        everywhere = (np.arange(n), np.full(n, 1.0 / n))
+        ptr, idx, data = self.trans.indptr, self.trans.indices, self.trans.data
+        return [everywhere if uniform else (idx[lo:hi], data[lo:hi] / data[lo:hi].sum())
+                for uniform, lo, hi in zip(self.uniform_mask, ptr[:-1], ptr[1:])]
 
     def restrict(self, rows: np.ndarray) -> ChainView:
         """The chain on the selected rows, e.g. the pairs a strategy picks."""
@@ -285,6 +299,9 @@ def validate(game: StochasticGame) -> list[str]:
                 continue
             if idx.min() < 0 or idx.max() >= game.n_states:
                 report.append(f"transition target out of range at ({s},{a})")
+            if not np.isfinite(probs).all():
+                report.append(f"transition probability not finite at ({s},{a})")
+                continue
             if (probs < 0).any():
                 report.append(f"negative transition probability at ({s},{a})")
             total = float(probs.sum())
@@ -383,9 +400,13 @@ def from_json_dict(doc: dict) -> StochasticGame:
                     acts.append(Action(reward=float(entry["reward"]), uniform=True))
                 else:
                     nxt = entry["next"]
+                    targets = [e["s"] for e in nxt]
+                    # exact type test: rejects floats such as 0.7 and booleans
+                    if not set(map(type, targets)) <= {int}:
+                        raise ValueError(f"transition targets must be integers: {targets}")
                     acts.append(Action(
                         reward=float(entry["reward"]),
-                        next_states=np.array([e["s"] for e in nxt], dtype=np.int64),
+                        next_states=np.array(targets, dtype=np.int64),
                         probs=np.array([e["p"] for e in nxt], dtype=np.float64),
                     ))
             actions.append(acts)

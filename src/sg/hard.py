@@ -30,6 +30,8 @@ from .exact import (SolveTrace, evaluate, improve, policy_iteration,
 from .game import Action, MAX_PLAYER, MIN_PLAYER, StochasticGame, make_game
 
 U, R = 0, 1  # action indices on two-action chain states
+HI1_MIN_T = 48   # smallest HI1 size with s_prime >= 2
+HI2_MIN_T = 400  # smallest HI2 size the default reward scaling supports
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +87,10 @@ def build_hi1(T: int, beta_factor: float = 4.0,
     and a short right-moving chain in front of it.
 
     ``s_prime = floor(sqrt(T/12))`` keeps every policy's stationary mass
-    within [1/(2T), (s_prime+1)/T]. Requires T >= 48 so s_prime >= 2.
+    within [1/(2T), (s_prime+1)/T]. Requires T >= HI1_MIN_T so s_prime >= 2.
     """
-    if T < 48:
-        raise ValueError("T must be at least 48")
+    if T < HI1_MIN_T:
+        raise ValueError(f"T must be at least {HI1_MIN_T}")
     if beta_factor < 1.0:
         raise ValueError("beta_factor must be >= 1")
     s_prime = int(math.isqrt(T // 12))
@@ -308,8 +310,8 @@ def default_hi2_rewards(T: int) -> Hi2Config:
     incumbent tie rule. The per-step chain rewards scale as 1/sqrt(T). The
     configuration is validated exactly by :func:`verify_si_path_hi2`.
     """
-    if T < 400:
-        raise ValueError("T must be at least 400")
+    if T < HI2_MIN_T:
+        raise ValueError(f"T must be at least {HI2_MIN_T}")
     root = math.isqrt(T)
     s_prime = max(2, root // 10)
     s_b = max(s_prime + 1, int(0.15 * root))

@@ -281,7 +281,7 @@ class SolveResult:
 
 
 def _halving_chain(model: GenerativeModel, epsilon: float, delta: float,
-                   consts: QviConstants, keep_sequences: bool):
+                   consts: QviConstants):
     beta = 1.0 / (1.0 - model.gamma)
     n_rounds = max(1, math.ceil(math.log2(beta / epsilon)))
     delta_round = delta / n_rounds
@@ -298,15 +298,13 @@ def _halving_chain(model: GenerativeModel, epsilon: float, delta: float,
         schedule.append(u_j)
         constants.append(seq.constants)
         oks.append(ok)
-        if keep_sequences:
-            seqs.append(seq)
+        seqs.append(seq)
     return v, sigma, schedule, constants, oks, seqs
 
 
 def solve(model: GenerativeModel, epsilon: float, delta: float,
           consts: QviConstants | None = None,
-          both_players: bool = True,
-          keep_sequences: bool = True) -> SolveResult:
+          both_players: bool = True) -> SolveResult:
     """Compute epsilon-optimal strategies from samples alone.
 
     Runs ceil(log2(beta/epsilon)) decreasing runs with u halved each time
@@ -322,7 +320,7 @@ def solve(model: GenerativeModel, epsilon: float, delta: float,
     consts = consts or QviConstants()
 
     v, sigma, schedule, constants, oks, seqs = _halving_chain(
-        model, epsilon, delta, consts, keep_sequences)
+        model, epsilon, delta, consts)
 
     max_strategy = None
     mirror_seqs: list[VSSequence] = []
@@ -330,7 +328,7 @@ def solve(model: GenerativeModel, epsilon: float, delta: float,
     if both_players:
         mirrored = model.mirrored()
         _, max_strategy, _, _, _, mirror_seqs = _halving_chain(
-            mirrored, epsilon, delta, consts, keep_sequences)
+            mirrored, epsilon, delta, consts)
         mirror_total, _ = mirrored.sample_count()
 
     total, _ = model.sample_count()

@@ -9,7 +9,10 @@ sampled concurrently without changing any result.
 
 Batch estimates are computed from the multinomial next-state counts of the
 batch, which is distributed exactly as averaging the same number of
-independent single draws but costs O(support) instead of O(batch).
+independent single draws but costs O(support) instead of O(batch). A single
+draw is a one-sample batch on the same row and substream. Rows come from the
+game's chain view already normalised, so the sampler never looks at how the
+game stores them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ class BatchEstimate:
 
     mean: np.ndarray              # (n_pairs,)
     variance: np.ndarray | None   # (n_pairs,) or None for plain-mean batches
-    batch_size: int
 
 
 class GenerativeModel:
@@ -40,9 +42,12 @@ class GenerativeModel:
         self._layout = game.layout
         self.master_seed = int(master_seed)
         self._salt = int(_salt)
-        n_pairs = self._layout.space.n_pairs
-        self._rngs: list[np.random.Generator | None] = [None] * n_pairs
-        self._draws = np.zeros(n_pairs, dtype=np.int64)
+        self._rows = self._layout.rows()
+        self._rngs = [
+            np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                entropy=self.master_seed, spawn_key=(self._salt, pair))))
+            for pair in range(self.n_pairs)]
+        self._draws = np.zeros(self.n_pairs, dtype=np.int64)
 
     # -- public structure (no transition data) ---------------------------
 
@@ -73,93 +78,43 @@ class GenerativeModel:
 
     # -- sampling ---------------------------------------------------------
 
-    def _rng(self, pair: int) -> np.random.Generator:
-        rng = self._rngs[pair]
-        if rng is None:
-            ss = np.random.SeedSequence(entropy=self.master_seed,
-                                        spawn_key=(self._salt, pair))
-            rng = np.random.Generator(np.random.PCG64(ss))
-            self._rngs[pair] = rng
-        return rng
+    def _batch_means(self, m: int, *xs: np.ndarray) -> np.ndarray:
+        """Per-pair means of each ``x(s')`` over one fresh m-sample batch.
 
-    def _row(self, pair: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """Support and probabilities of the row, or None when uniform."""
-        if self._layout.uniform_mask[pair]:
-            return None
-        trans = self._layout.trans
-        lo, hi = trans.indptr[pair], trans.indptr[pair + 1]
-        return trans.indices[lo:hi], trans.data[lo:hi]
-
-    def _valid_pair(self, state: int, action: int) -> int:
-        space = self.space
-        if not (0 <= state < space.n_states):
-            raise ValueError(f"invalid state {state}")
-        if not (0 <= action < space.n_actions[state]):
-            raise ValueError(f"invalid action {action} at state {state}")
-        return space.pair_index(state, action)
+        Returns an array of shape (len(xs), n_pairs).
+        """
+        if m < 1:
+            raise ValueError("batch size must be >= 1")
+        means = np.empty((len(xs), self.n_pairs))
+        for pair, ((support, probs), rng) in enumerate(zip(self._rows, self._rngs)):
+            counts = rng.multinomial(m, probs)
+            for k, x in enumerate(xs):
+                means[k, pair] = counts @ x[support] / m
+        self._draws += m
+        return means
 
     def sample_transition(self, state: int, action: int) -> int:
-        """One next-state draw from P(. | state, action)."""
-        pair = self._valid_pair(state, action)
-        rng = self._rng(pair)
+        """One next-state draw from P(. | state, action): a one-sample batch."""
+        pair = self.space.pair_index(state, action)
+        support, probs = self._rows[pair]
         self._draws[pair] += 1
-        row = self._row(pair)
-        if row is None:
-            return int(rng.integers(self.n_states))
-        support, probs = row
-        u = rng.random()
-        return int(support[np.searchsorted(np.cumsum(probs), u * probs.sum())])
-
-    def _batch_counts(self, pair: int, m: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Multinomial next-state counts of an m-sample batch on one pair.
-
-        Returns (counts, support); support None means all states.
-        """
-        rng = self._rng(pair)
-        self._draws[pair] += m
-        row = self._row(pair)
-        if row is None:
-            n = self.n_states
-            return rng.multinomial(m, np.full(n, 1.0 / n)), None
-        support, probs = row
-        return rng.multinomial(m, probs / probs.sum()), support
+        return int(support[self._rngs[pair].multinomial(1, probs).argmax()])
 
     def estimate_mean_and_var(self, v: np.ndarray, m: int) -> BatchEstimate:
         """Empirical mean and variance of v(s') per pair from m fresh draws."""
-        if m < 1:
-            raise ValueError("batch size must be >= 1")
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.n_states,):
             raise ValueError(f"value vector shape {v.shape} != ({self.n_states},)")
-        mean = np.empty(self.n_pairs)
-        var = np.empty(self.n_pairs)
-        v2 = v * v
-        for pair in range(self.n_pairs):
-            counts, support = self._batch_counts(pair, m)
-            if support is None:
-                m1 = counts @ v / m
-                m2 = counts @ v2 / m
-            else:
-                m1 = counts @ v[support] / m
-                m2 = counts @ v2[support] / m
-            mean[pair] = m1
-            var[pair] = max(m2 - m1 * m1, 0.0)
-        return BatchEstimate(mean=mean, variance=var, batch_size=m)
+        mean, second = self._batch_means(m, v, v * v)
+        return BatchEstimate(mean=mean, variance=np.maximum(second - mean * mean, 0.0))
 
     def estimate_diff_mean(self, v: np.ndarray, v0: np.ndarray, m: int) -> BatchEstimate:
         """Empirical mean of v(s') - v0(s') per pair from m fresh draws."""
-        if m < 1:
-            raise ValueError("batch size must be >= 1")
         v = np.asarray(v, dtype=np.float64)
         v0 = np.asarray(v0, dtype=np.float64)
         if v.shape != v0.shape or v.shape != (self.n_states,):
             raise ValueError("v and v0 must both have one entry per state")
-        d = v - v0
-        mean = np.empty(self.n_pairs)
-        for pair in range(self.n_pairs):
-            counts, support = self._batch_counts(pair, m)
-            mean[pair] = (counts @ d / m) if support is None else (counts @ d[support] / m)
-        return BatchEstimate(mean=mean, variance=None, batch_size=m)
+        return BatchEstimate(mean=self._batch_means(m, v - v0)[0], variance=None)
 
     # -- accounting --------------------------------------------------------
 

@@ -143,6 +143,19 @@ def test_malformed_game_file_exits_2(tmp_path, capsys):
     assert "error" in json.loads(err.strip())
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "vi", "--eps", "0"],
+    ["hard", "pi", "--T", "10"],
+    ["solve", "--method", "qvi", "--eps", "2", "--seed", "1"],
+])
+def test_out_of_range_argument_exits_2(argv, game_file, capsys):
+    _, path = game_file
+    if argv[0] == "solve":
+        argv = argv + ["--game", path]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"]
+
+
 def test_missing_game_source_exits_2(capsys):
     assert main(["solve", "--method", "vi"]) == 2
 

@@ -185,6 +185,12 @@ def test_chain_view_matches_naive_matrix():
     np.testing.assert_allclose(lay.p_dot(x), P @ x, rtol=0, atol=1e-13)
     for _ in range(2):  # the second call reads the cached transpose
         np.testing.assert_allclose(lay.pt_dot(y), P.T @ y, rtol=0, atol=1e-13)
+    table = lay.rows()
+    assert len(table) == g.n_pairs
+    for pair, (support, probs) in enumerate(table):
+        row = np.zeros(n)
+        np.add.at(row, support, probs)
+        np.testing.assert_allclose(row, P[pair], rtol=0, atol=1e-15)
 
     # one row per state: a strategy mixing uniform and sparse rows, and one
     # that only picks sparse rows
@@ -201,8 +207,15 @@ def test_chain_view_matches_naive_matrix():
 
 
 def test_loader_rejects_invalid_game():
-    doc = {"gamma": 0.9, "states": [
-        {"owner": "max", "actions": [{"reward": 0.0, "next": [{"s": 0, "p": 0.5}]}]}
-    ]}
-    with pytest.raises(ValueError):
-        from_json_dict(doc)
+    for target, prob in (
+        (0, 0.5),            # row sums to 0.5
+        (0, float("nan")),   # NaN slips past the row-sum tolerance
+        (0.7, 1.0),          # fractional target would truncate to state 0
+        (True, 1.0),         # a boolean is not a state index
+    ):
+        doc = {"gamma": 0.9, "states": [
+            {"owner": "max",
+             "actions": [{"reward": 0.0, "next": [{"s": target, "p": prob}]}]}
+        ]}
+        with pytest.raises(ValueError):
+            from_json_dict(doc)

@@ -173,3 +173,64 @@ def test_mirrored_model_shares_shape_but_not_counters():
     assert m2.sample_count()[0] == 0
     np.testing.assert_allclose(m2.rewards, 1.0 - model.rewards)
     assert np.array_equal(m2.space.is_max, ~model.space.is_max)
+
+
+def mixed_row_game(n=6, seed=19):
+    """Uniform and sparse rows side by side; sparse targets sorted and unique."""
+    rng = np.random.default_rng(seed)
+    actions = []
+    for s in range(n):
+        acts = []
+        for a in range(1 + s % 3):
+            if (s + a) % 3 == 0:
+                acts.append(Action(reward=0.5, uniform=True))
+            else:
+                support = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                             replace=False))
+                acts.append(Action(reward=0.5, next_states=support,
+                                   probs=rng.dirichlet(np.ones(support.size))))
+        actions.append(acts)
+    return make_game(0.9, [MIN_PLAYER, MAX_PLAYER] * (n // 2), actions)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_batches_follow_per_pair_multinomial_reference(mirrored):
+    g = mixed_row_game()
+    assert g.layout.uniform_mask.any() and not g.layout.uniform_mask.all()
+    master_seed, n = 23, g.n_states
+    model = GenerativeModel(g, master_seed=master_seed)
+    salt = 0
+    if mirrored:
+        model, salt = model.mirrored(), 1
+    rows = []
+    for acts in g.actions:
+        for act in acts:
+            if act.uniform:
+                rows.append((np.arange(n), np.full(n, 1.0 / n)))
+            else:
+                rows.append((act.next_states, act.probs / act.probs.sum()))
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=master_seed, spawn_key=(salt, pair)))) for pair in range(g.n_pairs)]
+
+    rng = np.random.default_rng(0)
+    v, v0 = rng.uniform(0, 10, size=n), rng.uniform(0, 10, size=n)
+    calls = [("var", 40), ("diff", 7), ("var", 3), ("diff", 1)]
+    for kind, m in calls:
+        mean = np.empty(g.n_pairs)
+        var = np.empty(g.n_pairs)
+        for pair, (support, probs) in enumerate(rows):
+            counts = rngs[pair].multinomial(m, probs)
+            if kind == "var":
+                mean[pair] = counts @ v[support] / m
+                var[pair] = max(counts @ (v * v)[support] / m - mean[pair] ** 2, 0.0)
+            else:
+                mean[pair] = counts @ (v - v0)[support] / m
+        if kind == "var":
+            est = model.estimate_mean_and_var(v, m)
+            np.testing.assert_array_equal(est.variance, var)
+        else:
+            est = model.estimate_diff_mean(v, v0, m)
+        np.testing.assert_array_equal(est.mean, mean)
+    total, table = model.sample_count()
+    assert np.array_equal(table, np.full(g.n_pairs, sum(m for _, m in calls)))
+    assert total == table.sum()
