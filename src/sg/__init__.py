@@ -4,7 +4,7 @@ Submodules:
 
 * :mod:`sg.game`    - immutable game model, validation, transforms, JSON files
 * :mod:`sg.exact`   - Bellman operators and exact solvers (VI/PI/SI), chains
-* :mod:`sg.sampler` - generative-model facade with seeded substreams
+* :mod:`sg.sampler` - generative-model facade, one batched draw over all pairs
 * :mod:`sg.qvi`     - variance-reduced Q-value iteration and its driver
 * :mod:`sg.checks`  - sequence certification and variance-identity validators
 * :mod:`sg.hard`    - worst-case instances for policy/strategy iteration
@@ -19,7 +19,8 @@ from .exact import (best_response, evaluate, flux, greedy_from_q,
                     stationary_distribution, strategy_iteration,
                     value_iteration)
 from .sampler import BatchEstimate, GenerativeModel
-from .qvi import QviConstants, SolveResult, VSSequence, qvi_mdvss, qvi_mivss, solve
+from .qvi import (QviConstants, SolveResult, VSSequence, planned_samples,
+                  qvi_mdvss, qvi_mivss, solve)
 from .checks import (CheckReport, MarkovianPlan, check_eps_optimal_implication,
                      check_mdvss, check_mivss, markovian_evaluate,
                      variance_bellman_residual, variance_of_value)

@@ -208,6 +208,10 @@ def cmd_flux(args) -> int:
         report = exact.ratio_scan(g, enumerate_all=False, sample=args.sample,
                                   seed=_need_seed(args))
     else:
+        total = exact.strategy_count(g)
+        _require(total <= exact.MAX_ENUMERATED_STRATEGIES,
+                 f"{total} pure strategies exceed the enumeration cap "
+                 f"{exact.MAX_ENUMERATED_STRATEGIES}; use --sample")
         report = exact.ratio_scan(g, enumerate_all=True)
     print(f"strategies scanned: {report.strategies_scanned} "
           f"(skipped {report.strategies_skipped})")

@@ -25,6 +25,8 @@ from .game import ActionSpace, MIN_PLAYER, StochasticGame, validate_strategy
 EVAL_RESIDUAL_TOL = 1e-10
 STATIONARY_TOL = 1e-10
 FLUX_SUM_RTOL = 1e-8
+# Most pure strategies an exhaustive scan will enumerate.
+MAX_ENUMERATED_STRATEGIES = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +484,16 @@ def best_response(game: StochasticGame, sigma: np.ndarray, player: int) -> tuple
 # flux / ergodicity scans
 
 
-def enumerate_strategies(game: StochasticGame, limit: int = 10 ** 6):
-    counts = [int(k) for k in game.space.n_actions]
-    total = math.prod(counts)
+def strategy_count(game: StochasticGame) -> int:
+    """Number of pure stationary strategies (joint, both players)."""
+    return math.prod(int(k) for k in game.space.n_actions)
+
+
+def enumerate_strategies(game: StochasticGame, limit: int = MAX_ENUMERATED_STRATEGIES):
+    total = strategy_count(game)
     if total > limit:
         raise ValueError(f"{total} pure strategies exceed the enumeration cap {limit}")
-    for combo in product(*(range(k) for k in counts)):
+    for combo in product(*(range(int(k)) for k in game.space.n_actions)):
         yield np.array(combo, dtype=np.int64)
 
 

@@ -7,8 +7,8 @@ game. Transition rows that are uniform over the whole state set are stored by
 a compact marker so very large instances stay cheap to build and solve: a
 transition law is held as ``P = S + u 1^T / n`` with sparse rows ``S`` and a
 mask ``u`` of uniform rows, and :class:`ChainView` is the one place that
-reads it (``P x``, ``P^T y``, the dense matrix, the normalised rows, a
-subset of rows).
+reads it (``P x``, ``P^T y``, the dense matrix, the padded table of
+normalised rows, a subset of rows).
 
 Strategies, value vectors and Q-functions are plain numpy arrays:
 
@@ -130,14 +130,28 @@ class ChainView:
             mat = mat + np.outer(self.uniform_mask, np.full(n, 1.0 / n))
         return mat
 
-    def rows(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each row as ``(support, probs)`` with ``probs`` normalised to sum 1;
-        a uniform row lists every state at 1/n."""
+    def row_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row padded to the widest as ``(support, probs)``, both of
+        shape (n_rows, w), with ``probs`` normalised to sum 1 per row.
+
+        A uniform row lists every state at 1/n. Padding columns have
+        probability 0 and repeat the row's last real target, so a draw that
+        lands there (a rounding remainder) still names a real state.
+        """
         n = self.trans.shape[1]
-        everywhere = (np.arange(n), np.full(n, 1.0 / n))
-        ptr, idx, data = self.trans.indptr, self.trans.indices, self.trans.data
-        return [everywhere if uniform else (idx[lo:hi], data[lo:hi] / data[lo:hi].sum())
-                for uniform, lo, hi in zip(self.uniform_mask, ptr[:-1], ptr[1:])]
+        ptr, sparse = self.trans.indptr, ~self.uniform_mask
+        lengths = np.where(sparse, np.diff(ptr), n)
+        col = np.arange(lengths.max())
+        # column of each entry, padding clipped to the last real one; for a
+        # uniform row the column is the target state itself
+        support = np.minimum(col, lengths[:, None] - 1)
+        pos = ptr[:-1, None][sparse] + support[sparse]
+        probs = np.full(support.shape, 1.0 / n)
+        probs[sparse] = self.trans.data[pos]
+        support[sparse] = self.trans.indices[pos]
+        probs[col >= lengths[:, None]] = 0.0
+        probs[sparse] /= probs[sparse].sum(axis=1, keepdims=True)
+        return support, probs
 
     def restrict(self, rows: np.ndarray) -> ChainView:
         """The chain on the selected rows, e.g. the pairs a strategy picks."""

@@ -24,7 +24,9 @@ on the role-swapped game.
 from __future__ import annotations
 
 import json
+import logging
 import math
+import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -34,6 +36,8 @@ from .sampler import GenerativeModel
 
 DECREASING = "decreasing"
 INCREASING = "increasing"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,8 @@ class VSSequence:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "VSSequence":
+        if doc["direction"] not in (DECREASING, INCREASING):
+            raise ValueError(f"unknown sequence direction {doc['direction']!r}")
         consts = doc.get("constants")
         return VSSequence(
             direction=doc["direction"],
@@ -280,26 +286,48 @@ class SolveResult:
     mirror_sequences: list[VSSequence] = field(default_factory=list)
 
 
+def _schedule(gamma: float, epsilon: float, delta: float) -> tuple[list[float], float]:
+    """Accuracy targets u_j = beta / 2^j of the halving runs and the failure
+    budget of each run."""
+    beta = 1.0 / (1.0 - gamma)
+    n_rounds = max(1, math.ceil(math.log2(beta / epsilon)))
+    return [beta / 2 ** j for j in range(n_rounds)], delta / n_rounds
+
+
+def planned_samples(n_pairs: int, gamma: float, epsilon: float, delta: float,
+                    both_players: bool, consts: QviConstants | None = None) -> int:
+    """Draws ``solve`` takes, known before sampling: n_pairs * sum over runs
+    of (m1 + rounds * m2), twice over when both players are solved."""
+    u_schedule, delta_round = _schedule(gamma, epsilon, delta)
+    per_pair = 0
+    for u in u_schedule:
+        d = derive_constants(consts or QviConstants(), u, delta_round, n_pairs, gamma)
+        per_pair += d.m1 + d.rounds * d.m2
+    return n_pairs * per_pair * (2 if both_players else 1)
+
+
 def _halving_chain(model: GenerativeModel, epsilon: float, delta: float,
                    consts: QviConstants):
     beta = 1.0 / (1.0 - model.gamma)
-    n_rounds = max(1, math.ceil(math.log2(beta / epsilon)))
-    delta_round = delta / n_rounds
+    u_schedule, delta_round = _schedule(model.gamma, epsilon, delta)
     v = np.full(model.n_states, beta)
     sigma = np.zeros(model.n_states, dtype=np.int64)
-    schedule, constants, oks, seqs = [], [], [], []
-    for j in range(n_rounds):
-        u_j = beta / 2 ** j
+    constants, oks, seqs = [], [], []
+    for j, u_j in enumerate(u_schedule):
+        start = time.perf_counter()
         seq = qvi_mdvss(model, u_j, delta_round, v, sigma, consts)
         ok = bool((np.diff(seq.values, axis=0) <= 1e-12).all()
                   and (seq.q_values >= -1e-12).all()
                   and (seq.q_values <= beta + 1e-12).all())
+        d = seq.constants
+        log.info("halving round %d: u=%.6g rounds=%d m1=%d m2=%d samples=%d "
+                 "seconds=%.3f round_ok=%s", j, u_j, d.rounds, d.m1, d.m2,
+                 seq.samples_used, time.perf_counter() - start, ok)
         v, sigma = seq.terminal_value.copy(), seq.terminal_strategy.copy()
-        schedule.append(u_j)
-        constants.append(seq.constants)
+        constants.append(d)
         oks.append(ok)
         seqs.append(seq)
-    return v, sigma, schedule, constants, oks, seqs
+    return v, sigma, u_schedule, constants, oks, seqs
 
 
 def solve(model: GenerativeModel, epsilon: float, delta: float,

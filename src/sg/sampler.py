@@ -3,16 +3,16 @@
 Solvers in the learning setting receive only this object. They can read the
 game's shape (owners, action counts, rewards, discount) but never the
 transition probabilities; the only access to the transition law is drawing
-next-state samples. Every state-action pair owns a deterministic substream
-derived from the master seed, so runs are reproducible and pairs can be
-sampled concurrently without changing any result.
+next-state samples. Each model draws from one generator seeded by the master
+seed and its salt, so the same seed and the same sequence of calls give the
+same results.
 
-Batch estimates are computed from the multinomial next-state counts of the
-batch, which is distributed exactly as averaging the same number of
-independent single draws but costs O(support) instead of O(batch). A single
-draw is a one-sample batch on the same row and substream. Rows come from the
-game's chain view already normalised, so the sampler never looks at how the
-game stores them.
+A batch draws the multinomial next-state counts of every pair in one call,
+row by row in pair order, which is distributed exactly as averaging the same
+number of independent single draws but costs O(support) instead of O(batch).
+A single draw is a one-sample batch on one row of the same generator. Rows
+come from the game's chain view as one padded, normalised table, so the
+sampler never looks at how the game stores them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class BatchEstimate:
 
 
 class GenerativeModel:
-    """Sampling oracle over a fixed game with per-pair seeded substreams."""
+    """Sampling oracle over a fixed game with one seeded generator."""
 
     def __init__(self, game: StochasticGame, master_seed: int, _salt: int = 0):
         if not isinstance(master_seed, (int, np.integer)):
@@ -42,11 +42,9 @@ class GenerativeModel:
         self._layout = game.layout
         self.master_seed = int(master_seed)
         self._salt = int(_salt)
-        self._rows = self._layout.rows()
-        self._rngs = [
-            np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-                entropy=self.master_seed, spawn_key=(self._salt, pair))))
-            for pair in range(self.n_pairs)]
+        self._support, self._probs = self._layout.row_table()
+        self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            entropy=self.master_seed, spawn_key=(self._salt,))))
         self._draws = np.zeros(self.n_pairs, dtype=np.int64)
 
     # -- public structure (no transition data) ---------------------------
@@ -72,7 +70,7 @@ class GenerativeModel:
         return self.space.rewards
 
     def mirrored(self) -> "GenerativeModel":
-        """Facade over the role-swapped game, with its own counters/streams."""
+        """Facade over the role-swapped game, with its own counters/stream."""
         return GenerativeModel(mirror(self._game), self.master_seed,
                                _salt=self._salt + 1)
 
@@ -85,20 +83,16 @@ class GenerativeModel:
         """
         if m < 1:
             raise ValueError("batch size must be >= 1")
-        means = np.empty((len(xs), self.n_pairs))
-        for pair, ((support, probs), rng) in enumerate(zip(self._rows, self._rngs)):
-            counts = rng.multinomial(m, probs)
-            for k, x in enumerate(xs):
-                means[k, pair] = counts @ x[support] / m
+        counts = self._rng.multinomial(m, self._probs)
         self._draws += m
-        return means
+        return np.vecdot(np.stack(xs)[:, self._support], counts) / m
 
     def sample_transition(self, state: int, action: int) -> int:
         """One next-state draw from P(. | state, action): a one-sample batch."""
         pair = self.space.pair_index(state, action)
-        support, probs = self._rows[pair]
         self._draws[pair] += 1
-        return int(support[self._rngs[pair].multinomial(1, probs).argmax()])
+        col = self._rng.multinomial(1, self._probs[pair]).argmax()
+        return int(self._support[pair, col])
 
     def estimate_mean_and_var(self, v: np.ndarray, m: int) -> BatchEstimate:
         """Empirical mean and variance of v(s') per pair from m fresh draws."""

@@ -135,6 +135,29 @@ def test_check_flags_broken_sequence(tmp_path, capsys):
     assert "FAIL" in out and "1:" in out
 
 
+def test_check_unknown_direction_exits_2(tmp_path, capsys):
+    g = random_game(6, 2, 0.9, seed=2)
+    gpath = tmp_path / "g.json"
+    save_game(g, str(gpath))
+    vstar, sstar, _ = value_iteration(g, 1e-11)
+    seq = VSSequence(direction="sideways", values=np.tile(vstar, (2, 1)),
+                     q_values=np.zeros((2, g.n_pairs)),
+                     strategies=np.tile(sstar, (2, 1)),
+                     error_bounds=np.zeros((2, g.n_pairs)))
+    spath = tmp_path / "seq.json"
+    seq.save(str(spath))
+    assert main(["check", "--game", str(gpath), "--seq", str(spath)]) == 2
+    assert "sideways" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+def test_flux_over_enumeration_cap_exits_2(tmp_path, capsys):
+    g = random_game(21, 2, 0.9, seed=4)  # 2^21 > MAX_ENUMERATED_STRATEGIES
+    path = tmp_path / "g.json"
+    save_game(g, str(path))
+    assert main(["flux", "--game", str(path)]) == 2
+    assert "enumeration cap" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
 def test_malformed_game_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

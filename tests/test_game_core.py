@@ -185,12 +185,16 @@ def test_chain_view_matches_naive_matrix():
     np.testing.assert_allclose(lay.p_dot(x), P @ x, rtol=0, atol=1e-13)
     for _ in range(2):  # the second call reads the cached transpose
         np.testing.assert_allclose(lay.pt_dot(y), P.T @ y, rtol=0, atol=1e-13)
-    table = lay.rows()
-    assert len(table) == g.n_pairs
-    for pair, (support, probs) in enumerate(table):
+    support, probs = lay.row_table()
+    assert support.shape == probs.shape == (g.n_pairs, n)  # a uniform row is n wide
+    for pair in range(g.n_pairs):
         row = np.zeros(n)
-        np.add.at(row, support, probs)
+        np.add.at(row, support[pair], probs[pair])
         np.testing.assert_allclose(row, P[pair], rtol=0, atol=1e-15)
+        # padding: probability 0 on the row's last real target
+        real = 1 + np.flatnonzero(probs[pair]).max()
+        assert (probs[pair, real:] == 0).all()
+        assert (support[pair, real:] == support[pair, real - 1]).all()
 
     # one row per state: a strategy mixing uniform and sparse rows, and one
     # that only picks sparse rows

@@ -1,5 +1,6 @@
 """Sampling-based Q-value iteration: deterministic guarantees and statistics."""
 
+import logging
 import math
 
 import numpy as np
@@ -10,7 +11,8 @@ from sg.exact import best_response, greedy_from_q, q_from_v, value_iteration
 from sg.game import Action, MAX_PLAYER, make_game
 from sg.generate import random_game
 from sg.qvi import (DECREASING, INCREASING, QviConstants, VSSequence,
-                    derive_constants, qvi_mdvss, qvi_mivss, solve)
+                    derive_constants, planned_samples, qvi_mdvss, qvi_mivss,
+                    solve)
 from sg.sampler import GenerativeModel
 
 
@@ -233,6 +235,36 @@ def test_solve_schedule_and_sample_accounting():
     assert res.total_samples == expected
     assert model.sample_count()[0] == expected
     assert sum(s.samples_used for s in res.sequences) == expected
+
+
+@pytest.mark.parametrize("both_players", [False, True])
+def test_planned_samples_match_solve(both_players):
+    g = random_game(6, 2, 0.9, seed=8)
+    model = GenerativeModel(g, master_seed=9)
+    res = solve(model, epsilon=0.2, delta=0.1, consts=small_consts(),
+                both_players=both_players)
+    assert res.total_samples == planned_samples(
+        g.n_pairs, g.gamma, 0.2, 0.1, both_players, small_consts())
+    # default constants at the acceptance size (20 states x 4 actions)
+    assert planned_samples(80, 0.9, 0.05, 0.1, True) == 574_653_120
+
+
+def test_halving_rounds_are_logged(caplog):
+    g = random_game(6, 2, 0.9, seed=8)
+    model = GenerativeModel(g, master_seed=9)
+    with caplog.at_level(logging.INFO, logger="sg.qvi"):
+        res = solve(model, epsilon=0.2, delta=0.1, consts=small_consts(),
+                    both_players=False)
+    records = [r for r in caplog.records if r.name == "sg.qvi"]
+    assert len(records) == len(res.u_schedule)
+    for j, rec in enumerate(records):
+        d, seq = res.round_constants[j], res.sequences[j]
+        msg = rec.getMessage()
+        assert rec.levelno == logging.INFO and msg.startswith(f"halving round {j}:")
+        for field in (f"u={res.u_schedule[j]:.6g}", f"rounds={d.rounds}",
+                      f"m1={d.m1}", f"m2={d.m2}", f"samples={seq.samples_used}",
+                      "seconds=", f"round_ok={res.round_ok[j]}"):
+            assert field in msg
 
 
 def test_solve_returns_both_players_epsilon_optimal():

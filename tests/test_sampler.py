@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from sg.game import Action, MAX_PLAYER, MIN_PLAYER, make_game
 from sg.generate import random_game
@@ -193,38 +194,56 @@ def mixed_row_game(n=6, seed=19):
     return make_game(0.9, [MIN_PLAYER, MAX_PLAYER] * (n // 2), actions)
 
 
+def reference_rows(game):
+    """Each pair's ``(support, probs)`` read off the game's actions."""
+    n = game.n_states
+    return [(np.arange(n), np.full(n, 1.0 / n)) if act.uniform
+            else (act.next_states, act.probs / act.probs.sum())
+            for acts in game.actions for act in acts]
+
+
+def padded_rows(game):
+    """Reference row table: every row padded to the widest with probability
+    0, repeating its last real target."""
+    rows = reference_rows(game)
+    width = max(support.size for support, _ in rows)
+    support = np.array([np.pad(sup, (0, width - sup.size), mode="edge") for sup, _ in rows])
+    probs = np.array([np.pad(p, (0, width - p.size)) for _, p in rows])
+    return support, probs
+
+
+def model_and_salt(game, master_seed, mirrored):
+    model = GenerativeModel(game, master_seed=master_seed)
+    return (model.mirrored(), 1) if mirrored else (model, 0)
+
+
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_batches_follow_per_pair_multinomial_reference(mirrored):
+    """Bit-exact: a batch is a row-by-row multinomial loop, in pair order, on
+    the model's single generator."""
     g = mixed_row_game()
     assert g.layout.uniform_mask.any() and not g.layout.uniform_mask.all()
     master_seed, n = 23, g.n_states
-    model = GenerativeModel(g, master_seed=master_seed)
-    salt = 0
-    if mirrored:
-        model, salt = model.mirrored(), 1
-    rows = []
-    for acts in g.actions:
-        for act in acts:
-            if act.uniform:
-                rows.append((np.arange(n), np.full(n, 1.0 / n)))
-            else:
-                rows.append((act.next_states, act.probs / act.probs.sum()))
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        entropy=master_seed, spawn_key=(salt, pair)))) for pair in range(g.n_pairs)]
+    model, salt = model_and_salt(g, master_seed, mirrored)
+    support, probs = padded_rows(g)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=master_seed, spawn_key=(salt,))))
 
-    rng = np.random.default_rng(0)
-    v, v0 = rng.uniform(0, 10, size=n), rng.uniform(0, 10, size=n)
+    # integer values make every sum exact, so the check does not depend on
+    # the order in which the model reduces the counts
+    values = np.random.default_rng(0)
+    v, v0 = values.integers(0, 10, size=n) * 1.0, values.integers(0, 10, size=n) * 1.0
     calls = [("var", 40), ("diff", 7), ("var", 3), ("diff", 1)]
     for kind, m in calls:
         mean = np.empty(g.n_pairs)
         var = np.empty(g.n_pairs)
-        for pair, (support, probs) in enumerate(rows):
-            counts = rngs[pair].multinomial(m, probs)
+        for pair in range(g.n_pairs):
+            counts = rng.multinomial(m, probs[pair])
             if kind == "var":
-                mean[pair] = counts @ v[support] / m
-                var[pair] = max(counts @ (v * v)[support] / m - mean[pair] ** 2, 0.0)
+                mean[pair] = counts @ v[support[pair]] / m
+                var[pair] = max(counts @ (v * v)[support[pair]] / m - mean[pair] ** 2, 0.0)
             else:
-                mean[pair] = counts @ (v - v0)[support] / m
+                mean[pair] = counts @ (v - v0)[support[pair]] / m
         if kind == "var":
             est = model.estimate_mean_and_var(v, m)
             np.testing.assert_array_equal(est.variance, var)
@@ -234,3 +253,58 @@ def test_batches_follow_per_pair_multinomial_reference(mirrored):
     total, table = model.sample_count()
     assert np.array_equal(table, np.full(g.n_pairs, sum(m for _, m in calls)))
     assert total == table.sum()
+
+
+def batch_counts(model, m, n):
+    """Next-state counts of one batch, per pair, read off a single estimate:
+    with v(s) = (m + 1)^s the scaled mean is a base-(m + 1) number whose
+    digits are the counts (exact while (m + 1)^n stays below 2^53)."""
+    base = m + 1
+    code = np.rint(model.estimate_diff_mean(base ** np.arange(n) * 1.0, np.zeros(n), m).mean * m)
+    return (code.astype(np.int64)[:, None] // base ** np.arange(n)) % base
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_batches_match_per_pair_substream_oracle_in_distribution(mirrored):
+    """The former sampler, one generator per pair keyed (salt, pair), is kept
+    as an oracle: pooled counts agree in distribution, accounting exactly."""
+    g = mixed_row_game()
+    master_seed, n, m, batches = 29, g.n_states, 5, 400
+    model, salt = model_and_salt(g, master_seed, mirrored)
+    rows = reference_rows(g)
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=master_seed, spawn_key=(salt, pair)))) for pair in range(g.n_pairs)]
+
+    pooled = np.zeros((g.n_pairs, n), dtype=np.int64)
+    oracle = np.zeros((g.n_pairs, n), dtype=np.int64)
+    for _ in range(batches):
+        counts = batch_counts(model, m, n)
+        assert (counts.sum(axis=1) == m).all()
+        pooled += counts
+        for pair, ((support, probs), rng) in enumerate(zip(rows, rngs)):
+            np.add.at(oracle[pair], support, rng.multinomial(m, probs))
+    for pair in range(g.n_pairs):
+        seen = (pooled[pair] + oracle[pair]) > 0
+        if seen.sum() > 1:
+            p = chi2_contingency(np.stack([pooled[pair, seen], oracle[pair, seen]])).pvalue
+            assert p > 1e-3, (pair, pooled[pair], oracle[pair])
+    total, table = model.sample_count()
+    assert np.array_equal(table, np.full(g.n_pairs, batches * m))
+    assert total == oracle.sum()
+
+
+def test_padding_never_draws_outside_the_support():
+    """Rows of every width share one padded table; with v the indicator of a
+    pair's non-support states, that pair's estimate is exactly 0."""
+    g = mixed_row_game(n=8, seed=31)
+    support, probs = g.layout.row_table()
+    widths = {int(w) for w in np.diff(g.layout.trans.indptr)[~g.layout.uniform_mask]}
+    assert len(widths) > 2 and support.shape == (g.n_pairs, g.n_states)
+    np.testing.assert_array_equal(support, padded_rows(g)[0])
+    model = GenerativeModel(g, master_seed=37)
+    zero = np.zeros(g.n_states)
+    for pair, row in enumerate(support):
+        outside = np.ones(g.n_states)
+        outside[row[probs[pair] > 0]] = 0.0
+        for _ in range(3):
+            assert model.estimate_diff_mean(outside, zero, 10_000).mean[pair] == 0.0
