@@ -205,6 +205,7 @@ def cmd_hard_si(args) -> int:
 def cmd_flux(args) -> int:
     g = _load_game_arg(args)
     if args.sample is not None:
+        _require(args.sample >= 1, "--sample must be at least 1")
         report = exact.ratio_scan(g, enumerate_all=False, sample=args.sample,
                                   seed=_need_seed(args))
     else:
@@ -274,6 +275,7 @@ def scaling_sweep(seed: int, trials: int,
 
 def cmd_scaling(args) -> int:
     seed = _need_seed(args)
+    _require(args.trials >= 1, "--trials must be at least 1")
     rows, slope = scaling_sweep(seed, args.trials)
     csv = ["m1,trial,error"]
     csv += [f"{m1},{t},{err!r}" for m1, t, err in rows]

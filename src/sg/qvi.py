@@ -307,7 +307,7 @@ def planned_samples(n_pairs: int, gamma: float, epsilon: float, delta: float,
 
 
 def _halving_chain(model: GenerativeModel, epsilon: float, delta: float,
-                   consts: QviConstants):
+                   consts: QviConstants, player: str):
     beta = 1.0 / (1.0 - model.gamma)
     u_schedule, delta_round = _schedule(model.gamma, epsilon, delta)
     v = np.full(model.n_states, beta)
@@ -320,8 +320,8 @@ def _halving_chain(model: GenerativeModel, epsilon: float, delta: float,
                   and (seq.q_values >= -1e-12).all()
                   and (seq.q_values <= beta + 1e-12).all())
         d = seq.constants
-        log.info("halving round %d: u=%.6g rounds=%d m1=%d m2=%d samples=%d "
-                 "seconds=%.3f round_ok=%s", j, u_j, d.rounds, d.m1, d.m2,
+        log.info("halving round %d: player=%s u=%.6g rounds=%d m1=%d m2=%d "
+                 "samples=%d seconds=%.3f round_ok=%s", j, player, u_j, d.rounds, d.m1, d.m2,
                  seq.samples_used, time.perf_counter() - start, ok)
         v, sigma = seq.terminal_value.copy(), seq.terminal_strategy.copy()
         constants.append(d)
@@ -348,7 +348,7 @@ def solve(model: GenerativeModel, epsilon: float, delta: float,
     consts = consts or QviConstants()
 
     v, sigma, schedule, constants, oks, seqs = _halving_chain(
-        model, epsilon, delta, consts)
+        model, epsilon, delta, consts, "min")
 
     max_strategy = None
     mirror_seqs: list[VSSequence] = []
@@ -356,7 +356,7 @@ def solve(model: GenerativeModel, epsilon: float, delta: float,
     if both_players:
         mirrored = model.mirrored()
         _, max_strategy, _, _, _, mirror_seqs = _halving_chain(
-            mirrored, epsilon, delta, consts)
+            mirrored, epsilon, delta, consts, "max")
         mirror_total, _ = mirrored.sample_count()
 
     total, _ = model.sample_count()

@@ -158,6 +158,19 @@ def test_flux_over_enumeration_cap_exits_2(tmp_path, capsys):
     assert "enumeration cap" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_flux_sample_below_one_exits_2(sample, game_file, capsys):
+    _, path = game_file
+    assert main(["flux", "--game", path, "--sample", sample, "--seed", "1"]) == 2
+    assert "--sample" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_scaling_trials_below_one_exits_2(trials, capsys):
+    assert main(["scaling", "--trials", trials, "--seed", "1"]) == 2
+    assert "--trials" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
 def test_malformed_game_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,12 +1,15 @@
 """Exact solvers against independent oracles and closed forms."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sg.cli import write_csv
 from sg.exact import (apply_strategy, bellman, best_response, enumerate_strategies,
                       evaluate, flux, greedy_from_q, half_bellman,
-                      policy_iteration, q_from_v, ratio_scan,
+                      policy_iteration, q_from_v, ratio_scan, scan_stack,
                       stationary_distribution, strategy_iteration,
                       value_iteration)
 from sg.game import Action, MAX_PLAYER, MIN_PLAYER, make_game, with_gamma
@@ -392,6 +395,172 @@ def test_ratio_scan_enumeration_cap():
     g = random_game(8, 6, 0.9, seed=29)
     with pytest.raises(ValueError):
         list(enumerate_strategies(g, limit=10 ** 5))
+
+
+def test_ratio_scan_rejects_empty_sample():
+    g = random_game(4, 2, 0.9, seed=28)
+    for sample in (0, -3):
+        with pytest.raises(ValueError):
+            ratio_scan(g, enumerate_all=False, sample=sample, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# the stacked scan against the per-strategy route
+
+
+def mixed_row_game(n, gamma, rng):
+    """1-2 actions per state; rows uniform or on a random support of 2..n states."""
+    actions = []
+    for _ in range(n):
+        acts = []
+        for _ in range(rng.integers(1, 3)):
+            reward = float(rng.uniform())
+            if rng.uniform() < 0.3:
+                acts.append(Action(reward=reward, uniform=True))
+            else:
+                support = np.sort(rng.choice(n, size=rng.integers(min(2, n), n + 1),
+                                             replace=False))
+                acts.append(Action(reward=reward, next_states=support,
+                                   probs=rng.dirichlet(np.ones(support.size))))
+        actions.append(acts)
+    return make_game(gamma, rng.integers(0, 2, size=n), actions)
+
+
+def loop_scan(game, strategies):
+    """The per-strategy route: (scanned, skipped, per-strategy rows)."""
+    scanned = skipped = 0
+    rows = []
+    for sigma in strategies:
+        try:
+            lam = stationary_distribution(game, sigma)
+        except RuntimeError:
+            skipped += 1
+            continue
+        x = flux(game, sigma)
+        scanned += 1
+        rows.append((",".join(str(int(a)) for a in sigma), lam, x))
+    return scanned, skipped, rows
+
+
+def assert_stack_matches_loop(game, sigmas, stack):
+    lam, x = stack
+    for sigma, lam_row, x_row in zip(sigmas, lam, x):
+        try:
+            ref_lam = stationary_distribution(game, sigma)
+        except RuntimeError:
+            assert np.isnan(lam_row).all() and np.isnan(x_row).all()
+            continue
+        np.testing.assert_allclose(lam_row, ref_lam, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(x_row, flux(game, sigma), rtol=1e-10, atol=0)
+
+
+def test_stack_matches_per_strategy_route_on_mixed_rows():
+    rng = np.random.default_rng(2024)
+    for _ in range(12):
+        base = mixed_row_game(int(rng.integers(2, 7)), 0.9, rng)
+        for gamma in (0.9, 0.99, 0.999):
+            g = with_gamma(base, gamma)
+            sigmas = np.array(list(enumerate_strategies(g)))
+            assert_stack_matches_loop(g, sigmas, scan_stack(g, sigmas))
+            report = ratio_scan(g)
+            scanned, skipped, rows = loop_scan(g, sigmas)
+            assert (report.strategies_scanned, report.strategies_skipped) == (scanned, skipped)
+            assert [r[0] for r in report.per_strategy] == [r[0] for r in rows]
+            for (_, cmin, cmax, dmin, dmax), (_, lam, x) in zip(report.per_strategy, rows):
+                np.testing.assert_allclose([cmin, cmax], [lam.min(), lam.max()],
+                                           rtol=0, atol=1e-9)
+                np.testing.assert_allclose([dmin, dmax], [x.min(), x.max()],
+                                           rtol=1e-10, atol=0)
+
+
+def test_stack_covers_periodic_chains_like_the_per_strategy_route():
+    # action 0 at state 0 closes the 0 <-> 1 cycle (periodic, needs the
+    # Cesaro phase); action 1 makes state 0 absorbing
+    acts = [[Action(reward=0.0, next_states=np.array([1]), probs=np.array([1.0])),
+             Action(reward=0.0, next_states=np.array([0]), probs=np.array([1.0]))],
+            [Action(reward=0.0, next_states=np.array([0]), probs=np.array([1.0]))],
+            [Action(reward=0.0, next_states=np.array([0]), probs=np.array([1.0]))]]
+    g = make_game(0.9, [MAX_PLAYER] * 3, acts)
+    sigmas = np.array([[0, 0, 0], [1, 0, 0]])
+    lam, x = scan_stack(g, sigmas)
+    np.testing.assert_allclose(lam, [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]], atol=1e-9)
+    assert_stack_matches_loop(g, sigmas, (lam, x))
+    # with too few sweeps the periodic chain is skipped by both routes alike
+    lam, x = scan_stack(g, sigmas, max_iter=100)
+    assert np.isnan(lam[0]).all() and np.isnan(x[0]).all()
+    np.testing.assert_allclose(lam[1], [1.0, 0.0, 0.0], atol=1e-9)
+    with pytest.raises(RuntimeError):
+        stationary_distribution(g, sigmas[0], max_iter=100)
+    report = ratio_scan(g)
+    assert (report.strategies_scanned, report.strategies_skipped) == (2, 0)
+
+
+def test_sampled_scan_keeps_the_per_sample_draws():
+    g = random_game(6, 3, 0.9, seed=31)
+    report = ratio_scan(g, enumerate_all=False, sample=40, seed=5)
+    rng = np.random.default_rng(5)
+    drawn = [rng.integers(0, g.space.n_actions) for _ in range(40)]
+    assert [r[0] for r in report.per_strategy] == \
+        [",".join(str(int(a)) for a in sigma) for sigma in drawn]
+
+
+def test_scan_stack_rejects_invalid_strategies():
+    g = random_game(4, 2, 0.9, seed=28)
+    with pytest.raises(ValueError):
+        scan_stack(g, np.zeros((3, 5), dtype=np.int64))
+    with pytest.raises(ValueError):
+        scan_stack(g, np.array([[0, 0, 2, 0]]))
+
+
+# ---------------------------------------------------------------------------
+# VI, SI and brute-force minimax (Hansen, Miltersen & Zwick, JACM 2013)
+
+
+@st.composite
+def small_games(draw):
+    n = draw(st.integers(1, 4))
+    owners = draw(st.lists(st.sampled_from([MIN_PLAYER, MAX_PLAYER]), min_size=n, max_size=n))
+    actions = []
+    for _ in range(n):
+        acts = []
+        for _ in range(draw(st.integers(1, 3))):
+            reward = draw(st.floats(0.0, 1.0))
+            if draw(st.integers(0, 3)) == 0:
+                acts.append(Action(reward=reward, uniform=True))
+                continue
+            weights = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)
+                                    .filter(any)), dtype=np.float64)
+            support = np.flatnonzero(weights)
+            acts.append(Action(reward=reward, next_states=support,
+                               probs=weights[support] / weights.sum()))
+        actions.append(acts)
+    return make_game(draw(st.sampled_from([0.5, 0.8, 0.9])), owners, actions)
+
+
+def brute_force_value(game):
+    """Entrywise min over MIN strategies of the entrywise max over MAX
+    strategies of the exact joint value."""
+    owners = np.asarray(game.owners)
+    choices = [range(int(k)) for k in game.space.n_actions]
+    best = np.full(game.n_states, np.inf)
+    for tau in product(*(c if o == MIN_PLAYER else [0] for c, o in zip(choices, owners))):
+        worst = np.full(game.n_states, -np.inf)
+        for pi in product(*(c if o == MAX_PLAYER else [0] for c, o in zip(choices, owners))):
+            sigma = np.where(owners == MIN_PLAYER, tau, pi).astype(np.int64)
+            worst = np.maximum(worst, evaluate(game, sigma))
+        best = np.minimum(best, worst)
+    return best
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_games())
+def test_vi_si_and_brute_force_minimax_agree(g):
+    v_vi, _, _ = value_iteration(g, 1e-8)
+    sigma, _ = strategy_iteration(g, np.zeros(g.n_states, dtype=np.int64))
+    v_si = evaluate(g, sigma)
+    v_bf = brute_force_value(g)
+    np.testing.assert_allclose(v_vi, v_bf, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(v_si, v_bf, rtol=0, atol=1e-6)
 
 
 def test_trace_csv_round_trip(tmp_path):

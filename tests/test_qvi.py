@@ -267,6 +267,21 @@ def test_halving_rounds_are_logged(caplog):
             assert field in msg
 
 
+def test_halving_rounds_name_their_player(caplog):
+    g = random_game(4, 2, 0.9, seed=8)
+    model = GenerativeModel(g, master_seed=9)
+    with caplog.at_level(logging.INFO, logger="sg.qvi"):
+        res = solve(model, epsilon=0.2, delta=0.1, consts=small_consts(),
+                    both_players=True)
+    records = [r.getMessage() for r in caplog.records if r.name == "sg.qvi"]
+    n = len(res.u_schedule)
+    assert len(records) == 2 * n
+    # the min chain runs first, then the mirrored max chain
+    for j, msg in enumerate(records):
+        player = "min" if j < n else "max"
+        assert msg.startswith(f"halving round {j % n}: player={player} ")
+
+
 def test_solve_returns_both_players_epsilon_optimal():
     g = random_game(8, 3, 0.9, seed=10)
     model = GenerativeModel(g, master_seed=11)
