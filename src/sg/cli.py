@@ -225,12 +225,28 @@ def cmd_flux(args) -> int:
     return EXIT_OK
 
 
+def _check_sequence_fits(g: game_mod.StochasticGame, seq: qvi.VSSequence) -> None:
+    """Refuse a sequence whose arrays do not fit the game it is checked against."""
+    entries = len(seq.values)
+    for name, width in (("values", g.n_states), ("strategies", g.n_states),
+                        ("q_values", g.n_pairs), ("error_bounds", g.n_pairs)):
+        arr = getattr(seq, name)
+        _require(arr.shape == (entries, width),
+                 f"sequence {name} shape {arr.shape} does not fit a game with "
+                 f"{g.n_states} states and {g.n_pairs} pairs")
+    _require(all(np.isfinite(a).all() for a in (seq.values, seq.q_values, seq.error_bounds)),
+             "sequence holds non-finite numbers")
+    _require(((seq.strategies >= 0) & (seq.strategies < g.space.n_actions)).all(),
+             "sequence strategy picks an action the game does not have")
+
+
 def cmd_check(args) -> int:
     try:
         g = game_mod.load_game(args.game)
         seq = qvi.VSSequence.load(args.seq)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load inputs: {exc}") from exc
+    _check_sequence_fits(g, seq)
     if seq.direction == qvi.DECREASING:
         report = checks_mod.check_mdvss(g, seq, eps_override=args.eps_override)
     else:

@@ -134,17 +134,38 @@ def q_from_v(game: StochasticGame, v: np.ndarray) -> np.ndarray:
     return lay.space.rewards + game.gamma * lay.p_dot(v)
 
 
+def _segment_best(space: ActionSpace, q: np.ndarray,
+                  slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each state's optimum and first near-optimal pair in a flat Q.
+
+    Q is negated at MAX pairs (exact), so one ``minimum.reduceat`` over the
+    pair ranges gives every owner's optimum with no padding to the widest
+    state. Returns ``(q_signed, best, first)``: the signed Q, the signed
+    optimum per state, and per state the flat index of its lowest action
+    whose signed Q is within ``slack`` of that optimum. Raises ValueError on
+    a non-finite optimum, where the tie break would find no action.
+    """
+    starts = space.state_offset[:-1]
+    q_signed = q * space.pair_sign
+    best = np.minimum.reduceat(q_signed, starts)
+    if not np.isfinite(best).all():
+        state = int(np.flatnonzero(~np.isfinite(best))[0])
+        raise ValueError(f"Q has a non-finite optimum at state {state}")
+    hit = q_signed <= (best + slack)[space.pair_state]
+    first = np.minimum.reduceat(np.where(hit, space.pair_ids, space.n_pairs), starts)
+    return q_signed, best, first
+
+
 def greedy_from_q(space: ActionSpace, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-state optimum of a flat Q: min on MIN states, max on MAX states.
 
-    Ties break to the lowest action index. Returns (values, strategy).
+    Ties break to the lowest action index. Returns (values, strategy);
+    raises ValueError when a state's optimum is not finite.
     """
     if q.shape != (space.n_pairs,):
         raise ValueError(f"q shape {q.shape} != ({space.n_pairs},)")
-    pad = space.pad(q)
-    v = np.where(space.is_max, pad.max(axis=1), pad.min(axis=1))
-    sigma = np.where(space.is_max, pad.argmax(axis=1), pad.argmin(axis=1))
-    return v, sigma.astype(np.int64)
+    _, _, first = _segment_best(space, q)
+    return q[first], first - space.state_offset[:-1]
 
 
 def bellman(game: StochasticGame, v: np.ndarray) -> np.ndarray:
@@ -406,27 +427,13 @@ def improve(game: StochasticGame, v: np.ndarray, sigma: np.ndarray,
     """
     space = game.space
     tol = 1e-9 * (1.0 + float(np.abs(v).max(initial=0.0)))
-    q = q_from_v(game, v)
-    pad = space.pad(q)
-    q_inc = q[space.chosen_pairs(sigma)]
-
-    best = np.where(space.is_max, pad.max(axis=1), pad.min(axis=1))
-    gain = np.where(space.is_max, best - q_inc, q_inc - best)
-    flip_mask = improvable & (gain > tol)
-
+    q_signed, best, first = _segment_best(space, q_from_v(game, v), tol)
+    choice = first - space.state_offset[:-1]
+    gain = q_signed[space.chosen_pairs(sigma)] - best
+    moved = np.flatnonzero(improvable & (gain > tol) & (choice != sigma))
     new_sigma = sigma.copy()
-    flips: list[tuple[int, int, int]] = []
-    if flip_mask.any():
-        near_best = np.where(space.is_max[:, None],
-                             pad >= (best - tol)[:, None],
-                             pad <= (best + tol)[:, None])
-        choice = near_best.argmax(axis=1)
-        for s in np.flatnonzero(flip_mask):
-            old = int(sigma[s])
-            new = int(choice[s])
-            if new != old:
-                new_sigma[s] = new
-                flips.append((int(s), old, new))
+    new_sigma[moved] = choice[moved]
+    flips = list(zip(moved.tolist(), sigma[moved].tolist(), choice[moved].tolist()))
     max_gain = float(np.maximum(gain, 0.0)[improvable].max(initial=0.0))
     return new_sigma, flips, max_gain
 

@@ -21,7 +21,7 @@ Strategies, value vectors and Q-functions are plain numpy arrays:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -36,6 +36,9 @@ OWNER_CODES = {"min": MIN_PLAYER, "max": MAX_PLAYER}
 
 # Tolerance on transition row sums. Rows are never renormalized silently.
 PROB_TOL = 1e-9
+# Largest value scale max|r| / (1 - gamma) a game may have: the return
+# variance squares values, and 1e150^2 stays well inside float range.
+MAX_VALUE_SCALE = 1e150
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,8 @@ class ActionSpace:
     state_offset: np.ndarray  # (n_states + 1,) int, pair range per state
     pair_state: np.ndarray    # (n_pairs,) int
     rewards: np.ndarray       # (n_pairs,) float
-    pad_cols: np.ndarray      # action index of each pair within its state
-    pad_template: np.ndarray  # (n_states, a_max), +/-inf fill by owner
+    pair_sign: np.ndarray     # (n_pairs,) float, -1 at MAX pairs, +1 at MIN
+    pair_ids: np.ndarray      # (n_pairs,) int, arange(n_pairs)
 
     def pair_index(self, state: int, action: int) -> int:
         if not (0 <= state < self.n_states):
@@ -81,12 +84,6 @@ class ActionSpace:
     def chosen_pairs(self, strategy: np.ndarray) -> np.ndarray:
         """Flat pair index selected by ``strategy`` at every state."""
         return self.state_offset[:-1] + strategy
-
-    def pad(self, q: np.ndarray) -> np.ndarray:
-        """A flat Q laid out as (n_states, a_max), missing actions at +/-inf."""
-        grid = self.pad_template.copy()
-        grid[self.pair_state, self.pad_cols] = q
-        return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,14 +226,12 @@ def _build_layout(game: StochasticGame) -> GameLayout:
     else:
         trans = sp.csr_matrix((n_pairs, n_states))
 
-    a_max = int(n_actions.max())
     is_max = game.owners.astype(bool)
-    pad_cols = np.concatenate([np.arange(k, dtype=np.int64) for k in n_actions])
-    pad_template = np.where(is_max[:, None], -np.inf, np.inf)
-    pad_template = np.broadcast_to(pad_template, (n_states, a_max)).copy()
+    pair_sign = np.where(is_max[pair_state], -1.0, 1.0)
+    pair_ids = np.arange(n_pairs, dtype=np.int64)
 
     for arr in (n_actions, state_offset, pair_state, rewards, uniform_mask,
-                pad_cols, pad_template):
+                pair_sign, pair_ids):
         arr.setflags(write=False)
 
     space = ActionSpace(
@@ -248,8 +243,8 @@ def _build_layout(game: StochasticGame) -> GameLayout:
         state_offset=state_offset,
         pair_state=pair_state,
         rewards=rewards,
-        pad_cols=pad_cols,
-        pad_template=pad_template,
+        pair_sign=pair_sign,
+        pair_ids=pair_ids,
     )
     return GameLayout(trans=trans, uniform_mask=uniform_mask, space=space)
 
@@ -291,16 +286,19 @@ def validate(game: StochasticGame) -> list[str]:
         bad = np.flatnonzero(~np.isin(game.owners, (MIN_PLAYER, MAX_PLAYER)))
         for s in bad:
             report.append(f"state {s} has invalid owner tag {game.owners[s]}")
+    r_max = 0.0
     for s, acts in enumerate(game.actions):
         if len(acts) == 0:
             report.append(f"state {s} has no actions")
         for a, act in enumerate(acts):
             if not np.isfinite(act.reward):
                 report.append(f"reward not finite at ({s},{a})")
-            elif abs(act.reward) > game.reward_bound + 1e-12:
-                report.append(
-                    f"|reward| {abs(act.reward)} exceeds bound "
-                    f"{game.reward_bound} at ({s},{a})")
+            else:
+                r_max = max(r_max, abs(act.reward))
+                if abs(act.reward) > game.reward_bound + 1e-12:
+                    report.append(
+                        f"|reward| {abs(act.reward)} exceeds bound "
+                        f"{game.reward_bound} at ({s},{a})")
             if act.uniform:
                 continue
             idx = np.asarray(act.next_states)
@@ -321,6 +319,9 @@ def validate(game: StochasticGame) -> list[str]:
             total = float(probs.sum())
             if abs(total - 1.0) > PROB_TOL:
                 report.append(f"transition sum {total} != 1 at ({s},{a})")
+    if 0.0 < game.gamma < 1.0 and r_max / (1.0 - game.gamma) > MAX_VALUE_SCALE:
+        report.append(f"value scale max|r|/(1-gamma) = {r_max / (1.0 - game.gamma)} "
+                      f"exceeds {MAX_VALUE_SCALE}")
     return report
 
 
@@ -372,10 +373,21 @@ def affine_reward_map(game: StochasticGame, scale: float, offset: float) -> Stoc
 
 
 def with_gamma(game: StochasticGame, gamma: float) -> StochasticGame:
-    """Same states, actions and rewards under a different discount factor."""
+    """Same states, actions and rewards under a different discount factor.
+
+    The copy shares the game's layout arrays and transition rows, which do
+    not depend on the discount; only ``gamma`` is swapped.
+    """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
-    return make_game(gamma, game.owners, game.actions, reward_bound=game.reward_bound)
+    lay = game.layout
+    copy = StochasticGame(gamma=float(gamma), owners=game.owners, actions=game.actions,
+                          reward_bound=game.reward_bound)
+    # ``layout`` is a cached property: seed the copy's cache with the shared view
+    copy.__dict__["layout"] = GameLayout(
+        trans=lay.trans, uniform_mask=lay.uniform_mask,
+        space=replace(lay.space, gamma=float(gamma)))
+    return copy
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,37 @@ def test_check_unknown_direction_exits_2(tmp_path, capsys):
     assert "sideways" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
+def test_check_sequence_from_another_game_exits_2(tmp_path, capsys):
+    g1, g2 = random_game(1, 2, 0.9, seed=0), random_game(2, 2, 0.9, seed=0)
+    gpath = tmp_path / "g2.json"
+    save_game(g2, str(gpath))
+    vstar, sstar, _ = value_iteration(g1, 1e-11)
+    seq = VSSequence(direction="decreasing", values=np.tile(vstar, (2, 1)),
+                     q_values=np.zeros((2, g1.n_pairs)),
+                     strategies=np.tile(sstar, (2, 1)),
+                     error_bounds=np.zeros((2, g1.n_pairs)))
+    spath = tmp_path / "seq.json"
+    seq.save(str(spath))
+    assert main(["check", "--game", str(gpath), "--seq", str(spath)]) == 2
+    assert "does not fit" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+def test_check_non_finite_sequence_exits_2(tmp_path, capsys):
+    g = random_game(3, 2, 0.9, seed=0)
+    gpath = tmp_path / "g.json"
+    save_game(g, str(gpath))
+    vstar, sstar, _ = value_iteration(g, 1e-11)
+    seq = VSSequence(direction="decreasing", values=np.tile(vstar, (2, 1)),
+                     q_values=np.zeros((2, g.n_pairs)),
+                     strategies=np.tile(sstar, (2, 1)),
+                     error_bounds=np.zeros((2, g.n_pairs)))
+    seq.q_values[1, 0] = np.nan
+    spath = tmp_path / "seq.json"
+    seq.save(str(spath))
+    assert main(["check", "--game", str(gpath), "--seq", str(spath)]) == 2
+    assert "non-finite" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
 def test_flux_over_enumeration_cap_exits_2(tmp_path, capsys):
     g = random_game(21, 2, 0.9, seed=4)  # 2^21 > MAX_ENUMERATED_STRATEGIES
     path = tmp_path / "g.json"

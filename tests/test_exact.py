@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from sg.cli import write_csv
 from sg.exact import (apply_strategy, bellman, best_response, enumerate_strategies,
-                      evaluate, flux, greedy_from_q, half_bellman,
+                      evaluate, flux, greedy_from_q, half_bellman, improve,
                       policy_iteration, q_from_v, ratio_scan, scan_stack,
                       stationary_distribution, strategy_iteration,
                       value_iteration)
-from sg.game import Action, MAX_PLAYER, MIN_PLAYER, make_game, with_gamma
+from sg.game import Action, MAX_PLAYER, MIN_PLAYER, make_game, mirror, with_gamma
 from sg.generate import random_game
-from sg.hard import build_hi1, hi1_mean_value
+from sg.hard import build_hi1, build_hi2, hi1_mean_value
 
 
 def naive_q(game, v):
@@ -71,6 +71,142 @@ def test_greedy_prefers_chain_on_hi1():
     v = evaluate(game, meta.policy_uniform())
     _, sigma = greedy_from_q(game.space, q_from_v(game, v))
     assert sigma[meta.T - 2] == 1  # chain move beats the uniform restart
+
+
+def test_greedy_refuses_a_non_finite_optimum():
+    g = random_game(5, 3, 0.9, seed=4)  # pair 7 is action 1 of state 2
+    worst = np.inf if g.owners[2] == MIN_PLAYER else -np.inf
+    for bad in (np.nan, -worst):
+        q = np.zeros(g.n_pairs)
+        q[7] = bad
+        with pytest.raises(ValueError, match="non-finite optimum at state 2"):
+            greedy_from_q(g.space, q)
+    q = np.zeros(g.n_pairs)
+    q[7] = worst  # never the optimum, so nothing to refuse
+    assert greedy_from_q(g.space, q)[1][2] == 0
+
+
+def test_value_iteration_stops_on_overflowing_values():
+    # 1e308 / (1 - 0.9) overflows: the loader refuses such a game, make_game does not
+    g = make_game(0.9, [MIN_PLAYER, MAX_PLAYER], [
+        [Action(reward=1e308, next_states=np.array([1]), probs=np.array([1.0]))],
+        [Action(reward=0.0, next_states=np.array([0]), probs=np.array([1.0]))]])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        value_iteration(g, 0.01, max_iter=50)
+
+
+# ---------------------------------------------------------------------------
+# segmented greedy selection against the padded action grid
+
+
+def padded_grid(space, q):
+    """Q spread into (n_states, a_max), missing actions at -inf (MAX) / +inf (MIN)."""
+    cols = np.arange(space.n_pairs) - space.state_offset[space.pair_state]
+    grid = np.where(space.is_max[:, None], -np.inf, np.inf) \
+        * np.ones((1, int(space.n_actions.max())))
+    grid[space.pair_state, cols] = q
+    return grid
+
+
+def padded_greedy(space, q):
+    grid = padded_grid(space, q)
+    v = np.where(space.is_max, grid.max(axis=1), grid.min(axis=1))
+    sigma = np.where(space.is_max, grid.argmax(axis=1), grid.argmin(axis=1))
+    return v, sigma.astype(np.int64)
+
+
+def padded_improve(game, v, sigma, improvable):
+    space = game.space
+    tol = 1e-9 * (1.0 + float(np.abs(v).max(initial=0.0)))
+    q = q_from_v(game, v)
+    grid = padded_grid(space, q)
+    q_inc = q[space.chosen_pairs(sigma)]
+    best = np.where(space.is_max, grid.max(axis=1), grid.min(axis=1))
+    gain = np.where(space.is_max, best - q_inc, q_inc - best)
+    near_best = np.where(space.is_max[:, None], grid >= (best - tol)[:, None],
+                         grid <= (best + tol)[:, None])
+    choice = near_best.argmax(axis=1)
+    new_sigma = sigma.copy()
+    flips = []
+    for s in np.flatnonzero(improvable & (gain > tol)):
+        if choice[s] != sigma[s]:
+            new_sigma[s] = choice[s]
+            flips.append((int(s), int(sigma[s]), int(choice[s])))
+    return new_sigma, flips, float(np.maximum(gain, 0.0)[improvable].max(initial=0.0))
+
+
+def integer_game(n, rng, jitter=0.0):
+    """1-5 actions per state, integer rewards, one successor each, gamma 1/2:
+    Q(v) of an integer v is exact, so ties are exact too. ``jitter`` adds 0
+    or ``jitter`` to each reward, turning some ties into near-ties."""
+    actions = [[Action(reward=float(rng.integers(0, 3)) + jitter * rng.integers(0, 2),
+                       next_states=np.array([rng.integers(0, n)]), probs=np.array([1.0]))
+                for _ in range(rng.integers(1, 6))] for _ in range(n)]
+    return make_game(0.5, rng.integers(0, 2, size=n), actions)
+
+
+def oracle_games():
+    rng = np.random.default_rng(77)
+    yield build_hi1(48)[0]
+    yield build_hi2(400)[0]
+    for owners in ("split", "min", "max"):
+        yield random_game(30, 4, 0.9, seed=11, owners=owners)
+    for n in (1, 7, 40):
+        yield integer_game(n, rng)
+        yield integer_game(n, rng, jitter=1e-12)
+        yield mixed_row_game(n, 0.9, rng)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_greedy_matches_padded_grid_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for g in oracle_games():
+        for q in (rng.normal(size=g.n_pairs),
+                  rng.integers(-2, 3, size=g.n_pairs).astype(np.float64),  # exact ties
+                  np.ones(g.n_pairs),                                      # all tied
+                  q_from_v(g, rng.uniform(0, 10, size=g.n_states))):
+            v, sigma = greedy_from_q(g.space, q)
+            v_ref, sigma_ref = padded_greedy(g.space, q)
+            assert same_bits(v, v_ref) and same_bits(sigma, sigma_ref)
+
+
+def test_improve_matches_padded_grid_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for g in oracle_games():
+        sides = (g.owners == MIN_PLAYER, g.owners == MAX_PLAYER, np.ones(g.n_states, bool))
+        for v in (rng.normal(size=g.n_states) * 10,
+                  rng.integers(-3, 4, size=g.n_states).astype(np.float64),
+                  np.zeros(g.n_states)):
+            for _ in range(3):
+                sigma = rng.integers(0, g.space.n_actions)
+                for improvable in sides:
+                    got = improve(g, v, sigma, improvable)
+                    ref = padded_improve(g, v, sigma, improvable)
+                    assert same_bits(got[0], ref[0])
+                    assert got[1] == ref[1]
+                    assert same_bits(got[2], ref[2])
+
+
+def test_improve_picks_the_lowest_near_best_action():
+    # MAX state: actions 1 and 3 tie for the best; the incumbent 0 is worse
+    g = make_game(0.5, [MAX_PLAYER], [[
+        Action(reward=r, next_states=np.array([0]), probs=np.array([1.0]))
+        for r in (0.0, 2.0, 1.0, 2.0)]])
+    sigma, flips, gain = improve(g, np.zeros(1), np.array([0]), np.ones(1, bool))
+    assert sigma.tolist() == [1] and flips == [(0, 0, 1)] and gain == 2.0
+    # within the tie tolerance of the best counts as best: action 1 again
+    g = make_game(0.5, [MAX_PLAYER], [[
+        Action(reward=r, next_states=np.array([0]), probs=np.array([1.0]))
+        for r in (0.0, 2.0 - 1e-12, 1.0, 2.0)]])
+    sigma, flips, gain = improve(g, np.zeros(1), np.array([0]), np.ones(1, bool))
+    assert sigma.tolist() == [1] and flips == [(0, 0, 1)] and gain == 2.0
+    # an incumbent tied with the best stays
+    sigma, flips, gain = improve(g, np.zeros(1), np.array([3]), np.ones(1, bool))
+    assert sigma.tolist() == [3] and flips == [] and gain == 0.0
 
 
 def test_half_bellman_greedy_collapses_to_full_operator():
@@ -495,6 +631,22 @@ def test_stack_covers_periodic_chains_like_the_per_strategy_route():
     assert (report.strategies_scanned, report.strategies_skipped) == (2, 0)
 
 
+def test_discounted_copies_share_the_layout_and_scan_alike():
+    rng = np.random.default_rng(8)
+    base = mixed_row_game(5, 0.9, rng)
+    for gamma in (0.9, 0.99, 0.999):
+        g = with_gamma(base, gamma)
+        assert g.layout.trans is base.layout.trans
+        assert g.layout.uniform_mask is base.layout.uniform_mask
+        assert g.space.pair_state is base.space.pair_state
+        assert g.gamma == g.space.gamma == gamma
+        fresh = make_game(gamma, base.owners, base.actions)
+        got, want = ratio_scan(g), ratio_scan(fresh)
+        assert got.per_strategy == want.per_strategy
+        assert (got.delta_min, got.delta_max, got.c_min, got.c_max) == \
+            (want.delta_min, want.delta_max, want.c_min, want.c_max)
+
+
 def test_sampled_scan_keeps_the_per_sample_draws():
     g = random_game(6, 3, 0.9, seed=31)
     report = ratio_scan(g, enumerate_all=False, sample=40, seed=5)
@@ -561,6 +713,17 @@ def test_vi_si_and_brute_force_minimax_agree(g):
     v_bf = brute_force_value(g)
     np.testing.assert_allclose(v_vi, v_bf, rtol=0, atol=1e-6)
     np.testing.assert_allclose(v_si, v_bf, rtol=0, atol=1e-6)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_games())
+def test_mirror_is_an_involution_on_vi_values(g):
+    tol = 1e-8
+    v, _, _ = value_iteration(g, tol)
+    v_m, _, _ = value_iteration(mirror(g), tol)
+    v_mm, _, _ = value_iteration(mirror(mirror(g)), tol)
+    np.testing.assert_allclose(v_mm, v, rtol=0, atol=2 * tol)
+    np.testing.assert_allclose(v + v_m, 1.0 / (1.0 - g.gamma), rtol=0, atol=2 * tol)
 
 
 def test_trace_csv_round_trip(tmp_path):

@@ -223,3 +223,14 @@ def test_loader_rejects_invalid_game():
         ]}
         with pytest.raises(ValueError):
             from_json_dict(doc)
+
+
+def test_loader_rejects_a_value_scale_past_the_bound():
+    def doc(reward):
+        return {"gamma": 0.9, "states": [
+            {"owner": "min", "actions": [{"reward": reward, "next": [{"s": 1, "p": 1.0}]}]},
+            {"owner": "max", "actions": [{"reward": 0.0, "next": [{"s": 0, "p": 1.0}]}]}]}
+    for reward in (1e308, -1e308, 1e150):  # max|r| / (1 - 0.9) > 1e150
+        with pytest.raises(ValueError, match="value scale"):
+            from_json_dict(doc(reward))
+    assert from_json_dict(doc(1e148)).space.rewards[0] == 1e148
