@@ -11,7 +11,7 @@ Submodules:
 * :mod:`sg.cli`     - the ``sg`` command-line harness
 """
 
-from .game import (Action, MAX_PLAYER, MIN_PLAYER, StochasticGame,
+from .game import (Action, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame,
                    affine_reward_map, load_game, make_game, mirror,
                    save_game, validate, with_gamma)
 from .exact import (best_response, evaluate, flux, greedy_from_q,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exact import (apply_strategy, best_response, evaluate, greedy_from_q,
                     half_from_q, q_from_v, value_iteration, PolicyLinearSystem)
-from .game import MAX_PLAYER, MIN_PLAYER, StochasticGame, validate_strategy
+from .game import InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame
 from .qvi import DECREASING, INCREASING, VSSequence
 
 CHECK_SLACK = 1e-8
@@ -106,7 +106,22 @@ def _optimal_value(game: StochasticGame, vstar: np.ndarray | None) -> np.ndarray
 def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
                     eps_override, slack: float,
                     vstar: np.ndarray | None) -> CheckReport:
-    """Shared body: sign=+1 checks a decreasing run, -1 an increasing one."""
+    """Shared body: sign=+1 checks a decreasing run, -1 an increasing one.
+
+    Refuses a sequence whose arrays do not fit the game or hold non-finite
+    numbers before checking anything.
+    """
+    for name, width in (("values", game.n_states), ("strategies", game.n_states),
+                        ("q_values", game.n_pairs), ("error_bounds", game.n_pairs)):
+        shape = getattr(seq, name).shape
+        if shape != seq.values.shape[:1] + (width,):
+            raise InputError(f"sequence {name} shape {shape} does not fit a game with "
+                             f"{game.n_states} states and {game.n_pairs} pairs")
+    if not all(np.isfinite(a).all() for a in (seq.values, seq.q_values, seq.error_bounds)):
+        raise InputError("sequence holds non-finite numbers")
+    if eps_override is not None and not np.isfinite(eps_override).all():
+        raise InputError("eps_override holds non-finite numbers")
+    game.space.check_strategy(seq.strategies)
     vstar = _optimal_value(game, vstar)
     player = MIN_PLAYER if sign > 0 else MAX_PLAYER
     owned = game.owners == player
@@ -118,7 +133,6 @@ def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
     for i in range(n_entries):
         v_i = seq.values[i]
         sigma_i = seq.strategies[i]
-        validate_strategy(game, sigma_i)
 
         # property 1: monotone chain bounded by v*
         if i + 1 < n_entries:
@@ -165,7 +179,7 @@ def check_mdvss(game: StochasticGame, seq: VSSequence,
                 vstar: np.ndarray | None = None) -> CheckReport:
     """Certify a decreasing sequence: chain above v*, one-sided backups, Q bounds."""
     if seq.direction != DECREASING:
-        raise ValueError(f"expected a decreasing sequence, got {seq.direction}")
+        raise InputError(f"expected a decreasing sequence, got {seq.direction}")
     return _check_sequence(game, seq, +1.0, eps_override, slack, vstar)
 
 
@@ -175,7 +189,7 @@ def check_mivss(game: StochasticGame, seq: VSSequence,
                 vstar: np.ndarray | None = None) -> CheckReport:
     """Mirror certification for an increasing sequence."""
     if seq.direction != INCREASING:
-        raise ValueError(f"expected an increasing sequence, got {seq.direction}")
+        raise InputError(f"expected an increasing sequence, got {seq.direction}")
     return _check_sequence(game, seq, -1.0, eps_override, slack, vstar)
 
 
@@ -231,9 +245,8 @@ def markovian_evaluate(game: StochasticGame, plan: MarkovianPlan) -> tuple[list[
     per-state variance of the discounted return from stage 0, both computed
     by backward recursions on the first and second moments.
     """
-    for p in plan.prefix:
-        validate_strategy(game, p)
-    validate_strategy(game, plan.tail)
+    for sigma in plan.prefix + (plan.tail,):
+        game.space.check_strategy(sigma)
     gamma = game.gamma
 
     v_tail = evaluate(game, plan.tail)

@@ -10,9 +10,13 @@ Subcommands:
 * ``scaling`` - sweep the big-batch size and report the error/log-slope
 
 Exit codes: 0 when every requested check passes, 1 when a check fails,
-2 on malformed input, including out-of-range arguments. All randomness
-flows from ``--seed``; commands that need randomness fail without it
-rather than fall back to a clock seed.
+2 on malformed input, including out-of-range arguments. The library checks
+every argument it receives and raises :class:`sg.game.InputError`, which
+``main`` turns into exit 2 with a JSON error on stderr; the harness itself
+checks only what never reaches the library: the game-source count,
+``--seed``, ``--sample`` and ``--trials``. All randomness flows from
+``--seed``; commands that need randomness fail without it rather than fall
+back to a clock seed.
 """
 
 from __future__ import annotations
@@ -27,16 +31,13 @@ import numpy as np
 
 from . import checks as checks_mod
 from . import exact, game as game_mod, hard, qvi
+from .game import InputError
 from .generate import clustered_game
 from .sampler import GenerativeModel
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
-
-
-class InputError(Exception):
-    pass
 
 
 def _setup_logging() -> None:
@@ -54,10 +55,8 @@ def _load_game_arg(args) -> game_mod.StochasticGame:
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot load game: {exc}") from exc
     if args.hi1 is not None:
-        _check_hi1(args.hi1, args.beta_factor, "--hi1")
         g, _ = hard.build_hi1(args.hi1, beta_factor=args.beta_factor)
         return g
-    _require(args.hi2 >= hard.HI2_MIN_T, f"--hi2 must be at least {hard.HI2_MIN_T}")
     g, _ = hard.build_hi2(args.hi2)
     # sampling-based methods need [0, 1] rewards
     if getattr(args, "method", None) == "qvi":
@@ -76,14 +75,9 @@ def _load_constants(path: str | None) -> qvi.QviConstants:
 
 
 def _require(ok: bool, message: str) -> None:
-    """Reject a user-facing argument with exit 2 before the library sees it."""
+    """Reject, with exit 2, an argument the library never receives."""
     if not ok:
         raise InputError(message)
-
-
-def _check_hi1(T: int, beta_factor: float, flag: str) -> None:
-    _require(T >= hard.HI1_MIN_T, f"{flag} must be at least {hard.HI1_MIN_T}")
-    _require(beta_factor >= 1.0, "--beta-factor must be >= 1")
 
 
 def _need_seed(args) -> int:
@@ -117,7 +111,6 @@ def _print_value(v: np.ndarray, sigma: np.ndarray) -> None:
 def cmd_solve(args) -> int:
     g = _load_game_arg(args)
     if args.method == "vi":
-        _require(args.eps > 0, "--eps must be positive")
         v, sigma, trace = exact.value_iteration(g, args.eps)
         _print_value(v, sigma)
         print(f"iterations: {len(trace)}")
@@ -126,7 +119,6 @@ def cmd_solve(args) -> int:
         return EXIT_OK
 
     if args.method == "pi":
-        _require(np.unique(g.owners).size == 1, "--method pi needs a single-player game")
         sigma, trace = exact.policy_iteration(g, np.zeros(g.n_states, dtype=np.int64))
         _print_value(exact.evaluate(g, sigma), sigma)
         print(f"policy evaluations: {trace.total_policy_evaluations}")
@@ -147,10 +139,6 @@ def cmd_solve(args) -> int:
 
     # qvi
     seed = _need_seed(args)
-    _require(0 < args.eps < 1 and 0 < args.delta < 1, "--eps and --delta must lie in (0, 1)")
-    r = g.space.rewards
-    _require(((r >= 0) & (r <= 1)).all(),
-             "--method qvi requires rewards in [0, 1]; apply an affine reward map first")
     consts = _load_constants(args.constants)
     model = GenerativeModel(g, master_seed=seed)
     result = qvi.solve(model, epsilon=args.eps, delta=args.delta, consts=consts)
@@ -175,7 +163,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_hard_pi(args) -> int:
-    _check_hi1(args.T, args.beta_factor, "--T")
     trace, report = hard.verify_pi_path_hi1(args.T, beta_factor=args.beta_factor)
     print(report.summary())
     if args.out:
@@ -191,9 +178,6 @@ def cmd_hard_si(args) -> int:
                 config = hard.Hi2Config.from_json_dict(json.load(fh))
         except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot load reward config: {exc}") from exc
-        _require(config.T == args.T, f"reward config was built for T={config.T}, not {args.T}")
-    else:
-        _require(args.T >= hard.HI2_MIN_T, f"--T must be at least {hard.HI2_MIN_T}")
     trace, report = hard.verify_si_path_hi2(args.T, config)
     print(report.summary())
     print(f"single-action corrections: {hard.si_single_flip_count(trace)}")
@@ -209,10 +193,6 @@ def cmd_flux(args) -> int:
         report = exact.ratio_scan(g, enumerate_all=False, sample=args.sample,
                                   seed=_need_seed(args))
     else:
-        total = exact.strategy_count(g)
-        _require(total <= exact.MAX_ENUMERATED_STRATEGIES,
-                 f"{total} pure strategies exceed the enumeration cap "
-                 f"{exact.MAX_ENUMERATED_STRATEGIES}; use --sample")
         report = exact.ratio_scan(g, enumerate_all=True)
     print(f"strategies scanned: {report.strategies_scanned} "
           f"(skipped {report.strategies_skipped})")
@@ -225,28 +205,12 @@ def cmd_flux(args) -> int:
     return EXIT_OK
 
 
-def _check_sequence_fits(g: game_mod.StochasticGame, seq: qvi.VSSequence) -> None:
-    """Refuse a sequence whose arrays do not fit the game it is checked against."""
-    entries = len(seq.values)
-    for name, width in (("values", g.n_states), ("strategies", g.n_states),
-                        ("q_values", g.n_pairs), ("error_bounds", g.n_pairs)):
-        arr = getattr(seq, name)
-        _require(arr.shape == (entries, width),
-                 f"sequence {name} shape {arr.shape} does not fit a game with "
-                 f"{g.n_states} states and {g.n_pairs} pairs")
-    _require(all(np.isfinite(a).all() for a in (seq.values, seq.q_values, seq.error_bounds)),
-             "sequence holds non-finite numbers")
-    _require(((seq.strategies >= 0) & (seq.strategies < g.space.n_actions)).all(),
-             "sequence strategy picks an action the game does not have")
-
-
 def cmd_check(args) -> int:
     try:
         g = game_mod.load_game(args.game)
         seq = qvi.VSSequence.load(args.seq)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load inputs: {exc}") from exc
-    _check_sequence_fits(g, seq)
     if seq.direction == qvi.DECREASING:
         report = checks_mod.check_mdvss(g, seq, eps_override=args.eps_override)
     else:

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .game import ActionSpace, MIN_PLAYER, StochasticGame, validate_strategy
+from .game import ActionSpace, InputError, MIN_PLAYER, StochasticGame
 
 EVAL_RESIDUAL_TOL = 1e-10
 STATIONARY_TOL = 1e-10
@@ -127,10 +127,8 @@ class RatioReport:
 
 def q_from_v(game: StochasticGame, v: np.ndarray) -> np.ndarray:
     """Q(v) = r + gamma * P v as a flat per-pair array."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (game.n_states,):
-        raise ValueError(f"value vector shape {v.shape} != ({game.n_states},)")
     lay = game.layout
+    v = lay.space.value_vector(v)
     return lay.space.rewards + game.gamma * lay.p_dot(v)
 
 
@@ -163,7 +161,7 @@ def greedy_from_q(space: ActionSpace, q: np.ndarray) -> tuple[np.ndarray, np.nda
     raises ValueError when a state's optimum is not finite.
     """
     if q.shape != (space.n_pairs,):
-        raise ValueError(f"q shape {q.shape} != ({space.n_pairs},)")
+        raise InputError(f"q shape {q.shape} != ({space.n_pairs},)")
     _, _, first = _segment_best(space, q)
     return q[first], first - space.state_offset[:-1]
 
@@ -183,15 +181,10 @@ def apply_strategy(game: StochasticGame, v: np.ndarray, sigma: np.ndarray) -> np
 def half_from_q(space: ActionSpace, q: np.ndarray, pi: np.ndarray,
                 owned: np.ndarray) -> np.ndarray:
     """Half operator read off a flat Q: ``pi`` on ``owned`` states, the optimum elsewhere."""
-    pi = np.asarray(pi)
-    if pi.shape != (space.n_states,):
-        raise ValueError("pi must assign an action to every state (used on owned ones)")
-    bad = owned & ((pi < 0) | (pi >= space.n_actions))
-    if bad.any():
-        raise ValueError(f"pi undefined or invalid at owned state {int(np.flatnonzero(bad)[0])}")
+    pi = np.where(owned, pi, 0)
+    space.check_strategy(pi)
     opt, _ = greedy_from_q(space, q)
-    fixed = q[space.state_offset[:-1] + np.where(owned, pi, 0)]
-    return np.where(owned, fixed, opt)
+    return np.where(owned, q[space.chosen_pairs(pi)], opt)
 
 
 def half_bellman(game: StochasticGame, v: np.ndarray, pi: np.ndarray,
@@ -212,8 +205,8 @@ def half_bellman(game: StochasticGame, v: np.ndarray, pi: np.ndarray,
 class PolicyLinearSystem:
     def __init__(self, game: StochasticGame, sigma: np.ndarray,
                  discount: float | None = None):
-        validate_strategy(game, sigma)
         lay = game.layout
+        lay.space.check_strategy(sigma)
         n = game.n_states
         pairs = lay.space.chosen_pairs(np.asarray(sigma, dtype=np.int64))
         self.gamma = game.gamma if discount is None else float(discount)
@@ -269,32 +262,29 @@ class PolicyLinearSystem:
             x = x + c * s * w
         return x
 
-    def solve(self, b: np.ndarray, rtol: float = REFINE_RTOL,
-              refine: int = REFINE_PASSES) -> np.ndarray:
-        return _refined_solve(self._solve_once, self.matvec, b, rtol, refine)
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return _refined_solve(self._solve_once, self.matvec, b)
 
-    def solve_transpose(self, b: np.ndarray, rtol: float = REFINE_RTOL,
-                        refine: int = REFINE_PASSES) -> np.ndarray:
-        return _refined_solve(self._solve_t_once, self.rmatvec, b, rtol, refine)
+    def solve_transpose(self, b: np.ndarray) -> np.ndarray:
+        return _refined_solve(self._solve_t_once, self.rmatvec, b)
 
     def step_distribution(self, lam: np.ndarray) -> np.ndarray:
         """P_sigma^T lam (one chain step on a distribution)."""
         return self.chain.pt_dot(lam)
 
 
-def _refined_solve(solve_once, apply, b: np.ndarray, rtol: float = REFINE_RTOL,
-                   refine: int = REFINE_PASSES) -> np.ndarray:
+def _refined_solve(solve_once, apply, b: np.ndarray) -> np.ndarray:
     """Solve ``apply(x) = b`` by ``solve_once`` plus iterative refinement.
 
     ``b`` is one right-hand side (n,) or a stack (k, n). Each row stops at
-    its own first pass whose residual is within ``rtol * (1 + max|b|)``, at
-    most ``refine`` passes; a finished row gets a zero correction.
+    its own first pass whose residual is within ``REFINE_RTOL * (1 + max|b|)``,
+    at most ``REFINE_PASSES`` passes; a finished row gets a zero correction.
     """
     x = solve_once(b)
     scale = 1.0 + np.abs(b).max(axis=-1, initial=0.0, keepdims=True)
-    for _ in range(refine):
+    for _ in range(REFINE_PASSES):
         res = b - apply(x)
-        open_rows = np.abs(res).max(axis=-1, initial=0.0, keepdims=True) > rtol * scale
+        open_rows = np.abs(res).max(axis=-1, initial=0.0, keepdims=True) > REFINE_RTOL * scale
         if not open_rows.any():
             break
         x = x + solve_once(np.where(open_rows, res, 0.0))
@@ -385,19 +375,18 @@ def stationary_distribution(game: StochasticGame, sigma: np.ndarray,
 
 
 def value_iteration(game: StochasticGame, tol: float,
-                    v0: np.ndarray | None = None,
                     max_iter: int = 10 ** 7) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
-    """Iterate the Bellman operator until the output is tol-close to v*.
+    """Iterate the Bellman operator from zero until the output is tol-close to v*.
 
     The sweep residual ||v_i - v_{i-1}||_inf is driven below
     tol * (1 - gamma) / (2 gamma), which converts to a true distance bound
     ||v - v*||_inf <= tol via the contraction factor.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0):
+        raise InputError("tol must be positive")
     gamma = game.gamma
     threshold = tol * (1.0 - gamma) / (2.0 * gamma) if gamma > 0 else tol
-    v = np.zeros(game.n_states) if v0 is None else np.asarray(v0, dtype=np.float64).copy()
+    v = np.zeros(game.n_states)
     trace = SolveTrace()
     for it in range(1, max_iter + 1):
         q = q_from_v(game, v)
@@ -455,9 +444,9 @@ def _policy_iteration(game: StochasticGame, pi_init: np.ndarray,
     else:
         owners = np.unique(game.owners)
         if owners.size > 1:
-            raise ValueError("policy_iteration without `fixed` requires a single-player game")
+            raise InputError("policy_iteration without `fixed` requires a single-player game")
         improvable = np.ones(game.n_states, dtype=bool)
-    validate_strategy(game, sigma)
+    game.space.check_strategy(sigma)
 
     evals = trace.policy_evaluations[-1] if trace.policy_evaluations else 0
     for it in range(1, max_iter + 1):
@@ -501,7 +490,7 @@ def strategy_iteration(game: StochasticGame, sigma_init: np.ndarray,
     value just evaluated in step I. Stops when neither step changes anything;
     the result is an exact equilibrium.
     """
-    validate_strategy(game, sigma_init)
+    game.space.check_strategy(sigma_init)
     sigma = np.asarray(sigma_init, dtype=np.int64).copy()
     trace = SolveTrace()
     min_states = game.owners == MIN_PLAYER
@@ -545,7 +534,7 @@ def _strategy_product(game: StochasticGame, limit: int):
     """Every pure strategy as a tuple, refusing more than ``limit`` of them."""
     total = strategy_count(game)
     if total > limit:
-        raise ValueError(f"{total} pure strategies exceed the enumeration cap {limit}")
+        raise InputError(f"{total} pure strategies exceed the enumeration cap {limit}")
     return product(*(range(int(k)) for k in game.space.n_actions))
 
 
@@ -567,12 +556,8 @@ def scan_stack(game: StochasticGame, sigmas: np.ndarray,
     sweeps are NaN in both.
     """
     sigmas = np.asarray(sigmas, dtype=np.int64)
+    game.space.check_strategy(sigmas)
     k, n = sigmas.shape
-    if n != game.n_states:
-        raise ValueError(f"strategy stack shape {sigmas.shape} != (k, {game.n_states})")
-    bad = ((sigmas < 0) | (sigmas >= game.space.n_actions)).any(axis=0)
-    if bad.any():
-        raise ValueError(f"strategy picks invalid action at state {int(np.flatnonzero(bad)[0])}")
     P = game.layout.dense()[game.space.chosen_pairs(sigmas)]
     running = P
 
@@ -627,9 +612,9 @@ def ratio_scan(game: StochasticGame,
         strategies = _strategy_product(game, MAX_ENUMERATED_STRATEGIES)
     else:
         if sample is None or seed is None:
-            raise ValueError("sampled scan needs both `sample` and `seed`")
+            raise InputError("sampled scan needs both `sample` and `seed`")
         if sample < 1:
-            raise ValueError("sampled scan needs `sample` >= 1")
+            raise InputError("sampled scan needs `sample` >= 1")
         rng = np.random.default_rng(seed)
         counts = game.space.n_actions
         strategies = (rng.integers(0, counts) for _ in range(sample))

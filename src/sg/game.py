@@ -15,7 +15,11 @@ Strategies, value vectors and Q-functions are plain numpy arrays:
 * strategy: int array of shape ``(n_states,)``, one action index per state;
 * value vector: float array of shape ``(n_states,)``;
 * Q-function: float array of shape ``(n_pairs,)``, indexed by the flat
-  state-action pair layout exposed through :class:`ActionSpace`.
+  state-action pair layout exposed through :class:`ActionSpace`, which also
+  holds the one check of each of these shapes.
+
+Every library check of a caller-supplied argument or file raises
+:class:`InputError`.
 """
 
 from __future__ import annotations
@@ -39,6 +43,16 @@ PROB_TOL = 1e-9
 # Largest value scale max|r| / (1 - gamma) a game may have: the return
 # variance squares values, and 1e150^2 stays well inside float range.
 MAX_VALUE_SCALE = 1e150
+# Tolerance of the [0, 1] reward range that mirroring and sampling require.
+REWARD_TOL = 1e-12
+
+
+class InputError(ValueError):
+    """A caller-supplied argument or file the library refuses.
+
+    Raised by the library's argument checks only; internal invariants keep
+    their own exception types. The ``sg`` CLI maps it to exit code 2.
+    """
 
 
 @dataclass(frozen=True)
@@ -76,10 +90,35 @@ class ActionSpace:
 
     def pair_index(self, state: int, action: int) -> int:
         if not (0 <= state < self.n_states):
-            raise ValueError(f"invalid state {state}")
+            raise InputError(f"invalid state {state}")
         if not (0 <= action < self.n_actions[state]):
-            raise ValueError(f"invalid action {action} at state {state}")
+            raise InputError(f"invalid action {action} at state {state}")
         return int(self.state_offset[state]) + int(action)
+
+    def check_strategy(self, strategy: np.ndarray) -> None:
+        """Refuse a strategy (n_states,) or a stack of them (k, n_states)
+        that picks an action some state does not have."""
+        strategy = np.asarray(strategy)
+        if strategy.ndim not in (1, 2) or strategy.shape[-1] != self.n_states:
+            raise InputError(f"strategy shape {strategy.shape} != ({self.n_states},) "
+                             f"or (k, {self.n_states})")
+        bad = (strategy < 0) | (strategy >= self.n_actions)
+        if bad.any():
+            raise InputError("strategy picks invalid action at state "
+                             f"{int(np.argwhere(bad)[0, -1])}")
+
+    def value_vector(self, v: np.ndarray) -> np.ndarray:
+        """``v`` as a float array, refused unless it has one entry per state."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (self.n_states,):
+            raise InputError(f"value vector shape {v.shape} != ({self.n_states},)")
+        return v
+
+    def check_unit_rewards(self) -> None:
+        """Refuse rewards outside [0, 1], as mirroring and sampling need."""
+        r = self.rewards
+        if not ((r >= -REWARD_TOL) & (r <= 1.0 + REWARD_TOL)).all():
+            raise InputError("rewards must lie in [0, 1]; apply an affine reward map first")
 
     def chosen_pairs(self, strategy: np.ndarray) -> np.ndarray:
         """Flat pair index selected by ``strategy`` at every state."""
@@ -169,7 +208,6 @@ class StochasticGame:
     gamma: float
     owners: np.ndarray                 # (n_states,) int8, MIN_PLAYER/MAX_PLAYER
     actions: tuple[tuple[Action, ...], ...]
-    reward_bound: float = 1.0
 
     @property
     def n_states(self) -> int:
@@ -251,17 +289,11 @@ def _build_layout(game: StochasticGame) -> GameLayout:
 
 def make_game(gamma: float,
               owners: Sequence[int],
-              actions: Sequence[Sequence[Action]],
-              reward_bound: float | None = None) -> StochasticGame:
-    """Build a game, recording ``reward_bound`` as the max absolute reward."""
+              actions: Sequence[Sequence[Action]]) -> StochasticGame:
     owners_arr = np.asarray(owners, dtype=np.int8)
     owners_arr.setflags(write=False)
-    acts = tuple(tuple(a) for a in actions)
-    if reward_bound is None:
-        all_r = [act.reward for state_acts in acts for act in state_acts]
-        reward_bound = max(1.0, max(abs(r) for r in all_r)) if all_r else 1.0
     return StochasticGame(gamma=float(gamma), owners=owners_arr,
-                          actions=acts, reward_bound=float(reward_bound))
+                          actions=tuple(tuple(a) for a in actions))
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +327,6 @@ def validate(game: StochasticGame) -> list[str]:
                 report.append(f"reward not finite at ({s},{a})")
             else:
                 r_max = max(r_max, abs(act.reward))
-                if abs(act.reward) > game.reward_bound + 1e-12:
-                    report.append(
-                        f"|reward| {abs(act.reward)} exceeds bound "
-                        f"{game.reward_bound} at ({s},{a})")
             if act.uniform:
                 continue
             idx = np.asarray(act.next_states)
@@ -325,16 +353,6 @@ def validate(game: StochasticGame) -> list[str]:
     return report
 
 
-def validate_strategy(game: StochasticGame, strategy: np.ndarray) -> None:
-    strategy = np.asarray(strategy)
-    if strategy.shape != (game.n_states,):
-        raise ValueError(f"strategy shape {strategy.shape} != ({game.n_states},)")
-    n_actions = game.space.n_actions
-    if (strategy < 0).any() or (strategy >= n_actions).any():
-        bad = int(np.flatnonzero((strategy < 0) | (strategy >= n_actions))[0])
-        raise ValueError(f"strategy picks invalid action at state {bad}")
-
-
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -346,9 +364,7 @@ def mirror(game: StochasticGame) -> StochasticGame:
     v'*(s) = 1/(1 - gamma) - v*(s), and its min player plays the role of the
     original max player.
     """
-    r = game.space.rewards
-    if (r < -PROB_TOL).any() or (r > 1.0 + PROB_TOL).any():
-        raise ValueError("mirror requires rewards in [0, 1]")
+    game.space.check_unit_rewards()
     owners = np.where(game.owners == MIN_PLAYER, MAX_PLAYER, MIN_PLAYER).astype(np.int8)
     actions = tuple(
         tuple(Action(reward=1.0 - act.reward, next_states=act.next_states,
@@ -363,8 +379,8 @@ def affine_reward_map(game: StochasticGame, scale: float, offset: float) -> Stoc
     For every strategy the values transform as
     v' = (v + offset / (1 - gamma)) / scale.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not (scale > 0):
+        raise InputError("scale must be positive")
     actions = tuple(
         tuple(Action(reward=(act.reward + offset) / scale, next_states=act.next_states,
                      probs=act.probs, uniform=act.uniform) for act in acts)
@@ -379,10 +395,9 @@ def with_gamma(game: StochasticGame, gamma: float) -> StochasticGame:
     not depend on the discount; only ``gamma`` is swapped.
     """
     if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
+        raise InputError("gamma must lie in (0, 1)")
     lay = game.layout
-    copy = StochasticGame(gamma=float(gamma), owners=game.owners, actions=game.actions,
-                          reward_bound=game.reward_bound)
+    copy = StochasticGame(gamma=float(gamma), owners=game.owners, actions=game.actions)
     # ``layout`` is a cached property: seed the copy's cache with the shared view
     copy.__dict__["layout"] = GameLayout(
         trans=lay.trans, uniform_mask=lay.uniform_mask,
@@ -429,7 +444,7 @@ def from_json_dict(doc: dict) -> StochasticGame:
                     targets = [e["s"] for e in nxt]
                     # exact type test: rejects floats such as 0.7 and booleans
                     if not set(map(type, targets)) <= {int}:
-                        raise ValueError(f"transition targets must be integers: {targets}")
+                        raise InputError(f"transition targets must be integers: {targets}")
                     acts.append(Action(
                         reward=float(entry["reward"]),
                         next_states=np.array(targets, dtype=np.int64),
@@ -437,11 +452,11 @@ def from_json_dict(doc: dict) -> StochasticGame:
                     ))
             actions.append(acts)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed game document: {exc}") from exc
+        raise InputError(f"malformed game document: {exc}") from exc
     game = make_game(gamma, owners, actions)
     report = validate(game)
     if report:
-        raise ValueError("invalid game: " + "; ".join(report))
+        raise InputError("invalid game: " + "; ".join(report))
     return game
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .game import Action, MAX_PLAYER, MIN_PLAYER, StochasticGame, make_game
+from .game import Action, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, make_game
 
 
 def random_game(n_states: int, n_actions: int, gamma: float, seed: int,
@@ -27,7 +27,7 @@ def random_game(n_states: int, n_actions: int, gamma: float, seed: int,
     elif owners == "max":
         tags = np.full(n_states, MAX_PLAYER)
     else:
-        raise ValueError(f"unknown owners spec {owners!r}")
+        raise InputError(f"unknown owners spec {owners!r}")
 
     lo, hi = reward_range
     all_states = np.arange(n_states, dtype=np.int64)

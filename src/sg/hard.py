@@ -27,11 +27,14 @@ import numpy as np
 from .checks import CheckReport, Violation
 from .exact import (SolveTrace, evaluate, improve, policy_iteration,
                     stationary_distribution, strategy_iteration)
-from .game import Action, MAX_PLAYER, MIN_PLAYER, StochasticGame, make_game
+from .game import Action, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, make_game
 
 U, R = 0, 1  # action indices on two-action chain states
 HI1_MIN_T = 48   # smallest HI1 size with s_prime >= 2
 HI2_MIN_T = 400  # smallest HI2 size the default reward scaling supports
+# Largest gap between a scaled mean value and its first-order approximation
+# that ``hi2_vbar_signs`` accepts.
+VBAR_BAND = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +92,16 @@ def build_hi1(T: int, beta_factor: float = 4.0,
     ``s_prime = floor(sqrt(T/12))`` keeps every policy's stationary mass
     within [1/(2T), (s_prime+1)/T]. Requires T >= HI1_MIN_T so s_prime >= 2.
     """
-    if T < HI1_MIN_T:
-        raise ValueError(f"T must be at least {HI1_MIN_T}")
-    if beta_factor < 1.0:
-        raise ValueError("beta_factor must be >= 1")
+    if not (T >= HI1_MIN_T):
+        raise InputError(f"T must be at least {HI1_MIN_T}")
+    if not (beta_factor >= 1.0):
+        raise InputError("beta_factor must be >= 1")
     s_prime = int(math.isqrt(T // 12))
     if 6 * s_prime ** 2 > T // 2:
         raise ValueError("chain too long for the stationary-mass bounds")
     gamma = 1.0 - 1.0 / (beta_factor * T)
+    if not (gamma < 1.0):
+        raise InputError(f"beta_factor * T = {beta_factor * T} rounds gamma to 1")
     meta = Hi1Meta(T=T, s_prime=s_prime, beta_factor=beta_factor, gamma=gamma,
                    r_top=r_top)
 
@@ -310,8 +315,8 @@ def default_hi2_rewards(T: int) -> Hi2Config:
     incumbent tie rule. The per-step chain rewards scale as 1/sqrt(T). The
     configuration is validated exactly by :func:`verify_si_path_hi2`.
     """
-    if T < HI2_MIN_T:
-        raise ValueError(f"T must be at least {HI2_MIN_T}")
+    if not (T >= HI2_MIN_T):
+        raise InputError(f"T must be at least {HI2_MIN_T}")
     root = math.isqrt(T)
     s_prime = max(2, root // 10)
     s_b = max(s_prime + 1, int(0.15 * root))
@@ -337,12 +342,12 @@ def build_hi2(T: int, config: Hi2Config | None = None) -> tuple[StochasticGame, 
     """
     config = config or default_hi2_rewards(T)
     if config.T != T:
-        raise ValueError("config was built for a different T")
+        raise InputError(f"reward config was built for T={config.T}, not {T}")
     c = config
     if not (c.s_b > c.s_prime and c.s_b_prime > c.s_prime):
-        raise ValueError("boosting chains must be longer than the action chains")
+        raise InputError("boosting chains must be longer than the action chains")
     if len(c.switch_rewards) != c.s_prime:
-        raise ValueError("need one switch reward per min-chain state")
+        raise InputError("need one switch reward per min-chain state")
     # Reward ordering/range requirements are verified (and reported) by
     # verify_si_path_hi2 rather than enforced here, so deliberately broken
     # configurations can be used to witness path failures.
@@ -519,15 +524,14 @@ def hi2_mean_value(game: StochasticGame, sigma: np.ndarray) -> float:
     return float(evaluate(game, sigma).mean())
 
 
-def hi2_vbar_signs(T: int, config: Hi2Config | None = None,
-                   band: float = 10.0) -> CheckReport:
+def hi2_vbar_signs(T: int, config: Hi2Config | None = None) -> CheckReport:
     """Sign pattern of the scaled mean values over the strategy grid.
 
     For every min index i and chain depth z, the pair (min_i, max_(i,z)) must
     have negative scaled mean value (the switch route reaches the goal) and
     (min_i, max_(i+1,z)) positive (the switch route escapes it). The positive
     family is also compared against its first-order approximation
-    -(i + S_b + 1) r_goal + (1 + z + S_b') r within an additive band.
+    -(i + S_b + 1) r_goal + (1 + z + S_b') r within ``VBAR_BAND``.
     """
     config = config or default_hi2_rewards(T)
     game, meta = build_hi2(T, config)
@@ -546,7 +550,7 @@ def hi2_vbar_signs(T: int, config: Hi2Config | None = None,
                 violations.append(Violation("vbar-sign:positive", (i, z), y, 0.0, -y))
             approx = (-(i + c.s_b + 1) * c.r_goal
                       + (1 + z + c.s_b_prime) * c.switch_rewards[i])
-            if abs(y - approx) > band:
+            if abs(y - approx) > VBAR_BAND:
                 violations.append(Violation("vbar-sign:band", (i, z), y, approx,
-                                            abs(y - approx) - band))
+                                            abs(y - approx) - VBAR_BAND))
     return CheckReport(passed=not violations, violations=violations)

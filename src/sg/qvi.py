@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .exact import greedy_from_q
+from .game import InputError
 from .sampler import GenerativeModel
 
 DECREASING = "decreasing"
@@ -88,9 +89,9 @@ def derive_constants(consts: QviConstants, u: float, delta: float,
                      n_pairs: int, gamma: float) -> DerivedConstants:
     beta = 1.0 / (1.0 - gamma)
     if not (0.0 < u <= beta):
-        raise ValueError(f"accuracy target u={u} outside (0, beta]")
+        raise InputError(f"accuracy target u={u} outside (0, beta]")
     if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+        raise InputError("delta must lie in (0, 1)")
     # ln(beta/u) vanishes at u = beta; floor the factor so the first run still
     # contracts through its full horizon.
     rounds = consts.rounds_override
@@ -158,7 +159,7 @@ class VSSequence:
     @staticmethod
     def from_json_dict(doc: dict) -> "VSSequence":
         if doc["direction"] not in (DECREASING, INCREASING):
-            raise ValueError(f"unknown sequence direction {doc['direction']!r}")
+            raise InputError(f"unknown sequence direction {doc['direction']!r}")
         consts = doc.get("constants")
         return VSSequence(
             direction=doc["direction"],
@@ -181,26 +182,15 @@ class VSSequence:
             return VSSequence.from_json_dict(json.load(fh))
 
 
-def _check_inputs(model: GenerativeModel, v0: np.ndarray, sigma0: np.ndarray) -> None:
-    r = model.rewards
-    if (r < -1e-12).any() or (r > 1.0 + 1e-12).any():
-        raise ValueError("sampling-based solvers require rewards in [0, 1]")
-    if v0.shape != (model.n_states,):
-        raise ValueError("v0 must have one entry per state")
-    if sigma0.shape != (model.n_states,):
-        raise ValueError("sigma0 must have one entry per state")
-    counts = model.space.n_actions
-    if (sigma0 < 0).any() or (sigma0 >= counts).any():
-        raise ValueError("sigma0 picks an invalid action")
-
-
 def _qvi_run(model: GenerativeModel, u: float, delta: float,
              v0: np.ndarray, sigma0: np.ndarray,
              consts: QviConstants, sign: float) -> VSSequence:
     """Shared body of both monotone runs; sign=+1 decreasing, -1 increasing."""
-    v0 = np.asarray(v0, dtype=np.float64)
+    space = model.space
+    space.check_unit_rewards()
+    v0 = space.value_vector(v0)
     sigma0 = np.asarray(sigma0, dtype=np.int64)
-    _check_inputs(model, v0, sigma0)
+    space.check_strategy(sigma0)
     d = derive_constants(consts, u, delta, model.n_pairs, model.gamma)
     gamma, beta = model.gamma, d.beta
     r = model.rewards
@@ -307,12 +297,13 @@ def planned_samples(n_pairs: int, gamma: float, epsilon: float, delta: float,
 
 
 def _halving_chain(model: GenerativeModel, epsilon: float, delta: float,
-                   consts: QviConstants, player: str):
+                   consts: QviConstants, player: str) -> tuple[list[VSSequence], list[bool]]:
+    """The decreasing runs of one halving chain and each run's invariant flag."""
     beta = 1.0 / (1.0 - model.gamma)
     u_schedule, delta_round = _schedule(model.gamma, epsilon, delta)
     v = np.full(model.n_states, beta)
     sigma = np.zeros(model.n_states, dtype=np.int64)
-    constants, oks, seqs = [], [], []
+    oks, seqs = [], []
     for j, u_j in enumerate(u_schedule):
         start = time.perf_counter()
         seq = qvi_mdvss(model, u_j, delta_round, v, sigma, consts)
@@ -324,10 +315,9 @@ def _halving_chain(model: GenerativeModel, epsilon: float, delta: float,
                  "samples=%d seconds=%.3f round_ok=%s", j, player, u_j, d.rounds, d.m1, d.m2,
                  seq.samples_used, time.perf_counter() - start, ok)
         v, sigma = seq.terminal_value.copy(), seq.terminal_strategy.copy()
-        constants.append(d)
         oks.append(ok)
         seqs.append(seq)
-    return v, sigma, u_schedule, constants, oks, seqs
+    return seqs, oks
 
 
 def solve(model: GenerativeModel, epsilon: float, delta: float,
@@ -342,32 +332,26 @@ def solve(model: GenerativeModel, epsilon: float, delta: float,
     chain on the role-swapped game.
     """
     if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must lie in (0, 1)")
+        raise InputError("epsilon must lie in (0, 1)")
     if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+        raise InputError("delta must lie in (0, 1)")
     consts = consts or QviConstants()
 
-    v, sigma, schedule, constants, oks, seqs = _halving_chain(
-        model, epsilon, delta, consts, "min")
-
+    seqs, oks = _halving_chain(model, epsilon, delta, consts, "min")
     max_strategy = None
     mirror_seqs: list[VSSequence] = []
-    mirror_total = 0
     if both_players:
-        mirrored = model.mirrored()
-        _, max_strategy, _, _, _, mirror_seqs = _halving_chain(
-            mirrored, epsilon, delta, consts, "max")
-        mirror_total, _ = mirrored.sample_count()
+        mirror_seqs, _ = _halving_chain(model.mirrored(), epsilon, delta, consts, "max")
+        max_strategy = mirror_seqs[-1].terminal_strategy.copy()
 
-    total, _ = model.sample_count()
     return SolveResult(
-        min_strategy=sigma,
+        min_strategy=seqs[-1].terminal_strategy.copy(),
         max_strategy=max_strategy,
-        value_estimate=v,
-        u_schedule=schedule,
-        round_constants=constants,
+        value_estimate=seqs[-1].terminal_value.copy(),
+        u_schedule=[s.constants.u for s in seqs],
+        round_constants=[s.constants for s in seqs],
         round_ok=oks,
-        total_samples=total + mirror_total,
+        total_samples=sum(s.samples_used for s in seqs + mirror_seqs),
         sequences=seqs,
         mirror_sequences=mirror_seqs,
     )

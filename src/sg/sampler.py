@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import ActionSpace, StochasticGame, mirror
+from .game import ActionSpace, InputError, StochasticGame, mirror
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class GenerativeModel:
 
     def __init__(self, game: StochasticGame, master_seed: int, _salt: int = 0):
         if not isinstance(master_seed, (int, np.integer)):
-            raise TypeError("master_seed must be an integer")
+            raise InputError("master_seed must be an integer")
         self._game = game
         self._layout = game.layout
         self.master_seed = int(master_seed)
@@ -82,7 +82,7 @@ class GenerativeModel:
         Returns an array of shape (len(xs), n_pairs).
         """
         if m < 1:
-            raise ValueError("batch size must be >= 1")
+            raise InputError("batch size must be >= 1")
         counts = self._rng.multinomial(m, self._probs)
         self._draws += m
         return np.vecdot(np.stack(xs)[:, self._support], counts) / m
@@ -96,18 +96,13 @@ class GenerativeModel:
 
     def estimate_mean_and_var(self, v: np.ndarray, m: int) -> BatchEstimate:
         """Empirical mean and variance of v(s') per pair from m fresh draws."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.n_states,):
-            raise ValueError(f"value vector shape {v.shape} != ({self.n_states},)")
+        v = self.space.value_vector(v)
         mean, second = self._batch_means(m, v, v * v)
         return BatchEstimate(mean=mean, variance=np.maximum(second - mean * mean, 0.0))
 
     def estimate_diff_mean(self, v: np.ndarray, v0: np.ndarray, m: int) -> BatchEstimate:
         """Empirical mean of v(s') - v0(s') per pair from m fresh draws."""
-        v = np.asarray(v, dtype=np.float64)
-        v0 = np.asarray(v0, dtype=np.float64)
-        if v.shape != v0.shape or v.shape != (self.n_states,):
-            raise ValueError("v and v0 must both have one entry per state")
+        v, v0 = self.space.value_vector(v), self.space.value_vector(v0)
         return BatchEstimate(mean=self._batch_means(m, v - v0)[0], variance=None)
 
     # -- accounting --------------------------------------------------------

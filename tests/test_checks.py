@@ -7,7 +7,7 @@ from sg.checks import (MarkovianPlan, check_eps_optimal_implication,
                        check_mdvss, check_mivss, markovian_evaluate,
                        variance_bellman_residual, variance_of_value)
 from sg.exact import enumerate_strategies, evaluate, q_from_v, value_iteration
-from sg.game import Action, MIN_PLAYER, make_game
+from sg.game import Action, InputError, MIN_PLAYER, make_game
 from sg.generate import random_game
 from sg.qvi import DECREASING, INCREASING, VSSequence
 
@@ -137,6 +137,22 @@ def test_eps_override_is_respected():
     seq.q_values[1] += 1e-4  # breaks the zero-error band...
     assert not check_mdvss(g, seq).passed
     assert check_mdvss(g, seq, eps_override=1e-3).passed  # ... but fits a wider one
+
+
+@pytest.mark.parametrize("bounds, eps_override, message", [
+    (lambda n_pairs: np.full((3, n_pairs), np.nan), None, "non-finite"),
+    (lambda n_pairs: np.full((3, 1), 5.0), None, "does not fit"),
+    (lambda n_pairs: np.zeros((3, n_pairs)), np.nan, "non-finite"),
+], ids=["nan-bounds", "column-bounds", "nan-eps-override"])
+def test_bounds_that_would_hide_a_broken_q_are_refused(bounds, eps_override, message):
+    # Q raised 5.0 above the exact backup: NaN or broadcast bounds of 5.0
+    # would let it pass property 3, so the sequence is refused instead.
+    g = random_game(5, 2, 0.9, seed=7)
+    seq = fixed_point_sequence(g)
+    seq.q_values[1] += 5.0
+    seq.error_bounds = bounds(g.n_pairs)
+    with pytest.raises(InputError, match=message):
+        check_mdvss(g, seq, eps_override=eps_override)
 
 
 def test_eps_optimal_implication_at_fixed_point():

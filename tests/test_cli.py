@@ -1,13 +1,15 @@
 """CLI harness: subcommands, exit codes, deterministic CSV output."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sg.cli import main, write_csv
 from sg.exact import SolveTrace, value_iteration
-from sg.game import save_game
+from sg.game import make_game, save_game
+from sg.hard import default_hi2_rewards
 from sg.generate import random_game
 from sg.qvi import VSSequence, qvi_mdvss, QviConstants
 from sg.sampler import GenerativeModel
@@ -220,6 +222,29 @@ def test_out_of_range_argument_exits_2(argv, game_file, capsys):
     if argv[0] == "solve":
         argv = argv + ["--game", path]
     assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--hi1", "47"],
+    ["solve", "--hi2", "399"],
+    ["hard", "si", "--T", "399"],
+    ["solve", "--hi1", "48", "--beta-factor", "nan"],
+    ["solve", "--game", "{game}", "--method", "vi", "--eps", "nan"],
+    ["hard", "si", "--T", "500", "--rewards", "{config400}"],
+    ["solve", "--game", "{reward15}", "--method", "qvi", "--seed", "1"],
+])
+def test_library_input_checks_exit_2(argv, game_file, tmp_path, capsys):
+    # each argument is checked by the library alone; the CLI only maps the refusal
+    g, path = game_file
+    config = tmp_path / "hi2-400.json"
+    config.write_text(json.dumps(default_hi2_rewards(400).to_json_dict()))
+    actions = [list(acts) for acts in g.actions]
+    actions[0][0] = replace(actions[0][0], reward=1.5)
+    high = tmp_path / "reward15.json"
+    save_game(make_game(g.gamma, g.owners, actions), str(high))
+    files = {"{game}": path, "{config400}": str(config), "{reward15}": str(high)}
+    assert main([files.get(a, a) for a in argv]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"]
 
 

@@ -12,7 +12,7 @@ from sg.exact import (apply_strategy, bellman, best_response, enumerate_strategi
                       policy_iteration, q_from_v, ratio_scan, scan_stack,
                       stationary_distribution, strategy_iteration,
                       value_iteration)
-from sg.game import Action, MAX_PLAYER, MIN_PLAYER, make_game, mirror, with_gamma
+from sg.game import Action, InputError, MAX_PLAYER, MIN_PLAYER, make_game, mirror, with_gamma
 from sg.generate import random_game
 from sg.hard import build_hi1, build_hi2, hi1_mean_value
 
@@ -93,6 +93,12 @@ def test_value_iteration_stops_on_overflowing_values():
         [Action(reward=0.0, next_states=np.array([0]), probs=np.array([1.0]))]])
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         value_iteration(g, 0.01, max_iter=50)
+
+
+def test_value_iteration_refuses_a_nan_tolerance():
+    g = random_game(4, 2, 0.9, seed=0)
+    with pytest.raises(InputError, match="tol"):
+        value_iteration(g, float("nan"), max_iter=1000)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import sg
+import sg.cli
 from sg.game import (Action, MAX_PLAYER, MIN_PLAYER, affine_reward_map,
                      from_json_dict, load_game, make_game, mirror,
                      save_game, to_json_dict, validate)
@@ -17,6 +19,12 @@ def one_state_loop(reward=0.5, gamma=0.9, p=1.0):
     return make_game(gamma, [MAX_PLAYER], [[
         Action(reward=reward, next_states=np.array([0]), probs=np.array([p]))
     ]])
+
+
+def test_input_error_is_one_value_error_type():
+    # existing ``except ValueError`` callers keep catching every input check
+    assert issubclass(sg.InputError, ValueError)
+    assert sg.InputError is sg.game.InputError is sg.cli.InputError
 
 
 def test_validate_minimal_game():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sg.exact import evaluate, policy_iteration, stationary_distribution
-from sg.game import MAX_PLAYER, MIN_PLAYER, affine_reward_map, validate
+from sg.game import InputError, MAX_PLAYER, MIN_PLAYER, affine_reward_map, validate
 from sg.hard import (Hi2Config, build_hi1, build_hi2, default_hi2_rewards,
                      hi1_distribution_bounds, hi1_mean_value, hi2_vbar_signs,
                      si_single_flip_count, verify_pi_path_hi1,
@@ -32,6 +32,12 @@ def test_hi1_structure():
 def test_hi1_rejects_small_T():
     with pytest.raises(ValueError):
         build_hi1(30)
+
+
+@pytest.mark.parametrize("beta_factor", [float("nan"), float("inf"), 1e300])
+def test_hi1_rejects_a_beta_factor_without_a_discount_below_one(beta_factor):
+    with pytest.raises(InputError, match="beta_factor"):
+        build_hi1(48, beta_factor=beta_factor)
 
 
 def test_hi1_stationary_closed_forms_exact():

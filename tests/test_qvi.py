@@ -249,6 +249,17 @@ def test_planned_samples_match_solve(both_players):
     assert planned_samples(80, 0.9, 0.05, 0.1, True) == 574_653_120
 
 
+def test_total_samples_counts_only_this_solve():
+    g = random_game(3, 2, 0.5, seed=8)
+    model = GenerativeModel(g, master_seed=9)
+    planned = planned_samples(g.n_pairs, g.gamma, 0.3, 0.1, True)
+    for _ in range(2):  # the second solve reuses the model and its counter
+        res = solve(model, epsilon=0.3, delta=0.1)
+        assert res.total_samples == planned
+    # the model's own counter keeps growing: two min chains, half the plan each
+    assert model.sample_count()[0] == planned
+
+
 def test_halving_rounds_are_logged(caplog):
     g = random_game(6, 2, 0.9, seed=8)
     model = GenerativeModel(g, master_seed=9)
