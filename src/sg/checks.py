@@ -10,14 +10,13 @@ return to the per-step variance-of-value vectors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exact import (apply_strategy, best_response, evaluate, greedy_from_q,
                     half_from_q, q_from_v, value_iteration, PolicyLinearSystem)
-from .game import InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame
+from .game import InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, write_json
 from .qvi import DECREASING, INCREASING, VSSequence
 
 CHECK_SLACK = 1e-8
@@ -39,8 +38,11 @@ class Violation:
 
 @dataclass
 class CheckReport:
-    passed: bool
     violations: list[Violation] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def summary(self) -> str:
         if self.passed:
@@ -62,13 +64,7 @@ class CheckReport:
         }
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
-
-
-def _report(violations: list[Violation]) -> CheckReport:
-    return CheckReport(passed=not violations, violations=violations)
+        write_json(path, self.to_json_dict(), indent=1)
 
 
 def _collect(violations: list[Violation], prop: str, bad_mask: np.ndarray,
@@ -104,8 +100,7 @@ def _optimal_value(game: StochasticGame, vstar: np.ndarray | None) -> np.ndarray
 
 
 def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
-                    eps_override, slack: float,
-                    vstar: np.ndarray | None) -> CheckReport:
+                    eps_override, vstar: np.ndarray | None) -> CheckReport:
     """Shared body: sign=+1 checks a decreasing run, -1 an increasing one.
 
     Refuses a sequence whose arrays do not fit the game or hold non-finite
@@ -136,11 +131,11 @@ def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
 
         # property 1: monotone chain bounded by v*
         if i + 1 < n_entries:
-            gap = sign * (seq.values[i + 1] - v_i) - slack
+            gap = sign * (seq.values[i + 1] - v_i) - CHECK_SLACK
             _collect(violations, "1:chain", gap > 0, seq.values[i + 1], v_i, gap,
                      lambda s, i=i: (i, s))
         if i == n_entries - 1:
-            gap = sign * (vstar - v_i) - slack
+            gap = sign * (vstar - v_i) - CHECK_SLACK
             _collect(violations, "1:optimal-bound", gap > 0, v_i, vstar, gap,
                      lambda s, i=i: (i, s))
 
@@ -151,7 +146,7 @@ def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
             ("2:T", greedy_from_q(game.space, q_i)[0]),
             ("2:half", half_from_q(game.space, q_i, sigma_i, owned)),
         ):
-            gap = sign * (backup - v_i) - slack
+            gap = sign * (backup - v_i) - CHECK_SLACK
             _collect(violations, name, gap > 0, backup, v_i, gap,
                      lambda s, i=i: (i, s))
 
@@ -159,42 +154,39 @@ def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
             # property 3: Q against the exact one-step backup of v_{i-1}
             eps_i = seq.error_bounds[i] if eps_override is None else eps_override
             target = q_prev + sign * eps_i
-            gap = sign * (seq.q_values[i] - target) - slack
+            gap = sign * (seq.q_values[i] - target) - CHECK_SLACK
             _collect(violations, "3:q-backup", gap > 0, seq.q_values[i], target, gap,
                      lambda p, i=i: (i, p))
 
             # property 4: value consistent with its own Q
             vq, _ = greedy_from_q(game.space, seq.q_values[i])
-            gap = sign * (v_i - vq) - slack
+            gap = sign * (v_i - vq) - CHECK_SLACK
             _collect(violations, "4:greedy", gap > 0, v_i, vq, gap,
                      lambda s, i=i: (i, s))
         q_prev = q_i
 
-    return _report(violations)
+    return CheckReport(violations)
 
 
 def check_mdvss(game: StochasticGame, seq: VSSequence,
                 eps_override: np.ndarray | float | None = None,
-                slack: float = CHECK_SLACK,
                 vstar: np.ndarray | None = None) -> CheckReport:
     """Certify a decreasing sequence: chain above v*, one-sided backups, Q bounds."""
     if seq.direction != DECREASING:
         raise InputError(f"expected a decreasing sequence, got {seq.direction}")
-    return _check_sequence(game, seq, +1.0, eps_override, slack, vstar)
+    return _check_sequence(game, seq, +1.0, eps_override, vstar)
 
 
 def check_mivss(game: StochasticGame, seq: VSSequence,
                 eps_override: np.ndarray | float | None = None,
-                slack: float = CHECK_SLACK,
                 vstar: np.ndarray | None = None) -> CheckReport:
     """Mirror certification for an increasing sequence."""
     if seq.direction != INCREASING:
         raise InputError(f"expected an increasing sequence, got {seq.direction}")
-    return _check_sequence(game, seq, -1.0, eps_override, slack, vstar)
+    return _check_sequence(game, seq, -1.0, eps_override, vstar)
 
 
 def check_eps_optimal_implication(game: StochasticGame, seq: VSSequence,
-                                  slack: float = CHECK_SLACK,
                                   vstar: np.ndarray | None = None) -> CheckReport:
     """Terminal strategy quality implied by a valid sequence.
 
@@ -209,10 +201,10 @@ def check_eps_optimal_implication(game: StochasticGame, seq: VSSequence,
     _, v_resp = best_response(game, seq.terminal_strategy, player)
     violations: list[Violation] = []
     bound = vstar + sign * eps
-    gap = sign * (v_resp - bound) - slack
+    gap = sign * (v_resp - bound) - CHECK_SLACK
     _collect(violations, "eps-optimal", gap > 0, v_resp, bound, gap,
              lambda s: (s,))
-    return _report(violations)
+    return CheckReport(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +257,13 @@ def markovian_evaluate(game: StochasticGame, plan: MarkovianPlan) -> tuple[list[
     return values, w
 
 
-def variance_bellman_residual(game: StochasticGame, plan: MarkovianPlan,
-                              truncation: float = 1e-12) -> float:
+def variance_bellman_residual(game: StochasticGame, plan: MarkovianPlan) -> float:
     """Max residual between the two routes to the return variance.
 
     Route one is the backward second-moment recursion of
     :func:`markovian_evaluate`; route two accumulates the series
     sum_t gamma^(2(t+1)) P_0 ... P_{t-1} var(v_{t+1})_{sigma_t}, truncated
-    once gamma^(2t) beta^2 drops below ``truncation``.
+    once gamma^(2t) beta^2 drops below 1e-12.
     """
     values, var_direct = markovian_evaluate(game, plan)
     gamma = game.gamma
@@ -289,7 +280,7 @@ def variance_bellman_residual(game: StochasticGame, plan: MarkovianPlan,
     total = np.zeros(n)
     product = np.eye(n)
     t = 0
-    while gamma ** (2 * t) * beta ** 2 >= truncation:
+    while gamma ** (2 * t) * beta ** 2 >= 1e-12:
         sigma_t = stage_sigma(t)
         w_t = _var_under(game, sigma_t, stage_value(t + 1))
         total = total + gamma ** (2 * (t + 1)) * (product @ w_t)

@@ -10,13 +10,13 @@ Subcommands:
 * ``scaling`` - sweep the big-batch size and report the error/log-slope
 
 Exit codes: 0 when every requested check passes, 1 when a check fails,
-2 on malformed input, including out-of-range arguments. The library checks
-every argument it receives and raises :class:`sg.game.InputError`, which
-``main`` turns into exit 2 with a JSON error on stderr; the harness itself
-checks only what never reaches the library: the game-source count,
-``--seed``, ``--sample`` and ``--trials``. All randomness flows from
-``--seed``; commands that need randomness fail without it rather than fall
-back to a clock seed.
+2 on malformed input: an out-of-range argument or an unreadable or malformed
+JSON file. The library checks every argument and document (read by
+``sg.game.read_json``) and raises :class:`sg.game.InputError`, the one
+exception ``main`` maps, to exit 2 with a JSON error on stderr. The harness
+checks only the game-source count, ``--seed``, ``--sample`` and ``--trials``.
+All randomness flows from ``--seed``; commands that need randomness fail
+without it rather than fall back to a clock seed.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import checks as checks_mod
 from . import exact, game as game_mod, hard, qvi
-from .game import InputError
+from .game import InputError, read_json
 from .generate import clustered_game
 from .sampler import GenerativeModel
 
@@ -50,10 +51,7 @@ def _load_game_arg(args) -> game_mod.StochasticGame:
     sources = [s for s in ("game", "hi1", "hi2") if getattr(args, s, None) is not None]
     _require(len(sources) == 1, "exactly one of --game/--hi1/--hi2 is required")
     if args.game is not None:
-        try:
-            return game_mod.load_game(args.game)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot load game: {exc}") from exc
+        return game_mod.load_game(args.game)
     if args.hi1 is not None:
         g, _ = hard.build_hi1(args.hi1, beta_factor=args.beta_factor)
         return g
@@ -62,16 +60,6 @@ def _load_game_arg(args) -> game_mod.StochasticGame:
     if getattr(args, "method", None) == "qvi":
         return game_mod.affine_reward_map(g, scale=2.0, offset=1.0)
     return g
-
-
-def _load_constants(path: str | None) -> qvi.QviConstants:
-    if path is None:
-        return qvi.QviConstants()
-    try:
-        with open(path) as fh:
-            return qvi.QviConstants.from_json_dict(json.load(fh))
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load constants: {exc}") from exc
 
 
 def _require(ok: bool, message: str) -> None:
@@ -139,7 +127,8 @@ def cmd_solve(args) -> int:
 
     # qvi
     seed = _need_seed(args)
-    consts = _load_constants(args.constants)
+    consts = (read_json(args.constants, qvi.QviConstants.from_json_dict)
+              if args.constants else qvi.QviConstants())
     model = GenerativeModel(g, master_seed=seed)
     result = qvi.solve(model, epsilon=args.eps, delta=args.delta, consts=consts)
     _print_value(result.value_estimate, result.min_strategy)
@@ -171,13 +160,7 @@ def cmd_hard_pi(args) -> int:
 
 
 def cmd_hard_si(args) -> int:
-    config = None
-    if args.rewards:
-        try:
-            with open(args.rewards) as fh:
-                config = hard.Hi2Config.from_json_dict(json.load(fh))
-        except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot load reward config: {exc}") from exc
+    config = read_json(args.rewards, hard.Hi2Config.from_json_dict) if args.rewards else None
     trace, report = hard.verify_si_path_hi2(args.T, config)
     print(report.summary())
     print(f"single-action corrections: {hard.si_single_flip_count(trace)}")
@@ -206,15 +189,10 @@ def cmd_flux(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        g = game_mod.load_game(args.game)
-        seq = qvi.VSSequence.load(args.seq)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load inputs: {exc}") from exc
-    if seq.direction == qvi.DECREASING:
-        report = checks_mod.check_mdvss(g, seq, eps_override=args.eps_override)
-    else:
-        report = checks_mod.check_mivss(g, seq, eps_override=args.eps_override)
+    g = game_mod.load_game(args.game)
+    seq = qvi.VSSequence.load(args.seq)
+    check = checks_mod.check_mdvss if seq.direction == qvi.DECREASING else checks_mod.check_mivss
+    report = check(g, seq, eps_override=args.eps_override)
     print(report.summary())
     if args.out:
         report.save(args.out)
@@ -242,9 +220,8 @@ def scaling_sweep(seed: int, trials: int,
     for m1 in m1_values:
         for t in range(trials):
             model = GenerativeModel(g, master_seed=seed * 10 ** 9 + m1 * 100 + t)
-            run_consts = qvi.QviConstants(**{**consts.to_json_dict(),
-                                             "m1_override": m1})
-            seq = qvi.qvi_mdvss(model, u, 0.1, vstar + u, sstar, run_consts)
+            seq = qvi.qvi_mdvss(model, u, 0.1, vstar + u, sstar,
+                                replace(consts, m1_override=m1))
             err = float(np.abs(seq.terminal_value - vstar).max())
             rows.append((m1, t, err))
             xs.append(np.log10(m1))

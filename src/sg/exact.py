@@ -25,6 +25,8 @@ from .game import ActionSpace, InputError, MIN_PLAYER, StochasticGame
 EVAL_RESIDUAL_TOL = 1e-10
 STATIONARY_TOL = 1e-10
 FLUX_SUM_RTOL = 1e-8
+PI_MAX_ITER = 10 ** 6
+SI_MAX_OUTER = 10 ** 5
 # Iterative refinement of every linear solve (see ``_refined_solve``).
 REFINE_RTOL = 1e-13
 REFINE_PASSES = 4
@@ -435,9 +437,11 @@ def _policy_iteration(game: StochasticGame, pi_init: np.ndarray,
 
     Returns the final strategy and its exact value (the last evaluation).
     """
+    game.space.check_strategy(pi_init)
     sigma = np.asarray(pi_init, dtype=np.int64).copy()
     if fixed is not None:
         player, fixed_sigma = fixed
+        game.space.check_strategy(fixed_sigma)
         owned = game.owners == player
         sigma[owned] = np.asarray(fixed_sigma)[owned]
         improvable = ~owned
@@ -446,7 +450,6 @@ def _policy_iteration(game: StochasticGame, pi_init: np.ndarray,
         if owners.size > 1:
             raise InputError("policy_iteration without `fixed` requires a single-player game")
         improvable = np.ones(game.n_states, dtype=bool)
-    game.space.check_strategy(sigma)
 
     evals = trace.policy_evaluations[-1] if trace.policy_evaluations else 0
     for it in range(1, max_iter + 1):
@@ -462,7 +465,7 @@ def _policy_iteration(game: StochasticGame, pi_init: np.ndarray,
 
 def policy_iteration(game: StochasticGame, pi_init: np.ndarray,
                      fixed: tuple[int, np.ndarray] | None = None,
-                     max_iter: int = 10 ** 6) -> tuple[np.ndarray, SolveTrace]:
+                     max_iter: int = PI_MAX_ITER) -> tuple[np.ndarray, SolveTrace]:
     """Howard policy iteration with exact evaluations.
 
     ``fixed=(player, strategy)`` freezes one player's actions, turning the
@@ -479,9 +482,7 @@ def policy_iteration(game: StochasticGame, pi_init: np.ndarray,
 # strategy iteration
 
 
-def strategy_iteration(game: StochasticGame, sigma_init: np.ndarray,
-                       max_outer: int = 10 ** 5,
-                       max_inner: int = 10 ** 6) -> tuple[np.ndarray, SolveTrace]:
+def strategy_iteration(game: StochasticGame, sigma_init: np.ndarray) -> tuple[np.ndarray, SolveTrace]:
     """Two-step equilibrium scheme.
 
     Each outer iteration (I) fully optimizes the max player against the
@@ -494,10 +495,10 @@ def strategy_iteration(game: StochasticGame, sigma_init: np.ndarray,
     sigma = np.asarray(sigma_init, dtype=np.int64).copy()
     trace = SolveTrace()
     min_states = game.owners == MIN_PLAYER
-    for _ in range(max_outer):
+    for _ in range(SI_MAX_OUTER):
         before = sigma.copy()
         sigma, v = _policy_iteration(game, sigma, (MIN_PLAYER, sigma), trace,
-                                     "max-pi", max_inner)
+                                     "max-pi", PI_MAX_ITER)
         changed_max = bool((sigma != before).any())
 
         new_sigma, flips, residual = improve(game, v, sigma, min_states)
@@ -507,7 +508,7 @@ def strategy_iteration(game: StochasticGame, sigma_init: np.ndarray,
 
         if not changed_max and not changed_min:
             return sigma, trace
-    raise RuntimeError(f"strategy iteration exceeded {max_outer} outer iterations")
+    raise RuntimeError(f"strategy iteration exceeded {SI_MAX_OUTER} outer iterations")
 
 
 def best_response(game: StochasticGame, sigma: np.ndarray, player: int) -> tuple[np.ndarray, np.ndarray]:
@@ -517,7 +518,7 @@ def best_response(game: StochasticGame, sigma: np.ndarray, player: int) -> tuple
     taken from ``sigma`` on their states.
     """
     trace = SolveTrace()
-    joint, v = _policy_iteration(game, sigma, (player, sigma), trace, "", 10 ** 6)
+    joint, v = _policy_iteration(game, sigma, (player, sigma), trace, "", PI_MAX_ITER)
     return joint, v
 
 

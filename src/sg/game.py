@@ -19,12 +19,16 @@ Strategies, value vectors and Q-functions are plain numpy arrays:
   holds the one check of each of these shapes.
 
 Every library check of a caller-supplied argument or file raises
-:class:`InputError`.
+:class:`InputError`; every JSON file goes through :func:`read_json` and
+:func:`write_json`.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
@@ -300,6 +304,12 @@ def make_game(gamma: float,
 # validation
 
 
+def _valid(game: StochasticGame) -> StochasticGame:
+    if report := validate(game):
+        raise InputError("invalid game: " + "; ".join(report))
+    return game
+
+
 def validate(game: StochasticGame) -> list[str]:
     """Return a report listing every violated structural invariant.
 
@@ -385,7 +395,7 @@ def affine_reward_map(game: StochasticGame, scale: float, offset: float) -> Stoc
         tuple(Action(reward=(act.reward + offset) / scale, next_states=act.next_states,
                      probs=act.probs, uniform=act.uniform) for act in acts)
         for acts in game.actions)
-    return make_game(game.gamma, game.owners, actions)
+    return _valid(make_game(game.gamma, game.owners, actions))
 
 
 def with_gamma(game: StochasticGame, gamma: float) -> StochasticGame:
@@ -406,7 +416,47 @@ def with_gamma(game: StochasticGame, gamma: float) -> StochasticGame:
 
 
 # ---------------------------------------------------------------------------
-# JSON game files
+# JSON documents
+
+
+def finite_number(x) -> bool:
+    """True for a real number, not a bool, that fits a finite float."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def check_fields(obj, names: str, ok, rule: str) -> None:
+    """Refuse the first of the fields ``names`` of ``obj`` that fails ``ok``."""
+    for name in names.split():
+        if not ok(value := getattr(obj, name)):
+            raise InputError(f"{name} must be {rule}, got {value!r}")
+
+
+@contextmanager
+def refuse_malformed(kind: str):
+    """Guard of every ``from_json_dict``: a missing key or wrong type raises InputError."""
+    try:
+        yield
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        detail = exc if isinstance(exc, InputError) else repr(exc)
+        raise InputError(f"malformed {kind} document: {detail}") from exc
+
+
+def read_json(path: str, parse):
+    """``parse`` of the JSON file ``path``; an unreadable or non-JSON file raises InputError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, RecursionError, ValueError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    return parse(doc)
+
+
+def write_json(path: str, doc: dict, indent: int | None = None) -> None:
+    """Write ``doc`` to ``path`` as JSON and a newline; games and reports use indent 1."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")
 
 
 def to_json_dict(game: StochasticGame) -> dict:
@@ -429,7 +479,7 @@ def to_json_dict(game: StochasticGame) -> dict:
 
 
 def from_json_dict(doc: dict) -> StochasticGame:
-    try:
+    with refuse_malformed("game"):
         gamma = float(doc["gamma"])
         owners = []
         actions = []
@@ -451,21 +501,12 @@ def from_json_dict(doc: dict) -> StochasticGame:
                         probs=np.array([e["p"] for e in nxt], dtype=np.float64),
                     ))
             actions.append(acts)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed game document: {exc}") from exc
-    game = make_game(gamma, owners, actions)
-    report = validate(game)
-    if report:
-        raise InputError("invalid game: " + "; ".join(report))
-    return game
+    return _valid(make_game(gamma, owners, actions))
 
 
 def save_game(game: StochasticGame, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_json_dict(game), fh, indent=1)
-        fh.write("\n")
+    write_json(path, to_json_dict(game), indent=1)
 
 
 def load_game(path: str) -> StochasticGame:
-    with open(path) as fh:
-        return from_json_dict(json.load(fh))
+    return read_json(path, from_json_dict)

@@ -48,8 +48,7 @@ def random_game(n_states: int, n_actions: int, gamma: float, seed: int,
     return make_game(gamma, tags, actions)
 
 
-def clustered_game(n_states: int, n_actions: int, gamma: float, seed: int,
-                   stickiness: float = 0.9) -> StochasticGame:
+def clustered_game(n_states: int, n_actions: int, gamma: float, seed: int) -> StochasticGame:
     """Two weakly coupled clusters with low and high rewards.
 
     The value function spreads across almost the whole [0, 1/(1-gamma)]
@@ -57,6 +56,7 @@ def clustered_game(n_states: int, n_actions: int, gamma: float, seed: int,
     sample-error scaling experiment where that variance must dominate.
     """
     rng = np.random.default_rng(seed)
+    stickiness = 0.9  # share of each row's mass kept in its own cluster
     half = n_states // 2
     cluster = np.arange(n_states) < half
     all_states = np.arange(n_states, dtype=np.int64)

@@ -27,7 +27,8 @@ import numpy as np
 from .checks import CheckReport, Violation
 from .exact import (SolveTrace, evaluate, improve, policy_iteration,
                     stationary_distribution, strategy_iteration)
-from .game import Action, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, make_game
+from .game import (Action, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame,
+                   check_fields, finite_number, make_game, refuse_malformed)
 
 U, R = 0, 1  # action indices on two-action chain states
 HI1_MIN_T = 48   # smallest HI1 size with s_prime >= 2
@@ -167,7 +168,7 @@ def verify_pi_path_hi1(T: int, beta_factor: float = 4.0) -> tuple[SolveTrace, Ch
         violations.append(Violation("pi-path:suboptimality", (i_wit,),
                                     gap, 0.1 * meta.r_top, 0.0))
 
-    return trace, CheckReport(passed=not violations, violations=violations)
+    return trace, CheckReport(violations)
 
 
 def hi1_distribution_bounds(T: int, num_policies: int, seed: int,
@@ -192,7 +193,7 @@ def hi1_distribution_bounds(T: int, num_policies: int, seed: int,
             violations.append(Violation("hi1-bounds:lower", (k,), float(lam.min()), lo, 0.0))
         if float(lam.max()) > hi + 1e-12:
             violations.append(Violation("hi1-bounds:upper", (k,), float(lam.max()), hi, 0.0))
-    return CheckReport(passed=not violations, violations=violations)
+    return CheckReport(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +220,21 @@ class Hi2Config:
     r_delta_prime: float
     gamma: float
 
+    def __post_init__(self) -> None:
+        check_fields(self, "T s_prime s_b s_b_prime", lambda k: type(k) is int and k >= 1,
+                     "a positive integer")
+        check_fields(self, "r_goal r_delta r_delta_prime", finite_number, "a finite number")
+        check_fields(self, "switch_rewards", lambda rs: type(rs) is tuple
+                     and all(map(finite_number, rs)), "a tuple of finite numbers")
+        check_fields(self, "gamma", lambda g: finite_number(g) and 0 < g < 1, "in (0, 1)")
+
     def to_json_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_json_dict(doc: dict) -> "Hi2Config":
-        doc = dict(doc)
-        doc["switch_rewards"] = tuple(doc["switch_rewards"])
-        return Hi2Config(**doc)
+        with refuse_malformed("reward config"):
+            return Hi2Config(**{**doc, "switch_rewards": tuple(doc["switch_rewards"])})
 
 
 @dataclass(frozen=True)
@@ -509,7 +517,7 @@ def verify_si_path_hi2(T: int, config: Hi2Config | None = None) -> tuple[SolveTr
         violations.append(Violation("si-path:count", (), float(single_flips),
                                     float(lo), float(hi)))
 
-    report = CheckReport(passed=not violations, violations=violations)
+    report = CheckReport(violations)
     return trace, report
 
 
@@ -553,4 +561,4 @@ def hi2_vbar_signs(T: int, config: Hi2Config | None = None) -> CheckReport:
             if abs(y - approx) > VBAR_BAND:
                 violations.append(Violation("vbar-sign:band", (i, z), y, approx,
                                             abs(y - approx) - VBAR_BAND))
-    return CheckReport(passed=not violations, violations=violations)
+    return CheckReport(violations)

@@ -23,7 +23,6 @@ on the role-swapped game.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
@@ -32,7 +31,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .exact import greedy_from_q
-from .game import InputError
+from .game import (InputError, check_fields, finite_number, read_json,
+                   refuse_malformed, write_json)
 from .sampler import GenerativeModel
 
 DECREASING = "decreasing"
@@ -60,12 +60,16 @@ class QviConstants:
     m2_override: int | None = None
     rounds_override: int | None = None
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+    def __post_init__(self) -> None:
+        check_fields(self, "c1 c2 c3 c big_c", lambda x: finite_number(x) and x > 0,
+                     "a finite positive number")
+        check_fields(self, "m1_override m2_override rounds_override",
+                     lambda k: k is None or (type(k) is int and k >= 1), "null or an integer >= 1")
 
     @staticmethod
     def from_json_dict(doc: dict) -> "QviConstants":
-        return QviConstants(**doc)
+        with refuse_malformed("constants"):
+            return QviConstants(**doc)
 
 
 @dataclass(frozen=True)
@@ -80,9 +84,6 @@ class DerivedConstants:
     m2: int
     log_factor: float   # L
     alpha1: float       # L / m1, <= 1
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def derive_constants(consts: QviConstants, u: float, delta: float,
@@ -153,33 +154,34 @@ class VSSequence:
             "samples_used": self.samples_used,
         }
         if self.constants is not None:
-            doc["constants"] = self.constants.to_json_dict()
+            doc["constants"] = asdict(self.constants)
         return doc
 
     @staticmethod
     def from_json_dict(doc: dict) -> "VSSequence":
-        if doc["direction"] not in (DECREASING, INCREASING):
-            raise InputError(f"unknown sequence direction {doc['direction']!r}")
-        consts = doc.get("constants")
-        return VSSequence(
-            direction=doc["direction"],
-            values=np.asarray(doc["values"], dtype=np.float64),
-            q_values=np.asarray(doc["q_values"], dtype=np.float64),
-            strategies=np.asarray(doc["strategies"], dtype=np.int64),
-            error_bounds=np.asarray(doc["error_bounds"], dtype=np.float64),
-            constants=DerivedConstants(**consts) if consts else None,
-            samples_used=int(doc.get("samples_used", 0)),
-        )
+        with refuse_malformed("sequence"):
+            if doc["direction"] not in (DECREASING, INCREASING):
+                raise InputError(f"unknown sequence direction {doc['direction']!r}")
+            strategies = np.asarray(doc["strategies"])
+            if strategies.dtype.kind != "i":  # 0.5 is refused, not truncated
+                raise InputError(f"strategies must be integers, got {strategies.dtype} entries")
+            consts = doc.get("constants")
+            return VSSequence(
+                direction=doc["direction"],
+                values=np.asarray(doc["values"], dtype=np.float64),
+                q_values=np.asarray(doc["q_values"], dtype=np.float64),
+                strategies=strategies.astype(np.int64),
+                error_bounds=np.asarray(doc["error_bounds"], dtype=np.float64),
+                constants=DerivedConstants(**consts) if consts else None,
+                samples_used=int(doc.get("samples_used", 0)),
+            )
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @staticmethod
     def load(path: str) -> "VSSequence":
-        with open(path) as fh:
-            return VSSequence.from_json_dict(json.load(fh))
+        return read_json(path, VSSequence.from_json_dict)
 
 
 def _qvi_run(model: GenerativeModel, u: float, delta: float,

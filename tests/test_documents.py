@@ -1,0 +1,183 @@
+"""JSON documents: one reader and writer, and one refusal for every malformed
+document (game, QVI constants, hi2 reward config, value-strategy sequence)."""
+
+import json
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sg.cli import main
+from sg.game import (InputError, from_json_dict, read_json, save_game, to_json_dict,
+                     write_json)
+from sg.generate import random_game
+from sg.hard import Hi2Config, default_hi2_rewards
+from sg.qvi import QviConstants, VSSequence, qvi_mdvss
+from sg.sampler import GenerativeModel
+
+GAME = random_game(3, 2, 0.5, seed=0)
+SEQ = qvi_mdvss(GenerativeModel(GAME, master_seed=0), 2.0, 0.1, np.full(3, 2.0),
+                np.zeros(3, dtype=np.int64),
+                QviConstants(m1_override=8, m2_override=4, rounds_override=2))
+HI2 = default_hi2_rewards(400)
+
+UNIFORM_GAME = {"gamma": 0.9, "states": [{"owner": "min", "actions": [
+    {"reward": 0.5, "uniform": True},
+    {"reward": 0.25, "next": [{"s": 0, "p": 1.0}]}]}]}
+
+# (parse, document of the parsed object, indent, valid base documents)
+DOCUMENTS = {
+    "game": (from_json_dict, to_json_dict, 1,
+             [to_json_dict(GAME), to_json_dict(random_game(2, 2, 0.8, seed=1, deterministic=True)),
+              UNIFORM_GAME]),
+    "constants": (QviConstants.from_json_dict, asdict, None,
+                  [asdict(QviConstants(m1_override=7))]),
+    "reward config": (Hi2Config.from_json_dict, Hi2Config.to_json_dict, None,
+                      [HI2.to_json_dict()]),
+    "sequence": (VSSequence.from_json_dict, VSSequence.to_json_dict, None,
+                 [SEQ.to_json_dict()]),
+}
+
+# What a fuzzed document may hold in place of a number: huge, subnormal and
+# non-finite floats and integers no float or int64 can hold; in place of any
+# value, also every other JSON type.
+NUMBERS = st.one_of(
+    st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 2.2e-308, float("inf"),
+                     float("-inf"), float("nan"), 10 ** 400, -10 ** 30, 2 ** 63]),
+    st.floats(), st.integers(-3, 3))
+JUNK = st.one_of(
+    NUMBERS, st.booleans(), st.none(), st.text(max_size=3),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+)
+
+
+def _slots(node):
+    """Every (container, key) pair below a JSON value."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield node, key
+        yield from _slots(child)
+
+
+@st.composite
+def fuzzed(draw, bases):
+    """A valid document kept as is, a non-object in its place, or the document
+    after one to four edits, each replacing a number by a number, replacing
+    any value, dropping a key or entry, or adding a key."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(bases))))
+    how = draw(st.sampled_from(["keep", "top", "edit", "edit", "edit"]))
+    if how == "keep":
+        return doc, True
+    if how == "top":
+        return draw(JUNK), False
+    for edit in draw(st.lists(st.sampled_from(["number", "number", "replace", "drop", "add"]),
+                              min_size=1, max_size=4)):
+        slots = [(parent, key) for parent, key in _slots(doc) if edit != "number"
+                 or type(parent[key]) in (int, float)]
+        if not slots:
+            continue
+        parent, key = draw(st.sampled_from(slots))
+        if edit == "number":
+            parent[key] = draw(NUMBERS)
+        elif edit == "replace":
+            parent[key] = draw(JUNK)
+        elif edit == "drop":
+            del parent[key]
+        else:
+            (parent if isinstance(parent, dict) else doc)[draw(st.text(max_size=3))] = draw(JUNK)
+    return doc, False
+
+
+@pytest.mark.parametrize("kind", list(DOCUMENTS))
+def test_a_fuzzed_document_round_trips_or_is_refused(kind, tmp_path_factory):
+    parse, to_doc, indent, bases = DOCUMENTS[kind]
+    path = str(tmp_path_factory.mktemp("docs") / "doc.json")
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(fuzzed(bases))
+    def run(case):
+        doc, untouched = case
+        write_json(path, doc, indent)
+        try:
+            obj = read_json(path, parse)
+        except InputError:
+            assert not untouched
+            return
+        # an accepted document is stored again bit for bit; a valid one as given
+        text = json.dumps(to_doc(obj))
+        write_json(path, to_doc(obj), indent)
+        assert json.dumps(to_doc(read_json(path, parse))) == text
+        if untouched:
+            assert text == json.dumps(doc)
+
+    run()
+
+
+def _seq(**change) -> str:
+    return json.dumps({**SEQ.to_json_dict(), **change})
+
+
+BAD_DOCUMENTS = [
+    ("constants", '{"c1": "x"}'),
+    ("constants", '{"c1": NaN}'),
+    ("constants", '{"c2": -1.0}'),
+    ("constants", '{"m1_override": 0}'),
+    ("constants", '{"m1_override": 2.5}'),
+    ("rewards", json.dumps({k: v for k, v in HI2.to_json_dict().items()
+                            if k != "switch_rewards"})),
+    ("seq", _seq(constants={"u": 1})),
+    ("seq", "[1]"),
+    ("seq", _seq(strategies=np.full(SEQ.strategies.shape, 0.5).tolist())),
+]
+BAD_IDS = ["c1-text", "c1-nan", "c2-negative", "m1-zero", "m1-fraction",
+           "no-switch-rewards", "derived-constants-u-only", "top-level-list",
+           "half-strategies"]
+ROUTES = {
+    "constants": (QviConstants.from_json_dict,
+                  ["solve", "--game", "{game}", "--method", "qvi", "--seed", "1",
+                   "--eps", "0.5", "--constants", "{doc}"]),
+    "rewards": (Hi2Config.from_json_dict, ["hard", "si", "--T", "400", "--rewards", "{doc}"]),
+    "seq": (VSSequence.from_json_dict, ["check", "--game", "{game}", "--seq", "{doc}"]),
+}
+
+
+@pytest.mark.parametrize("route, text", BAD_DOCUMENTS, ids=BAD_IDS)
+def test_a_malformed_document_is_refused_by_the_library(route, text):
+    parse, _ = ROUTES[route]
+    with pytest.raises(InputError):
+        parse(json.loads(text))
+
+
+@pytest.mark.parametrize("route, text", BAD_DOCUMENTS, ids=BAD_IDS)
+def test_a_malformed_document_exits_2_with_one_json_line(route, text, tmp_path, capsys):
+    game, doc = tmp_path / "g.json", tmp_path / "doc.json"
+    save_game(GAME, str(game))
+    doc.write_text(text)
+    files = {"{game}": str(game), "{doc}": str(doc)}
+    assert main([files.get(a, a) for a in ROUTES[route][1]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QviConstants(c2=-1.0),
+    lambda: QviConstants(c=float("inf")),
+    lambda: QviConstants(rounds_override=True),
+    lambda: Hi2Config(**{**HI2.to_json_dict(), "gamma": 1.0}),
+    lambda: Hi2Config(**{**HI2.to_json_dict(), "r_goal": float("nan")}),
+    lambda: Hi2Config(**{**HI2.to_json_dict(), "T": 400.0}),
+], ids=["c2-negative", "c-inf", "rounds-bool", "gamma-one", "r-goal-nan", "T-float"])
+def test_a_library_caller_gets_the_refusal_a_file_gets(build):
+    with pytest.raises(InputError, match="must be"):
+        build()
+
+
+def test_an_unreadable_file_is_refused(tmp_path):
+    with pytest.raises(InputError, match="cannot read"):
+        read_json(str(tmp_path / "missing.json"), from_json_dict)
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
+    with pytest.raises(InputError, match="cannot read"):
+        read_json(str(tmp_path / "binary.json"), from_json_dict)

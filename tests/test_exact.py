@@ -400,6 +400,18 @@ def test_policy_iteration_with_fixed_player_is_best_response():
         assert qs.max() <= v[s] + 1e-8
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: best_response(g, np.zeros(3), MIN_PLAYER),
+    lambda g: policy_iteration(g, np.zeros(4, dtype=np.int64), fixed=(MIN_PLAYER, np.zeros(5))),
+    lambda g: policy_iteration(g, np.zeros(3, dtype=np.int64), fixed=(MIN_PLAYER, np.zeros(4))),
+], ids=["best-response", "short-fixed", "short-init"])
+def test_a_strategy_of_the_wrong_length_is_refused_before_indexing(call):
+    # the fixed player's actions used to be copied in before any check,
+    # so a short strategy raised numpy's IndexError
+    with pytest.raises(InputError, match="strategy shape"):
+        call(random_game(4, 2, 0.9, seed=0))
+
+
 # ---------------------------------------------------------------------------
 # strategy iteration
 

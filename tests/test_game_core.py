@@ -127,6 +127,14 @@ def test_affine_rejects_bad_scale():
         affine_reward_map(one_state_loop(), scale=0.0, offset=0.0)
 
 
+@pytest.mark.parametrize("scale, offset", [(1.0, float("nan")), (1e-300, 1e300)])
+def test_affine_map_refuses_non_finite_rewards(scale, offset):
+    # the mapped game goes through the loader's validation: NaN or inf rewards
+    # never reach a solver
+    with pytest.raises(sg.InputError, match="reward not finite"):
+        affine_reward_map(random_game(4, 2, 0.9, seed=0), scale=scale, offset=offset)
+
+
 def test_json_round_trip_bit_exact(tmp_path):
     g = random_game(5, 3, 0.875, seed=3)
     path = tmp_path / "g.json"
