@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import (apply_strategy, best_response, evaluate, greedy_from_q,
-                    half_from_q, q_from_v, value_iteration, PolicyLinearSystem)
+from .exact import (apply_strategy, best_response, evaluate, greedy_from_q, q_from_v,
+                    value_iteration, PolicyLinearSystem)
 from .game import InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, write_json
 from .qvi import DECREASING, INCREASING, VSSequence
 
@@ -67,14 +67,6 @@ class CheckReport:
         write_json(path, self.to_json_dict(), indent=1)
 
 
-def _collect(violations: list[Violation], prop: str, bad_mask: np.ndarray,
-             lhs: np.ndarray, rhs: np.ndarray, slack_by: np.ndarray,
-             index_of) -> None:
-    for j in np.flatnonzero(bad_mask):
-        violations.append(Violation(prop, index_of(int(j)), float(lhs[j]),
-                                    float(rhs[j]), float(slack_by[j])))
-
-
 # ---------------------------------------------------------------------------
 # variance of value
 
@@ -116,56 +108,44 @@ def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
         raise InputError("sequence holds non-finite numbers")
     if eps_override is not None and not np.isfinite(eps_override).all():
         raise InputError("eps_override holds non-finite numbers")
-    game.space.check_strategy(seq.strategies)
+    space = game.space
+    space.check_strategy(seq.strategies)
     vstar = _optimal_value(game, vstar)
-    player = MIN_PLAYER if sign > 0 else MAX_PLAYER
-    owned = game.owners == player
-    violations: list[Violation] = []
-    n_entries = seq.values.shape[0]
-    chosen = game.space.chosen_pairs
-    q_prev = None
-
-    for i in range(n_entries):
-        v_i = seq.values[i]
-        sigma_i = seq.strategies[i]
-
-        # property 1: monotone chain bounded by v*
-        if i + 1 < n_entries:
-            gap = sign * (seq.values[i + 1] - v_i) - CHECK_SLACK
-            _collect(violations, "1:chain", gap > 0, seq.values[i + 1], v_i, gap,
-                     lambda s, i=i: (i, s))
-        if i == n_entries - 1:
-            gap = sign * (vstar - v_i) - CHECK_SLACK
-            _collect(violations, "1:optimal-bound", gap > 0, v_i, vstar, gap,
-                     lambda s, i=i: (i, s))
-
-        # property 2: one-sided fixed-point inequalities, all read off Q(v_i)
-        q_i = q_from_v(game, v_i)
-        for name, backup in (
-            ("2:T-sigma", q_i[chosen(sigma_i)]),
-            ("2:T", greedy_from_q(game.space, q_i)[0]),
-            ("2:half", half_from_q(game.space, q_i, sigma_i, owned)),
-        ):
-            gap = sign * (backup - v_i) - CHECK_SLACK
-            _collect(violations, name, gap > 0, backup, v_i, gap,
-                     lambda s, i=i: (i, s))
-
-        if i > 0:
-            # property 3: Q against the exact one-step backup of v_{i-1}
-            eps_i = seq.error_bounds[i] if eps_override is None else eps_override
-            target = q_prev + sign * eps_i
-            gap = sign * (seq.q_values[i] - target) - CHECK_SLACK
-            _collect(violations, "3:q-backup", gap > 0, seq.q_values[i], target, gap,
-                     lambda p, i=i: (i, p))
-
-            # property 4: value consistent with its own Q
-            vq, _ = greedy_from_q(game.space, seq.q_values[i])
-            gap = sign * (v_i - vq) - CHECK_SLACK
-            _collect(violations, "4:greedy", gap > 0, v_i, vq, gap,
-                     lambda s, i=i: (i, s))
-        q_prev = q_i
-
-    return CheckReport(violations)
+    owned = game.owners == (MIN_PLAYER if sign > 0 else MAX_PLAYER)
+    values, last = seq.values, seq.values.shape[0] - 1
+    # Q(v_i) of every entry as one (entries, n_pairs) stack; one q_from_v per
+    # entry, since a stacked matvec would sum in another order
+    q = np.array([q_from_v(game, v) for v in values]).reshape(seq.q_values.shape)
+    t_sigma = np.take_along_axis(q, space.chosen_pairs(seq.strategies), axis=1)
+    t_opt, _ = greedy_from_q(space, q)
+    eps = seq.error_bounds[1:] if eps_override is None else np.asarray(eps_override, float)
+    # One row per property: name, lhs, rhs, side and the entry of its first
+    # row; an entry violates it where side * (lhs - rhs) exceeds CHECK_SLACK.
+    # 1: a monotone chain bounded by v*; 2: one-sided fixed-point
+    # inequalities read off Q(v_i); 3: the stored Q against the exact backup
+    # of v_{i-1}; 4: each value consistent with its own stored Q.
+    table = (
+        ("1:chain", values[1:], values[:-1], sign, 0),
+        ("1:optimal-bound", values[last:], vstar, -sign, last),
+        ("2:T-sigma", t_sigma, values, sign, 0),
+        ("2:T", t_opt, values, sign, 0),
+        ("2:half", np.where(owned, t_sigma, t_opt), values, sign, 0),
+        ("3:q-backup", seq.q_values[1:], q[:-1] + sign * eps, sign, 1),
+        ("4:greedy", values[1:], greedy_from_q(space, seq.q_values[1:])[0], sign, 1),
+    )
+    keys, found = [], []
+    for rank, (_, lhs, rhs, side, first) in enumerate(table):
+        lhs, rhs = np.broadcast_arrays(lhs, rhs)
+        gap = side * (lhs - rhs) - CHECK_SLACK
+        entry, pos = np.nonzero(gap > 0)
+        keys.append((entry + first, np.full(entry.size, rank), pos))
+        found.append((lhs[entry, pos], rhs[entry, pos], gap[entry, pos]))
+    entry, rank, pos = (np.concatenate(k) for k in zip(*keys))
+    lhs, rhs, gap = (np.concatenate(f) for f in zip(*found))
+    # report order: entry, then property, then state (pair for 3:q-backup)
+    return CheckReport([Violation(table[rank[j]][0], (int(entry[j]), int(pos[j])),
+                                  float(lhs[j]), float(rhs[j]), float(gap[j]))
+                        for j in np.lexsort((pos, rank, entry))])
 
 
 def check_mdvss(game: StochasticGame, seq: VSSequence,
@@ -199,12 +179,10 @@ def check_eps_optimal_implication(game: StochasticGame, seq: VSSequence,
     player = MIN_PLAYER if sign > 0 else MAX_PLAYER
     eps = float(np.abs(seq.terminal_value - vstar).max())
     _, v_resp = best_response(game, seq.terminal_strategy, player)
-    violations: list[Violation] = []
     bound = vstar + sign * eps
     gap = sign * (v_resp - bound) - CHECK_SLACK
-    _collect(violations, "eps-optimal", gap > 0, v_resp, bound, gap,
-             lambda s: (s,))
-    return CheckReport(violations)
+    return CheckReport([Violation("eps-optimal", (int(s),), float(v_resp[s]), float(bound[s]),
+                                  float(gap[s])) for s in np.flatnonzero(gap > 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +198,7 @@ class MarkovianPlan:
 
     @staticmethod
     def make(prefix, tail) -> "MarkovianPlan":
-        return MarkovianPlan(tuple(np.asarray(p, dtype=np.int64) for p in prefix),
-                             np.asarray(tail, dtype=np.int64))
+        return MarkovianPlan(tuple(np.asarray(p) for p in prefix), np.asarray(tail))
 
 
 def _var_under(game: StochasticGame, sigma: np.ndarray, v: np.ndarray) -> np.ndarray:

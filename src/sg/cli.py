@@ -10,11 +10,13 @@ Subcommands:
 * ``scaling`` - sweep the big-batch size and report the error/log-slope
 
 Exit codes: 0 when every requested check passes, 1 when a check fails,
-2 on malformed input: an out-of-range argument or an unreadable or malformed
-JSON file. The library checks every argument and document (read by
+2 on malformed input: an out-of-range argument, an unreadable or malformed
+JSON file, an output path that cannot be written, or solver constants whose
+plan cannot run. The library checks every argument and document (read by
 ``sg.game.read_json``) and raises :class:`sg.game.InputError`, the one
 exception ``main`` maps, to exit 2 with a JSON error on stderr. The harness
-checks only the game-source count, ``--seed``, ``--sample`` and ``--trials``.
+checks only the game-source count, ``--seed``, ``--sample``, ``--trials``
+and that the directory of ``--out`` exists, before any solve runs.
 All randomness flows from ``--seed``; commands that need randomness fail
 without it rather than fall back to a clock seed.
 """
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import checks as checks_mod
 from . import exact, game as game_mod, hard, qvi
-from .game import InputError, read_json
+from .game import InputError, read_json, write_text
 from .generate import clustered_game
 from .sampler import GenerativeModel
 
@@ -75,7 +77,8 @@ def _need_seed(args) -> int:
 
 def write_csv(path: str | None, rows: list[str]) -> None:
     """Write CSV rows to ``path`` (stdout when None); a NaN field is refused
-    before the file is opened."""
+    before the file is opened, and a path that cannot be written raises
+    InputError."""
     text = "\n".join(rows) + "\n"
     for row in rows:
         if "nan" in row.lower().split(","):
@@ -83,8 +86,7 @@ def write_csv(path: str | None, rows: list[str]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_text(path, text)
 
 
 def _print_value(v: np.ndarray, sigma: np.ndarray) -> None:
@@ -317,6 +319,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_BAD_INPUT if exc.code not in (0,) else 0
     try:
+        out = getattr(args, "out", None)
+        _require(out is None or os.path.isdir(os.path.dirname(out) or "."),
+                 f"--out directory of {out} does not exist")
         return args.func(args)
     except InputError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")

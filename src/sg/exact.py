@@ -80,10 +80,9 @@ class SolveTrace:
     def total_policy_evaluations(self) -> int:
         return self.policy_evaluations[-1] if self.policy_evaluations else 0
 
-    def improving_steps(self, phase: str | None = None) -> list[int]:
+    def improving_steps(self) -> list[int]:
         """Indices of steps that changed at least one action."""
-        return [i for i, ch in enumerate(self.changes)
-                if ch and (phase is None or self.phases[i] == phase)]
+        return [i for i, ch in enumerate(self.changes) if ch]
 
     def csv_rows(self) -> list[str]:
         rows = [self.CSV_HEADER]
@@ -138,34 +137,39 @@ def _segment_best(space: ActionSpace, q: np.ndarray,
                   slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each state's optimum and first near-optimal pair in a flat Q.
 
-    Q is negated at MAX pairs (exact), so one ``minimum.reduceat`` over the
-    pair ranges gives every owner's optimum with no padding to the widest
-    state. Returns ``(q_signed, best, first)``: the signed Q, the signed
-    optimum per state, and per state the flat index of its lowest action
-    whose signed Q is within ``slack`` of that optimum. Raises ValueError on
-    a non-finite optimum, where the tie break would find no action.
+    ``q`` is one Q ``(n_pairs,)`` or a stack ``(k, n_pairs)``, reduced along
+    its last axis. Q is negated at MAX pairs (exact), so one
+    ``minimum.reduceat`` over the pair ranges gives every owner's optimum
+    with no padding to the widest state. Returns ``(q_signed, best, first)``:
+    the signed Q, the signed optimum per state, and per state the flat index
+    of its lowest action whose signed Q is within ``slack`` of that optimum.
+    Raises ValueError on a non-finite optimum, where the tie break would find
+    no action.
     """
     starts = space.state_offset[:-1]
     q_signed = q * space.pair_sign
-    best = np.minimum.reduceat(q_signed, starts)
+    best = np.minimum.reduceat(q_signed, starts, axis=-1)
     if not np.isfinite(best).all():
-        state = int(np.flatnonzero(~np.isfinite(best))[0])
+        state = int(np.argwhere(~np.isfinite(best))[0, -1])
         raise ValueError(f"Q has a non-finite optimum at state {state}")
-    hit = q_signed <= (best + slack)[space.pair_state]
-    first = np.minimum.reduceat(np.where(hit, space.pair_ids, space.n_pairs), starts)
+    hit = q_signed <= (best + slack)[..., space.pair_state]
+    first = np.minimum.reduceat(np.where(hit, space.pair_ids, space.n_pairs), starts,
+                                axis=-1)
     return q_signed, best, first
 
 
 def greedy_from_q(space: ActionSpace, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-state optimum of a flat Q: min on MIN states, max on MAX states.
 
-    Ties break to the lowest action index. Returns (values, strategy);
-    raises ValueError when a state's optimum is not finite.
+    ``q`` is one Q ``(n_pairs,)`` or a stack ``(k, n_pairs)``; the results
+    have the same leading shape. Ties break to the lowest action index.
+    Returns (values, strategy); raises ValueError when a state's optimum is
+    not finite.
     """
-    if q.shape != (space.n_pairs,):
-        raise InputError(f"q shape {q.shape} != ({space.n_pairs},)")
+    if q.ndim not in (1, 2) or q.shape[-1] != space.n_pairs:
+        raise InputError(f"q shape {q.shape} != ({space.n_pairs},) or (k, {space.n_pairs})")
     _, _, first = _segment_best(space, q)
-    return q[first], first - space.state_offset[:-1]
+    return np.take_along_axis(q, first, axis=-1), first - space.state_offset[:-1]
 
 
 def bellman(game: StochasticGame, v: np.ndarray) -> np.ndarray:
@@ -176,6 +180,7 @@ def bellman(game: StochasticGame, v: np.ndarray) -> np.ndarray:
 
 def apply_strategy(game: StochasticGame, v: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """One strategy-restricted backup: r_sigma + gamma * P_sigma v."""
+    game.space.check_strategy(sigma)
     q = q_from_v(game, v)
     return q[game.space.chosen_pairs(sigma)]
 
@@ -556,8 +561,8 @@ def scan_stack(game: StochasticGame, sigmas: np.ndarray,
     (k, n); the rows of chains that did not converge within ``max_iter``
     sweeps are NaN in both.
     """
-    sigmas = np.asarray(sigmas, dtype=np.int64)
     game.space.check_strategy(sigmas)
+    sigmas = np.asarray(sigmas, dtype=np.int64)
     k, n = sigmas.shape
     P = game.layout.dense()[game.space.chosen_pairs(sigmas)]
     running = P

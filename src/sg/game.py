@@ -20,7 +20,7 @@ Strategies, value vectors and Q-functions are plain numpy arrays:
 
 Every library check of a caller-supplied argument or file raises
 :class:`InputError`; every JSON file goes through :func:`read_json` and
-:func:`write_json`.
+:func:`write_json`, and every written file through :func:`write_text`.
 """
 
 from __future__ import annotations
@@ -101,11 +101,13 @@ class ActionSpace:
 
     def check_strategy(self, strategy: np.ndarray) -> None:
         """Refuse a strategy (n_states,) or a stack of them (k, n_states)
-        that picks an action some state does not have."""
+        that is not integer or picks an action some state does not have."""
         strategy = np.asarray(strategy)
         if strategy.ndim not in (1, 2) or strategy.shape[-1] != self.n_states:
             raise InputError(f"strategy shape {strategy.shape} != ({self.n_states},) "
                              f"or (k, {self.n_states})")
+        if strategy.dtype.kind not in "iu":  # 0.5 or True is refused, not truncated
+            raise InputError(f"strategy must hold integers, got {strategy.dtype} entries")
         bad = (strategy < 0) | (strategy >= self.n_actions)
         if bad.any():
             raise InputError("strategy picks invalid action at state "
@@ -291,13 +293,35 @@ def _build_layout(game: StochasticGame) -> GameLayout:
     return GameLayout(trans=trans, uniform_mask=uniform_mask, space=space)
 
 
+def frozen(values, dtype) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array that no writable array shares.
+
+    An array that already is one (read-only, owning its memory) is returned
+    as it is, so games built from other games' rows share them; anything
+    else is copied.
+    """
+    if (isinstance(values, np.ndarray) and values.dtype == dtype and values.base is None
+            and not values.flags.writeable):
+        return values
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def _owned(act: Action) -> Action:
+    """``act`` with read-only rows of its own; uniform rows hold no arrays."""
+    if act.uniform:
+        return act
+    return Action(act.reward, frozen(act.next_states, np.int64), frozen(act.probs, np.float64))
+
+
 def make_game(gamma: float,
               owners: Sequence[int],
               actions: Sequence[Sequence[Action]]) -> StochasticGame:
-    owners_arr = np.asarray(owners, dtype=np.int8)
-    owners_arr.setflags(write=False)
-    return StochasticGame(gamma=float(gamma), owners=owners_arr,
-                          actions=tuple(tuple(a) for a in actions))
+    """A game whose owner tags and rows are read-only arrays (see :func:`frozen`),
+    so later writes to the caller's arrays cannot reach it."""
+    return StochasticGame(gamma=float(gamma), owners=frozen(owners, np.int8),
+                          actions=tuple(tuple(map(_owned, acts)) for acts in actions))
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +478,16 @@ def read_json(path: str, parse):
 
 def write_json(path: str, doc: dict, indent: int | None = None) -> None:
     """Write ``doc`` to ``path`` as JSON and a newline; games and reports use indent 1."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=indent)
-        fh.write("\n")
+    write_text(path, json.dumps(doc, indent=indent) + "\n")
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written raises InputError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def to_json_dict(game: StochasticGame) -> dict:
@@ -497,8 +528,8 @@ def from_json_dict(doc: dict) -> StochasticGame:
                         raise InputError(f"transition targets must be integers: {targets}")
                     acts.append(Action(
                         reward=float(entry["reward"]),
-                        next_states=np.array(targets, dtype=np.int64),
-                        probs=np.array([e["p"] for e in nxt], dtype=np.float64),
+                        next_states=frozen(targets, np.int64),
+                        probs=frozen([e["p"] for e in nxt], np.float64),
                     ))
             actions.append(acts)
     return _valid(make_game(gamma, owners, actions))

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .game import Action, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, make_game
+from .game import (Action, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, frozen,
+                   make_game)
 
 
 def random_game(n_states: int, n_actions: int, gamma: float, seed: int,
-                reward_range: tuple[float, float] = (0.0, 1.0),
                 deterministic: bool = False,
                 owners: str = "split") -> StochasticGame:
-    """Random game with dense Dirichlet transition rows.
+    """Random game with rewards uniform on [0, 1] and dense Dirichlet rows.
 
     ``owners`` is "split" (random half/half), "min" or "max" (single-player
     MDP). ``deterministic=True`` replaces every row by a point mass, which
@@ -29,13 +29,12 @@ def random_game(n_states: int, n_actions: int, gamma: float, seed: int,
     else:
         raise InputError(f"unknown owners spec {owners!r}")
 
-    lo, hi = reward_range
-    all_states = np.arange(n_states, dtype=np.int64)
+    all_states = frozen(np.arange(n_states), np.int64)  # one read-only row for every action
     actions = []
     for _ in range(n_states):
         acts = []
         for _ in range(n_actions):
-            reward = float(rng.uniform(lo, hi))
+            reward = float(rng.uniform(0.0, 1.0))
             if deterministic:
                 target = np.array([rng.integers(n_states)], dtype=np.int64)
                 acts.append(Action(reward=reward, next_states=target,
@@ -59,7 +58,7 @@ def clustered_game(n_states: int, n_actions: int, gamma: float, seed: int) -> St
     stickiness = 0.9  # share of each row's mass kept in its own cluster
     half = n_states // 2
     cluster = np.arange(n_states) < half
-    all_states = np.arange(n_states, dtype=np.int64)
+    all_states = frozen(np.arange(n_states), np.int64)
     tags = np.array([MIN_PLAYER, MAX_PLAYER] * ((n_states + 1) // 2))[:n_states]
     rng.shuffle(tags)
     actions = []

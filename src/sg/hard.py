@@ -528,10 +528,6 @@ def si_single_flip_count(trace: SolveTrace) -> int:
                if trace.phases[k] == "max-pi" and len(ch) == 1)
 
 
-def hi2_mean_value(game: StochasticGame, sigma: np.ndarray) -> float:
-    return float(evaluate(game, sigma).mean())
-
-
 def hi2_vbar_signs(T: int, config: Hi2Config | None = None) -> CheckReport:
     """Sign pattern of the scaled mean values over the strategy grid.
 
@@ -549,11 +545,11 @@ def hi2_vbar_signs(T: int, config: Hi2Config | None = None) -> CheckReport:
 
     for z in range(0, c.s_prime + 1):
         for i in range(1, c.s_prime + 1):
-            y = scale * hi2_mean_value(game, meta.joint(i, i, z))
+            y = scale * float(evaluate(game, meta.joint(i, i, z)).mean())
             if y >= 0.0:
                 violations.append(Violation("vbar-sign:negative", (i, z), y, 0.0, y))
         for i in range(0, c.s_prime):
-            y = scale * hi2_mean_value(game, meta.joint(i, i + 1, z))
+            y = scale * float(evaluate(game, meta.joint(i, i + 1, z)).mean())
             if y <= 0.0:
                 violations.append(Violation("vbar-sign:positive", (i, z), y, 0.0, -y))
             approx = (-(i + c.s_b + 1) * c.r_goal

@@ -86,6 +86,16 @@ class DerivedConstants:
     alpha1: float       # L / m1, <= 1
 
 
+def _count(name: str, constant: str, override: int | None, planned: float) -> int:
+    """``override``, or else ``ceil(planned)``; refused unless finite and below 2**63."""
+    count = planned if override is None else override
+    if not count < 2 ** 63:  # also refuses inf and nan
+        source = constant if override is None else f"{name}_override"
+        raise InputError(f"{name} = {count:.6g} from {source} is not a finite integer "
+                         "below 2**63")
+    return math.ceil(count)
+
+
 def derive_constants(consts: QviConstants, u: float, delta: float,
                      n_pairs: int, gamma: float) -> DerivedConstants:
     beta = 1.0 / (1.0 - gamma)
@@ -95,20 +105,19 @@ def derive_constants(consts: QviConstants, u: float, delta: float,
         raise InputError("delta must lie in (0, 1)")
     # ln(beta/u) vanishes at u = beta; floor the factor so the first run still
     # contracts through its full horizon.
-    rounds = consts.rounds_override
-    if rounds is None:
-        rounds = math.ceil(consts.c1 * beta * max(1.0, math.log(beta / u)))
-    m1 = consts.m1_override
-    if m1 is None:
-        m1 = math.ceil(consts.c2 * beta ** 3 * max(1.0, u ** -2)
-                       * math.log(8.0 * n_pairs / delta))
+    rounds = _count("rounds", "c1", consts.rounds_override,
+                    consts.c1 * beta * max(1.0, math.log(beta / u)))
+    m1 = _count("m1", "c2", consts.m1_override,
+                consts.c2 * beta ** 3 * max(1.0, u ** -2) * math.log(8.0 * n_pairs / delta))
     log_factor = consts.c * math.log(n_pairs / (delta * (1.0 - gamma) * u))
     log_factor = max(log_factor, 1.0)
     if m1 < log_factor:
         m1 = math.ceil(log_factor)
-    m2 = consts.m2_override
-    if m2 is None:
-        m2 = math.ceil(consts.c3 * beta ** 2 * math.log(2.0 * rounds * n_pairs / delta))
+    m2 = _count("m2", "c3", consts.m2_override,
+                consts.c3 * beta ** 2 * math.log(2.0 * rounds * n_pairs / delta))
+    if (rounds + 1) * n_pairs * np.dtype(np.float64).itemsize > np.iinfo(np.intp).max:
+        raise InputError(f"rounds = {rounds} from c1 or rounds_override makes a run's "
+                         f"(rounds + 1) x {n_pairs} float arrays exceed np.intp bytes")
     return DerivedConstants(u=u, delta=delta, beta=beta, rounds=int(rounds),
                             m1=int(m1), m2=int(m2), log_factor=log_factor,
                             alpha1=log_factor / m1)
@@ -191,8 +200,8 @@ def _qvi_run(model: GenerativeModel, u: float, delta: float,
     space = model.space
     space.check_unit_rewards()
     v0 = space.value_vector(v0)
-    sigma0 = np.asarray(sigma0, dtype=np.int64)
     space.check_strategy(sigma0)
+    sigma0 = np.asarray(sigma0, dtype=np.int64)
     d = derive_constants(consts, u, delta, model.n_pairs, model.gamma)
     gamma, beta = model.gamma, d.beta
     r = model.rewards

@@ -8,7 +8,7 @@ import pytest
 
 from sg.cli import main, write_csv
 from sg.exact import SolveTrace, value_iteration
-from sg.game import make_game, save_game
+from sg.game import InputError, make_game, save_game, write_json
 from sg.hard import default_hi2_rewards
 from sg.generate import random_game
 from sg.qvi import VSSequence, qvi_mdvss, QviConstants
@@ -275,3 +275,43 @@ def test_nan_trace_is_refused_and_no_file_is_written(tmp_path):
     with pytest.raises(RuntimeError, match="NaN"):
         write_csv(str(path), trace.csv_rows())
     assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--game", "{game}", "--method", "vi"],
+    ["hard", "pi", "--T", "48"],
+    ["solve", "--game", "{game}", "--method", "qvi", "--seed", "1", "--eps", "0.5"],
+    ["check", "--game", "{game}", "--seq", "{game}"],
+    ["scaling", "--seed", "1", "--trials", "1"],
+])
+def test_out_in_a_missing_directory_exits_2_before_running(argv, game_file, tmp_path, capsys):
+    # the solve used to run to the end and then fail with FileNotFoundError
+    _, path = game_file
+    argv = [path if a == "{game}" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "missing" / "out.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "does not exist" in json.loads(captured.err)["error"]
+
+
+def test_writers_refuse_a_path_they_cannot_open(tmp_path):
+    path = str(tmp_path / "missing" / "out")
+    with pytest.raises(InputError, match="cannot write"):
+        write_csv(path, ["a,b"])
+    with pytest.raises(InputError, match="cannot write"):
+        write_json(path, {})
+    with pytest.raises(InputError, match="cannot write"):
+        write_json(str(tmp_path), {})  # a directory
+
+
+@pytest.mark.parametrize("constants, named", [
+    ({"c1": 1e300}, "from c1"), ({"c1": 1e308}, "from c1"), ({"c3": 1e300}, "from c3"),
+    ({"rounds_override": 2 ** 62}, "rounds_override"),
+])
+def test_constants_whose_plan_cannot_run_exit_2(constants, named, game_file, tmp_path, capsys):
+    # these used to end in a traceback from the run's allocation or sampler
+    _, path = game_file
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(constants))
+    assert main(["solve", "--game", path, "--method", "qvi", "--seed", "1",
+                 "--constants", str(big)]) == 2
+    assert named in json.loads(capsys.readouterr().err)["error"]

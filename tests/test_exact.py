@@ -13,8 +13,11 @@ from sg.exact import (apply_strategy, bellman, best_response, enumerate_strategi
                       stationary_distribution, strategy_iteration,
                       value_iteration)
 from sg.game import Action, InputError, MAX_PLAYER, MIN_PLAYER, make_game, mirror, with_gamma
+from sg.checks import MarkovianPlan, markovian_evaluate
 from sg.generate import random_game
 from sg.hard import build_hi1, build_hi2, hi1_mean_value
+from sg.qvi import qvi_mdvss
+from sg.sampler import GenerativeModel
 
 
 def naive_q(game, v):
@@ -84,6 +87,35 @@ def test_greedy_refuses_a_non_finite_optimum():
     q = np.zeros(g.n_pairs)
     q[7] = worst  # never the optimum, so nothing to refuse
     assert greedy_from_q(g.space, q)[1][2] == 0
+
+
+@pytest.mark.parametrize("game", [random_game(7, 3, 0.9, seed=8), build_hi1(48)[0]],
+                         ids=["square", "ragged"])
+def test_greedy_on_a_stack_equals_greedy_row_by_row(game):
+    rng = np.random.default_rng(3)
+    stack = np.round(rng.normal(size=(6, game.n_pairs)), 1)  # rounding makes ties
+    stack[0] = 0.0
+    stack[1, ::2] = -0.0
+    values, strategies = greedy_from_q(game.space, stack)
+    for q, v, sigma in zip(stack, values, strategies):
+        v_row, sigma_row = greedy_from_q(game.space, q)
+        assert v.tobytes() == v_row.tobytes() and np.array_equal(sigma, sigma_row)
+
+
+def test_greedy_refuses_a_stack_of_the_wrong_shape():
+    g = random_game(5, 3, 0.9, seed=4)
+    for shape in ((2, g.n_pairs + 1), (2, 3, g.n_pairs), ()):
+        with pytest.raises(InputError, match="q shape"):
+            greedy_from_q(g.space, np.zeros(shape))
+
+
+def test_greedy_on_a_stack_refuses_a_non_finite_optimum_in_any_row():
+    g = random_game(5, 3, 0.9, seed=4)  # pair 7 is action 1 of state 2
+    for row in range(3):
+        stack = np.zeros((3, g.n_pairs))
+        stack[row, 6:9] = np.nan
+        with pytest.raises(ValueError, match="non-finite optimum at state 2"):
+            greedy_from_q(g.space, stack)
 
 
 def test_value_iteration_stops_on_overflowing_values():
@@ -410,6 +442,26 @@ def test_a_strategy_of_the_wrong_length_is_refused_before_indexing(call):
     # so a short strategy raised numpy's IndexError
     with pytest.raises(InputError, match="strategy shape"):
         call(random_game(4, 2, 0.9, seed=0))
+
+
+@pytest.mark.parametrize("sigma", [np.full(4, 0.5), np.zeros(4, dtype=bool),
+                                   np.ones((2, 4))], ids=["half", "bool", "float-stack"])
+def test_a_strategy_that_is_not_integer_is_refused(sigma):
+    # 0.5 used to pass the range check and be truncated to action 0 by every caller
+    g = random_game(4, 2, 0.9, seed=0)
+    with pytest.raises(InputError, match="strategy must hold integers"):
+        g.space.check_strategy(sigma)
+    calls = [lambda: scan_stack(g, np.atleast_2d(sigma)),
+             lambda: qvi_mdvss(GenerativeModel(g, master_seed=0), 1.0, 0.1,
+                               np.full(4, 10.0), sigma)]
+    if sigma.ndim == 1:
+        calls += [lambda: evaluate(g, sigma), lambda: apply_strategy(g, np.zeros(4), sigma),
+                  lambda: best_response(g, sigma, MIN_PLAYER),
+                  lambda: strategy_iteration(g, sigma),
+                  lambda: markovian_evaluate(g, MarkovianPlan.make([sigma], np.zeros(4, int)))]
+    for call in calls:
+        with pytest.raises(InputError, match="strategy"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -250,3 +250,34 @@ def test_loader_rejects_a_value_scale_past_the_bound():
         with pytest.raises(ValueError, match="value scale"):
             from_json_dict(doc(reward))
     assert from_json_dict(doc(1e148)).space.rewards[0] == 1e148
+
+
+def test_a_game_keeps_its_rows_when_the_caller_writes_to_theirs():
+    # make_game used to store the caller's arrays, so a later write changed
+    # the JSON of the game but not the layout its solvers had cached
+    targets, probs, owners = np.array([0, 1]), np.array([0.5, 0.5]), np.array([0, 1])
+    g = make_game(0.9, owners, [[Action(1.0, targets, probs)],
+                                [Action(0.0, uniform=True)]])
+    v_before, _, _ = value_iteration(g, 1e-10)
+    doc_before = json.dumps(to_json_dict(g))
+    probs[:] = [1.0, 0.0]
+    targets[:] = [1, 1]
+    owners[:] = 1
+    assert json.dumps(to_json_dict(g)) == doc_before
+    assert value_iteration(g, 1e-10)[0].tobytes() == v_before.tobytes()
+    act = g.actions[0][0]
+    for arr in (act.next_states, act.probs, g.owners):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_a_game_shares_only_rows_that_no_one_can_write():
+    g = random_game(4, 2, 0.9, seed=0)
+    rows = [a.next_states for acts in g.actions for a in acts]
+    assert all(r is rows[0] for r in rows) and not rows[0].flags.writeable
+    view = rows[0][::-1]  # read-only, but a view: copied, not kept
+    mirrored = mirror(g)
+    h = make_game(0.9, g.owners, [[Action(0.5, view, g.actions[0][0].probs)]] * 4)
+    assert mirrored.actions[1][0].next_states is rows[0]
+    assert h.actions[0][0].next_states is not view
+    assert h.actions[0][0].probs is g.actions[0][0].probs

@@ -8,7 +8,7 @@ import pytest
 
 from sg.checks import check_mdvss, check_mivss
 from sg.exact import best_response, greedy_from_q, q_from_v, value_iteration
-from sg.game import Action, MAX_PLAYER, make_game
+from sg.game import Action, InputError, MAX_PLAYER, make_game
 from sg.generate import random_game
 from sg.qvi import (DECREASING, INCREASING, QviConstants, VSSequence,
                     derive_constants, planned_samples, qvi_mdvss, qvi_mivss,
@@ -49,6 +49,27 @@ def test_derived_constants_rejects_bad_u():
         derive_constants(QviConstants(), u=11.0, delta=0.1, n_pairs=10, gamma=0.9)
     with pytest.raises(ValueError):
         derive_constants(QviConstants(), u=0.0, delta=0.1, n_pairs=10, gamma=0.9)
+
+
+@pytest.mark.parametrize("consts, names", [
+    (QviConstants(c1=1e300), "rounds = .* from c1"),
+    (QviConstants(c1=1e308), "rounds = inf from c1"),  # c1 * beta overflows to inf
+    (QviConstants(c2=1e300), "m1 = .* from c2"),
+    (QviConstants(c3=1e300), "m2 = .* from c3"),
+    (QviConstants(m1_override=2 ** 63), "m1 = .* from m1_override"),
+    (QviConstants(rounds_override=2 ** 62), r"c1 or rounds_override .* exceed np.intp"),
+    (QviConstants(c1=1e17), r"c1 or rounds_override .* exceed np.intp"),
+], ids=["c1-1e300", "c1-1e308", "c2", "c3", "m1-override", "rounds-override", "c1-1e17"])
+def test_a_plan_that_cannot_run_is_refused(consts, names):
+    # each used to fail inside the run: a dimension, ceil(inf) or multinomial error
+    with pytest.raises(InputError, match=names):
+        derive_constants(consts, u=1.0, delta=0.1, n_pairs=80, gamma=0.9)
+
+
+def test_the_largest_plan_below_the_bound_is_kept():
+    d = derive_constants(QviConstants(rounds_override=2 ** 40, m1_override=2 ** 63 - 1),
+                         u=1.0, delta=0.1, n_pairs=80, gamma=0.9)
+    assert (d.rounds, d.m1) == (2 ** 40, 2 ** 63 - 1)
 
 
 def test_alpha1_capped_at_one():
