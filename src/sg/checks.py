@@ -91,13 +91,11 @@ def _optimal_value(game: StochasticGame, vstar: np.ndarray | None) -> np.ndarray
     return v
 
 
-def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
-                    eps_override, vstar: np.ndarray | None) -> CheckReport:
-    """Shared body: sign=+1 checks a decreasing run, -1 an increasing one.
-
-    Refuses a sequence whose arrays do not fit the game or hold non-finite
-    numbers before checking anything.
-    """
+def _refuse_unfit(game: StochasticGame, seq: VSSequence) -> None:
+    """Refuse a sequence with an unknown direction, arrays that do not fit
+    the game, non-finite numbers or out-of-range strategies."""
+    if seq.direction not in (DECREASING, INCREASING):
+        raise InputError(f"unknown sequence direction {seq.direction!r}")
     for name, width in (("values", game.n_states), ("strategies", game.n_states),
                         ("q_values", game.n_pairs), ("error_bounds", game.n_pairs)):
         shape = getattr(seq, name).shape
@@ -106,10 +104,20 @@ def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
                              f"{game.n_states} states and {game.n_pairs} pairs")
     if not all(np.isfinite(a).all() for a in (seq.values, seq.q_values, seq.error_bounds)):
         raise InputError("sequence holds non-finite numbers")
+    game.space.check_strategy(seq.strategies)
+
+
+def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
+                    eps_override, vstar: np.ndarray | None) -> CheckReport:
+    """Shared body: sign=+1 checks a decreasing run, -1 an increasing one.
+
+    Refuses an unfit sequence (:func:`_refuse_unfit`) or a non-finite
+    ``eps_override`` before checking anything.
+    """
+    _refuse_unfit(game, seq)
     if eps_override is not None and not np.isfinite(eps_override).all():
         raise InputError("eps_override holds non-finite numbers")
     space = game.space
-    space.check_strategy(seq.strategies)
     vstar = _optimal_value(game, vstar)
     owned = game.owners == (MIN_PLAYER if sign > 0 else MAX_PLAYER)
     values, last = seq.values, seq.values.shape[0] - 1
@@ -172,8 +180,10 @@ def check_eps_optimal_implication(game: StochasticGame, seq: VSSequence,
 
     For a decreasing run with eps = ||v_R - v*||_inf, the opponent's exact
     best response to the terminal min strategy must stay below v* + eps
-    entrywise (mirrored for increasing runs).
+    entrywise (mirrored for increasing runs). An unfit sequence is refused
+    as in :func:`check_mdvss`.
     """
+    _refuse_unfit(game, seq)
     vstar = _optimal_value(game, vstar)
     sign = +1.0 if seq.direction == DECREASING else -1.0
     player = MIN_PLAYER if sign > 0 else MAX_PLAYER

@@ -14,7 +14,10 @@ Two families are provided:
 
 The verifiers rerun the exact solvers on the generated instances and check
 the predicted improvement path step by step, emitting machine-checkable
-reports instead of crashing on mismatches.
+reports instead of crashing on mismatches. Each predicted move is verified
+once: the strategy-iteration run checks every move on its own path through
+the sequence it visits, and ``check_si_transitions`` probes only the rebuild
+moves the run never makes.
 """
 
 from __future__ import annotations
@@ -67,8 +70,7 @@ class Hi1Meta:
     def policy_chain(self, i: int) -> np.ndarray:
         """Policy with the top ``i`` chain states moved to R (0 <= i <= s_prime)."""
         pi = self.policy_uniform()
-        for k in range(i):
-            pi[self.T - 2 - k] = R
+        pi[self.T - 1 - i:self.T - 1] = R
         return pi
 
     def policy_extreme(self) -> np.ndarray:
@@ -80,8 +82,7 @@ class Hi1Meta:
     def stationary_extreme(self) -> np.ndarray:
         """Closed form for the all-R policy's stationary distribution."""
         lam = np.ones(self.T)
-        for k in range(self.s_prime + 1):
-            lam[self.T - 1 - self.s_prime + k] = k + 1
+        lam[self.T - 1 - self.s_prime:] = np.arange(1, self.s_prime + 2)
         return lam / lam.sum()
 
 
@@ -98,8 +99,6 @@ def build_hi1(T: int, beta_factor: float = 4.0,
     if not (beta_factor >= 1.0):
         raise InputError("beta_factor must be >= 1")
     s_prime = int(math.isqrt(T // 12))
-    if 6 * s_prime ** 2 > T // 2:
-        raise ValueError("chain too long for the stationary-mass bounds")
     gamma = 1.0 - 1.0 / (beta_factor * T)
     if not (gamma < 1.0):
         raise InputError(f"beta_factor * T = {beta_factor * T} rounds gamma to 1")
@@ -181,12 +180,10 @@ def hi1_distribution_bounds(T: int, num_policies: int, seed: int,
     counts = game.space.n_actions
     policies += [rng.integers(0, counts) for _ in range(num_policies)]
     violations: list[Violation] = []
-    skipped = 0
     for k, pi in enumerate(policies):
         try:
             lam = stationary_distribution(game, pi)
         except RuntimeError:
-            skipped += 1
             violations.append(Violation("hi1-bounds:non-convergent", (k,), 0.0, 0.0, 0.0))
             continue
         if float(lam.min()) < lo - 1e-12:
@@ -284,16 +281,14 @@ class Hi2Meta:
     def min_strategy(self, i: int) -> np.ndarray:
         """Min part: R on m_1..m_i, U elsewhere (single-action states at 0)."""
         pi = np.zeros(self.n_states, dtype=np.int64)
-        for j in range(1, i + 1):
-            pi[self.m(j)] = R
+        pi[self.m(1):self.m(1) + i] = R
         return pi
 
     def max_strategy(self, i: int, z: int) -> np.ndarray:
         """Max part: switch plays a_i, R on M_1..M_z, U on the rest."""
         pi = np.zeros(self.n_states, dtype=np.int64)
         pi[self.switch] = i - 1
-        for j in range(1, z + 1):
-            pi[self.M(j)] = R
+        pi[self.M(1):self.M(1) + z] = R
         return pi
 
     def joint(self, i_min: int, i_max: int, z_max: int) -> np.ndarray:
@@ -372,36 +367,22 @@ def build_hi2(T: int, config: Hi2Config | None = None) -> tuple[StochasticGame, 
 
     uniform = Action(reward=0.0, uniform=True)
 
-    for s in range(c.T):
-        owners[s] = MIN_PLAYER
-        actions[s] = [uniform]
-
-    for j in range(1, c.s_prime + 1):
-        s = meta.m(j)
-        owners[s] = MIN_PLAYER
-        target = meta.b(c.s_b) if j == 1 else meta.m(j - 1)
-        actions[s] = [uniform, point(target, c.r_delta)]
-
-    for j in range(1, c.s_b + 1):
-        s = meta.b(j)
-        owners[s] = MIN_PLAYER
-        target = meta.goal if j == 1 else meta.b(j - 1)
-        actions[s] = [point(target, 0.0)]
-
+    owners[:c.T] = MIN_PLAYER
+    actions[:c.T] = [[uniform]] * c.T
     owners[meta.goal] = MIN_PLAYER
     actions[meta.goal] = [Action(reward=-c.r_goal, uniform=True)]
 
-    for j in range(1, c.s_prime + 1):
-        s = meta.M(j)
-        owners[s] = MAX_PLAYER
-        target = meta.B(c.s_b_prime) if j == 1 else meta.M(j - 1)
-        actions[s] = [uniform, point(target, -c.r_delta_prime)]
-
-    for j in range(1, c.s_b_prime + 1):
-        s = meta.B(j)
-        owners[s] = MAX_PLAYER
-        target = meta.switch if j == 1 else meta.B(j - 1)
-        actions[s] = [point(target, 0.0)]
+    # Each chain state j steps to state j - 1, its first state to the head
+    # target; an action chain (m, M) may also escape uniformly.
+    for state, length, owner, head, reward, escape in (
+            (meta.m, c.s_prime, MIN_PLAYER, meta.b(c.s_b), c.r_delta, True),
+            (meta.b, c.s_b, MIN_PLAYER, meta.goal, 0.0, False),
+            (meta.M, c.s_prime, MAX_PLAYER, meta.B(c.s_b_prime), -c.r_delta_prime, True),
+            (meta.B, c.s_b_prime, MAX_PLAYER, meta.switch, 0.0, False)):
+        for j in range(1, length + 1):
+            step = point(head if j == 1 else state(j - 1), reward)
+            owners[state(j)] = owner
+            actions[state(j)] = [uniform, step] if escape else [step]
 
     owners[meta.switch] = MAX_PLAYER
     actions[meta.switch] = [point(meta.m(i), c.switch_rewards[i - 1])
@@ -411,44 +392,25 @@ def build_hi2(T: int, config: Hi2Config | None = None) -> tuple[StochasticGame, 
     return game, meta
 
 
-def _improvement_step(game: StochasticGame, sigma: np.ndarray,
-                      improvable: np.ndarray) -> np.ndarray:
-    """One exact evaluate-and-improve sweep (the verifiers' probe)."""
-    new_sigma, _, _ = improve(game, evaluate(game, sigma), sigma, improvable)
-    return new_sigma
-
-
 def check_si_transitions(game: StochasticGame, meta: Hi2Meta) -> list[Violation]:
-    """Pointwise checks of the three predicted improvement moves.
+    """The predicted rebuild moves off the strategy-iteration path.
 
-    For every grid cell: a max sweep from (min_i, max_(i,z)) must rebuild to
-    (i+1, 0); a max sweep from (min_i, max_(i+1,z)) must climb to z+1; a min
-    sweep at (min_i, max_(i+1, S')) must extend the min chain to i+1.
+    From every cell (min_i, max_(i,z)) with 1 <= i < S' and 0 <= z < S', one
+    exact evaluate-and-improve sweep over the max player's states must
+    rebuild to (min_i, max_(i+1,0)); a failure is reported as ``si-rebuild``
+    at (i, z). The other predicted moves (every climb, every min update and
+    the rebuild from z = S') lie on the path of the run in
+    :func:`verify_si_path_hi2`, which makes the identical sweep from each of
+    them, so its visited sequence verifies them there.
     """
-    s_prime = meta.s_prime
     max_states = game.owners == MAX_PLAYER
-    min_states = game.owners == MIN_PLAYER
     violations: list[Violation] = []
-
-    for i in range(0, s_prime):
-        for z in range(0, s_prime + 1):
-            if i >= 1:
-                sigma = meta.joint(i, i, z)
-                got = _improvement_step(game, sigma, max_states)
-                want = meta.joint(i, i + 1, 0)
-                if not np.array_equal(got, want):
-                    violations.append(Violation("si-rebuild", (i, z), 0.0, 1.0, 0.0))
-            if z < s_prime:
-                sigma = meta.joint(i, i + 1, z)
-                got = _improvement_step(game, sigma, max_states)
-                want = meta.joint(i, i + 1, z + 1)
-                if not np.array_equal(got, want):
-                    violations.append(Violation("si-climb", (i, z), 0.0, 1.0, 0.0))
-        sigma = meta.joint(i, i + 1, s_prime)
-        got = _improvement_step(game, sigma, min_states)
-        want = meta.joint(i + 1, i + 1, s_prime)
-        if not np.array_equal(got, want):
-            violations.append(Violation("si-min-update", (i,), 0.0, 1.0, 0.0))
+    for i in range(1, meta.s_prime):
+        for z in range(meta.s_prime):
+            sigma = meta.joint(i, i, z)
+            got, _, _ = improve(game, evaluate(game, sigma), sigma, max_states)
+            if not np.array_equal(got, meta.joint(i, i + 1, 0)):
+                violations.append(Violation("si-rebuild", (i, z), 0.0, 1.0, 0.0))
     return violations
 
 
@@ -467,10 +429,14 @@ def expected_si_path(meta: Hi2Meta) -> list[tuple[int, int, int]]:
 def verify_si_path_hi2(T: int, config: Hi2Config | None = None) -> tuple[SolveTrace, CheckReport]:
     """Run strategy iteration on the instance and verify the predicted path.
 
-    Checks, in order: the pointwise transition moves on the whole grid, the
-    visited strategy sequence of an actual run against the predicted path,
-    and the count of single-action max-player corrections, which must land
-    in [S'(S'-1), S'(S'+2)].
+    Checks, in order: the switch rewards (weakly decreasing, inside
+    (0, r_goal)), the rebuild moves off the path (:func:`check_si_transitions`),
+    the visited strategy sequence of an actual run against the predicted
+    path (which verifies every on-path move: a failing move makes the run
+    diverge at or before it, reported as the first divergence), that any
+    tail after the path moves only the max player, and the count of
+    single-action max-player corrections, which must land in
+    [S'(S'-1), S'(S'+2)].
     """
     config = config or default_hi2_rewards(T)
     game, meta = build_hi2(T, config)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -268,23 +268,46 @@ def qvi_mivss(model: GenerativeModel, u: float, delta: float,
 
 @dataclass
 class SolveResult:
-    """Output of the halving driver.
+    """Output of the halving driver: the runs of the min chain
+    (``sequences``), those of the mirrored max chain (``mirror_sequences``,
+    empty when only the min player was solved) and ``round_ok[j]``, the
+    deterministic run invariants (monotone chain, clipped Q) of round j of
+    the min chain. Everything else is read off the runs.
 
     ``min_strategy``/``max_strategy`` are full joint strategies; the entries
     that matter are the min-player states of the former and the max-player
-    states of the latter. ``round_ok[j]`` records the deterministic run
-    invariants (monotone chain, clipped Q) for round j of the min chain.
+    states of the latter.
     """
 
-    min_strategy: np.ndarray
-    max_strategy: np.ndarray | None
-    value_estimate: np.ndarray
-    u_schedule: list[float]
-    round_constants: list[DerivedConstants]
+    sequences: list[VSSequence]
+    mirror_sequences: list[VSSequence]
     round_ok: list[bool]
-    total_samples: int
-    sequences: list[VSSequence] = field(default_factory=list)
-    mirror_sequences: list[VSSequence] = field(default_factory=list)
+
+    @property
+    def min_strategy(self) -> np.ndarray:
+        return self.sequences[-1].terminal_strategy.copy()
+
+    @property
+    def max_strategy(self) -> np.ndarray | None:
+        if not self.mirror_sequences:
+            return None
+        return self.mirror_sequences[-1].terminal_strategy.copy()
+
+    @property
+    def value_estimate(self) -> np.ndarray:
+        return self.sequences[-1].terminal_value.copy()
+
+    @property
+    def u_schedule(self) -> list[float]:
+        return [s.constants.u for s in self.sequences]
+
+    @property
+    def round_constants(self) -> list[DerivedConstants]:
+        return [s.constants for s in self.sequences]
+
+    @property
+    def total_samples(self) -> int:
+        return sum(s.samples_used for s in self.sequences + self.mirror_sequences)
 
 
 def _schedule(gamma: float, epsilon: float, delta: float) -> tuple[list[float], float]:
@@ -349,20 +372,7 @@ def solve(model: GenerativeModel, epsilon: float, delta: float,
     consts = consts or QviConstants()
 
     seqs, oks = _halving_chain(model, epsilon, delta, consts, "min")
-    max_strategy = None
     mirror_seqs: list[VSSequence] = []
     if both_players:
         mirror_seqs, _ = _halving_chain(model.mirrored(), epsilon, delta, consts, "max")
-        max_strategy = mirror_seqs[-1].terminal_strategy.copy()
-
-    return SolveResult(
-        min_strategy=seqs[-1].terminal_strategy.copy(),
-        max_strategy=max_strategy,
-        value_estimate=seqs[-1].terminal_value.copy(),
-        u_schedule=[s.constants.u for s in seqs],
-        round_constants=[s.constants for s in seqs],
-        round_ok=oks,
-        total_samples=sum(s.samples_used for s in seqs + mirror_seqs),
-        sequences=seqs,
-        mirror_sequences=mirror_seqs,
-    )
+    return SolveResult(sequences=seqs, mirror_sequences=mirror_seqs, round_ok=oks)

@@ -161,6 +161,31 @@ def test_eps_optimal_implication_at_fixed_point():
     assert check_eps_optimal_implication(g, seq).passed
 
 
+def test_eps_optimal_implication_refuses_a_sequence_from_another_game():
+    # used to end in numpy's broadcast ValueError
+    seq = fixed_point_sequence(random_game(4, 2, 0.9, seed=8))
+    with pytest.raises(InputError, match="does not fit"):
+        check_eps_optimal_implication(random_game(6, 2, 0.9, seed=8), seq)
+
+
+def test_eps_optimal_implication_refuses_an_unknown_direction():
+    # used to be read as increasing and pass
+    g = random_game(6, 2, 0.9, seed=8)
+    seq = fixed_point_sequence(g)
+    seq.direction = "sideways"
+    with pytest.raises(InputError, match="direction"):
+        check_eps_optimal_implication(g, seq)
+
+
+def test_eps_optimal_implication_refuses_a_nan_terminal_value():
+    # used to make eps NaN and pass
+    g = random_game(6, 2, 0.9, seed=8)
+    seq = fixed_point_sequence(g)
+    seq.values[-1, 0] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        check_eps_optimal_implication(g, seq)
+
+
 def test_eps_optimal_implication_brute_force_two_state():
     g = random_game(2, 2, 0.9, seed=9)
     vstar, _, _ = value_iteration(g, 1e-12)

@@ -78,6 +78,18 @@ def test_hard_si_smoke(tmp_path, capsys):
     assert out.read_text().startswith("iteration,")
 
 
+def test_hard_si_failing_config_exits_1_and_still_writes_the_trace(tmp_path, capsys):
+    rewards = tmp_path / "increasing.json"
+    config = {**default_hi2_rewards(400).to_json_dict(), "switch_rewards": [0.55, 0.75]}
+    rewards.write_text(json.dumps(config))
+    out = tmp_path / "t.csv"
+    assert main(["hard", "si", "--T", "400", "--rewards", str(rewards), "--out", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert text.startswith("FAIL") and "si-config:reward-order" in text
+    assert "single-action corrections: " in text
+    assert out.read_text().startswith("iteration,")
+
+
 def test_flux_enumerate_smoke(game_file, capsys):
     _, path = game_file
     assert main(["flux", "--game", path]) == 0

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import sg.exact
+import sg.hard
 from sg.exact import evaluate, policy_iteration, stationary_distribution
 from sg.game import InputError, MAX_PLAYER, MIN_PLAYER, affine_reward_map, validate
 from sg.hard import (Hi2Config, build_hi1, build_hi2, default_hi2_rewards,
@@ -193,3 +195,20 @@ def test_hi2_config_round_trip():
     config = default_hi2_rewards(400)
     back = Hi2Config.from_json_dict(config.to_json_dict())
     assert back == config
+
+
+def test_hi2_verifier_evaluates_off_path_cells_and_the_run_only(monkeypatch):
+    # the run verifies every move on its path, so the probe sweeps only the
+    # (S'-1) S' off-path rebuild cells, none of which the run evaluates
+    calls = {sg.hard: [], sg.exact: []}
+    for module in calls:
+        def counted(game, sigma, evaluate=module.evaluate, seen=calls[module]):
+            seen.append(sigma.tobytes())
+            return evaluate(game, sigma)
+        monkeypatch.setattr(module, "evaluate", counted)
+    trace, report = verify_si_path_hi2(400)
+    s = default_hi2_rewards(400).s_prime
+    assert report.passed
+    assert len(calls[sg.hard]) + len(calls[sg.exact]) == \
+        (s - 1) * s + trace.total_policy_evaluations
+    assert not set(calls[sg.hard]) & set(calls[sg.exact])
