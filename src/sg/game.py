@@ -49,6 +49,26 @@ PROB_TOL = 1e-9
 MAX_VALUE_SCALE = 1e150
 # Tolerance of the [0, 1] reward range that mirroring and sampling require.
 REWARD_TOL = 1e-12
+# The storage rule of :func:`prefer_dense`, from crossovers measured on one
+# core (BENCH_11.json). At 2^14 cells a dense matvec beat CSR (4.6 vs 7.4 us
+# on (256, 64) rows) and dense LU beat SuperLU (254 vs 344 us on a 128-state
+# block with one entry per row); at 25,600-36,864 cells both lost. On
+# (1200, 300) rows the dense matvec wins from 40% fill on (124 vs 181 us at
+# half fill).
+DENSE_SMALL_CELLS = 2 ** 14
+DENSE_FILL = 0.5
+# Largest matrix held or factored densely: 2^22 floats, 32 MB.
+DENSE_MAX_CELLS = 2 ** 22
+
+
+def prefer_dense(n_rows: int, n_cols: int, nnz: int) -> bool:
+    """The one storage rule for a chain's explicit rows: True when a matrix of
+    this shape with ``nnz`` entries is held and factored as a dense array
+    rather than as a sparse one, i.e. when it is small, or at least half full
+    and within the memory bound."""
+    cells = n_rows * n_cols
+    return cells <= DENSE_SMALL_CELLS or (DENSE_FILL * cells <= nnz
+                                          and cells <= DENSE_MAX_CELLS)
 
 
 class InputError(ValueError):
@@ -137,6 +157,11 @@ class ChainView:
 
     ``trans`` holds the explicit rows S (empty for uniform rows);
     ``uniform_mask`` marks the rows u that are uniform over all states.
+
+    ``trans`` is the canonical CSR form, which ``row_table`` (and so the
+    sampler) and ``restrict`` read. ``P x``, ``P^T y`` and the dense matrix
+    read S in the form :func:`prefer_dense` picks for its shape and fill,
+    decided once per view: a read-only dense copy, or ``trans`` itself.
     """
 
     trans: sp.csr_matrix          # (n_rows, n_states)
@@ -147,12 +172,22 @@ class ChainView:
         return bool(self.uniform_mask.any())
 
     @cached_property
-    def _transpose(self) -> sp.csr_matrix:
-        return self.trans.T.tocsr()
+    def _rows(self) -> np.ndarray | sp.csr_matrix:
+        """S as the storage rule holds it."""
+        if not prefer_dense(*self.trans.shape, self.trans.nnz):
+            return self.trans
+        rows = self.trans.toarray()
+        rows.setflags(write=False)
+        return rows
+
+    @cached_property
+    def _transpose(self) -> np.ndarray | sp.csr_matrix:
+        rows = self._rows
+        return rows.T if isinstance(rows, np.ndarray) else rows.T.tocsr()
 
     def p_dot(self, x: np.ndarray) -> np.ndarray:
         """P x: per-row expectation of ``x`` under one transition."""
-        out = self.trans @ x
+        out = self._rows @ x
         if self.has_uniform:
             out = out + self.uniform_mask * float(x.mean())
         return out
@@ -166,7 +201,8 @@ class ChainView:
 
     def dense(self) -> np.ndarray:
         """P as a dense (n_rows, n_states) array."""
-        mat = self.trans.toarray()
+        rows = self._rows
+        mat = rows.copy() if isinstance(rows, np.ndarray) else rows.toarray()
         if self.has_uniform:
             n = self.trans.shape[1]
             mat = mat + np.outer(self.uniform_mask, np.full(n, 1.0 / n))
@@ -425,17 +461,19 @@ def affine_reward_map(game: StochasticGame, scale: float, offset: float) -> Stoc
 def with_gamma(game: StochasticGame, gamma: float) -> StochasticGame:
     """Same states, actions and rewards under a different discount factor.
 
-    The copy shares the game's layout arrays and transition rows, which do
-    not depend on the discount; only ``gamma`` is swapped.
+    The copy shares the game's layout arrays and transition rows, dense copy
+    included, which do not depend on the discount; only ``gamma`` is swapped.
     """
     if not (0.0 < gamma < 1.0):
         raise InputError("gamma must lie in (0, 1)")
     lay = game.layout
     copy = StochasticGame(gamma=float(gamma), owners=game.owners, actions=game.actions)
-    # ``layout`` is a cached property: seed the copy's cache with the shared view
-    copy.__dict__["layout"] = GameLayout(
+    # ``layout`` and the rows it holds are cached properties: seed the copy's
+    # caches with the shared ones
+    copy.__dict__["layout"] = shared = GameLayout(
         trans=lay.trans, uniform_mask=lay.uniform_mask,
         space=replace(lay.space, gamma=float(gamma)))
+    shared.__dict__["_rows"] = lay._rows
     return copy
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sg.exact
 from sg.cli import write_csv
 from sg.exact import (apply_strategy, bellman, best_response, enumerate_strategies,
                       evaluate, flux, greedy_from_q, half_bellman, improve,
@@ -15,7 +16,7 @@ from sg.exact import (apply_strategy, bellman, best_response, enumerate_strategi
 from sg.game import Action, InputError, MAX_PLAYER, MIN_PLAYER, make_game, mirror, with_gamma
 from sg.checks import MarkovianPlan, markovian_evaluate
 from sg.generate import random_game
-from sg.hard import build_hi1, build_hi2, hi1_mean_value
+from sg.hard import build_hi1, build_hi2, hi1_mean_value, verify_si_path_hi2
 from sg.qvi import qvi_mdvss
 from sg.sampler import GenerativeModel
 
@@ -491,6 +492,38 @@ def test_strategy_iteration_output_is_equilibrium():
     v = evaluate(g, sigma)
     assert np.abs(bellman(g, v) - v).max() <= 1e-8
     # both epsilon-optimality inequalities against exact best responses
+    _, v_max_resp = best_response(g, sigma, MIN_PLAYER)
+    _, v_min_resp = best_response(g, sigma, MAX_PLAYER)
+    assert (v_max_resp <= v + 1e-7).all()
+    assert (v_min_resp >= v - 1e-7).all()
+
+
+@pytest.mark.parametrize("case", ["hi2", (6, 3, 0), (20, 4, 1)],
+                         ids=["hi2", "random-6", "random-20"])
+def test_strategy_iteration_evaluates_no_strategy_twice(monkeypatch, case):
+    # a min step with no flip right after a converged max phase ends the run:
+    # another outer pass would only evaluate the same strategy again
+    seen = []
+
+    def counted(game, sigma, evaluate=sg.exact.evaluate):
+        seen.append(sigma.tobytes())
+        return evaluate(game, sigma)
+
+    monkeypatch.setattr(sg.exact, "evaluate", counted)
+    if case == "hi2":  # the run checks itself against expected_si_path and the flip band
+        g, meta = build_hi2(400)
+        trace, report = verify_si_path_hi2(400)
+        assert report.passed, report.summary()
+        sigma = meta.joint(0, 1, 0)
+        for flips in trace.changes:
+            for s, _, new in flips:
+                sigma[s] = new
+    else:
+        n, k, seed = case
+        g = random_game(n, k, 0.9, seed=seed)
+        sigma, trace = strategy_iteration(g, np.zeros(n, dtype=np.int64))
+    assert len(seen) == len(set(seen)) == trace.total_policy_evaluations
+    v = evaluate(g, sigma)
     _, v_max_resp = best_response(g, sigma, MIN_PLAYER)
     _, v_min_resp = best_response(g, sigma, MAX_PLAYER)
     assert (v_max_resp <= v + 1e-7).all()
