@@ -15,7 +15,7 @@ from .game import (Action, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame,
                    affine_reward_map, load_game, make_game, mirror,
                    save_game, validate, with_gamma)
 from .exact import (best_response, evaluate, flux, greedy_from_q,
-                    policy_iteration, q_from_v, ratio_scan,
+                    optimal_value, policy_iteration, q_from_v, ratio_scan,
                     stationary_distribution, strategy_iteration,
                     value_iteration)
 from .sampler import BatchEstimate, GenerativeModel

@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exact import (apply_strategy, best_response, evaluate, greedy_from_q, q_from_v,
-                    value_iteration, PolicyLinearSystem)
+from .exact import (apply_strategy, best_response, evaluate, greedy_from_q, optimal_value,
+                    q_from_v, PolicyLinearSystem)
 from .game import InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, write_json
 from .qvi import DECREASING, INCREASING, VSSequence
 
 CHECK_SLACK = 1e-8
-VSTAR_TOL = 1e-10
 
 
 @dataclass
@@ -85,10 +84,14 @@ def variance_of_value(game: StochasticGame, v: np.ndarray) -> np.ndarray:
 
 
 def _optimal_value(game: StochasticGame, vstar: np.ndarray | None) -> np.ndarray:
-    if vstar is not None:
-        return np.asarray(vstar, dtype=np.float64)
-    v, _, _ = value_iteration(game, VSTAR_TOL)
-    return v
+    """The caller's v*, refused unless it is one finite entry per state, or
+    ``optimal_value``'s."""
+    if vstar is None:
+        return optimal_value(game)[0]
+    vstar = game.space.value_vector(vstar)
+    if not np.isfinite(vstar).all():  # NaN never exceeds a bound: it would pass
+        raise InputError("vstar holds non-finite numbers")
+    return vstar
 
 
 def _refuse_unfit(game: StochasticGame, seq: VSSequence) -> None:

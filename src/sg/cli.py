@@ -103,7 +103,8 @@ def cmd_solve(args) -> int:
     if args.method == "vi":
         v, sigma, trace = exact.value_iteration(g, args.eps)
         _print_value(v, sigma)
-        print(f"iterations: {len(trace)}")
+        print(f"iterations: {len(trace)} Bellman sweeps, until v* lay in a bracket "
+              f"at most {args.eps!r} wide; the value is its midpoint")
         if args.out:
             write_csv(args.out, trace.csv_rows())
         return EXIT_OK
@@ -140,7 +141,7 @@ def cmd_solve(args) -> int:
     if not args.certify:
         return EXIT_OK
 
-    vstar, _, _ = exact.value_iteration(g, 1e-10)
+    vstar, _ = exact.optimal_value(g)
     _, v_min = exact.best_response(g, result.min_strategy, game_mod.MIN_PLAYER)
     gap_min = float((v_min - vstar).max())
     print(f"min-player certificate: best response within {gap_min!r} of optimal")
@@ -214,7 +215,7 @@ def scaling_sweep(seed: int, trials: int,
     other error terms. Returns (rows, slope) where rows are (m1, trial, err).
     """
     g = clustered_game(10, 3, 0.9, seed=seed)
-    vstar, sstar, _ = exact.value_iteration(g, 1e-10)
+    vstar, sstar = exact.optimal_value(g)
     u = 4.0
     consts = qvi.QviConstants(c1=8.0, c=0.01, big_c=0.01, c3=4.0)
     rows = []
@@ -264,8 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a game exactly or from samples")
     add_game_source(p)
-    p.add_argument("--method", choices=("vi", "pi", "si", "qvi"), default="vi")
-    p.add_argument("--eps", type=float, default=0.01)
+    p.add_argument("--method", choices=("vi", "pi", "si", "qvi"), default="vi",
+                   help="vi: value iteration, stopped on the span of its step; pi/si: "
+                        "policy/strategy iteration; qvi: the sampling solver")
+    p.add_argument("--eps", type=float, default=0.01,
+                   help="vi: widest bracket around v* to stop at (the value is within "
+                        "eps/2 of v*); qvi: target accuracy")
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--seed", type=int)
     p.add_argument("--constants", help="JSON file overriding solver constants")

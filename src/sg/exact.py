@@ -42,6 +42,8 @@ DENSE_MAX_STATES = 64
 STACK_FLOATS = 2 ** 20
 # Most pure strategies an exhaustive scan will enumerate.
 MAX_ENUMERATED_STRATEGIES = 10 ** 6
+# Value-iteration tolerance of ``optimal_value``, the one route to v*.
+OPTIMAL_VALUE_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +382,20 @@ def _power_iteration(push, k: int, n: int, tol: float,
 
 
 def evaluate(game: StochasticGame, sigma: np.ndarray) -> np.ndarray:
-    """Exact value of a stationary strategy: solves (I - gamma P_sigma) v = r_sigma."""
+    """Exact value of a stationary strategy: solves (I - gamma P_sigma) v = r_sigma.
+
+    The solve is accepted on its normwise backward error (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, sec. 7.1): with M = I - gamma
+    P_sigma and ||M||_inf <= 1 + gamma, the residual must satisfy
+    ||r - M v||_inf <= EVAL_RESIDUAL_TOL (||r||_inf + (1 + gamma) ||v||_inf).
+    The bound grows with v, which near gamma = 1 is far larger than r.
+    """
     sys = PolicyLinearSystem(game, sigma)
     v = sys.solve(sys.r)
     res = float(np.abs(sys.r - sys.matvec(v)).max())
-    tol = EVAL_RESIDUAL_TOL * (1.0 + float(np.abs(sys.r).max(initial=0.0)))
-    if res > tol:
+    tol = EVAL_RESIDUAL_TOL * (float(np.abs(sys.r).max(initial=0.0))
+                               + (1.0 + sys.gamma) * float(np.abs(v).max(initial=0.0)))
+    if not res <= tol:  # a NaN residual is refused too
         raise RuntimeError(f"policy evaluation residual {res} exceeds {tol}")
     return v
 
@@ -424,29 +434,51 @@ def stationary_distribution(game: StochasticGame, sigma: np.ndarray,
 
 def value_iteration(game: StochasticGame, tol: float,
                     max_iter: int = 10 ** 7) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
-    """Iterate the Bellman operator from zero until the output is tol-close to v*.
+    """Iterate the Bellman operator T from zero until v* is bracketed within tol.
 
-    The sweep residual ||v_i - v_{i-1}||_inf is driven below
-    tol * (1 - gamma) / (2 gamma), which converts to a true distance bound
-    ||v - v*||_inf <= tol via the contraction factor.
+    Stops on the span of the step d = v_i - v_{i-1} (MacQueen 1966; Porteus
+    1971). T is monotone and shifts constants by gamma, T(v + c 1) = Tv +
+    gamma c 1: the min/max Shapley operator has both, since every row of P
+    sums to one and a min or max commutes with adding a constant. So the
+    k-th later step v_{i+k} - v_{i+k-1} lies in [gamma^k min d,
+    gamma^k max d], and summing them puts v* between v_i + gamma/(1-gamma)
+    min d and v_i + gamma/(1-gamma) max d. Iteration stops at the first
+    sweep whose bracket is at most tol wide, gamma/(1-gamma) (max d - min d)
+    <= tol, and returns the bracket's midpoint, not the last iterate:
+    v_i + gamma/(1-gamma) (max d + min d)/2, within tol/2 of v*. This never
+    stops later than driving ||d||_inf below tol (1-gamma)/(2 gamma).
+
+    Returns (value, the greedy strategy of Q at that value, trace). The
+    trace has one row per sweep made, with residual ||d||_inf.
     """
     if not (tol > 0):
         raise InputError("tol must be positive")
-    gamma = game.gamma
-    threshold = tol * (1.0 - gamma) / (2.0 * gamma) if gamma > 0 else tol
+    if not (0.0 <= game.gamma < 1.0):  # the bracket needs a contraction
+        raise InputError(f"value iteration needs gamma in [0, 1), got {game.gamma}")
+    scale = game.gamma / (1.0 - game.gamma)
     v = np.zeros(game.n_states)
     trace = SolveTrace()
     for it in range(1, max_iter + 1):
-        q = q_from_v(game, v)
-        v_next, _ = greedy_from_q(game.space, q)
-        residual = float(np.abs(v_next - v).max())
-        trace.append(it, residual, [], 0)
+        v_next, _ = greedy_from_q(game.space, q_from_v(game, v))
+        d = v_next - v
+        lo, hi = float(d.min()), float(d.max())
+        trace.append(it, float(np.abs(d).max()), [], 0)
         v = v_next
-        if residual <= threshold:
-            q = q_from_v(game, v)
-            value, sigma = greedy_from_q(game.space, q)
+        if scale * (hi - lo) <= tol:
+            v = v + scale * (hi + lo) / 2.0
+            _, sigma = greedy_from_q(game.space, q_from_v(game, v))
             return v, sigma, trace
     raise RuntimeError(f"value iteration exceeded {max_iter} sweeps")
+
+
+def optimal_value(game: StochasticGame) -> tuple[np.ndarray, np.ndarray]:
+    """v* within OPTIMAL_VALUE_TOL / 2, and the greedy strategy of Q at it.
+
+    The one route to v* that certificates and experiments read: value
+    iteration at ``OPTIMAL_VALUE_TOL``.
+    """
+    v, sigma, _ = value_iteration(game, OPTIMAL_VALUE_TOL)
+    return v, sigma
 
 
 # ---------------------------------------------------------------------------

@@ -232,8 +232,23 @@ class ChainView:
         return support, probs
 
     def restrict(self, rows: np.ndarray) -> ChainView:
-        """The chain on the selected rows, e.g. the pairs a strategy picks."""
-        return ChainView(self.trans[rows], self.uniform_mask[rows])
+        """The chain on the selected rows, e.g. the pairs a strategy picks.
+
+        The rows are gathered straight from the CSR arrays (row lengths,
+        their running sum, one gather of the entry positions); the result
+        equals ``trans[rows]`` array for array, and costs less than scipy's
+        fancy row indexing (BENCH_12.json).
+        """
+        rows = np.asarray(rows)
+        ptr = self.trans.indptr
+        start = ptr.take(rows)
+        lengths = ptr[1:].take(rows) - start
+        indptr = np.zeros(rows.size + 1, dtype=ptr.dtype)
+        np.cumsum(lengths, out=indptr[1:])
+        pos = np.repeat(start - indptr[:-1], lengths) + np.arange(indptr[-1], dtype=ptr.dtype)
+        trans = sp.csr_matrix((self.trans.data[pos], self.trans.indices[pos], indptr),
+                              shape=(rows.size, self.trans.shape[1]))
+        return ChainView(trans, self.uniform_mask.take(rows))
 
 
 @dataclass(frozen=True, eq=False)

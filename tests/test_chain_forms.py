@@ -158,3 +158,27 @@ def test_qvi_is_bit_identical_under_both_storages(monkeypatch):
     for a, b in zip(dense.sequences + dense.mirror_sequences,
                     sparse.sequences + sparse.mirror_sequences):
         assert a.to_json_dict() == b.to_json_dict()
+
+
+def restrict_cases():
+    """(name, layout, rows) selections to gather from each kind of layout."""
+    hi2, meta = build_hi2(10000)
+    yield "hi2", hi2.layout, hi2.space.chosen_pairs(meta.joint(5, 6, 3))
+    hi1, _ = build_hi1(48)
+    yield "hi1", hi1.layout, np.arange(hi1.n_pairs)[::-1]
+    rand = random_game(7, 3, 0.9, seed=4)
+    yield "random", rand.layout, rand.space.chosen_pairs(np.array([2, 0, 1, 1, 0, 2, 2]))
+    unif, sigma = uniform_game()
+    yield "uniform", unif.layout, unif.space.chosen_pairs(sigma)
+    yield "repeated", rand.layout, np.array([4, 4, 0, 20, 4, 0])
+    yield "empty", rand.layout, np.array([], dtype=np.int64)
+
+
+def test_restrict_equals_scipy_row_indexing():
+    for name, layout, rows in restrict_cases():
+        got, want = layout.restrict(rows), layout.trans[rows]
+        assert got.trans.shape == want.shape, name
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(got.trans, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, field)
+        assert np.array_equal(got.uniform_mask, layout.uniform_mask[rows]), name

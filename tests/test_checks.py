@@ -292,3 +292,18 @@ def test_variance_identity_on_random_plans():
         for share in (0.0, 0.5, 1.0):
             mixed = with_uniform_rows(g, share, seed=k)
             assert variance_bellman_residual(mixed, plan) <= 1e-6
+
+
+@pytest.mark.parametrize("check", [check_mdvss, check_eps_optimal_implication])
+@pytest.mark.parametrize("vstar, message", [
+    (np.zeros(3), "shape"),
+    (np.full(6, np.nan), "non-finite"),
+], ids=["short-vstar", "nan-vstar"])
+def test_a_caller_vstar_that_cannot_certify_is_refused(check, vstar, message):
+    # a short v* used to end in numpy's broadcast ValueError, and a NaN v*
+    # never exceeded a bound, so every sequence passed
+    g = random_game(6, 2, 0.9, seed=8)
+    seq = fixed_point_sequence(g)
+    seq.values[-1] -= 1.0  # below v*: 1:optimal-bound must fire
+    with pytest.raises(InputError, match=message):
+        check(g, seq, vstar=vstar)

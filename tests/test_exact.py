@@ -1,5 +1,6 @@
 """Exact solvers against independent oracles and closed forms."""
 
+import warnings
 from itertools import product
 
 import numpy as np
@@ -15,7 +16,7 @@ from sg.exact import (apply_strategy, bellman, best_response, enumerate_strategi
                       value_iteration)
 from sg.game import Action, InputError, MAX_PLAYER, MIN_PLAYER, make_game, mirror, with_gamma
 from sg.checks import MarkovianPlan, markovian_evaluate
-from sg.generate import random_game
+from sg.generate import clustered_game, random_game
 from sg.hard import build_hi1, build_hi2, hi1_mean_value, verify_si_path_hi2
 from sg.qvi import qvi_mdvss
 from sg.sampler import GenerativeModel
@@ -838,3 +839,133 @@ def test_trace_csv_round_trip(tmp_path):
     assert rows[0] == trace.CSV_HEADER
     assert len(rows) == len(trace) + 1
     assert not any("nan" in r.lower() for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# value iteration stopped on the span of its step
+
+
+def sup_norm_stops_within(game, tol, sweeps):
+    """The sup-norm stop rule, as an oracle: True when iterating T from zero
+    reaches ||v_i - v_{i-1}||_inf <= tol (1 - gamma) / (2 gamma) within
+    ``sweeps`` sweeps."""
+    threshold = tol * (1.0 - game.gamma) / (2.0 * game.gamma)
+    v = np.zeros(game.n_states)
+    for _ in range(sweeps):
+        v_next = bellman(game, v)
+        if np.abs(v_next - v).max() <= threshold:
+            return True
+        v = v_next
+    return False
+
+
+def exact_hard_game(seed):
+    """The benchmark's first exact-hard game for a workload seed."""
+    sub = int(np.random.SeedSequence([seed, 0, 0]).generate_state(1)[0])
+    return random_game(300, 4, 0.99, seed=sub)
+
+
+SPAN_GAMES = {
+    "exact-hard-1": (lambda: exact_hard_game(1), 1e-6),
+    "exact-hard-7919": (lambda: exact_hard_game(7919), 1e-6),
+    "random-20x4": (lambda: random_game(20, 4, 0.9, seed=0), 1e-10),
+    "random-100x4": (lambda: random_game(100, 4, 0.9, seed=0), 1e-10),
+    "clustered-40x3": (lambda: clustered_game(40, 3, 0.99, seed=0), 1e-8),
+    "deterministic-50x3": (lambda: random_game(50, 3, 0.95, seed=0, deterministic=True), 1e-8),
+    "hi1-48": (lambda: build_hi1(48)[0], 1e-8),
+    "hi2-400": (lambda: build_hi2(400)[0], 1e-8),
+}
+
+
+@pytest.mark.parametrize("name", SPAN_GAMES)
+def test_span_stop_is_within_half_tol_of_si_and_never_later_than_sup_norm(name):
+    build, tol = SPAN_GAMES[name]
+    g = build()
+    v, sigma, trace = value_iteration(g, tol)
+    si, _ = strategy_iteration(g, np.zeros(g.n_states, dtype=np.int64))
+    assert np.abs(v - evaluate(g, si)).max() <= tol / 2
+    # the sup-norm rule has not stopped one sweep earlier
+    assert not sup_norm_stops_within(g, tol, len(trace) - 1)
+    # the strategy is greedy at the returned value, not at the last iterate
+    assert np.array_equal(sigma, greedy_from_q(g.space, q_from_v(g, v))[1])
+
+
+def test_span_stop_takes_a_few_hundred_sweeps_on_hi2():
+    g, _ = build_hi2(400)
+    _, _, trace = value_iteration(g, 1e-8)
+    assert len(trace) <= 200  # the sup-norm rule needs 73,878
+
+
+def test_span_stop_residual_column_is_the_sup_norm_step():
+    g = random_game(6, 3, 0.9, seed=21)
+    _, _, trace = value_iteration(g, 1e-9)
+    v = np.zeros(6)
+    for residual in trace.residuals:
+        v_next = bellman(g, v)
+        assert residual == np.abs(v_next - v).max()
+        v = v_next
+
+
+def test_span_stop_is_exact_after_one_sweep_on_a_constant_step():
+    # every state earns 1 whatever it does: d_1 = 1 everywhere, span 0
+    g = make_game(0.9, [MIN_PLAYER, MAX_PLAYER, MIN_PLAYER], [
+        [Action(reward=1.0, next_states=np.array([1]), probs=np.array([1.0])),
+         Action(reward=1.0, uniform=True)],
+        [Action(reward=1.0, next_states=np.array([2, 0]), probs=np.array([0.5, 0.5]))],
+        [Action(reward=1.0, next_states=np.array([0]), probs=np.array([1.0]))]])
+    v, sigma, trace = value_iteration(g, 1e-12)
+    assert len(trace) == 1
+    np.testing.assert_allclose(v, 10.0, rtol=1e-15)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_games(), st.sampled_from([0.5, 0.9, 0.99, 0.999]))
+def test_span_stop_is_within_half_tol_of_the_brute_force_minimax(g, gamma):
+    g = with_gamma(g, gamma)
+    tol = 1e-6
+    v, _, _ = value_iteration(g, tol)
+    # the oracle's own float error: cond(I - gamma P) * |v| * eps, with
+    # cond <= 2/(1 - gamma) and |v| <= 1/(1 - gamma)
+    slack = 1e-14 / (1.0 - gamma) ** 2
+    assert np.abs(v - brute_force_value(g)).max() <= tol / 2 + slack
+
+
+def test_optimal_value_agrees_with_strategy_iteration():
+    for g in (random_game(20, 4, 0.9, seed=5), clustered_game(10, 3, 0.9, seed=2),
+              build_hi2(400)[0]):
+        vstar, sstar = sg.exact.optimal_value(g)
+        si, _ = strategy_iteration(g, np.zeros(g.n_states, dtype=np.int64))
+        assert np.abs(vstar - evaluate(g, si)).max() <= sg.exact.OPTIMAL_VALUE_TOL / 2
+        assert np.array_equal(sstar, greedy_from_q(g.space, q_from_v(g, vstar))[1])
+
+
+def test_evaluate_accepts_every_strategy_near_gamma_one():
+    # the backward-error bound scales with |v| ~ 1/(1 - gamma); a bound on
+    # |r| alone refused 4 of these 32 correct solves
+    g = with_gamma(random_game(5, 2, 0.9, seed=3), 1 - 1e-6)
+    P = g.layout.dense()
+    for sigma in enumerate_strategies(g):
+        pairs = g.space.chosen_pairs(sigma)
+        want = np.linalg.solve(np.eye(5) - g.gamma * P[pairs], g.space.rewards[pairs])
+        np.testing.assert_allclose(evaluate(g, sigma), want, rtol=1e-8, atol=0)
+
+
+def test_value_iteration_refuses_an_undiscounted_game():
+    # the span bracket scales by gamma / (1 - gamma); gamma = 1 used to run
+    # every sweep of max_iter and then fail
+    g = make_game(1.0, [MIN_PLAYER], [[
+        Action(reward=1.0, next_states=np.array([0]), probs=np.array([1.0]))]])
+    with pytest.raises(InputError, match="gamma"):
+        value_iteration(g, 1e-6, max_iter=100)
+
+
+def test_evaluate_refuses_a_nan_residual():
+    # gamma = 1 on a cycle makes I - gamma P singular; a NaN residual used to
+    # compare false against the bound and the NaN value was returned
+    g = make_game(1.0, [MIN_PLAYER, MIN_PLAYER], [
+        [Action(reward=1.0, next_states=np.array([1]), probs=np.array([1.0]))],
+        [Action(reward=0.5, next_states=np.array([0]), probs=np.array([1.0]))]])
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")  # the singular LU warns first
+        with pytest.raises(RuntimeError, match="residual nan"):
+            evaluate(g, np.zeros(2, dtype=np.int64))
