@@ -132,9 +132,8 @@ class RatioReport:
 
 def q_from_v(game: StochasticGame, v: np.ndarray) -> np.ndarray:
     """Q(v) = r + gamma * P v as a flat per-pair array."""
-    lay = game.layout
-    v = lay.space.value_vector(v)
-    return lay.space.rewards + game.gamma * lay.p_dot(v)
+    v = game.space.value_vector(v)
+    return game.space.rewards + game.gamma * game.layout.p_dot(v)
 
 
 def _segment_best(space: ActionSpace, q: np.ndarray,
@@ -221,15 +220,15 @@ def half_bellman(game: StochasticGame, v: np.ndarray, pi: np.ndarray,
 class PolicyLinearSystem:
     def __init__(self, game: StochasticGame, sigma: np.ndarray,
                  discount: float | None = None):
-        lay = game.layout
-        lay.space.check_strategy(sigma)
+        space = game.space
+        space.check_strategy(sigma)
         n = game.n_states
-        pairs = lay.space.chosen_pairs(np.asarray(sigma, dtype=np.int64))
+        pairs = space.chosen_pairs(np.asarray(sigma, dtype=np.int64))
         self.gamma = game.gamma if discount is None else float(discount)
         self.n = n
-        self.chain = lay.restrict(pairs)
+        self.chain = game.layout.restrict(pairs)
         self.u = self.chain.uniform_mask.astype(np.float64)
-        self.r = lay.space.rewards[pairs]
+        self.r = space.rewards[pairs]
         S = self.chain.trans
         active = np.diff(S.indptr) > 0
         if not active.all():
@@ -453,8 +452,7 @@ def value_iteration(game: StochasticGame, tol: float,
     """
     if not (tol > 0):
         raise InputError("tol must be positive")
-    if not (0.0 <= game.gamma < 1.0):  # the bracket needs a contraction
-        raise InputError(f"value iteration needs gamma in [0, 1), got {game.gamma}")
+    game.space.check_discount()  # the bracket needs a contraction
     scale = game.gamma / (1.0 - game.gamma)
     v = np.zeros(game.n_states)
     trace = SolveTrace()
@@ -515,6 +513,7 @@ def _policy_iteration(game: StochasticGame, pi_init: np.ndarray,
 
     Returns the final strategy and its exact value (the last evaluation).
     """
+    game.space.check_discount()
     game.space.check_strategy(pi_init)
     sigma = np.asarray(pi_init, dtype=np.int64).copy()
     if fixed is not None:
@@ -684,6 +683,7 @@ def ratio_scan(game: StochasticGame,
     one ``scan_stack`` per chunk on games of up to ``DENSE_MAX_STATES``
     states, one sparse chain at a time on larger games.
     """
+    game.space.check_discount()
     if enumerate_all:
         strategies = _strategy_product(game, MAX_ENUMERATED_STRATEGIES)
     else:

@@ -2,9 +2,14 @@
 
 A game is a set of states, each owned by the MIN or the MAX player, with one
 or more actions per state. An action carries a reward and a sparse transition
-row. Games are immutable after construction; every transform returns a new
-game. Transition rows that are uniform over the whole state set are stored by
-a compact marker so very large instances stay cheap to build and solve: a
+row. A game is three read-only parts: its owner tags, its
+:class:`ActionSpace` (the flat pair layout, the rewards and the discount) and
+one :class:`ChainView`, a CSR table with a row per pair, in the order the
+rows were given. :class:`Action` is only the form in which :func:`make_game`
+takes rows and :attr:`StochasticGame.actions` hands them back. Games are
+immutable; every transform returns a new game that shares what it does not
+change. Transition rows that are uniform over the whole state set are stored
+by a compact marker so very large instances stay cheap to build and solve: a
 transition law is held as ``P = S + u 1^T / n`` with sparse rows ``S`` and a
 mask ``u`` of uniform rows, and :class:`ChainView` is the one place that
 reads it (``P x``, ``P^T y``, the dense matrix, the padded table of
@@ -81,7 +86,8 @@ class InputError(ValueError):
 
 @dataclass(frozen=True)
 class Action:
-    """One action: reward plus a sparse transition row.
+    """One action as :func:`make_game` takes it: reward plus a sparse
+    transition row.
 
     ``uniform=True`` marks the row as uniform over *all* states (including
     the origin state); ``next_states``/``probs`` are then ignored.
@@ -95,10 +101,11 @@ class Action:
 
 @dataclass(frozen=True, eq=False)
 class ActionSpace:
-    """Flat state-action layout without transition data.
+    """Flat state-action layout, rewards and discount, without transition data.
 
     This is the only structural view handed to sampling-based solvers; it
-    deliberately omits the transition law.
+    deliberately omits the transition law. It is the one place the discount
+    lives.
     """
 
     n_states: int
@@ -140,6 +147,12 @@ class ActionSpace:
             raise InputError(f"value vector shape {v.shape} != ({self.n_states},)")
         return v
 
+    def check_discount(self) -> None:
+        """Refuse a discount outside [0, 1): the Bellman operator is then no
+        contraction, and the iteration solvers have no answer to give."""
+        if not (0.0 <= self.gamma < 1.0):
+            raise InputError(f"the iteration solvers need gamma in [0, 1), got {self.gamma}")
+
     def check_unit_rewards(self) -> None:
         """Refuse rewards outside [0, 1], as mirroring and sampling need."""
         r = self.rewards
@@ -158,10 +171,11 @@ class ChainView:
     ``trans`` holds the explicit rows S (empty for uniform rows);
     ``uniform_mask`` marks the rows u that are uniform over all states.
 
-    ``trans`` is the canonical CSR form, which ``row_table`` (and so the
-    sampler) and ``restrict`` read. ``P x``, ``P^T y`` and the dense matrix
-    read S in the form :func:`prefer_dense` picks for its shape and fill,
-    decided once per view: a read-only dense copy, or ``trans`` itself.
+    ``trans`` is a CSR table with the rows in the order given, repeated
+    targets included (a game's table is read-only), which ``row_table`` (and
+    so the sampler) and ``restrict`` read. ``P x``, ``P^T y`` and the dense
+    matrix read S in the form :func:`prefer_dense` picks for its shape and
+    fill, decided once per view: a read-only dense copy, or ``trans`` itself.
     """
 
     trans: sp.csr_matrix          # (n_rows, n_states)
@@ -252,127 +266,128 @@ class ChainView:
 
 
 @dataclass(frozen=True, eq=False)
-class GameLayout(ChainView):
-    """Action space plus the all-pairs transition view (one row per pair)."""
-
-    space: ActionSpace
-
-
-@dataclass(frozen=True, eq=False)
 class StochasticGame:
-    """Immutable description of a turn-based zero-sum stochastic game."""
+    """Immutable description of a turn-based zero-sum stochastic game.
 
-    gamma: float
-    owners: np.ndarray                 # (n_states,) int8, MIN_PLAYER/MAX_PLAYER
-    actions: tuple[tuple[Action, ...], ...]
+    ``layout`` holds one row per pair, in the flat pair order of ``space``.
+    """
+
+    owners: np.ndarray    # (n_states,) int8, MIN_PLAYER/MAX_PLAYER
+    space: ActionSpace
+    layout: ChainView
+
+    @property
+    def gamma(self) -> float:
+        return self.space.gamma
 
     @property
     def n_states(self) -> int:
-        return len(self.actions)
+        return self.space.n_states
 
     @property
     def n_pairs(self) -> int:
-        return int(self.layout.space.n_pairs)
-
-    @cached_property
-    def layout(self) -> GameLayout:
-        return _build_layout(self)
-
-    @property
-    def space(self) -> ActionSpace:
-        return self.layout.space
+        return self.space.n_pairs
 
     def n_actions_at(self, state: int) -> int:
-        return len(self.actions[state])
+        return int(self.space.n_actions[state])
+
+    @property
+    def actions(self) -> tuple[tuple[Action, ...], ...]:
+        """The game in the form :func:`make_game` takes, each row a read-only
+        view into the table."""
+        trans, off = self.layout.trans, self.space.state_offset.tolist()
+        ptr = trans.indptr.tolist()
+        pairs = [Action(reward, uniform=True) if uniform else
+                 Action(reward, trans.indices[lo:hi], trans.data[lo:hi])
+                 for reward, uniform, lo, hi in zip(self.space.rewards.tolist(),
+                                                    self.layout.uniform_mask.tolist(),
+                                                    ptr, ptr[1:])]
+        return tuple(tuple(pairs[off[s]:off[s + 1]]) for s in range(self.n_states))
 
 
-def _build_layout(game: StochasticGame) -> GameLayout:
-    n_states = game.n_states
-    n_actions = np.array([len(acts) for acts in game.actions], dtype=np.int64)
-    state_offset = np.zeros(n_states + 1, dtype=np.int64)
-    np.cumsum(n_actions, out=state_offset[1:])
-    n_pairs = int(state_offset[-1])
-
-    rewards = np.empty(n_pairs, dtype=np.float64)
-    uniform_mask = np.zeros(n_pairs, dtype=bool)
-    pair_state = np.repeat(np.arange(n_states, dtype=np.int64), n_actions)
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    data: list[np.ndarray] = []
-    pair = 0
-    for s, acts in enumerate(game.actions):
-        for act in acts:
-            rewards[pair] = act.reward
-            if act.uniform:
-                uniform_mask[pair] = True
-            else:
-                idx = np.asarray(act.next_states, dtype=np.int64)
-                rows.append(np.full(idx.shape, pair, dtype=np.int64))
-                cols.append(idx)
-                data.append(np.asarray(act.probs, dtype=np.float64))
-            pair += 1
-
-    if rows:
-        trans = sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_pairs, n_states),
-        )
-    else:
-        trans = sp.csr_matrix((n_pairs, n_states))
-
-    is_max = game.owners.astype(bool)
-    pair_sign = np.where(is_max[pair_state], -1.0, 1.0)
-    pair_ids = np.arange(n_pairs, dtype=np.int64)
-
-    for arr in (n_actions, state_offset, pair_state, rewards, uniform_mask,
-                pair_sign, pair_ids):
-        arr.setflags(write=False)
-
-    space = ActionSpace(
-        n_states=n_states,
-        n_pairs=n_pairs,
-        gamma=game.gamma,
-        is_max=is_max,
-        n_actions=n_actions,
-        state_offset=state_offset,
-        pair_state=pair_state,
-        rewards=rewards,
-        pair_sign=pair_sign,
-        pair_ids=pair_ids,
-    )
-    return GameLayout(trans=trans, uniform_mask=uniform_mask, space=space)
-
-
-def frozen(values, dtype) -> np.ndarray:
-    """``values`` as a read-only ``dtype`` array that no writable array shares.
-
-    An array that already is one (read-only, owning its memory) is returned
-    as it is, so games built from other games' rows share them; anything
-    else is copied.
-    """
-    if (isinstance(values, np.ndarray) and values.dtype == dtype and values.base is None
-            and not values.flags.writeable):
-        return values
-    arr = np.array(values, dtype=dtype)
+def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-def _owned(act: Action) -> Action:
-    """``act`` with read-only rows of its own; uniform rows hold no arrays."""
-    if act.uniform:
-        return act
-    return Action(act.reward, frozen(act.next_states, np.int64), frozen(act.probs, np.float64))
+def _space(gamma: float, owners: np.ndarray, n_actions: np.ndarray,
+           rewards: np.ndarray) -> ActionSpace:
+    """The read-only action space of states with ``n_actions`` pairs each."""
+    state_offset = np.zeros(n_actions.size + 1, dtype=np.int64)
+    np.cumsum(n_actions, out=state_offset[1:])
+    n_pairs = int(state_offset[-1])
+    pair_state = np.repeat(np.arange(n_actions.size, dtype=np.int64), n_actions)
+    is_max = owners.astype(bool)
+    return ActionSpace(
+        n_states=n_actions.size,
+        n_pairs=n_pairs,
+        gamma=float(gamma),
+        is_max=_readonly(is_max),
+        n_actions=_readonly(n_actions),
+        state_offset=_readonly(state_offset),
+        pair_state=_readonly(pair_state),
+        rewards=_readonly(rewards),
+        pair_sign=_readonly(np.where(is_max[pair_state], -1.0, 1.0)),
+        pair_ids=_readonly(np.arange(n_pairs, dtype=np.int64)),
+    )
+
+
+def _refuse(fault: str):
+    raise InputError(f"invalid game: {fault}")
 
 
 def make_game(gamma: float,
               owners: Sequence[int],
               actions: Sequence[Sequence[Action]]) -> StochasticGame:
-    """A game whose owner tags and rows are read-only arrays (see :func:`frozen`),
-    so later writes to the caller's arrays cannot reach it."""
-    return StochasticGame(gamma=float(gamma), owners=frozen(owners, np.int8),
-                          actions=tuple(tuple(map(_owned, acts)) for acts in actions))
+    """A game whose owner tags and rows are copied into one read-only table,
+    so later writes to the caller's arrays cannot reach it.
+
+    Rows keep the order they are given in, repeated targets included, so
+    :func:`validate` checks them as the caller wrote them. What the table
+    cannot hold raises InputError here: owner tags that do not cover every
+    state or do not fit an int8, index and probability arrays of different
+    shapes, and a target that is not an integer state index.
+    """
+    tags = np.asarray(owners)
+    if tags.shape != (len(actions),):
+        _refuse("owner tags do not cover every state")
+    owners = _readonly(tags.astype(np.int8))
+    if (wrapped := np.flatnonzero(owners != tags)).size:  # 256 would wrap to MIN
+        _refuse(f"state {wrapped[0]} has invalid owner tag {tags[wrapped[0]]}")
+    rewards, uniform, lengths = [], [], []
+    targets, probs = [np.empty(0, dtype=np.int64)], [np.empty(0)]  # a game may have no rows
+    for s, acts in enumerate(actions):
+        for a, act in enumerate(acts):
+            rewards.append(act.reward)
+            uniform.append(act.uniform)
+            if act.uniform:
+                lengths.append(0)
+                continue
+            idx, p = np.asarray(act.next_states), np.asarray(act.probs, dtype=np.float64)
+            if idx.ndim != 1 or idx.shape != p.shape:
+                _refuse(f"transition index/probability shape mismatch at ({s},{a})")
+            if idx.size and idx.dtype.kind not in "iu":  # 0.7 or True is no state
+                _refuse(f"transition target not an integer at ({s},{a})")
+            lengths.append(idx.size)
+            targets.append(idx)
+            probs.append(p)
+
+    space = _space(gamma, owners, np.array([len(acts) for acts in actions], dtype=np.int64),
+                   np.array(rewards, dtype=np.float64))
+    indptr = np.zeros(space.n_pairs + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = np.concatenate(targets, dtype=np.int64, casting="unsafe")
+    if (bad := np.flatnonzero((indices < 0) | (indices >= space.n_states))).size:
+        pair = int(np.searchsorted(indptr, bad[0], side="right")) - 1
+        s = int(space.pair_state[pair])
+        _refuse(f"transition target out of range at ({s},{pair - space.state_offset[s]})")
+    trans = sp.csr_matrix((np.concatenate(probs), indices, indptr),
+                          shape=(space.n_pairs, space.n_states))
+    for arr in (trans.data, trans.indices, trans.indptr):
+        arr.setflags(write=False)
+    uniform_mask = _readonly(np.array(uniform, dtype=bool))
+    return StochasticGame(owners=owners, space=space,
+                          layout=ChainView(trans=trans, uniform_mask=uniform_mask))
 
 
 # ---------------------------------------------------------------------------
@@ -381,28 +396,25 @@ def make_game(gamma: float,
 
 def _valid(game: StochasticGame) -> StochasticGame:
     if report := validate(game):
-        raise InputError("invalid game: " + "; ".join(report))
+        _refuse("; ".join(report))
     return game
 
 
 def validate(game: StochasticGame) -> list[str]:
-    """Return a report listing every violated structural invariant.
+    """Return a report listing every violated structural invariant, state
+    by state and action by action, in the order the rows were given.
 
     An empty list means the game is well-formed. This never raises; loaders
-    that want hard failures should raise on a non-empty report.
+    that want hard failures should raise on a non-empty report. What the
+    table cannot hold at all, :func:`make_game` has refused already.
     """
-    report: list[str] = []
     if game.n_states < 1:
-        report.append("game has no states")
-        return report
+        return ["game has no states"]
+    report: list[str] = []
     if not (0.0 < game.gamma < 1.0):
         report.append(f"gamma {game.gamma} outside (0, 1)")
-    if len(game.owners) != game.n_states:
-        report.append("owner tags do not cover every state")
-    else:
-        bad = np.flatnonzero(~np.isin(game.owners, (MIN_PLAYER, MAX_PLAYER)))
-        for s in bad:
-            report.append(f"state {s} has invalid owner tag {game.owners[s]}")
+    for s in np.flatnonzero(~np.isin(game.owners, (MIN_PLAYER, MAX_PLAYER))):
+        report.append(f"state {s} has invalid owner tag {game.owners[s]}")
     r_max = 0.0
     for s, acts in enumerate(game.actions):
         if len(acts) == 0:
@@ -414,16 +426,10 @@ def validate(game: StochasticGame) -> list[str]:
                 r_max = max(r_max, abs(act.reward))
             if act.uniform:
                 continue
-            idx = np.asarray(act.next_states)
-            probs = np.asarray(act.probs, dtype=np.float64)
-            if idx.shape != probs.shape:
-                report.append(f"transition index/probability shape mismatch at ({s},{a})")
-                continue
-            if idx.size == 0:
+            probs = act.probs
+            if probs.size == 0:
                 report.append(f"empty transition row at ({s},{a})")
                 continue
-            if idx.min() < 0 or idx.max() >= game.n_states:
-                report.append(f"transition target out of range at ({s},{a})")
             if not np.isfinite(probs).all():
                 report.append(f"transition probability not finite at ({s},{a})")
                 continue
@@ -447,49 +453,37 @@ def mirror(game: StochasticGame) -> StochasticGame:
 
     Requires rewards in [0, 1]. The mirrored game's optimal value satisfies
     v'*(s) = 1/(1 - gamma) - v*(s), and its min player plays the role of the
-    original max player.
+    original max player. The copy shares the game's rows.
     """
-    game.space.check_unit_rewards()
+    space = game.space
+    space.check_unit_rewards()
     owners = np.where(game.owners == MIN_PLAYER, MAX_PLAYER, MIN_PLAYER).astype(np.int8)
-    actions = tuple(
-        tuple(Action(reward=1.0 - act.reward, next_states=act.next_states,
-                     probs=act.probs, uniform=act.uniform) for act in acts)
-        for acts in game.actions)
-    return make_game(game.gamma, owners, actions)
+    return replace(game, owners=_readonly(owners),
+                   space=_space(space.gamma, owners, space.n_actions, 1.0 - space.rewards))
 
 
 def affine_reward_map(game: StochasticGame, scale: float, offset: float) -> StochasticGame:
     """Map rewards r -> (r + offset) / scale, preserving optimal strategies.
 
     For every strategy the values transform as
-    v' = (v + offset / (1 - gamma)) / scale.
+    v' = (v + offset / (1 - gamma)) / scale. The copy shares the game's rows.
     """
     if not (scale > 0):
         raise InputError("scale must be positive")
-    actions = tuple(
-        tuple(Action(reward=(act.reward + offset) / scale, next_states=act.next_states,
-                     probs=act.probs, uniform=act.uniform) for act in acts)
-        for acts in game.actions)
-    return _valid(make_game(game.gamma, game.owners, actions))
+    with np.errstate(over="ignore"):  # an infinite reward is reported by validate
+        rewards = _readonly((game.space.rewards + offset) / scale)
+    return _valid(replace(game, space=replace(game.space, rewards=rewards)))
 
 
 def with_gamma(game: StochasticGame, gamma: float) -> StochasticGame:
     """Same states, actions and rewards under a different discount factor.
 
-    The copy shares the game's layout arrays and transition rows, dense copy
-    included, which do not depend on the discount; only ``gamma`` is swapped.
+    The copy shares the game's layout, dense copy of the rows included, and
+    every array of its action space; only ``gamma`` is swapped.
     """
     if not (0.0 < gamma < 1.0):
         raise InputError("gamma must lie in (0, 1)")
-    lay = game.layout
-    copy = StochasticGame(gamma=float(gamma), owners=game.owners, actions=game.actions)
-    # ``layout`` and the rows it holds are cached properties: seed the copy's
-    # caches with the shared ones
-    copy.__dict__["layout"] = shared = GameLayout(
-        trans=lay.trans, uniform_mask=lay.uniform_mask,
-        space=replace(lay.space, gamma=float(gamma)))
-    shared.__dict__["_rows"] = lay._rows
-    return copy
+    return replace(game, space=replace(game.space, gamma=float(gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +575,8 @@ def from_json_dict(doc: dict) -> StochasticGame:
                         raise InputError(f"transition targets must be integers: {targets}")
                     acts.append(Action(
                         reward=float(entry["reward"]),
-                        next_states=frozen(targets, np.int64),
-                        probs=frozen([e["p"] for e in nxt], np.float64),
+                        next_states=np.array(targets, dtype=np.int64),
+                        probs=np.array([e["p"] for e in nxt], dtype=np.float64),
                     ))
             actions.append(acts)
     return _valid(make_game(gamma, owners, actions))

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .game import (Action, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, frozen,
-                   make_game)
+from .game import Action, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, make_game
 
 
 def random_game(n_states: int, n_actions: int, gamma: float, seed: int,
@@ -29,7 +28,7 @@ def random_game(n_states: int, n_actions: int, gamma: float, seed: int,
     else:
         raise InputError(f"unknown owners spec {owners!r}")
 
-    all_states = frozen(np.arange(n_states), np.int64)  # one read-only row for every action
+    all_states = np.arange(n_states)
     actions = []
     for _ in range(n_states):
         acts = []
@@ -58,7 +57,7 @@ def clustered_game(n_states: int, n_actions: int, gamma: float, seed: int) -> St
     stickiness = 0.9  # share of each row's mass kept in its own cluster
     half = n_states // 2
     cluster = np.arange(n_states) < half
-    all_states = frozen(np.arange(n_states), np.int64)
+    all_states = np.arange(n_states)
     tags = np.array([MIN_PLAYER, MAX_PLAYER] * ((n_states + 1) // 2))[:n_states]
     rng.shuffle(tags)
     actions = []

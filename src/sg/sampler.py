@@ -39,10 +39,9 @@ class GenerativeModel:
         if not isinstance(master_seed, (int, np.integer)):
             raise InputError("master_seed must be an integer")
         self._game = game
-        self._layout = game.layout
         self.master_seed = int(master_seed)
         self._salt = int(_salt)
-        self._support, self._probs = self._layout.row_table()
+        self._support, self._probs = game.layout.row_table()
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
             entropy=self.master_seed, spawn_key=(self._salt,))))
         self._draws = np.zeros(self.n_pairs, dtype=np.int64)
@@ -51,7 +50,7 @@ class GenerativeModel:
 
     @property
     def space(self) -> ActionSpace:
-        return self._layout.space
+        return self._game.space
 
     @property
     def gamma(self) -> float:

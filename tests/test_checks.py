@@ -264,9 +264,9 @@ def test_return_variance_matches_monte_carlo():
     lay = g.layout
     dense, rew = [], []
     for sig in list(plan.prefix) + [plan.tail]:
-        pairs = lay.space.chosen_pairs(sig)
+        pairs = g.space.chosen_pairs(sig)
         dense.append(np.cumsum(lay.trans[pairs].toarray(), axis=1))
-        rew.append(lay.space.rewards[pairs])
+        rew.append(g.space.rewards[pairs])
     for start in range(3):
         states = np.full(n_traj, start)
         ret = np.zeros(n_traj)

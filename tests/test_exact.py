@@ -1,5 +1,6 @@
 """Exact solvers against independent oracles and closed forms."""
 
+import json
 import warnings
 from itertools import product
 
@@ -14,7 +15,8 @@ from sg.exact import (apply_strategy, bellman, best_response, enumerate_strategi
                       policy_iteration, q_from_v, ratio_scan, scan_stack,
                       stationary_distribution, strategy_iteration,
                       value_iteration)
-from sg.game import Action, InputError, MAX_PLAYER, MIN_PLAYER, make_game, mirror, with_gamma
+from sg.game import (Action, InputError, MAX_PLAYER, MIN_PLAYER, from_json_dict, make_game,
+                     mirror, to_json_dict, with_gamma)
 from sg.checks import MarkovianPlan, markovian_evaluate
 from sg.generate import clustered_game, random_game
 from sg.hard import build_hi1, build_hi2, hi1_mean_value, verify_si_path_hi2
@@ -830,6 +832,40 @@ def test_mirror_is_an_involution_on_vi_values(g):
     np.testing.assert_allclose(v + v_m, 1.0 / (1.0 - g.gamma), rtol=0, atol=2 * tol)
 
 
+def table_arrays(game):
+    """Every array the game is made of, as bytes."""
+    trans = game.layout.trans
+    return [arr.tobytes() + str(arr.dtype).encode()
+            for arr in (trans.data, trans.indices, trans.indptr, game.layout.uniform_mask,
+                        game.space.rewards, game.owners)]
+
+
+def assert_the_table_round_trips(g):
+    text = json.dumps(to_json_dict(g), indent=1)
+    for h in (make_game(g.gamma, g.owners, g.actions), from_json_dict(to_json_dict(g))):
+        assert table_arrays(h) == table_arrays(g)
+        assert h.gamma == g.gamma
+        assert json.dumps(to_json_dict(h), indent=1) == text
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_games())
+def test_the_table_round_trips_through_actions_and_json(g):
+    assert_the_table_round_trips(g)
+
+
+@pytest.mark.parametrize("targets, probs", [([2, 0], [0.3, 0.7]),
+                                            ([1, 0, 1], [0.25, 0.5, 0.25])])
+def test_rows_keep_their_order_and_repeated_targets(targets, probs):
+    g = make_game(0.9, [MIN_PLAYER, MAX_PLAYER, MIN_PLAYER], [
+        [Action(reward=0.5, next_states=np.array(targets), probs=np.array(probs))],
+        [Action(reward=0.25, uniform=True)],
+        [Action(reward=1.0, next_states=np.array([1]), probs=np.array([1.0]))]])
+    assert g.layout.trans.indices[:len(targets)].tolist() == targets
+    assert g.layout.trans.data[:len(probs)].tolist() == probs
+    assert_the_table_round_trips(g)
+
+
 def test_trace_csv_round_trip(tmp_path):
     g = random_game(5, 3, 0.9, seed=30, owners="max")
     _, trace = policy_iteration(g, np.zeros(5, dtype=np.int64))
@@ -957,6 +993,31 @@ def test_value_iteration_refuses_an_undiscounted_game():
         Action(reward=1.0, next_states=np.array([0]), probs=np.array([1.0]))]])
     with pytest.raises(InputError, match="gamma"):
         value_iteration(g, 1e-6, max_iter=100)
+
+
+def two_state_cycle(gamma):
+    return make_game(gamma, [MIN_PLAYER, MAX_PLAYER], [
+        [Action(reward=1.0, next_states=np.array([1]), probs=np.array([1.0]))],
+        [Action(reward=0.5, next_states=np.array([0]), probs=np.array([1.0]))]])
+
+
+ZEROS = np.zeros(2, dtype=np.int64)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda g: value_iteration(g, 1e-6),
+    lambda g: policy_iteration(g, ZEROS, fixed=(MIN_PLAYER, ZEROS)),
+    lambda g: strategy_iteration(g, ZEROS),
+    lambda g: best_response(g, ZEROS, MIN_PLAYER),
+    lambda g: ratio_scan(g),
+], ids=["value_iteration", "policy_iteration", "strategy_iteration", "best_response",
+        "ratio_scan"])
+@pytest.mark.parametrize("gamma", [1.5, 1.0, -0.5, float("nan")])
+def test_iteration_solvers_refuse_a_discount_outside_the_unit_interval(solve, gamma):
+    # PI, SI and best_response used to return [0 0] at gamma 1.5, and the scan
+    # failed on its flux check
+    with pytest.raises(InputError, match=r"gamma in \[0, 1\)"):
+        solve(two_state_cycle(gamma))
 
 
 def test_evaluate_refuses_a_nan_residual():

@@ -1,6 +1,7 @@
 """Game model: validation, transforms, JSON round-trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import sg
 import sg.cli
 from sg.game import (Action, MAX_PLAYER, MIN_PLAYER, affine_reward_map,
                      from_json_dict, load_game, make_game, mirror,
-                     save_game, to_json_dict, validate)
+                     save_game, to_json_dict, validate, with_gamma)
 from sg.exact import evaluate, strategy_iteration, value_iteration
 from sg.generate import random_game
 from sg.hard import build_hi1, build_hi2
@@ -39,10 +40,12 @@ def test_validate_flags_bad_row_sum():
 
 
 def test_validate_flags_bad_targets_and_gamma():
-    g = make_game(0.9, [MIN_PLAYER], [[
-        Action(reward=0.0, next_states=np.array([3]), probs=np.array([1.0]))
-    ]])
-    assert any("out of range" in r for r in validate(g))
+    # a target the table cannot hold is refused when the game is made
+    with pytest.raises(sg.InputError,
+                       match=r"^invalid game: transition target out of range at \(0,0\)$"):
+        make_game(0.9, [MIN_PLAYER], [[
+            Action(reward=0.0, next_states=np.array([3]), probs=np.array([1.0]))
+        ]])
     g2 = make_game(1.0 - 1e-18, [MIN_PLAYER], [[Action(reward=0.0, uniform=True)]])
     # gamma rounds to 1.0 in double precision
     assert any("gamma" in r for r in validate(g2))
@@ -51,6 +54,77 @@ def test_validate_flags_bad_targets_and_gamma():
 def test_validate_hi1_instance():
     game, _ = build_hi1(48)
     assert validate(game) == []
+
+
+def row(targets, probs, reward=0.0):
+    return Action(reward=reward, next_states=np.array(targets), probs=np.array(probs))
+
+
+OK_ROW = row([0], [1.0])
+
+
+@pytest.mark.parametrize("gamma, owners, actions, report", [
+    (0.9, [], [], ["game has no states"]),
+    (1.5, [MIN_PLAYER], [[OK_ROW]], ["gamma 1.5 outside (0, 1)"]),
+    (0.9, [2], [[OK_ROW]], ["state 0 has invalid owner tag 2"]),
+    (0.9, [MIN_PLAYER, MAX_PLAYER], [[OK_ROW], []], ["state 1 has no actions"]),
+    (0.9, [MIN_PLAYER], [[row([0], [1.0], reward=float("nan"))]],
+     ["reward not finite at (0,0)"]),
+    (0.9, [MIN_PLAYER], [[OK_ROW, row([], [])]], ["empty transition row at (0,1)"]),
+    (0.9, [MIN_PLAYER], [[row([0], [float("inf")])]],
+     ["transition probability not finite at (0,0)"]),
+    # the row sums to 1: a table that summed repeated targets would hide this
+    (0.9, [MIN_PLAYER], [[row([0, 0], [-0.1, 1.1])]],
+     ["negative transition probability at (0,0)"]),
+    (0.9, [MIN_PLAYER], [[row([0], [0.98])]], ["transition sum 0.98 != 1 at (0,0)"]),
+    (0.9, [MIN_PLAYER], [[row([0], [1.0], reward=1e150)]],
+     [f"value scale max|r|/(1-gamma) = {1e150 / (1.0 - 0.9)} exceeds 1e+150"]),
+])
+def test_validate_reports_each_kind_of_fault(gamma, owners, actions, report):
+    assert validate(make_game(gamma, owners, actions)) == report
+
+
+def test_validate_reports_every_fault_in_state_then_action_order():
+    nan = float("nan")
+    g = make_game(1.0, [MIN_PLAYER, MAX_PLAYER, MIN_PLAYER, 5, MAX_PLAYER, MIN_PLAYER], [
+        [OK_ROW, row([1], [1.0], reward=float("inf"))],
+        [],  # no actions, between faulty pairs
+        [row([0, 3], [0.5, 0.6], reward=nan), Action(reward=0.0, uniform=True), row([], [])],
+        [row([2], [nan]), row([1, 2], [-0.5, 1.5])],
+        [Action(reward=nan, uniform=True)],
+        [row([5, 4], [0.25, 0.75])]])
+    assert validate(g) == [
+        "gamma 1.0 outside (0, 1)",
+        "state 3 has invalid owner tag 5",
+        "reward not finite at (0,1)",
+        "state 1 has no actions",
+        "reward not finite at (2,0)",
+        "transition sum 1.1 != 1 at (2,0)",
+        "empty transition row at (2,2)",
+        "transition probability not finite at (3,0)",
+        "negative transition probability at (3,1)",
+        "reward not finite at (4,0)",
+    ]
+
+
+@pytest.mark.parametrize("owners, actions, fault", [
+    ([MIN_PLAYER], [[row([3], [1.0])]], "transition target out of range at (0,0)"),
+    ([MIN_PLAYER, MIN_PLAYER], [[OK_ROW], [OK_ROW, row([1, -1], [0.5, 0.5])]],
+     "transition target out of range at (1,1)"),
+    ([MIN_PLAYER], [[OK_ROW, row([0.7], [1.0])]], "transition target not an integer at (0,1)"),
+    ([MIN_PLAYER], [[row([True], [1.0])]], "transition target not an integer at (0,0)"),
+    ([MIN_PLAYER], [[row([0, 0], [1.0])]],
+     "transition index/probability shape mismatch at (0,0)"),
+    ([MIN_PLAYER], [[row([[0]], [[1.0]])]],
+     "transition index/probability shape mismatch at (0,0)"),
+    ([MIN_PLAYER, MAX_PLAYER], [[OK_ROW]], "owner tags do not cover every state"),
+    (np.array([MAX_PLAYER, 256]), [[OK_ROW], [OK_ROW]], "state 1 has invalid owner tag 256"),
+])
+def test_make_game_refuses_what_the_table_cannot_hold(owners, actions, fault):
+    # such a game used to be built, and its first solve raised scipy's bare
+    # ValueError, or multiplied by an entry outside the matrix
+    with pytest.raises(sg.InputError, match=re.escape(f"invalid game: {fault}")):
+        make_game(0.9, owners, actions)
 
 
 def test_mirror_one_state():
@@ -273,11 +347,18 @@ def test_a_game_keeps_its_rows_when_the_caller_writes_to_theirs():
 
 def test_a_game_shares_only_rows_that_no_one_can_write():
     g = random_game(4, 2, 0.9, seed=0)
-    rows = [a.next_states for acts in g.actions for a in acts]
-    assert all(r is rows[0] for r in rows) and not rows[0].flags.writeable
-    view = rows[0][::-1]  # read-only, but a view: copied, not kept
-    mirrored = mirror(g)
-    h = make_game(0.9, g.owners, [[Action(0.5, view, g.actions[0][0].probs)]] * 4)
-    assert mirrored.actions[1][0].next_states is rows[0]
-    assert h.actions[0][0].next_states is not view
-    assert h.actions[0][0].probs is g.actions[0][0].probs
+    lay, space = g.layout, g.space
+    # the transforms share the one table, dense copy of its rows included
+    for copy in (mirror(g), affine_reward_map(g, 2.0, 0.5), with_gamma(g, 0.5)):
+        assert copy.layout is lay
+    tables = (lay.trans.data, lay.trans.indices, lay.trans.indptr, lay.uniform_mask,
+              lay._rows, g.owners, space.is_max, space.n_actions, space.state_offset,
+              space.pair_state, space.rewards, space.pair_sign, space.pair_ids)
+    assert not any(arr.flags.writeable for arr in tables)
+    # a caller's row, even a read-only view of another game's table, is copied
+    act = g.actions[0][0]
+    assert np.shares_memory(act.probs, lay.trans.data)
+    h = make_game(0.9, g.owners, [[Action(0.5, act.next_states[::-1], act.probs)]] * 4)
+    for theirs, ours in ((h.layout.trans.indices, lay.trans.indices),
+                         (h.layout.trans.data, lay.trans.data), (h.owners, g.owners)):
+        assert not np.shares_memory(theirs, ours)
