@@ -13,6 +13,7 @@ Conventions shared by every routine here:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, product
@@ -142,22 +143,28 @@ def _segment_best(space: ActionSpace, q: np.ndarray,
 
     ``q`` is one Q ``(n_pairs,)`` or a stack ``(k, n_pairs)``, reduced along
     its last axis. Q is negated at MAX pairs (exact), so one
-    ``minimum.reduceat`` over the pair ranges gives every owner's optimum
-    with no padding to the widest state. Returns ``(q_signed, best, first)``:
-    the signed Q, the signed optimum per state, and per state the flat index
-    of its lowest action whose signed Q is within ``slack`` of that optimum.
-    Raises ValueError on a non-finite optimum, where the tie break would find
-    no action.
+    ``minimum.reduceat`` over the pair ranges of the states with a choice
+    gives every owner's optimum with no padding to the widest state; a
+    one-action state's optimum is its own pair. Returns
+    ``(q_signed, best, first)``: the signed Q, the signed optimum per state,
+    and per state the flat index of its lowest action whose signed Q is
+    within ``slack`` of that optimum. Raises ValueError on a non-finite
+    optimum, where the tie break would find no action.
     """
-    starts = space.state_offset[:-1]
+    offset = space.state_offset[:-1]
+    states, pairs, starts = space.choice_states, space.choice_pairs, space.choice_starts
     q_signed = q * space.pair_sign
-    best = np.minimum.reduceat(q_signed, starts, axis=-1)
+    q_choice = q_signed[..., pairs]
+    best = q_signed[..., offset]
+    best[..., states] = np.minimum.reduceat(q_choice, starts, axis=-1)
     if not np.isfinite(best).all():
         state = int(np.argwhere(~np.isfinite(best))[0, -1])
         raise ValueError(f"Q has a non-finite optimum at state {state}")
-    hit = q_signed <= (best + slack)[..., space.pair_state]
-    first = np.minimum.reduceat(np.where(hit, space.pair_ids, space.n_pairs), starts,
-                                axis=-1)
+    hit = q_choice <= (best + slack)[..., space.pair_state[pairs]]
+    first = np.empty(best.shape, dtype=np.int64)
+    first[...] = offset
+    first[..., states] = np.minimum.reduceat(np.where(hit, pairs, space.n_pairs), starts,
+                                             axis=-1)
     return q_signed, best, first
 
 
@@ -206,36 +213,56 @@ def half_bellman(game: StochasticGame, v: np.ndarray, pi: np.ndarray,
 # ---------------------------------------------------------------------------
 # linear algebra for a fixed strategy
 
-# A fixed strategy yields P_sigma = S + u (1/n) 1^T, the game's chain view on
-# the chosen pairs (``sg.game.ChainView``). All solves below factor only
-# M = I - gamma*S and fold the uniform rank-one part in via Sherman-Morrison,
-# followed by iterative refinement. Let A be the states whose row of S holds
-# entries, together with the states those entries reach. Permuted, M is
-# blockdiag(I - gamma*S_AA, I), so only the block on A is factored, densely
-# or by SuperLU as ``sg.game.prefer_dense`` picks for its size and fill;
-# outside A the solution is the right-hand side. On the worst-case instances
-# A is a few dozen of 10^4 states.
+# A fixed strategy yields P_sigma = S + u (1/n) 1^T, with S the chosen pairs'
+# explicit rows and u marking the chosen uniform rows. A system holds only
+# the chosen rows that have entries, gathered by ``ChainView.restrict`` in the
+# storage ``sg.game.prefer_dense`` picks, and scatters P x and P^T y through
+# them; r and u are plain gathers. Let A be the states with an explicit row,
+# together with the states those rows reach. Permuted, M = I - gamma*S is
+# blockdiag(I - gamma*S_AA, I), so only the block on A is assembled, straight
+# from the explicit rows, and factored, densely (LAPACK getrf) or by SuperLU
+# as ``prefer_dense`` picks for its size and fill; outside A the solution is
+# the right-hand side. The uniform rank-one part is folded in by
+# Sherman-Morrison, followed by iterative refinement. On the worst-case
+# instances A is a few dozen of 10^4 states.
+
+
+def _dense_lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.linalg.lu_factor(m)`` without its wrapper's per-call cost: a
+    non-finite entry raises ValueError, an exactly singular m warns."""
+    if not np.isfinite(m).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lu, piv, info = sla.lapack.dgetrf(m, overwrite_a=True)
+    if info > 0:
+        warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
+                      sla.LinAlgWarning, stacklevel=3)
+    return lu, piv
 
 
 class PolicyLinearSystem:
     def __init__(self, game: StochasticGame, sigma: np.ndarray,
                  discount: float | None = None):
-        space = game.space
+        space, layout = game.space, game.layout
         space.check_strategy(sigma)
         n = game.n_states
         pairs = space.chosen_pairs(np.asarray(sigma, dtype=np.int64))
         self.gamma = game.gamma if discount is None else float(discount)
         self.n = n
-        self.chain = game.layout.restrict(pairs)
-        self.u = self.chain.uniform_mask.astype(np.float64)
-        self.r = space.rewards[pairs]
-        S = self.chain.trans
-        active = np.diff(S.indptr) > 0
-        if not active.all():
+        self.r = space.rewards.take(pairs)
+        uniform = layout.uniform_mask.take(pairs)
+        self._has_uniform = bool(uniform.any())
+        self.u = uniform.astype(np.float64)
+        # the states whose chosen row has entries, and those rows
+        self._explicit = np.flatnonzero(layout.row_lengths.take(pairs))
+        self.rows = layout.restrict(pairs.take(self._explicit))
+        S = self.rows.trans
+        active = np.zeros(n, dtype=bool)
+        active[self._explicit] = True
+        if self._explicit.size < n:
             active[S.indices] = True
         # None when A is every state: the whole chain is the block
         self._active = None if active.all() else np.flatnonzero(active)
-        k = int(active.sum())
+        k = n if self._active is None else self._active.size
         self._dense = prefer_dense(k, k, S.nnz)  # every entry of S lies in A x A
         self._lu = None
 
@@ -243,24 +270,28 @@ class PolicyLinearSystem:
     def lu(self):
         # Factor I - gamma*S_AA lazily; transition-only uses never pay for it.
         if self._lu is None:
-            S = self.chain.trans
-            if self._active is not None:
-                # S_AA straight from the CSR arrays: rows outside A are empty,
-                # so the row pointers of A stay contiguous (``S[A][:, A]``
-                # took 169 against 48 us on a hi2 evaluation)
-                A = self._active
-                S = sp.csr_matrix((S.data, np.searchsorted(A, S.indices),
-                                   np.append(S.indptr[A], S.nnz)), shape=(A.size, A.size))
-            k = S.shape[0]
+            S, A = self.rows.trans, self._active
+            k, rows, cols = self.n, self._explicit, S.indices
+            if A is not None:  # rows and columns renumbered within A
+                k, rows, cols = A.size, np.searchsorted(A, rows), np.searchsorted(A, cols)
             if self._dense:
-                self._lu = sla.lu_factor(np.eye(k) - self.gamma * S.toarray())
+                # each entry added into its cell in row order, as a CSR toarray does
+                cells = np.repeat(rows * k, self.rows.row_lengths) + cols
+                S_AA = np.bincount(cells, weights=S.data, minlength=k * k).reshape(k, k)
+                self._lu = _dense_lu(np.eye(k) - self.gamma * S_AA)
             else:
-                self._lu = spla.splu(sp.identity(k, format="csc") - self.gamma * S.tocsc())
+                indptr = np.zeros(k + 1, dtype=S.indptr.dtype)
+                indptr[rows + 1] = self.rows.row_lengths
+                np.cumsum(indptr, out=indptr)
+                S_AA = sp.csr_matrix((S.data, cols, indptr), shape=(k, k))
+                self._lu = spla.splu(sp.identity(k, format="csc") - self.gamma * S_AA.tocsc())
         return self._lu
 
     def _block_solve(self, b: np.ndarray, transpose: bool) -> np.ndarray:
         if self._dense:
-            return sla.lu_solve(self.lu, b, trans=1 if transpose else 0)
+            lu, piv = self.lu
+            x, _ = sla.lapack.dgetrs(lu, piv, np.asarray_chkfinite(b), trans=int(transpose))
+            return x
         return self.lu.solve(b, trans="T" if transpose else "N")
 
     def _lu_solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -285,17 +316,27 @@ class PolicyLinearSystem:
         w = self._lu_solve(np.ones(self.n), transpose=True)
         return w, float(self.u @ w)
 
+    def _pt_dot(self, y: np.ndarray) -> np.ndarray:
+        """P_sigma^T y: the explicit rows push their mass, the uniform rows
+        spread theirs evenly."""
+        out = self.rows.pt_dot(y[self._explicit])
+        if self._has_uniform:
+            out = out + float(self.u @ y) / self.n
+        return out
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """(I - gamma * P_sigma) x."""
-        return x - self.gamma * self.chain.p_dot(x)
+        """(I - gamma * P_sigma) x, the explicit rows scattered into the uniform part."""
+        p = self.u * float(x.mean()) if self._has_uniform else np.zeros(self.n)
+        p[self._explicit] = self.rows.p_dot(x)
+        return x - self.gamma * p
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """(I - gamma * P_sigma^T) y."""
-        return y - self.gamma * self.chain.pt_dot(y)
+        return y - self.gamma * self._pt_dot(y)
 
     def _solve_once(self, b: np.ndarray) -> np.ndarray:
         x = self._lu_solve(b)
-        if self.chain.has_uniform:
+        if self._has_uniform:
             w, w_sum = self._fold
             c = self.gamma / self.n
             t = float(x.sum()) / (1.0 - c * w_sum)
@@ -304,7 +345,7 @@ class PolicyLinearSystem:
 
     def _solve_t_once(self, b: np.ndarray) -> np.ndarray:
         x = self._lu_solve(b, transpose=True)
-        if self.chain.has_uniform:
+        if self._has_uniform:
             w, w_mass = self._fold_t
             c = self.gamma / self.n
             s = float(self.u @ x) / (1.0 - c * w_mass)
@@ -312,22 +353,27 @@ class PolicyLinearSystem:
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return _refined_solve(self._solve_once, self.matvec, b)
+        """x with (I - gamma P_sigma) x = b; ``residual`` then holds b - M x."""
+        x, self.residual = _refined_solve(self._solve_once, self.matvec, b)
+        return x
 
     def solve_transpose(self, b: np.ndarray) -> np.ndarray:
-        return _refined_solve(self._solve_t_once, self.rmatvec, b)
+        """y with (I - gamma P_sigma^T) y = b; ``residual`` then holds b - M^T y."""
+        x, self.residual = _refined_solve(self._solve_t_once, self.rmatvec, b)
+        return x
 
     def step_distribution(self, lam: np.ndarray) -> np.ndarray:
         """P_sigma^T lam (one chain step on a distribution)."""
-        return self.chain.pt_dot(lam)
+        return self._pt_dot(lam)
 
 
-def _refined_solve(solve_once, apply, b: np.ndarray) -> np.ndarray:
+def _refined_solve(solve_once, apply, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``apply(x) = b`` by ``solve_once`` plus iterative refinement.
 
     ``b`` is one right-hand side (n,) or a stack (k, n). Each row stops at
     its own first pass whose residual is within ``REFINE_RTOL * (1 + max|b|)``,
     at most ``REFINE_PASSES`` passes; a finished row gets a zero correction.
+    Returns ``(x, b - apply(x))``, the residual of the x returned.
     """
     x = solve_once(b)
     scale = 1.0 + np.abs(b).max(axis=-1, initial=0.0, keepdims=True)
@@ -335,9 +381,9 @@ def _refined_solve(solve_once, apply, b: np.ndarray) -> np.ndarray:
         res = b - apply(x)
         open_rows = np.abs(res).max(axis=-1, initial=0.0, keepdims=True) > REFINE_RTOL * scale
         if not open_rows.any():
-            break
+            return x, res
         x = x + solve_once(np.where(open_rows, res, 0.0))
-    return x
+    return x, b - apply(x)
 
 
 def _check_flux(x: np.ndarray, gamma: float) -> None:
@@ -387,11 +433,12 @@ def evaluate(game: StochasticGame, sigma: np.ndarray) -> np.ndarray:
     and Stability of Numerical Algorithms*, sec. 7.1): with M = I - gamma
     P_sigma and ||M||_inf <= 1 + gamma, the residual must satisfy
     ||r - M v||_inf <= EVAL_RESIDUAL_TOL (||r||_inf + (1 + gamma) ||v||_inf).
-    The bound grows with v, which near gamma = 1 is far larger than r.
+    The bound grows with v, which near gamma = 1 is far larger than r. The
+    residual is the one the solve's refinement computed for the v returned.
     """
     sys = PolicyLinearSystem(game, sigma)
     v = sys.solve(sys.r)
-    res = float(np.abs(sys.r - sys.matvec(v)).max())
+    res = float(np.abs(sys.residual).max())
     tol = EVAL_RESIDUAL_TOL * (float(np.abs(sys.r).max(initial=0.0))
                                + (1.0 + sys.gamma) * float(np.abs(v).max(initial=0.0)))
     if not res <= tol:  # a NaN residual is refused too
@@ -495,13 +542,18 @@ def improve(game: StochasticGame, v: np.ndarray, sigma: np.ndarray,
     space = game.space
     tol = 1e-9 * (1.0 + float(np.abs(v).max(initial=0.0)))
     q_signed, best, first = _segment_best(space, q_from_v(game, v), tol)
-    choice = first - space.state_offset[:-1]
-    gain = q_signed[space.chosen_pairs(sigma)] - best
-    moved = np.flatnonzero(improvable & (gain > tol) & (choice != sigma))
+    # a one-action state neither gains nor moves: only the choice states count
+    states = space.choice_states
+    offset, incumbent = space.state_offset[states], sigma[states]
+    choice = first[states] - offset
+    gain = q_signed[offset + incumbent] - best[states]
+    may_move = improvable[states]
+    moved = np.flatnonzero(may_move & (gain > tol) & (choice != incumbent))
     new_sigma = sigma.copy()
-    new_sigma[moved] = choice[moved]
-    flips = list(zip(moved.tolist(), sigma[moved].tolist(), choice[moved].tolist()))
-    max_gain = float(np.maximum(gain, 0.0)[improvable].max(initial=0.0))
+    new_sigma[states[moved]] = choice[moved]
+    flips = list(zip(states[moved].tolist(), incumbent[moved].tolist(),
+                     choice[moved].tolist()))
+    max_gain = float(np.maximum(gain, 0.0)[may_move].max(initial=0.0))
     return new_sigma, flips, max_gain
 
 
@@ -648,9 +700,10 @@ def scan_stack(game: StochasticGame, sigmas: np.ndarray,
     if ok.any():
         Pc = P[ok]
         A = np.eye(n) - game.gamma * Pc.transpose(0, 2, 1)
-        x[ok] = _refined_solve(lambda b: np.linalg.solve(A, b[..., None])[..., 0],
-                               lambda y: y - game.gamma * np.matmul(y[:, None, :], Pc)[:, 0, :],
-                               np.ones((len(Pc), n)))
+        x[ok], _ = _refined_solve(
+            lambda b: np.linalg.solve(A, b[..., None])[..., 0],
+            lambda y: y - game.gamma * np.matmul(y[:, None, :], Pc)[:, 0, :],
+            np.ones((len(Pc), n)))
         _check_flux(x[ok], game.gamma)
     return lam, x
 

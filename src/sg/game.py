@@ -106,6 +106,12 @@ class ActionSpace:
     This is the only structural view handed to sampling-based solvers; it
     deliberately omits the transition law. It is the one place the discount
     lives.
+
+    ``choice_states`` lists, in increasing order, the states with more than
+    one action, ``choice_pairs`` their pairs in flat order, and
+    ``choice_starts`` where each choice state's pairs begin in
+    ``choice_pairs``; a one-action state's optimum is its own pair, so greedy
+    selection and the improvement sweep reduce over these alone.
     """
 
     n_states: int
@@ -118,6 +124,9 @@ class ActionSpace:
     rewards: np.ndarray       # (n_pairs,) float
     pair_sign: np.ndarray     # (n_pairs,) float, -1 at MAX pairs, +1 at MIN
     pair_ids: np.ndarray      # (n_pairs,) int, arange(n_pairs)
+    choice_states: np.ndarray  # (n_choice,) int, states with more than one action
+    choice_pairs: np.ndarray   # (n_choice_pairs,) int, the pairs of those states
+    choice_starts: np.ndarray  # (n_choice,) int, each one's first index in choice_pairs
 
     def pair_index(self, state: int, action: int) -> int:
         if not (0 <= state < self.n_states):
@@ -186,6 +195,11 @@ class ChainView:
         return bool(self.uniform_mask.any())
 
     @cached_property
+    def row_lengths(self) -> np.ndarray:
+        """Entries per row of S (0 for a uniform row), read-only."""
+        return _readonly(np.diff(self.trans.indptr))
+
+    @cached_property
     def _rows(self) -> np.ndarray | sp.csr_matrix:
         """S as the storage rule holds it."""
         if not prefer_dense(*self.trans.shape, self.trans.nnz):
@@ -232,7 +246,7 @@ class ChainView:
         """
         n = self.trans.shape[1]
         ptr, sparse = self.trans.indptr, ~self.uniform_mask
-        lengths = np.where(sparse, np.diff(ptr), n)
+        lengths = np.where(sparse, self.row_lengths, n)
         col = np.arange(lengths.max())
         # column of each entry, padding clipped to the last real one; for a
         # uniform row the column is the target state itself
@@ -248,15 +262,15 @@ class ChainView:
     def restrict(self, rows: np.ndarray) -> ChainView:
         """The chain on the selected rows, e.g. the pairs a strategy picks.
 
-        The rows are gathered straight from the CSR arrays (row lengths,
-        their running sum, one gather of the entry positions); the result
-        equals ``trans[rows]`` array for array, and costs less than scipy's
-        fancy row indexing (BENCH_12.json).
+        The rows are gathered straight from the CSR arrays (the cached row
+        lengths, their running sum, one gather of the entry positions); the
+        result equals ``trans[rows]`` array for array, and costs less than
+        scipy's fancy row indexing (BENCH_12.json).
         """
         rows = np.asarray(rows)
         ptr = self.trans.indptr
         start = ptr.take(rows)
-        lengths = ptr[1:].take(rows) - start
+        lengths = self.row_lengths.take(rows)
         indptr = np.zeros(rows.size + 1, dtype=ptr.dtype)
         np.cumsum(lengths, out=indptr[1:])
         pos = np.repeat(start - indptr[:-1], lengths) + np.arange(indptr[-1], dtype=ptr.dtype)
@@ -318,6 +332,8 @@ def _space(gamma: float, owners: np.ndarray, n_actions: np.ndarray,
     n_pairs = int(state_offset[-1])
     pair_state = np.repeat(np.arange(n_actions.size, dtype=np.int64), n_actions)
     is_max = owners.astype(bool)
+    choice = n_actions > 1
+    choice_starts = np.cumsum(n_actions[choice]) - n_actions[choice]
     return ActionSpace(
         n_states=n_actions.size,
         n_pairs=n_pairs,
@@ -329,6 +345,9 @@ def _space(gamma: float, owners: np.ndarray, n_actions: np.ndarray,
         rewards=_readonly(rewards),
         pair_sign=_readonly(np.where(is_max[pair_state], -1.0, 1.0)),
         pair_ids=_readonly(np.arange(n_pairs, dtype=np.int64)),
+        choice_states=_readonly(np.flatnonzero(choice)),
+        choice_pairs=_readonly(np.flatnonzero(choice[pair_state])),
+        choice_starts=_readonly(choice_starts),
     )
 
 

@@ -6,12 +6,16 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import sg.exact
+import sg.game
 from sg.cli import write_csv
-from sg.exact import (apply_strategy, bellman, best_response, enumerate_strategies,
-                      evaluate, flux, greedy_from_q, half_bellman, improve,
+from sg.exact import (PolicyLinearSystem, apply_strategy, bellman, best_response,
+                      enumerate_strategies, evaluate, flux, greedy_from_q, half_bellman, improve,
                       policy_iteration, q_from_v, ratio_scan, scan_stack,
                       stationary_distribution, strategy_iteration,
                       value_iteration)
@@ -1030,3 +1034,208 @@ def test_evaluate_refuses_a_nan_residual():
         warnings.simplefilter("ignore")  # the singular LU warns first
         with pytest.raises(RuntimeError, match="residual nan"):
             evaluate(g, np.zeros(2, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# one policy step over the explicit rows and the choice states
+
+
+class FullChainSystem(PolicyLinearSystem):
+    """The route a policy step took when it paid for every state: the chain
+    of every chosen pair read by ``p_dot``/``pt_dot``, the active block cut
+    from that n-row chain and factored by ``scipy.linalg.lu_factor``, and the
+    residual of ``evaluate`` from a second ``matvec``."""
+
+    def __init__(self, game, sigma):
+        super().__init__(game, sigma)
+        self.chain = game.layout.restrict(game.space.chosen_pairs(sigma))
+        S = self.chain.trans
+        active = np.diff(S.indptr) > 0
+        if not active.all():
+            active[S.indices] = True
+        self._active = None if active.all() else np.flatnonzero(active)
+
+    @property
+    def lu(self):
+        if self._lu is None:
+            S = self.chain.trans
+            if self._active is not None:
+                A = self._active
+                S = sp.csr_matrix((S.data, np.searchsorted(A, S.indices),
+                                   np.append(S.indptr[A], S.nnz)), shape=(A.size, A.size))
+            k = S.shape[0]
+            self._lu = (sla.lu_factor(np.eye(k) - self.gamma * S.toarray()) if self._dense
+                        else spla.splu(sp.identity(k, format="csc") - self.gamma * S.tocsc()))
+        return self._lu
+
+    def _block_solve(self, b, transpose):
+        if self._dense:
+            return sla.lu_solve(self.lu, b, trans=int(transpose))
+        return self.lu.solve(b, trans="T" if transpose else "N")
+
+    def matvec(self, x):
+        return x - self.gamma * self.chain.p_dot(x)
+
+    def rmatvec(self, y):
+        return y - self.gamma * self.chain.pt_dot(y)
+
+    def step_distribution(self, lam):
+        return self.chain.pt_dot(lam)
+
+
+STEP_KINDS = ("mixed", "one-action", "all-uniform", "all-choice")
+
+
+@st.composite
+def step_games(draw, kind):
+    """A game of 1-8 states and a strategy on it. ``mixed`` mixes one-action
+    and choice states, uniform and explicit rows (unsorted, repeated targets
+    included) and both owners; the other kinds pin one corner: every state
+    one action, every row uniform (an empty block), every state a choice."""
+    n = draw(st.integers(1, 8))
+    lo, hi = {"one-action": (1, 1), "all-choice": (2, 3)}.get(kind, (1, 3))
+    actions = []
+    for _ in range(n):
+        acts = []
+        for _ in range(draw(st.integers(lo, hi))):
+            reward = draw(st.floats(0.0, 1.0))
+            if kind == "all-uniform" or draw(st.integers(0, 2)) == 0:
+                acts.append(Action(reward=reward, uniform=True))
+                continue
+            targets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+            weights = np.array(draw(st.lists(st.integers(1, 4), min_size=len(targets),
+                                             max_size=len(targets))), dtype=np.float64)
+            acts.append(Action(reward=reward, next_states=np.array(targets),
+                               probs=weights / weights.sum()))
+        actions.append(acts)
+    owners = draw(st.lists(st.sampled_from([MIN_PLAYER, MAX_PLAYER]), min_size=n, max_size=n))
+    game = make_game(draw(st.sampled_from([0.5, 0.9, 0.99])), owners, actions)
+    sigma = np.array([draw(st.integers(0, int(k) - 1)) for k in game.space.n_actions],
+                     dtype=np.int64)
+    return game, sigma
+
+
+def assert_step_matches_the_full_chain(g, sigma, bits):
+    """Evaluate, flux, a chain step, greedy and improve against the full
+    chain and the padded grid: bit for bit when ``bits``, else within the
+    forward error bound of the solve."""
+    new, old = PolicyLinearSystem(g, sigma), FullChainSystem(g, sigma)
+    assert (new._active is None) == (old._active is None)
+    if new._active is not None:
+        assert np.array_equal(new._active, old._active)
+    v, v_old = new.solve(new.r), old.solve(old.r)
+    res, res_old = new.residual, old.r - old.matvec(v_old)
+    x, x_old = new.solve_transpose(np.ones(g.n_states)), old.solve_transpose(np.ones(g.n_states))
+    lam = np.random.default_rng(0).dirichlet(np.ones(g.n_states))
+    pairs = [(evaluate(g, sigma), v_old), (v, v_old), (x, x_old),
+             (new.step_distribution(lam), old.step_distribution(lam))]
+    if bits:
+        assert all(same_bits(a, b) for a, b in pairs)
+        assert same_bits(res, res_old)
+    else:
+        cond = (1.0 + g.gamma) / (1.0 - g.gamma)
+        for a, b in pairs:
+            assert np.abs(a - b).max() <= 64 * np.finfo(float).eps * cond * np.abs(b).max()
+    for w in (v, np.round(v)):  # rounding makes ties
+        q = q_from_v(g, w)
+        got, ref = greedy_from_q(g.space, q), padded_greedy(g.space, q)
+        assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1])
+        for improvable in (g.owners == MIN_PLAYER, g.owners == MAX_PLAYER,
+                           np.ones(g.n_states, bool)):
+            got, ref = improve(g, w, sigma, improvable), padded_improve(g, w, sigma, improvable)
+            assert same_bits(got[0], ref[0]) and got[1] == ref[1] and same_bits(got[2], ref[2])
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_policy_step_matches_the_full_chain_and_the_padded_grid(kind, data):
+    g, sigma = data.draw(step_games(kind))
+    if kind == "all-uniform":
+        assert PolicyLinearSystem(g, sigma)._active.size == 0
+    # CSR rows sum each row on its own, so a chain of the explicit rows and
+    # one of every row give the same bits; a dense BLAS product rounds each
+    # row by the matrix's row count, so the storage rule is held to a bound
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg.game, "prefer_dense", lambda *shape: False)
+        assert_step_matches_the_full_chain(g, sigma, bits=True)
+    assert_step_matches_the_full_chain(g, sigma, bits=False)
+
+
+def test_a_policy_step_gathers_only_the_strategys_explicit_rows(monkeypatch):
+    # a work count, not a timing: the n-row chain of a strategy is not built
+    g, meta = build_hi2(10000)
+    gathered = []
+    restrict = sg.game.ChainView.restrict
+
+    def spy(view, rows):
+        gathered.append(len(rows))
+        return restrict(view, rows)
+
+    monkeypatch.setattr(sg.game.ChainView, "restrict", spy)
+    sigma = meta.joint(5, 6, 3)
+    explicit = int((np.diff(g.layout.trans.indptr)[g.space.chosen_pairs(sigma)] > 0).sum())
+    v = evaluate(g, sigma)
+    improve(g, v, sigma, g.owners == MIN_PLAYER)
+    assert 0 < sum(gathered) <= explicit < 100
+    assert g.n_states not in gathered
+
+
+def point_game(gamma, owners, rows):
+    """Rows given as (target, reward) point masses, a list per state."""
+    return make_game(gamma, owners, [[Action(reward=r, next_states=np.array([t]),
+                                             probs=np.array([1.0])) for t, r in acts]
+                                     for acts in rows])
+
+
+def test_a_non_finite_optimum_at_a_one_action_state_is_refused():
+    # state 1 has one action, and only its reward is not finite
+    for bad in (np.nan, np.inf, -np.inf):
+        g = point_game(0.9, [MIN_PLAYER, MAX_PLAYER, MIN_PLAYER],
+                       [[(0, 0.0), (0, 1.0)], [(2, bad)], [(0, 0.0), (0, 1.0)]])
+        v = np.zeros(3)
+        with pytest.raises(ValueError, match="non-finite optimum at state 1"):
+            greedy_from_q(g.space, q_from_v(g, v))
+        with pytest.raises(ValueError, match="non-finite optimum at state 1"):
+            improve(g, v, np.zeros(3, dtype=np.int64), np.ones(3, bool))
+
+
+def test_a_non_finite_block_is_refused():
+    g = make_game(0.9, [MIN_PLAYER, MIN_PLAYER], [
+        [Action(reward=1.0, next_states=np.array([1]), probs=np.array([np.nan]))],
+        [Action(reward=0.5, next_states=np.array([0]), probs=np.array([1.0]))]])
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        evaluate(g, np.zeros(2, dtype=np.int64))
+
+
+def test_a_singular_block_warns_and_evaluate_refuses_it():
+    # gamma = 1 on a cycle: the block is exactly singular, which warns (an
+    # error here would pre-empt the residual check), and the NaN residual
+    # is refused
+    g = point_game(1.0, [MIN_PLAYER, MIN_PLAYER], [[(1, 1.0)], [(0, 0.5)]])
+    with np.errstate(all="ignore"), pytest.warns(sla.LinAlgWarning, match="exactly zero"):
+        with pytest.raises(RuntimeError, match="residual nan"):
+            evaluate(g, np.zeros(2, dtype=np.int64))
+
+
+def test_a_game_with_no_choice_state_returns_no_flips():
+    g = make_game(0.9, [MIN_PLAYER, MAX_PLAYER, MAX_PLAYER], [
+        [Action(reward=1.0, uniform=True)],
+        [Action(reward=0.0, next_states=np.array([0, 2]), probs=np.array([0.5, 0.5]))],
+        [Action(reward=0.5, next_states=np.array([1]), probs=np.array([1.0]))]])
+    sigma = np.zeros(3, dtype=np.int64)
+    for v in (evaluate(g, sigma), np.array([5.0, -3.0, 1.0])):
+        new_sigma, flips, gain = improve(g, v, sigma, np.ones(3, bool))
+        assert same_bits(new_sigma, sigma) and flips == [] and same_bits(gain, 0.0)
+        q = q_from_v(g, v)
+        assert same_bits(greedy_from_q(g.space, q)[0], q)
+
+
+def test_refinement_returns_the_residual_of_the_answer_it_returns():
+    b = np.array([1.0, -2.0, 3.0])
+    # an exact solve stops at once; a halving one uses up every pass, and the
+    # residual is then taken once more
+    for solve_once in (lambda r: r, lambda r: 0.5 * r):
+        x, res = sg.exact._refined_solve(solve_once, lambda y: y, b)
+        assert same_bits(res, b - x)
+    assert np.abs(res).max() == 3.0 / 2 ** (sg.exact.REFINE_PASSES + 1)
