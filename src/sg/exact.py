@@ -23,7 +23,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .game import ActionSpace, InputError, MIN_PLAYER, StochasticGame, prefer_dense
+from .game import (ActionSpace, InputError, MIN_PLAYER, StochasticGame, check_discount,
+                   prefer_dense)
 
 EVAL_RESIDUAL_TOL = 1e-10
 STATIONARY_TOL = 1e-10
@@ -247,6 +248,7 @@ class PolicyLinearSystem:
         n = game.n_states
         pairs = space.chosen_pairs(np.asarray(sigma, dtype=np.int64))
         self.gamma = game.gamma if discount is None else float(discount)
+        check_discount(self.gamma)
         self.n = n
         self.r = space.rewards.take(pairs)
         uniform = layout.uniform_mask.take(pairs)
@@ -499,7 +501,7 @@ def value_iteration(game: StochasticGame, tol: float,
     """
     if not (tol > 0):
         raise InputError("tol must be positive")
-    game.space.check_discount()  # the bracket needs a contraction
+    check_discount(game.gamma)  # the bracket needs a contraction
     scale = game.gamma / (1.0 - game.gamma)
     v = np.zeros(game.n_states)
     trace = SolveTrace()
@@ -565,7 +567,7 @@ def _policy_iteration(game: StochasticGame, pi_init: np.ndarray,
 
     Returns the final strategy and its exact value (the last evaluation).
     """
-    game.space.check_discount()
+    check_discount(game.gamma)
     game.space.check_strategy(pi_init)
     sigma = np.asarray(pi_init, dtype=np.int64).copy()
     if fixed is not None:
@@ -736,7 +738,7 @@ def ratio_scan(game: StochasticGame,
     one ``scan_stack`` per chunk on games of up to ``DENSE_MAX_STATES``
     states, one sparse chain at a time on larger games.
     """
-    game.space.check_discount()
+    check_discount(game.gamma)
     if enumerate_all:
         strategies = _strategy_product(game, MAX_ENUMERATED_STRATEGIES)
     else:

@@ -84,6 +84,14 @@ class InputError(ValueError):
     """
 
 
+def check_discount(gamma: float) -> None:
+    """Refuse a discount outside [0, 1): the Bellman operator is then no
+    contraction, I - gamma P may be singular, and the exact solvers and chain
+    routines have no answer to give."""
+    if not (0.0 <= gamma < 1.0):
+        raise InputError(f"the exact solvers need gamma in [0, 1), got {gamma}")
+
+
 @dataclass(frozen=True)
 class Action:
     """One action as :func:`make_game` takes it: reward plus a sparse
@@ -123,7 +131,6 @@ class ActionSpace:
     pair_state: np.ndarray    # (n_pairs,) int
     rewards: np.ndarray       # (n_pairs,) float
     pair_sign: np.ndarray     # (n_pairs,) float, -1 at MAX pairs, +1 at MIN
-    pair_ids: np.ndarray      # (n_pairs,) int, arange(n_pairs)
     choice_states: np.ndarray  # (n_choice,) int, states with more than one action
     choice_pairs: np.ndarray   # (n_choice_pairs,) int, the pairs of those states
     choice_starts: np.ndarray  # (n_choice,) int, each one's first index in choice_pairs
@@ -155,12 +162,6 @@ class ActionSpace:
         if v.shape != (self.n_states,):
             raise InputError(f"value vector shape {v.shape} != ({self.n_states},)")
         return v
-
-    def check_discount(self) -> None:
-        """Refuse a discount outside [0, 1): the Bellman operator is then no
-        contraction, and the iteration solvers have no answer to give."""
-        if not (0.0 <= self.gamma < 1.0):
-            raise InputError(f"the iteration solvers need gamma in [0, 1), got {self.gamma}")
 
     def check_unit_rewards(self) -> None:
         """Refuse rewards outside [0, 1], as mirroring and sampling need."""
@@ -344,7 +345,6 @@ def _space(gamma: float, owners: np.ndarray, n_actions: np.ndarray,
         pair_state=_readonly(pair_state),
         rewards=_readonly(rewards),
         pair_sign=_readonly(np.where(is_max[pair_state], -1.0, 1.0)),
-        pair_ids=_readonly(np.arange(n_pairs, dtype=np.int64)),
         choice_states=_readonly(np.flatnonzero(choice)),
         choice_pairs=_readonly(np.flatnonzero(choice[pair_state])),
         choice_starts=_readonly(choice_starts),
@@ -402,11 +402,16 @@ def make_game(gamma: float,
         _refuse(f"transition target out of range at ({s},{pair - space.state_offset[s]})")
     trans = sp.csr_matrix((np.concatenate(probs), indices, indptr),
                           shape=(space.n_pairs, space.n_states))
+    return _table_game(owners, space, trans, np.array(uniform, dtype=bool))
+
+
+def _table_game(owners: np.ndarray, space: ActionSpace, trans: sp.csr_matrix,
+                uniform_mask: np.ndarray) -> StochasticGame:
+    """The game of a row table, its arrays made read-only."""
     for arr in (trans.data, trans.indices, trans.indptr):
         arr.setflags(write=False)
-    uniform_mask = _readonly(np.array(uniform, dtype=bool))
     return StochasticGame(owners=owners, space=space,
-                          layout=ChainView(trans=trans, uniform_mask=uniform_mask))
+                          layout=ChainView(trans=trans, uniform_mask=_readonly(uniform_mask)))
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +508,67 @@ def with_gamma(game: StochasticGame, gamma: float) -> StochasticGame:
     if not (0.0 < gamma < 1.0):
         raise InputError("gamma must lie in (0, 1)")
     return replace(game, space=replace(game.space, gamma=float(gamma)))
+
+
+def quotient(game: StochasticGame) -> tuple[StochasticGame, np.ndarray]:
+    """The exact lumped quotient of ``game`` and the class of each state.
+
+    States with one action whose only row is the uniform row and whose
+    rewards are exactly equal have the same value under every strategy,
+    v(s) = r + gamma mean(v), so each such set merges into one class (exact
+    lumping: Kemeny & Snell, *Finite Markov Chains*, 1960, ch. 6; the
+    bisimulation quotient of Givan, Dean & Greig, *Artificial Intelligence*
+    147, 2003). Every other state is a class of its own. A class's
+    representative is its first member and classes are numbered in the order
+    of their representatives, so the states with a choice keep their order.
+    The quotient is an ordinary game over the classes, with each
+    representative's owner, rewards and discount. Each of its rows is an
+    explicit row over the classes: a uniform row puts mass |C|/n on class C,
+    an explicit row the sum of its entries in C.
+
+    Returns ``(q, classes)``, with ``q`` the game itself when nothing merges.
+    With ``reps = np.unique(classes, return_index=True)[1]``, the first
+    member of each class, a strategy maps down as ``sigma[reps]`` and a
+    value of ``q`` lifts as ``v_q[classes]``.
+
+    The quotient serves values and strategies only. A class's flux or
+    stationary mass is its members' total, not a per-member quantity, so
+    ``sg.hard.hi1_distribution_bounds``, ``hi2_vbar_signs`` and
+    ``verify_pi_path_hi1`` stay on the full game.
+    """
+    space, layout = game.space, game.layout
+    n = game.n_states
+    first_pair = space.state_offset[:-1]
+    lump = np.flatnonzero((space.n_actions == 1) & layout.uniform_mask[first_pair])
+    _, first, group = np.unique(space.rewards[first_pair[lump]], return_index=True,
+                                return_inverse=True, equal_nan=False)
+    states = np.arange(n)
+    leader = states.copy()
+    leader[lump] = lump[first][group]
+    is_rep = leader == states
+    if is_rep.all():
+        return game, states
+    classes = (np.cumsum(is_rep) - 1)[leader]
+    reps = np.flatnonzero(is_rep)
+    k = reps.size
+    pairs = np.flatnonzero(is_rep[space.pair_state])
+    rows = layout.restrict(pairs)
+    # one cell per (row, class): explicit entries summed into their targets'
+    # classes, a uniform row spread over every class by its size
+    uniform = np.flatnonzero(rows.uniform_mask)
+    cells = np.concatenate([np.repeat(np.arange(pairs.size) * k, rows.row_lengths)
+                            + classes[rows.trans.indices],
+                            (uniform[:, None] * k + np.arange(k)).ravel()])
+    mass = np.concatenate([rows.trans.data,
+                           np.tile(np.bincount(classes) / n, uniform.size)])
+    cells, at = np.unique(cells, return_inverse=True)
+    indptr = np.zeros(pairs.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cells // k, minlength=pairs.size), out=indptr[1:])
+    trans = sp.csr_matrix((np.bincount(at, weights=mass), cells % k, indptr),
+                          shape=(pairs.size, k))
+    owners = _readonly(game.owners[reps])
+    q_space = _space(space.gamma, owners, space.n_actions[reps], space.rewards[pairs])
+    return _table_game(owners, q_space, trans, np.zeros(pairs.size, dtype=bool)), classes
 
 
 # ---------------------------------------------------------------------------

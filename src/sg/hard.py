@@ -18,6 +18,20 @@ reports instead of crashing on mismatches. Each predicted move is verified
 once: the strategy-iteration run checks every move on its own path through
 the sequence it visits, and ``check_si_transitions`` probes only the rebuild
 moves the run never makes.
+
+The run and the probe solve on the instance's exact lumped quotient
+(:func:`sg.game.quotient`): the ``T`` restart dummies of hi2 have one
+action, reward 0 and the uniform row, so they share one value under every
+strategy and form one class, and 10,077 states become 78 at ``T = 10000``.
+Strategies map down through each class's representative, and every flip of
+the trace is reported at its full-game state, so reports, flips, evaluation
+counts and phases are those of a run on the full game. The quotient's
+values agree with the full game's within 1.9e-11 relative over the 211
+strategies evaluated at ``T = 10000``, so the trace's residual column (the
+largest improvement of each sweep) may move in its last bits: by at most
+2.9e-12 relative there. The hi1 verifier and the checks that read
+stationary laws or mean values (:func:`hi1_distribution_bounds`,
+:func:`hi2_vbar_signs`) stay on the full game.
 """
 
 from __future__ import annotations
@@ -31,7 +45,7 @@ from .checks import CheckReport, Violation
 from .exact import (SolveTrace, evaluate, improve, policy_iteration,
                     stationary_distribution, strategy_iteration)
 from .game import (Action, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame,
-                   check_fields, finite_number, make_game, refuse_malformed)
+                   check_fields, finite_number, make_game, quotient, refuse_malformed)
 
 U, R = 0, 1  # action indices on two-action chain states
 HI1_MIN_T = 48   # smallest HI1 size with s_prime >= 2
@@ -392,7 +406,8 @@ def build_hi2(T: int, config: Hi2Config | None = None) -> tuple[StochasticGame, 
     return game, meta
 
 
-def check_si_transitions(game: StochasticGame, meta: Hi2Meta) -> list[Violation]:
+def check_si_transitions(game: StochasticGame, meta: Hi2Meta,
+                         reps: np.ndarray) -> list[Violation]:
     """The predicted rebuild moves off the strategy-iteration path.
 
     From every cell (min_i, max_(i,z)) with 1 <= i < S' and 0 <= z < S', one
@@ -402,14 +417,17 @@ def check_si_transitions(game: StochasticGame, meta: Hi2Meta) -> list[Violation]
     the rebuild from z = S') lie on the path of the run in
     :func:`verify_si_path_hi2`, which makes the identical sweep from each of
     them, so its visited sequence verifies them there.
+
+    ``game`` is the instance or its quotient, and ``reps`` the instance's
+    state behind each of its states (``arange(n)`` for the instance itself).
     """
     max_states = game.owners == MAX_PLAYER
     violations: list[Violation] = []
     for i in range(1, meta.s_prime):
         for z in range(meta.s_prime):
-            sigma = meta.joint(i, i, z)
+            sigma = meta.joint(i, i, z)[reps]
             got, _, _ = improve(game, evaluate(game, sigma), sigma, max_states)
-            if not np.array_equal(got, meta.joint(i, i + 1, 0)):
+            if not np.array_equal(got, meta.joint(i, i + 1, 0)[reps]):
                 violations.append(Violation("si-rebuild", (i, z), 0.0, 1.0, 0.0))
     return violations
 
@@ -436,10 +454,13 @@ def verify_si_path_hi2(T: int, config: Hi2Config | None = None) -> tuple[SolveTr
     diverge at or before it, reported as the first divergence), that any
     tail after the path moves only the max player, and the count of
     single-action max-player corrections, which must land in
-    [S'(S'-1), S'(S'+2)].
+    [S'(S'-1), S'(S'+2)]. The probe and the run solve on the instance's
+    lumped quotient; the trace names full-game states.
     """
     config = config or default_hi2_rewards(T)
     game, meta = build_hi2(T, config)
+    lumped, classes = quotient(game)
+    reps = np.unique(classes, return_index=True)[1]
     violations: list[Violation] = []
     rs = config.switch_rewards
     for k, (r1, r2) in enumerate(zip(rs, rs[1:])):
@@ -448,10 +469,12 @@ def verify_si_path_hi2(T: int, config: Hi2Config | None = None) -> tuple[SolveTr
     for k, r in enumerate(rs):
         if not (0.0 < r < config.r_goal):
             violations.append(Violation("si-config:reward-range", (k,), r, config.r_goal, 0.0))
-    violations += check_si_transitions(game, meta)
+    violations += check_si_transitions(lumped, meta, reps)
 
     sigma0 = meta.joint(0, 1, 0)
-    sigma, trace = strategy_iteration(game, sigma0)
+    _, trace = strategy_iteration(lumped, sigma0[reps])
+    full = reps.tolist()
+    trace.changes = [[(full[s], old, new) for s, old, new in ch] for ch in trace.changes]
 
     # Replay the trace: apply each record's flips to the running strategy and
     # compare the visited strategies with the predicted path.

@@ -1,7 +1,6 @@
 """Exact solvers against independent oracles and closed forms."""
 
 import json
-import warnings
 from itertools import product
 
 import numpy as np
@@ -1025,15 +1024,36 @@ def test_iteration_solvers_refuse_a_discount_outside_the_unit_interval(solve, ga
 
 
 def test_evaluate_refuses_a_nan_residual():
-    # gamma = 1 on a cycle makes I - gamma P singular; a NaN residual used to
-    # compare false against the bound and the NaN value was returned
-    g = make_game(1.0, [MIN_PLAYER, MIN_PLAYER], [
-        [Action(reward=1.0, next_states=np.array([1]), probs=np.array([1.0]))],
-        [Action(reward=0.5, next_states=np.array([0]), probs=np.array([1.0]))]])
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore")  # the singular LU warns first
+    # a NaN residual used to compare false against the bound and the NaN
+    # value was returned; a NaN reward on uniform rows reaches one
+    g = make_game(0.5, [MIN_PLAYER, MIN_PLAYER], [
+        [Action(reward=float("nan"), uniform=True)], [Action(reward=0.5, uniform=True)]])
+    with np.errstate(all="ignore"):
         with pytest.raises(RuntimeError, match="residual nan"):
             evaluate(g, np.zeros(2, dtype=np.int64))
+
+
+@pytest.mark.parametrize("route", [
+    lambda g: evaluate(g, ZEROS),
+    lambda g: flux(g, ZEROS),
+    lambda g: stationary_distribution(g, ZEROS),
+    lambda g: markovian_evaluate(g, MarkovianPlan.make([ZEROS], ZEROS)),
+], ids=["evaluate", "flux", "stationary_distribution", "markovian_evaluate"])
+@pytest.mark.parametrize("gamma", [1.5, 1.0, -0.5, float("nan")])
+def test_chain_routines_refuse_a_discount_outside_the_unit_interval(route, gamma):
+    # evaluate returned [-1.4, -1.6] at gamma 1.5, and flux failed on its
+    # flux check
+    with pytest.raises(InputError, match=r"gamma in \[0, 1\)"):
+        route(two_state_cycle(gamma))
+
+
+def test_a_policy_system_checks_the_discount_it_uses():
+    # the variance tail solves at gamma^2; a system is refused on its own
+    # discount, not on the game's
+    g = two_state_cycle(0.9)
+    PolicyLinearSystem(g, ZEROS, discount=0.81)
+    with pytest.raises(InputError, match=r"got 1.0"):
+        PolicyLinearSystem(g, ZEROS, discount=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1209,10 +1229,13 @@ def test_a_non_finite_block_is_refused():
 
 
 def test_a_singular_block_warns_and_evaluate_refuses_it():
-    # gamma = 1 on a cycle: the block is exactly singular, which warns (an
+    # rows of mass 2 at gamma 0.5 (validate reports them, make_game keeps
+    # them): the block of the cycle is exactly singular, which warns (an
     # error here would pre-empt the residual check), and the NaN residual
     # is refused
-    g = point_game(1.0, [MIN_PLAYER, MIN_PLAYER], [[(1, 1.0)], [(0, 0.5)]])
+    g = make_game(0.5, [MIN_PLAYER, MIN_PLAYER], [
+        [Action(reward=1.0, next_states=np.array([1]), probs=np.array([2.0]))],
+        [Action(reward=0.5, next_states=np.array([0]), probs=np.array([2.0]))]])
     with np.errstate(all="ignore"), pytest.warns(sla.LinAlgWarning, match="exactly zero"):
         with pytest.raises(RuntimeError, match="residual nan"):
             evaluate(g, np.zeros(2, dtype=np.int64))

@@ -354,7 +354,7 @@ def test_a_game_shares_only_rows_that_no_one_can_write():
     tables = (lay.trans.data, lay.trans.indices, lay.trans.indptr, lay.uniform_mask,
               lay._rows, lay.row_lengths, g.owners, space.is_max, space.n_actions,
               space.state_offset, space.pair_state, space.rewards, space.pair_sign,
-              space.pair_ids, space.choice_states, space.choice_pairs, space.choice_starts)
+              space.choice_states, space.choice_pairs, space.choice_starts)
     assert not any(arr.flags.writeable for arr in tables)
     # a caller's row, even a read-only view of another game's table, is copied
     act = g.actions[0][0]

@@ -149,6 +149,20 @@ def test_hi2_si_path_T400():
     assert s * (s - 1) <= n <= s * (s + 2)
 
 
+def test_hi2_si_path_at_the_benchmark_size(monkeypatch):
+    # the exact-hard benchmark's instance: 211 evaluations, 90 probes of the
+    # off-path cells and 121 in the run
+    probes = []
+    monkeypatch.setattr(sg.hard, "evaluate",
+                        lambda game, sigma, evaluate=sg.hard.evaluate:
+                        probes.append(sigma) or evaluate(game, sigma))
+    trace, report = verify_si_path_hi2(10_000)
+    assert report.passed, report.summary()
+    assert len(probes) == 90 and trace.total_policy_evaluations == 121
+    s = default_hi2_rewards(10_000).s_prime
+    assert s * (s - 1) <= si_single_flip_count(trace) <= s * (s + 2)
+
+
 def test_hi2_si_path_deterministic():
     t1, _ = verify_si_path_hi2(400)
     t2, _ = verify_si_path_hi2(400)

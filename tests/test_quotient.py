@@ -1,0 +1,166 @@
+"""The exact lumped quotient against the full game it stands for.
+
+``sg.game.quotient`` merges one-action states whose only row is the uniform
+row and whose rewards are equal. Values computed on the quotient and lifted
+must match values on the full game, and the hi2 verifier, which solves on the
+quotient, must report the run that strategy iteration makes on the full game.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sg.exact import PolicyLinearSystem, evaluate, strategy_iteration
+from sg.game import (Action, MAX_PLAYER, MIN_PLAYER, make_game, quotient, validate)
+from sg.generate import random_game
+from sg.hard import build_hi2, verify_si_path_hi2
+
+# rewards of the injected lumpable states: few values, so classes form
+LUMP_REWARDS = (0.0, 0.5, -1.0)
+
+
+def reps_of(classes):
+    return np.unique(classes, return_index=True)[1]
+
+
+def loop_quotient_rows(game, classes):
+    """The quotient's rows, dense, by a loop over the representatives' actions:
+    a uniform row weighs each class by its size, an explicit row adds each
+    entry into its target's class in row order."""
+    k, n = classes.max() + 1, game.n_states
+    sizes = np.bincount(classes)
+    rows = []
+    for s in reps_of(classes):
+        for act in game.actions[s]:
+            row = np.zeros(k)
+            if act.uniform:
+                row += sizes / n
+            else:
+                for t, p in zip(act.next_states, act.probs):
+                    row[classes[t]] += p
+            rows.append(row)
+    return np.array(rows)
+
+
+def game_with_lumpable_states(seed, n_core, n_lump, gamma):
+    """A game of ``n_core`` random states (one to three actions, uniform or
+    sparse rows over all states) and ``n_lump`` one-action uniform states with
+    shared rewards, interleaved at random positions."""
+    rng = np.random.default_rng(seed)
+    n = n_core + n_lump
+    lumpable = np.zeros(n, dtype=bool)
+    lumpable[rng.choice(n, n_lump, replace=False)] = True
+    actions = []
+    for s in range(n):
+        if lumpable[s]:
+            actions.append([Action(reward=float(rng.choice(LUMP_REWARDS)), uniform=True)])
+            continue
+        acts = []
+        for _ in range(int(rng.integers(1, 4))):
+            reward = float(rng.uniform(-1.0, 1.0))
+            if rng.random() < 0.3:
+                acts.append(Action(reward=reward, uniform=True))
+            else:
+                targets = rng.integers(0, n, size=int(rng.integers(1, n + 1)))
+                acts.append(Action(reward=reward, next_states=targets,
+                                   probs=rng.dirichlet(np.ones(targets.size))))
+        actions.append(acts)
+    return make_game(gamma, rng.integers(0, 2, size=n), actions), lumpable
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_core=st.integers(1, 5), n_lump=st.integers(1, 6),
+       gamma=st.floats(0.5, 0.99))
+def test_values_on_the_quotient_lift_to_the_full_game_values(seed, n_core, n_lump, gamma):
+    g, lumpable = game_with_lumpable_states(seed, n_core, n_lump, gamma)
+    q, classes = quotient(g)
+    reps = reps_of(classes)
+    assert validate(q) == []
+    # the classes: representatives in state order, every class either one
+    # state or lumpable states sharing one reward
+    assert q.n_states == reps.size == classes.max() + 1
+    assert (np.diff(reps) > 0).all() and (classes[reps] == np.arange(q.n_states)).all()
+    rewards = g.space.rewards[g.space.state_offset[:-1]]
+    merged = np.bincount(classes)[classes] > 1
+    assert lumpable[merged].all()
+    assert (rewards == rewards[reps][classes]).all()
+    assert np.unique(rewards[lumpable]).size + (~lumpable).sum() == q.n_states
+    assert (q.owners == g.owners[reps]).all()
+    assert (q.space.n_actions == g.space.n_actions[reps]).all()
+    np.testing.assert_array_equal(q.layout.dense(), loop_quotient_rows(g, classes))
+
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        sigma = rng.integers(0, g.space.n_actions)
+        v = evaluate(g, sigma)
+        lifted = evaluate(q, sigma[reps])[classes]
+        assert np.abs(lifted - v).max() <= 1e-9 * np.abs(v).max()
+
+
+def test_a_game_with_nothing_to_lump_is_its_own_quotient():
+    g = random_game(4, 2, 0.9, seed=0)
+    q, classes = quotient(g)
+    assert q is g
+    np.testing.assert_array_equal(classes, np.arange(4))
+    # one uniform one-action state per reward is a class of its own
+    h = make_game(0.9, [MIN_PLAYER, MAX_PLAYER, MIN_PLAYER], [
+        [Action(reward=0.0, uniform=True)], [Action(reward=1.0, uniform=True)],
+        [Action(reward=0.0, uniform=True),
+         Action(reward=0.5, next_states=np.array([1]), probs=np.array([1.0]))]])
+    q, classes = quotient(h)
+    assert q is h
+    np.testing.assert_array_equal(classes, np.arange(3))
+
+
+def test_the_hi2_quotient_is_one_class_of_dummies_and_the_rest_as_they_are():
+    game, meta = build_hi2(400)
+    q, classes = quotient(game)
+    reps = reps_of(classes)
+    assert q.n_states == game.n_states - meta.T + 1
+    assert (classes[:meta.T] == 0).all()
+    np.testing.assert_array_equal(reps[1:], np.arange(meta.T, game.n_states))
+    # a formerly uniform row weighs each class by its size
+    row = q.layout.restrict([0]).trans.toarray()[0]
+    np.testing.assert_array_equal(row, np.bincount(classes) / game.n_states)
+    assert not q.layout.has_uniform
+
+
+@pytest.mark.parametrize("T", [400, 1600])
+def test_the_hi2_verifier_reports_the_full_game_run(T):
+    game, meta = build_hi2(T)
+    sigma0 = meta.joint(0, 1, 0)
+    _, full = strategy_iteration(game, sigma0)
+    trace, report = verify_si_path_hi2(T)
+    assert report.passed, report.summary()
+    assert trace.changes == full.changes
+    assert trace.policy_evaluations == full.policy_evaluations
+    assert trace.phases == full.phases
+    np.testing.assert_allclose(trace.residuals, full.residuals, rtol=1e-9)
+    # every strategy the run visits has the full game's value, lifted
+    q, classes = quotient(game)
+    reps = reps_of(classes)
+    sigma = sigma0.copy()
+    for ch in trace.changes:
+        for s, _, new in ch:
+            sigma[s] = new
+        if ch:
+            v = evaluate(game, sigma)
+            lifted = evaluate(q, sigma[reps])[classes]
+            assert np.abs(lifted - v).max() <= 1e-9 * np.abs(v).max()
+
+
+def test_the_hi2_verifier_builds_every_policy_system_on_the_quotient(monkeypatch):
+    # a silent fall back to the full game would build 418-state systems
+    sizes = []
+    init = PolicyLinearSystem.__init__
+
+    def counted(self, game, sigma, discount=None):
+        init(self, game, sigma, discount)
+        sizes.append(self.n)
+
+    monkeypatch.setattr(PolicyLinearSystem, "__init__", counted)
+    trace, report = verify_si_path_hi2(400)
+    q, _ = quotient(build_hi2(400)[0])
+    assert report.passed
+    assert len(sizes) >= trace.total_policy_evaluations > 0
+    assert set(sizes) == {q.n_states}
