@@ -153,9 +153,12 @@ def test_hi2_si_path_at_the_benchmark_size(monkeypatch):
     # the exact-hard benchmark's instance: 211 evaluations, 90 probes of the
     # off-path cells and 121 in the run
     probes = []
-    monkeypatch.setattr(sg.hard, "evaluate",
-                        lambda game, sigma, evaluate=sg.hard.evaluate:
-                        probes.append(sigma) or evaluate(game, sigma))
+
+    def counted(game, sigma, evaluate=sg.hard.evaluate):
+        probes.append(sigma)
+        return evaluate(game, sigma)
+
+    monkeypatch.setattr(sg.hard, "evaluate", counted)
     trace, report = verify_si_path_hi2(10_000)
     assert report.passed, report.summary()
     assert len(probes) == 90 and trace.total_policy_evaluations == 121
