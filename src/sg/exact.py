@@ -36,10 +36,6 @@ REFINE_RTOL = 1e-13
 REFINE_PASSES = 4
 # Power-iteration sweeps before Cesaro averaging takes over.
 PLAIN_SWEEPS = 10 ** 4
-# Strategy scans of games up to this many states stack their dense chains
-# (k, n, n) and solve them at once; larger games are scanned one sparse
-# chain at a time.
-DENSE_MAX_STATES = 64
 # Most floats a scan's strategy stack may hold (k * n^2, 8 MB).
 STACK_FLOATS = 2 ** 20
 # Most pure strategies an exhaustive scan will enumerate.
@@ -214,18 +210,18 @@ def half_bellman(game: StochasticGame, v: np.ndarray, pi: np.ndarray,
 # ---------------------------------------------------------------------------
 # linear algebra for a fixed strategy
 
-# A fixed strategy yields P_sigma = S + u (1/n) 1^T, with S the chosen pairs'
-# explicit rows and u marking the chosen uniform rows. A system holds only
-# the chosen rows that have entries, gathered by ``ChainView.restrict`` in the
-# storage ``sg.game.prefer_dense`` picks, and scatters P x and P^T y through
-# them; r and u are plain gathers. Let A be the states with an explicit row,
-# together with the states those rows reach. Permuted, M = I - gamma*S is
+# A fixed strategy yields P_sigma = S + u w^T, with S the chosen pairs'
+# explicit rows, u the chosen restart rows and w = k / sum(k) the game's
+# restart law. A system holds only the chosen rows that have entries, gathered
+# by ``ChainView.restrict`` in the storage ``sg.game.prefer_dense`` picks, and
+# scatters P x and P^T y through them; r and u are plain gathers. Let A be the
+# states with an explicit row and those they reach. Permuted, M = I - gamma*S is
 # blockdiag(I - gamma*S_AA, I), so only the block on A is assembled, straight
 # from the explicit rows, and factored, densely (LAPACK getrf) or by SuperLU
 # as ``prefer_dense`` picks for its size and fill; outside A the solution is
-# the right-hand side. The uniform rank-one part is folded in by
-# Sherman-Morrison, followed by iterative refinement. On the worst-case
-# instances A is a few dozen of 10^4 states.
+# the right-hand side. The rank-one part is folded in by Sherman-Morrison, with
+# k and sum(k) read from the view, followed by iterative refinement. On the
+# worst-case instances and their quotients A is the few dozen chain states.
 
 
 def _dense_lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,27 +304,26 @@ class PolicyLinearSystem:
 
     @cached_property
     def _fold(self) -> tuple[np.ndarray, float]:
-        """M^-1 u and its sum, the Sherman-Morrison vector of ``solve``."""
-        w = self._lu_solve(self.u)
-        return w, float(w.sum())
+        """M^-1 u and k^T M^-1 u, the Sherman-Morrison vector of ``solve``."""
+        z = self._lu_solve(self.u)
+        return z, self.rows.k_dot(z)
 
     @cached_property
     def _fold_t(self) -> tuple[np.ndarray, float]:
-        """M^-T 1 and its mass on the uniform rows, that of ``solve_transpose``."""
-        w = self._lu_solve(np.ones(self.n), transpose=True)
-        return w, float(self.u @ w)
+        """M^-T k and its mass on the restart rows, that of ``solve_transpose``."""
+        z = self._lu_solve(self.rows.weights, transpose=True)
+        return z, float(self.u @ z)
 
     def _pt_dot(self, y: np.ndarray) -> np.ndarray:
-        """P_sigma^T y: the explicit rows push their mass, the uniform rows
-        spread theirs evenly."""
+        """P_sigma^T y: explicit rows push their mass, restart rows spread theirs by w."""
         out = self.rows.pt_dot(y[self._explicit])
         if self._has_uniform:
-            out = out + float(self.u @ y) / self.n
+            out = out + self.rows.spread(float(self.u @ y))
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """(I - gamma * P_sigma) x, the explicit rows scattered into the uniform part."""
-        p = self.u * float(x.mean()) if self._has_uniform else np.zeros(self.n)
+        """(I - gamma * P_sigma) x, the explicit rows scattered into the restart part."""
+        p = self.u * self.rows.k_dot(x) / self.rows.weight_sum
         p[self._explicit] = self.rows.p_dot(x)
         return x - self.gamma * p
 
@@ -339,19 +334,19 @@ class PolicyLinearSystem:
     def _solve_once(self, b: np.ndarray) -> np.ndarray:
         x = self._lu_solve(b)
         if self._has_uniform:
-            w, w_sum = self._fold
-            c = self.gamma / self.n
-            t = float(x.sum()) / (1.0 - c * w_sum)
-            x = x + c * t * w
+            z, z_weight = self._fold
+            c = self.gamma / self.rows.weight_sum
+            t = self.rows.k_dot(x) / (1.0 - c * z_weight)
+            x = x + c * t * z
         return x
 
     def _solve_t_once(self, b: np.ndarray) -> np.ndarray:
         x = self._lu_solve(b, transpose=True)
         if self._has_uniform:
-            w, w_mass = self._fold_t
-            c = self.gamma / self.n
-            s = float(self.u @ x) / (1.0 - c * w_mass)
-            x = x + c * s * w
+            z, z_mass = self._fold_t
+            c = self.gamma / self.rows.weight_sum
+            s = float(self.u @ x) / (1.0 - c * z_mass)
+            x = x + c * s * z
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -711,8 +706,7 @@ def scan_stack(game: StochasticGame, sigmas: np.ndarray,
 
 
 def _scan_each(game: StochasticGame, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``scan_stack`` one strategy at a time on sparse chains, for games too
-    large to stack densely."""
+    """``scan_stack`` one strategy at a time, for chains held sparse."""
     lam = np.full(sigmas.shape, np.nan)
     x = np.full(sigmas.shape, np.nan)
     for i, sigma in enumerate(sigmas):
@@ -735,8 +729,8 @@ def ratio_scan(game: StochasticGame,
     otherwise ``sample`` strategies are drawn uniformly with ``seed``.
     Strategies whose chain does not converge are skipped and counted.
     Strategies are scanned in chunks of at most ``STACK_FLOATS / n^2``: as
-    one ``scan_stack`` per chunk on games of up to ``DENSE_MAX_STATES``
-    states, one sparse chain at a time on larger games.
+    one ``scan_stack`` per chunk when ``prefer_dense`` holds a strategy's chain
+    densely (n x n with its mean explicit entries), else one chain at a time.
     """
     check_discount(game.gamma)
     if enumerate_all:
@@ -750,8 +744,9 @@ def ratio_scan(game: StochasticGame,
         counts = game.space.n_actions
         strategies = (rng.integers(0, counts) for _ in range(sample))
 
-    n = game.n_states
-    scan = scan_stack if n <= DENSE_MAX_STATES else _scan_each
+    n, space = game.n_states, game.space
+    e = float(game.layout.row_lengths @ (1.0 / space.n_actions[space.pair_state]))
+    scan = scan_stack if prefer_dense(n, n, e) else _scan_each
     chunk = max(1, STACK_FLOATS // (n * n))
     c_min, c_max = np.inf, -np.inf
     d_min, d_max = np.inf, -np.inf

@@ -8,12 +8,11 @@ one :class:`ChainView`, a CSR table with a row per pair, in the order the
 rows were given. :class:`Action` is only the form in which :func:`make_game`
 takes rows and :attr:`StochasticGame.actions` hands them back. Games are
 immutable; every transform returns a new game that shares what it does not
-change. Transition rows that are uniform over the whole state set are stored
-by a compact marker so very large instances stay cheap to build and solve: a
-transition law is held as ``P = S + u 1^T / n`` with sparse rows ``S`` and a
-mask ``u`` of uniform rows, and :class:`ChainView` is the one place that
-reads it (``P x``, ``P^T y``, the dense matrix, the padded table of
-normalised rows, a subset of rows).
+change. Restart rows, which spread over the whole state set, are stored by a
+compact marker so very large instances stay cheap to build and solve: a
+transition law is held as ``P = S + u w^T`` with sparse rows ``S``, a mask
+``u`` of restart rows and the restart law ``w = k / sum(k)`` (k = 1 in a game
+from :func:`make_game`), and :class:`ChainView` is the one place that reads it.
 
 Strategies, value vectors and Q-functions are plain numpy arrays:
 
@@ -176,10 +175,12 @@ class ActionSpace:
 
 @dataclass(frozen=True, eq=False)
 class ChainView:
-    """Transition rows ``P = S + u 1^T / n`` over ``n`` target states.
+    """Transition rows ``P = S + u w^T`` over ``n`` target states.
 
-    ``trans`` holds the explicit rows S (empty for uniform rows);
-    ``uniform_mask`` marks the rows u that are uniform over all states.
+    ``trans`` holds the explicit rows S (empty for restart rows),
+    ``uniform_mask`` marks the restart rows u, and ``weights`` is k, the one
+    place the restart law ``w = k / sum(k)`` is defined: k = 1, the uniform
+    row, in a game from :func:`make_game`, the class sizes in a :func:`quotient`.
 
     ``trans`` is a CSR table with the rows in the order given, repeated
     targets included (a game's table is read-only), which ``row_table`` (and
@@ -190,14 +191,27 @@ class ChainView:
 
     trans: sp.csr_matrix          # (n_rows, n_states)
     uniform_mask: np.ndarray      # (n_rows,) bool
+    weights: np.ndarray           # (n_states,) float, k
 
     @cached_property
     def has_uniform(self) -> bool:
         return bool(self.uniform_mask.any())
 
     @cached_property
+    def weight_sum(self) -> float:
+        return float(self.weights.sum())
+
+    def k_dot(self, x: np.ndarray) -> float:
+        """k^T x, summed as ``x.sum()`` sums: with k = 1, k^T x / sum(k) is ``x.mean()``."""
+        return float((self.weights * x).sum())
+
+    def spread(self, mass: float) -> np.ndarray:
+        """w mass, as k mass / sum(k): ``mass`` on the restart rows pushed one step."""
+        return self.weights * mass / self.weight_sum
+
+    @cached_property
     def row_lengths(self) -> np.ndarray:
-        """Entries per row of S (0 for a uniform row), read-only."""
+        """Entries per row of S (0 for a restart row), read-only."""
         return _readonly(np.diff(self.trans.indptr))
 
     @cached_property
@@ -218,14 +232,14 @@ class ChainView:
         """P x: per-row expectation of ``x`` under one transition."""
         out = self._rows @ x
         if self.has_uniform:
-            out = out + self.uniform_mask * float(x.mean())
+            out = out + self.uniform_mask * (self.k_dot(x) / self.weight_sum)
         return out
 
     def pt_dot(self, y: np.ndarray) -> np.ndarray:
         """P^T y: the mass ``y`` on the rows pushed one step forward."""
         out = self._transpose @ y
         if self.has_uniform:
-            out = out + float(self.uniform_mask @ y) / self.trans.shape[1]
+            out = out + self.spread(float(self.uniform_mask @ y))
         return out
 
     def dense(self) -> np.ndarray:
@@ -233,15 +247,14 @@ class ChainView:
         rows = self._rows
         mat = rows.copy() if isinstance(rows, np.ndarray) else rows.toarray()
         if self.has_uniform:
-            n = self.trans.shape[1]
-            mat = mat + np.outer(self.uniform_mask, np.full(n, 1.0 / n))
+            mat = mat + np.outer(self.uniform_mask, self.spread(1.0))
         return mat
 
     def row_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Every row padded to the widest as ``(support, probs)``, both of
         shape (n_rows, w), with ``probs`` normalised to sum 1 per row.
 
-        A uniform row lists every state at 1/n. Padding columns have
+        A restart row lists every state s at w_s. Padding columns have
         probability 0 and repeat the row's last real target, so a draw that
         lands there (a rounding remainder) still names a real state.
         """
@@ -250,10 +263,10 @@ class ChainView:
         lengths = np.where(sparse, self.row_lengths, n)
         col = np.arange(lengths.max())
         # column of each entry, padding clipped to the last real one; for a
-        # uniform row the column is the target state itself
+        # restart row the column is the target state itself
         support = np.minimum(col, lengths[:, None] - 1)
         pos = ptr[:-1, None][sparse] + support[sparse]
-        probs = np.full(support.shape, 1.0 / n)
+        probs = self.spread(1.0).take(support, mode="clip")  # sparse rows are set below
         probs[sparse] = self.trans.data[pos]
         support[sparse] = self.trans.indices[pos]
         probs[col >= lengths[:, None]] = 0.0
@@ -277,7 +290,7 @@ class ChainView:
         pos = np.repeat(start - indptr[:-1], lengths) + np.arange(indptr[-1], dtype=ptr.dtype)
         trans = sp.csr_matrix((self.trans.data[pos], self.trans.indices[pos], indptr),
                               shape=(rows.size, self.trans.shape[1]))
-        return ChainView(trans, self.uniform_mask.take(rows))
+        return ChainView(trans, self.uniform_mask.take(rows), self.weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,13 +322,17 @@ class StochasticGame:
     @property
     def actions(self) -> tuple[tuple[Action, ...], ...]:
         """The game in the form :func:`make_game` takes, each row a read-only
-        view into the table."""
-        trans, off = self.layout.trans, self.space.state_offset.tolist()
-        ptr = trans.indptr.tolist()
-        pairs = [Action(reward, uniform=True) if uniform else
+        view into the table; a restart law other than 1/n comes back as its
+        explicit row."""
+        lay, off = self.layout, self.space.state_offset.tolist()
+        trans, ptr, k = lay.trans, lay.trans.indptr.tolist(), lay.weights
+        restart = ({"uniform": True} if (k == k[:1]).all() else
+                   {"next_states": _readonly(np.arange(k.size)),
+                    "probs": _readonly(lay.spread(1.0))})
+        pairs = [Action(reward, **restart) if uniform else
                  Action(reward, trans.indices[lo:hi], trans.data[lo:hi])
                  for reward, uniform, lo, hi in zip(self.space.rewards.tolist(),
-                                                    self.layout.uniform_mask.tolist(),
+                                                    lay.uniform_mask.tolist(),
                                                     ptr, ptr[1:])]
         return tuple(tuple(pairs[off[s]:off[s + 1]]) for s in range(self.n_states))
 
@@ -402,16 +419,16 @@ def make_game(gamma: float,
         _refuse(f"transition target out of range at ({s},{pair - space.state_offset[s]})")
     trans = sp.csr_matrix((np.concatenate(probs), indices, indptr),
                           shape=(space.n_pairs, space.n_states))
-    return _table_game(owners, space, trans, np.array(uniform, dtype=bool))
+    return _table_game(owners, space, trans, np.array(uniform, dtype=bool), np.ones(space.n_states))
 
 
 def _table_game(owners: np.ndarray, space: ActionSpace, trans: sp.csr_matrix,
-                uniform_mask: np.ndarray) -> StochasticGame:
-    """The game of a row table, its arrays made read-only."""
+                uniform_mask: np.ndarray, weights: np.ndarray) -> StochasticGame:
+    """The game of a row table and restart weights, its arrays made read-only."""
     for arr in (trans.data, trans.indices, trans.indptr):
         arr.setflags(write=False)
     return StochasticGame(owners=owners, space=space,
-                          layout=ChainView(trans=trans, uniform_mask=_readonly(uniform_mask)))
+                          layout=ChainView(trans, _readonly(uniform_mask), _readonly(weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -513,28 +530,29 @@ def with_gamma(game: StochasticGame, gamma: float) -> StochasticGame:
 def quotient(game: StochasticGame) -> tuple[StochasticGame, np.ndarray]:
     """The exact lumped quotient of ``game`` and the class of each state.
 
-    States with one action whose only row is the uniform row and whose
+    States with one action whose only row is the restart row and whose
     rewards are exactly equal have the same value under every strategy,
-    v(s) = r + gamma mean(v), so each such set merges into one class (exact
+    v(s) = r + gamma w^T v, so each such set merges into one class (exact
     lumping: Kemeny & Snell, *Finite Markov Chains*, 1960, ch. 6; the
     bisimulation quotient of Givan, Dean & Greig, *Artificial Intelligence*
     147, 2003). Every other state is a class of its own. A class's
     representative is its first member and classes are numbered in the order
     of their representatives, so the states with a choice keep their order.
     The quotient is an ordinary game over the classes, with each
-    representative's owner, rewards and discount. Each of its rows is an
-    explicit row over the classes: a uniform row puts mass |C|/n on class C,
-    an explicit row the sum of its entries in C.
+    representative's owner, rewards and discount, and its law is again
+    ``P = S + u w^T``: an explicit row puts on class C its entries in C,
+    summed, and a restart row stays one, its law weighing C by its members'
+    total weight (|C| in a game from :func:`make_game`), so it stays out of a
+    policy system's active block.
 
     Returns ``(q, classes)``, with ``q`` the game itself when nothing merges.
     With ``reps = np.unique(classes, return_index=True)[1]``, the first
     member of each class, a strategy maps down as ``sigma[reps]`` and a
     value of ``q`` lifts as ``v_q[classes]``.
 
-    The quotient serves values and strategies only. A class's flux or
-    stationary mass is its members' total, not a per-member quantity, so
-    ``sg.hard.hi1_distribution_bounds``, ``hi2_vbar_signs`` and
-    ``verify_pi_path_hi1`` stay on the full game.
+    The quotient serves values and strategies only: a class's flux or
+    stationary mass is its members' total, so ``verify_pi_path_hi1``,
+    ``hi1_distribution_bounds`` and ``hi2_vbar_signs`` stay on the full game.
     """
     space, layout = game.space, game.layout
     n = game.n_states
@@ -550,25 +568,14 @@ def quotient(game: StochasticGame) -> tuple[StochasticGame, np.ndarray]:
         return game, states
     classes = (np.cumsum(is_rep) - 1)[leader]
     reps = np.flatnonzero(is_rep)
-    k = reps.size
     pairs = np.flatnonzero(is_rep[space.pair_state])
     rows = layout.restrict(pairs)
-    # one cell per (row, class): explicit entries summed into their targets'
-    # classes, a uniform row spread over every class by its size
-    uniform = np.flatnonzero(rows.uniform_mask)
-    cells = np.concatenate([np.repeat(np.arange(pairs.size) * k, rows.row_lengths)
-                            + classes[rows.trans.indices],
-                            (uniform[:, None] * k + np.arange(k)).ravel()])
-    mass = np.concatenate([rows.trans.data,
-                           np.tile(np.bincount(classes) / n, uniform.size)])
-    cells, at = np.unique(cells, return_inverse=True)
-    indptr = np.zeros(pairs.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cells // k, minlength=pairs.size), out=indptr[1:])
-    trans = sp.csr_matrix((np.bincount(at, weights=mass), cells % k, indptr),
-                          shape=(pairs.size, k))
+    # explicit entries summed into their targets' classes, in row order
+    member = sp.csr_matrix((np.ones(n), classes, np.arange(n + 1)), shape=(n, reps.size))
     owners = _readonly(game.owners[reps])
     q_space = _space(space.gamma, owners, space.n_actions[reps], space.rewards[pairs])
-    return _table_game(owners, q_space, trans, np.zeros(pairs.size, dtype=bool)), classes
+    return _table_game(owners, q_space, (rows.trans @ member).sorted_indices(),
+                       rows.uniform_mask, np.bincount(classes, weights=layout.weights)), classes
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ def test_both_storages_read_alike(monkeypatch):
         got = {}
         for forced in (True, False):
             monkeypatch.setattr(sg.game, "prefer_dense", lambda *shape: forced)
-            copy = sg.game.ChainView(view.trans, view.uniform_mask)
+            copy = sg.game.ChainView(view.trans, view.uniform_mask, view.weights)
             assert isinstance(copy._rows, np.ndarray) == forced
             got[forced] = readings(copy)
         p, pt, dense, support, probs = got[True]
@@ -127,6 +127,21 @@ def test_both_storages_read_alike(monkeypatch):
         np.testing.assert_allclose(pt, pt_s, rtol=0, atol=1e-13)
         assert np.array_equal(dense, dense_s)
         assert np.array_equal(support, support_s) and np.array_equal(probs, probs_s)
+
+
+def test_a_uniform_restart_law_folds_as_the_mean():
+    # k = 1 for every game make_game builds: P x and P^T y round as the
+    # uniform fold x.mean() and (u^T y) / n did before the law had weights
+    for view in views():
+        n = view.trans.shape[1]
+        assert (view.weights == 1.0).all()
+        rng = np.random.default_rng(1)
+        x, y = rng.normal(size=n), rng.normal(size=view.trans.shape[0])
+        u, px, pty = view.uniform_mask, view._rows @ x, view._transpose @ y
+        if view.has_uniform:
+            px, pty = px + u * x.mean(), pty + float(u @ y) / n
+        assert view.p_dot(x).tobytes() == px.tobytes()
+        assert view.pt_dot(y).tobytes() == pty.tobytes()
 
 
 def test_the_rule_holds_full_rows_densely_and_sparse_rows_as_csr():

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sg.exact import PolicyLinearSystem, evaluate, strategy_iteration
-from sg.game import (Action, MAX_PLAYER, MIN_PLAYER, make_game, quotient, validate)
+from sg.exact import PolicyLinearSystem, evaluate, flux, strategy_iteration
+from sg.game import (Action, MAX_PLAYER, MIN_PLAYER, load_game, make_game, quotient,
+                     save_game, validate)
 from sg.generate import random_game
 from sg.hard import build_hi2, verify_si_path_hi2
 
@@ -97,6 +98,56 @@ def test_values_on_the_quotient_lift_to_the_full_game_values(seed, n_core, n_lum
         assert np.abs(lifted - v).max() <= 1e-9 * np.abs(v).max()
 
 
+def explicit_quotient(game, q, classes):
+    """The quotient with its restart rows written out as explicit
+    class-weighted rows, built by ``make_game``."""
+    rows, off = loop_quotient_rows(game, classes), q.space.state_offset
+    acts = [[Action(reward=float(q.space.rewards[p]), next_states=np.flatnonzero(rows[p]),
+                    probs=rows[p][rows[p] > 0]) for p in range(off[s], off[s + 1])]
+            for s in range(q.n_states)]
+    return make_game(game.gamma, q.owners, acts)
+
+
+def table_rows(view):
+    """``row_table`` scattered back into dense rows."""
+    support, probs = view.row_table()
+    out = np.zeros((support.shape[0], view.trans.shape[1]))
+    np.add.at(out, (np.arange(support.shape[0])[:, None], support), probs)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_core=st.integers(1, 5), n_lump=st.integers(1, 6),
+       gamma=st.floats(0.5, 0.99))
+def test_the_rank_one_quotient_matches_its_explicit_rows(seed, n_core, n_lump, gamma):
+    g, _ = game_with_lumpable_states(seed, n_core, n_lump, gamma)
+    q, classes = quotient(g)
+    e = explicit_quotient(g, q, classes)
+    tol = 64 * np.finfo(float).eps * (1.0 + gamma) / (1.0 - gamma)
+
+    def close(a, b):
+        assert np.abs(a - b).max() <= tol * np.abs(b).max()
+
+    close(table_rows(q.layout), table_rows(e.layout))
+    rng = np.random.default_rng(seed)
+    lam = rng.dirichlet(np.ones(q.n_states))
+    for _ in range(4):
+        sigma = rng.integers(0, q.space.n_actions)
+        close(evaluate(q, sigma), evaluate(e, sigma))
+        close(flux(q, sigma), flux(e, sigma))
+        close(PolicyLinearSystem(q, sigma).step_distribution(lam),
+              PolicyLinearSystem(e, sigma).step_distribution(lam))
+
+
+def test_a_saved_quotient_loads_back_as_the_same_law(tmp_path):
+    # make_game knows only the uniform restart row, so the class-weighted one
+    # is written as its explicit row
+    q, _ = quotient(build_hi2(400)[0])
+    save_game(q, str(tmp_path / "q.json"))
+    back = load_game(str(tmp_path / "q.json"))
+    np.testing.assert_array_equal(back.layout.dense(), q.layout.dense())
+
+
 def test_a_game_with_nothing_to_lump_is_its_own_quotient():
     g = random_game(4, 2, 0.9, seed=0)
     q, classes = quotient(g)
@@ -119,10 +170,10 @@ def test_the_hi2_quotient_is_one_class_of_dummies_and_the_rest_as_they_are():
     assert q.n_states == game.n_states - meta.T + 1
     assert (classes[:meta.T] == 0).all()
     np.testing.assert_array_equal(reps[1:], np.arange(meta.T, game.n_states))
-    # a formerly uniform row weighs each class by its size
-    row = q.layout.restrict([0]).trans.toarray()[0]
-    np.testing.assert_array_equal(row, np.bincount(classes) / game.n_states)
-    assert not q.layout.has_uniform
+    # a restart row stays one, and its law weighs each class by its size
+    assert q.layout.uniform_mask[0] and q.layout.row_lengths[0] == 0
+    np.testing.assert_array_equal(q.layout.weights, np.bincount(classes))
+    np.testing.assert_array_equal(q.layout.dense()[0], np.bincount(classes) / game.n_states)
 
 
 @pytest.mark.parametrize("T", [400, 1600])
@@ -150,13 +201,16 @@ def test_the_hi2_verifier_reports_the_full_game_run(T):
 
 
 def test_the_hi2_verifier_builds_every_policy_system_on_the_quotient(monkeypatch):
-    # a silent fall back to the full game would build 418-state systems
-    sizes = []
+    # a silent fall back to the full game would build 418-state systems, and
+    # explicit restart rows would put every one of the quotient's states in
+    # each active block
+    sizes, blocks = [], []
     init = PolicyLinearSystem.__init__
 
     def counted(self, game, sigma, discount=None):
         init(self, game, sigma, discount)
         sizes.append(self.n)
+        blocks.append(self.n if self._active is None else self._active.size)
 
     monkeypatch.setattr(PolicyLinearSystem, "__init__", counted)
     trace, report = verify_si_path_hi2(400)
@@ -164,3 +218,4 @@ def test_the_hi2_verifier_builds_every_policy_system_on_the_quotient(monkeypatch
     assert report.passed
     assert len(sizes) >= trace.total_policy_evaluations > 0
     assert set(sizes) == {q.n_states}
+    assert max(blocks) < q.n_states
