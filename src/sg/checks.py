@@ -242,7 +242,7 @@ def markovian_evaluate(game: StochasticGame, plan: MarkovianPlan) -> tuple[list[
     w = tail_sys.solve(gamma * gamma * _var_under(game, plan.tail, v_tail))
     for t in range(len(plan.prefix) - 1, -1, -1):
         sigma = plan.prefix[t]
-        pw = game.layout.restrict(game.space.chosen_pairs(sigma)).p_dot(w)
+        pw = game.layout.p_dot(w)[game.space.chosen_pairs(sigma)]
         w = gamma * gamma * (pw + _var_under(game, sigma, values[t + 1]))
     return values, w
 
@@ -269,13 +269,13 @@ def variance_bellman_residual(game: StochasticGame, plan: MarkovianPlan) -> floa
 
     total = np.zeros(n)
     product = np.eye(n)
+    P = game.layout.dense()
     t = 0
     while gamma ** (2 * t) * beta ** 2 >= 1e-12:
         sigma_t = stage_sigma(t)
         w_t = _var_under(game, sigma_t, stage_value(t + 1))
         total = total + gamma ** (2 * (t + 1)) * (product @ w_t)
         # dense forward product B_t = P_0 P_1 ... P_{t-1}; fine at validator sizes
-        p_t = game.layout.restrict(game.space.chosen_pairs(sigma_t)).dense()
-        product = product @ p_t
+        product = product @ P[game.space.chosen_pairs(sigma_t)]
         t += 1
     return float(np.abs(var_direct - total).max())

@@ -28,7 +28,9 @@ from .game import (ActionSpace, InputError, MIN_PLAYER, StochasticGame, check_di
 
 EVAL_RESIDUAL_TOL = 1e-10
 STATIONARY_TOL = 1e-10
+STATIONARY_MAX_SWEEPS = 10 ** 6
 FLUX_SUM_RTOL = 1e-8
+VI_MAX_SWEEPS = 10 ** 7
 PI_MAX_ITER = 10 ** 6
 SI_MAX_OUTER = 10 ** 5
 # Iterative refinement of every linear solve (see ``_refined_solve``).
@@ -212,16 +214,17 @@ def half_bellman(game: StochasticGame, v: np.ndarray, pi: np.ndarray,
 
 # A fixed strategy yields P_sigma = S + u w^T, with S the chosen pairs'
 # explicit rows, u the chosen restart rows and w = k / sum(k) the game's
-# restart law. A system holds only the chosen rows that have entries, gathered
-# by ``ChainView.restrict`` in the storage ``sg.game.prefer_dense`` picks, and
-# scatters P x and P^T y through them; r and u are plain gathers. Let A be the
-# states with an explicit row and those they reach. Permuted, M = I - gamma*S is
-# blockdiag(I - gamma*S_AA, I), so only the block on A is assembled, straight
-# from the explicit rows, and factored, densely (LAPACK getrf) or by SuperLU
-# as ``prefer_dense`` picks for its size and fill; outside A the solution is
-# the right-hand side. The rank-one part is folded in by Sherman-Morrison, with
-# k and sum(k) read from the view, followed by iterative refinement. On the
-# worst-case instances and their quotients A is the few dozen chain states.
+# restart law. A system builds no chain of its own: P x is the game table's
+# ``p_dot`` at the chosen pairs, and P^T y pushes y, put on the chosen pairs,
+# through the table's transpose and spreads u^T y by w. Let A be the states
+# with an explicit row and those they reach. Permuted, M = I - gamma*S is
+# blockdiag(I - gamma*S_AA, I), so only the block on A is assembled, from the
+# entries ``ChainView.entries`` gathers, and factored, densely (LAPACK getrf)
+# or by SuperLU as ``prefer_dense`` picks for its size and fill; outside A the
+# solution is the right-hand side. The rank-one part is folded in by
+# Sherman-Morrison, with k and sum(k) read from the table, followed by
+# iterative refinement. On the worst-case instances and their quotients A is
+# the few dozen chain states.
 
 
 def _dense_lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,46 +245,47 @@ class PolicyLinearSystem:
         space, layout = game.space, game.layout
         space.check_strategy(sigma)
         n = game.n_states
-        pairs = space.chosen_pairs(np.asarray(sigma, dtype=np.int64))
+        self._pairs = space.chosen_pairs(np.asarray(sigma, dtype=np.int64))
         self.gamma = game.gamma if discount is None else float(discount)
         check_discount(self.gamma)
         self.n = n
-        self.r = space.rewards.take(pairs)
-        uniform = layout.uniform_mask.take(pairs)
+        self._layout = layout
+        self.r = space.rewards.take(self._pairs)
+        uniform = layout.uniform_mask.take(self._pairs)
         self._has_uniform = bool(uniform.any())
         self.u = uniform.astype(np.float64)
-        # the states whose chosen row has entries, and those rows
-        self._explicit = np.flatnonzero(layout.row_lengths.take(pairs))
-        self.rows = layout.restrict(pairs.take(self._explicit))
-        S = self.rows.trans
+        # the states whose chosen row has entries, and those entries
+        self._explicit = np.flatnonzero(layout.row_lengths.take(self._pairs))
+        self._entries = layout.entries(self._pairs.take(self._explicit))
+        targets = self._entries[1]
         active = np.zeros(n, dtype=bool)
         active[self._explicit] = True
         if self._explicit.size < n:
-            active[S.indices] = True
+            active[targets] = True
         # None when A is every state: the whole chain is the block
         self._active = None if active.all() else np.flatnonzero(active)
         k = n if self._active is None else self._active.size
-        self._dense = prefer_dense(k, k, S.nnz)  # every entry of S lies in A x A
+        self._dense = prefer_dense(k, k, targets.size)  # every entry of S lies in A x A
         self._lu = None
 
     @property
     def lu(self):
         # Factor I - gamma*S_AA lazily; transition-only uses never pay for it.
         if self._lu is None:
-            S, A = self.rows.trans, self._active
-            k, rows, cols = self.n, self._explicit, S.indices
+            lengths, cols, probs = self._entries
+            k, rows, A = self.n, self._explicit, self._active
             if A is not None:  # rows and columns renumbered within A
                 k, rows, cols = A.size, np.searchsorted(A, rows), np.searchsorted(A, cols)
             if self._dense:
                 # each entry added into its cell in row order, as a CSR toarray does
-                cells = np.repeat(rows * k, self.rows.row_lengths) + cols
-                S_AA = np.bincount(cells, weights=S.data, minlength=k * k).reshape(k, k)
+                cells = np.repeat(rows * k, lengths) + cols
+                S_AA = np.bincount(cells, weights=probs, minlength=k * k).reshape(k, k)
                 self._lu = _dense_lu(np.eye(k) - self.gamma * S_AA)
             else:
-                indptr = np.zeros(k + 1, dtype=S.indptr.dtype)
-                indptr[rows + 1] = self.rows.row_lengths
+                indptr = np.zeros(k + 1, dtype=lengths.dtype)
+                indptr[rows + 1] = lengths
                 np.cumsum(indptr, out=indptr)
-                S_AA = sp.csr_matrix((S.data, cols, indptr), shape=(k, k))
+                S_AA = sp.csr_matrix((probs, cols, indptr), shape=(k, k))
                 self._lu = spla.splu(sp.identity(k, format="csc") - self.gamma * S_AA.tocsc())
         return self._lu
 
@@ -306,26 +310,26 @@ class PolicyLinearSystem:
     def _fold(self) -> tuple[np.ndarray, float]:
         """M^-1 u and k^T M^-1 u, the Sherman-Morrison vector of ``solve``."""
         z = self._lu_solve(self.u)
-        return z, self.rows.k_dot(z)
+        return z, self._layout.k_dot(z)
 
     @cached_property
     def _fold_t(self) -> tuple[np.ndarray, float]:
         """M^-T k and its mass on the restart rows, that of ``solve_transpose``."""
-        z = self._lu_solve(self.rows.weights, transpose=True)
+        z = self._lu_solve(self._layout.weights, transpose=True)
         return z, float(self.u @ z)
 
     def _pt_dot(self, y: np.ndarray) -> np.ndarray:
         """P_sigma^T y: explicit rows push their mass, restart rows spread theirs by w."""
-        out = self.rows.pt_dot(y[self._explicit])
+        on_pairs = np.zeros(self._layout.trans.shape[0])
+        on_pairs[self._pairs] = y
+        out = self._layout.push(on_pairs)
         if self._has_uniform:
-            out = out + self.rows.spread(float(self.u @ y))
+            out = out + self._layout.spread(float(self.u @ y))
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """(I - gamma * P_sigma) x, the explicit rows scattered into the restart part."""
-        p = self.u * self.rows.k_dot(x) / self.rows.weight_sum
-        p[self._explicit] = self.rows.p_dot(x)
-        return x - self.gamma * p
+        """(I - gamma * P_sigma) x, P_sigma x read off the table at the chosen pairs."""
+        return x - self.gamma * self._layout.p_dot(x).take(self._pairs)
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """(I - gamma * P_sigma^T) y."""
@@ -335,8 +339,8 @@ class PolicyLinearSystem:
         x = self._lu_solve(b)
         if self._has_uniform:
             z, z_weight = self._fold
-            c = self.gamma / self.rows.weight_sum
-            t = self.rows.k_dot(x) / (1.0 - c * z_weight)
+            c = self.gamma / self._layout.weight_sum
+            t = self._layout.k_dot(x) / (1.0 - c * z_weight)
             x = x + c * t * z
         return x
 
@@ -344,7 +348,7 @@ class PolicyLinearSystem:
         x = self._lu_solve(b, transpose=True)
         if self._has_uniform:
             z, z_mass = self._fold_t
-            c = self.gamma / self.rows.weight_sum
+            c = self.gamma / self._layout.weight_sum
             s = float(self.u @ x) / (1.0 - c * z_mass)
             x = x + c * s * z
         return x
@@ -392,27 +396,27 @@ def _check_flux(x: np.ndarray, gamma: float) -> None:
         raise RuntimeError("flux mass does not match n/(1-gamma)")
 
 
-def _power_iteration(push, k: int, n: int, tol: float,
-                     max_iter: int) -> np.ndarray:
+def _power_iteration(push, k: int, n: int) -> np.ndarray:
     """Stationary distributions of k chains by power iteration from uniform.
 
     ``push(y, rows)`` returns P_r^T y_r for the chains ``rows`` (indices into
     the k chains) still running. A chain stops at its own first sweep with
-    max|P^T y - y| <= tol; after ``PLAIN_SWEEPS`` sweeps each iterate is
-    averaged with the previous one (Cesaro) to cover periodic chains. Rows
-    of chains not converged within ``max_iter`` sweeps are NaN.
+    max|P^T y - y| <= ``STATIONARY_TOL``; after ``PLAIN_SWEEPS`` sweeps each
+    iterate is averaged with the previous one (Cesaro) to cover periodic
+    chains. Rows of chains not converged within ``STATIONARY_MAX_SWEEPS``
+    sweeps are NaN.
     """
     out = np.full((k, n), np.nan)
     rows = np.arange(k)
     lam = np.full((k, n), 1.0 / n)
     nxt = push(lam, rows)
-    for it in range(max_iter):
+    for it in range(STATIONARY_MAX_SWEEPS):
         nxt /= nxt.sum(axis=1, keepdims=True)
         if it >= PLAIN_SWEEPS:
             nxt = 0.5 * (nxt + lam)
             nxt /= nxt.sum(axis=1, keepdims=True)
         step = push(nxt, rows)  # also the next sweep's first step
-        done = np.abs(step - nxt).max(axis=1) <= tol
+        done = np.abs(step - nxt).max(axis=1) <= STATIONARY_TOL
         if done.any():
             out[rows[done]] = nxt[done]
             running = ~done
@@ -454,18 +458,16 @@ def flux(game: StochasticGame, sigma: np.ndarray) -> np.ndarray:
     return x
 
 
-def stationary_distribution(game: StochasticGame, sigma: np.ndarray,
-                            tol: float = STATIONARY_TOL,
-                            max_iter: int = 10 ** 6) -> np.ndarray:
+def stationary_distribution(game: StochasticGame, sigma: np.ndarray) -> np.ndarray:
     """Stationary distribution of P_sigma by power iteration.
 
     Falls back to Cesaro averaging after the first 10^4 sweeps to cover
     periodic corner cases; raises if the chain has not converged within
-    ``max_iter`` sweeps (reducible or periodic chain).
+    ``STATIONARY_MAX_SWEEPS`` sweeps (reducible or periodic chain).
     """
     sys = PolicyLinearSystem(game, sigma)
     lam = _power_iteration(lambda y, rows: sys.step_distribution(y[0])[None],
-                           1, game.n_states, tol, max_iter)[0]
+                           1, game.n_states)[0]
     if np.isnan(lam[0]):
         raise RuntimeError("power iteration did not converge; chain may be periodic or reducible")
     return lam
@@ -475,8 +477,7 @@ def stationary_distribution(game: StochasticGame, sigma: np.ndarray,
 # value iteration
 
 
-def value_iteration(game: StochasticGame, tol: float,
-                    max_iter: int = 10 ** 7) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
+def value_iteration(game: StochasticGame, tol: float) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
     """Iterate the Bellman operator T from zero until v* is bracketed within tol.
 
     Stops on the span of the step d = v_i - v_{i-1} (MacQueen 1966; Porteus
@@ -500,7 +501,7 @@ def value_iteration(game: StochasticGame, tol: float,
     scale = game.gamma / (1.0 - game.gamma)
     v = np.zeros(game.n_states)
     trace = SolveTrace()
-    for it in range(1, max_iter + 1):
+    for it in range(1, VI_MAX_SWEEPS + 1):
         v_next, _ = greedy_from_q(game.space, q_from_v(game, v))
         d = v_next - v
         lo, hi = float(d.min()), float(d.max())
@@ -510,7 +511,7 @@ def value_iteration(game: StochasticGame, tol: float,
             v = v + scale * (hi + lo) / 2.0
             _, sigma = greedy_from_q(game.space, q_from_v(game, v))
             return v, sigma, trace
-    raise RuntimeError(f"value iteration exceeded {max_iter} sweeps")
+    raise RuntimeError(f"value iteration exceeded {VI_MAX_SWEEPS} sweeps")
 
 
 def optimal_value(game: StochasticGame) -> tuple[np.ndarray, np.ndarray]:
@@ -556,8 +557,7 @@ def improve(game: StochasticGame, v: np.ndarray, sigma: np.ndarray,
 
 def _policy_iteration(game: StochasticGame, pi_init: np.ndarray,
                       fixed: tuple[int, np.ndarray] | None,
-                      trace: SolveTrace, phase: str,
-                      max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+                      trace: SolveTrace, phase: str) -> tuple[np.ndarray, np.ndarray]:
     """Howard iteration over the states not owned by the fixed player.
 
     Returns the final strategy and its exact value (the last evaluation).
@@ -578,7 +578,7 @@ def _policy_iteration(game: StochasticGame, pi_init: np.ndarray,
         improvable = np.ones(game.n_states, dtype=bool)
 
     evals = trace.policy_evaluations[-1] if trace.policy_evaluations else 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, PI_MAX_ITER + 1):
         v = evaluate(game, sigma)
         evals += 1
         new_sigma, flips, residual = improve(game, v, sigma, improvable)
@@ -586,12 +586,11 @@ def _policy_iteration(game: StochasticGame, pi_init: np.ndarray,
         if not flips:
             return sigma, v
         sigma = new_sigma
-    raise RuntimeError(f"policy iteration exceeded {max_iter} iterations")
+    raise RuntimeError(f"policy iteration exceeded {PI_MAX_ITER} iterations")
 
 
 def policy_iteration(game: StochasticGame, pi_init: np.ndarray,
-                     fixed: tuple[int, np.ndarray] | None = None,
-                     max_iter: int = PI_MAX_ITER) -> tuple[np.ndarray, SolveTrace]:
+                     fixed: tuple[int, np.ndarray] | None = None) -> tuple[np.ndarray, SolveTrace]:
     """Howard policy iteration with exact evaluations.
 
     ``fixed=(player, strategy)`` freezes one player's actions, turning the
@@ -600,7 +599,7 @@ def policy_iteration(game: StochasticGame, pi_init: np.ndarray,
     strictly improving state, keeping incumbents on ties.
     """
     trace = SolveTrace()
-    sigma, _ = _policy_iteration(game, pi_init, fixed, trace, "", max_iter)
+    sigma, _ = _policy_iteration(game, pi_init, fixed, trace, "")
     return sigma, trace
 
 
@@ -624,8 +623,7 @@ def strategy_iteration(game: StochasticGame, sigma_init: np.ndarray) -> tuple[np
     trace = SolveTrace()
     min_states = game.owners == MIN_PLAYER
     for _ in range(SI_MAX_OUTER):
-        sigma, v = _policy_iteration(game, sigma, (MIN_PLAYER, sigma), trace,
-                                     "max-pi", PI_MAX_ITER)
+        sigma, v = _policy_iteration(game, sigma, (MIN_PLAYER, sigma), trace, "max-pi")
         new_sigma, flips, residual = improve(game, v, sigma, min_states)
         trace.append(0, residual, flips, trace.policy_evaluations[-1], "min-greedy")
         if not flips:
@@ -641,7 +639,7 @@ def best_response(game: StochasticGame, sigma: np.ndarray, player: int) -> tuple
     taken from ``sigma`` on their states.
     """
     trace = SolveTrace()
-    joint, v = _policy_iteration(game, sigma, (player, sigma), trace, "", PI_MAX_ITER)
+    joint, v = _policy_iteration(game, sigma, (player, sigma), trace, "")
     return joint, v
 
 
@@ -654,21 +652,20 @@ def strategy_count(game: StochasticGame) -> int:
     return math.prod(int(k) for k in game.space.n_actions)
 
 
-def _strategy_product(game: StochasticGame, limit: int):
-    """Every pure strategy as a tuple, refusing more than ``limit`` of them."""
-    total = strategy_count(game)
-    if total > limit:
-        raise InputError(f"{total} pure strategies exceed the enumeration cap {limit}")
+def _strategy_product(game: StochasticGame):
+    """Every pure strategy as a tuple, refusing more than the enumeration cap."""
+    if (total := strategy_count(game)) > MAX_ENUMERATED_STRATEGIES:
+        raise InputError(f"{total} pure strategies exceed the enumeration cap "
+                         f"{MAX_ENUMERATED_STRATEGIES}")
     return product(*(range(int(k)) for k in game.space.n_actions))
 
 
-def enumerate_strategies(game: StochasticGame, limit: int = MAX_ENUMERATED_STRATEGIES):
-    for combo in _strategy_product(game, limit):
+def enumerate_strategies(game: StochasticGame):
+    for combo in _strategy_product(game):
         yield np.array(combo, dtype=np.int64)
 
 
-def scan_stack(game: StochasticGame, sigmas: np.ndarray,
-               max_iter: int = 10 ** 6) -> tuple[np.ndarray, np.ndarray]:
+def scan_stack(game: StochasticGame, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stationary distributions and fluxes of a stack of strategies at once.
 
     ``sigmas`` is a (k, n) array, one pure strategy per row. Their dense
@@ -676,8 +673,8 @@ def scan_stack(game: StochasticGame, sigmas: np.ndarray,
     follow the power iteration of ``stationary_distribution`` row by row,
     and the fluxes come from one stacked solve of (I - gamma P^T) x = 1 with
     the refinement and checks of ``flux``. Returns ``(lam, x)``, both
-    (k, n); the rows of chains that did not converge within ``max_iter``
-    sweeps are NaN in both.
+    (k, n); the rows of chains that did not converge within
+    ``STATIONARY_MAX_SWEEPS`` sweeps are NaN in both.
     """
     game.space.check_strategy(sigmas)
     sigmas = np.asarray(sigmas, dtype=np.int64)
@@ -691,7 +688,7 @@ def scan_stack(game: StochasticGame, sigmas: np.ndarray,
             running = P[rows]
         return np.matmul(y[:, None, :], running)[:, 0, :]
 
-    lam = _power_iteration(push, k, n, STATIONARY_TOL, max_iter)
+    lam = _power_iteration(push, k, n)
     ok = ~np.isnan(lam[:, 0])
     x = np.full((k, n), np.nan)
     if ok.any():
@@ -734,7 +731,7 @@ def ratio_scan(game: StochasticGame,
     """
     check_discount(game.gamma)
     if enumerate_all:
-        strategies = _strategy_product(game, MAX_ENUMERATED_STRATEGIES)
+        strategies = _strategy_product(game)
     else:
         if sample is None or seed is None:
             raise InputError("sampled scan needs both `sample` and `seed`")
@@ -765,7 +762,7 @@ def ratio_scan(game: StochasticGame,
         c_min, c_max = min(c_min, float(lo.min())), max(c_max, float(hi.max()))
         d_min, d_max = min(d_min, float(xlo.min())), max(d_max, float(xhi.max()))
         if keep_rows:
-            rows.extend((",".join(map(str, sigma)), a, b, c, d) for sigma, a, b, c, d
+            rows.extend(("|".join(map(str, sigma)), a, b, c, d) for sigma, a, b, c, d
                         in zip(sigmas.tolist(), lo.tolist(), hi.tolist(),
                                xlo.tolist(), xhi.tolist()))
     if scanned == 0:

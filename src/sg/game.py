@@ -184,9 +184,11 @@ class ChainView:
 
     ``trans`` is a CSR table with the rows in the order given, repeated
     targets included (a game's table is read-only), which ``row_table`` (and
-    so the sampler) and ``restrict`` read. ``P x``, ``P^T y`` and the dense
+    so the sampler) and ``entries`` read. ``P x``, ``P^T y`` and the dense
     matrix read S in the form :func:`prefer_dense` picks for its shape and
     fill, decided once per view: a read-only dense copy, or ``trans`` itself.
+    A game has one view, its ``layout``, and every strategy's chain is read
+    from it, with no per-strategy view or matrix.
     """
 
     trans: sp.csr_matrix          # (n_rows, n_states)
@@ -235,9 +237,13 @@ class ChainView:
             out = out + self.uniform_mask * (self.k_dot(x) / self.weight_sum)
         return out
 
+    def push(self, y: np.ndarray) -> np.ndarray:
+        """S^T y: the mass ``y`` on the rows pushed along their explicit entries."""
+        return self._transpose @ y
+
     def pt_dot(self, y: np.ndarray) -> np.ndarray:
         """P^T y: the mass ``y`` on the rows pushed one step forward."""
-        out = self._transpose @ y
+        out = self.push(y)
         if self.has_uniform:
             out = out + self.spread(float(self.uniform_mask @ y))
         return out
@@ -273,24 +279,16 @@ class ChainView:
         probs[sparse] /= probs[sparse].sum(axis=1, keepdims=True)
         return support, probs
 
-    def restrict(self, rows: np.ndarray) -> ChainView:
-        """The chain on the selected rows, e.g. the pairs a strategy picks.
-
-        The rows are gathered straight from the CSR arrays (the cached row
-        lengths, their running sum, one gather of the entry positions); the
-        result equals ``trans[rows]`` array for array, and costs less than
-        scipy's fancy row indexing (BENCH_12.json).
-        """
-        rows = np.asarray(rows)
-        ptr = self.trans.indptr
-        start = ptr.take(rows)
-        lengths = self.row_lengths.take(rows)
-        indptr = np.zeros(rows.size + 1, dtype=ptr.dtype)
-        np.cumsum(lengths, out=indptr[1:])
-        pos = np.repeat(start - indptr[:-1], lengths) + np.arange(indptr[-1], dtype=ptr.dtype)
-        trans = sp.csr_matrix((self.trans.data[pos], self.trans.indices[pos], indptr),
-                              shape=(rows.size, self.trans.shape[1]))
-        return ChainView(trans, self.uniform_mask.take(rows), self.weights)
+    def entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The explicit entries of the selected rows, e.g. the pairs a strategy
+        picks, as ``(lengths, targets, probs)``: the ``np.diff(indptr)``,
+        ``indices`` and ``data`` of ``trans[rows]``, gathered through the
+        cached row lengths and their running sum with no matrix built."""
+        ptr, lengths = self.trans.indptr, self.row_lengths.take(rows)
+        first = np.zeros(lengths.size + 1, dtype=ptr.dtype)
+        np.cumsum(lengths, out=first[1:])
+        pos = np.repeat(ptr.take(rows) - first[:-1], lengths) + np.arange(first[-1])
+        return lengths, self.trans.indices[pos], self.trans.data[pos]
 
 
 @dataclass(frozen=True, eq=False)
@@ -569,13 +567,13 @@ def quotient(game: StochasticGame) -> tuple[StochasticGame, np.ndarray]:
     classes = (np.cumsum(is_rep) - 1)[leader]
     reps = np.flatnonzero(is_rep)
     pairs = np.flatnonzero(is_rep[space.pair_state])
-    rows = layout.restrict(pairs)
     # explicit entries summed into their targets' classes, in row order
     member = sp.csr_matrix((np.ones(n), classes, np.arange(n + 1)), shape=(n, reps.size))
     owners = _readonly(game.owners[reps])
     q_space = _space(space.gamma, owners, space.n_actions[reps], space.rewards[pairs])
-    return _table_game(owners, q_space, (rows.trans @ member).sorted_indices(),
-                       rows.uniform_mask, np.bincount(classes, weights=layout.weights)), classes
+    return _table_game(owners, q_space, (layout.trans[pairs] @ member).sorted_indices(),
+                       layout.uniform_mask[pairs],
+                       np.bincount(classes, weights=layout.weights)), classes
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ strategy and form one class, and 10,077 states become 78 at ``T = 10000``.
 Strategies map down through each class's representative, and every flip is
 reported at its full-game state, so reports, flips, evaluation counts and
 phases are those of a full-game run. Over the 211 strategies evaluated at
-``T = 10000`` the values agree within 3.1e-11 relative (the forward bound
+``T = 10000`` the values agree within 3.01e-11 relative (the forward bound
 eps (1 + gamma)/(1 - gamma) is 3.6e-11 there), and the trace's residual
-column (each sweep's largest improvement) within 2.6e-12. The hi1 verifier,
+column (each sweep's largest improvement) within 2.54e-12. The hi1 verifier,
 :func:`hi1_distribution_bounds` and :func:`hi2_vbar_signs` stay on the full game.
 """
 

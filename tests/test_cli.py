@@ -1,5 +1,6 @@
 """CLI harness: subcommands, exit codes, deterministic CSV output."""
 
+import csv
 import json
 from dataclasses import replace
 
@@ -105,6 +106,18 @@ def test_flux_sampled_deterministic_csv(game_file, tmp_path):
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_text().startswith("strategy,")
+
+
+def test_flux_csv_rows_have_one_field_per_column(tmp_path):
+    # a strategy written as comma-joined actions spilled 48 fields into a
+    # row under a 5-column header
+    out = tmp_path / "scan.csv"
+    argv = ["flux", "--hi1", "48", "--sample", "3", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["strategy", "lambda_min", "lambda_max", "flux_min", "flux_max"]
+    assert len(rows) == 4 and all(len(row) == 5 for row in rows)
 
 
 def test_flux_sample_requires_seed(game_file, capsys):

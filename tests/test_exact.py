@@ -125,19 +125,21 @@ def test_greedy_on_a_stack_refuses_a_non_finite_optimum_in_any_row():
             greedy_from_q(g.space, stack)
 
 
-def test_value_iteration_stops_on_overflowing_values():
+def test_value_iteration_stops_on_overflowing_values(monkeypatch):
     # 1e308 / (1 - 0.9) overflows: the loader refuses such a game, make_game does not
+    monkeypatch.setattr(sg.exact, "VI_MAX_SWEEPS", 50)
     g = make_game(0.9, [MIN_PLAYER, MAX_PLAYER], [
         [Action(reward=1e308, next_states=np.array([1]), probs=np.array([1.0]))],
         [Action(reward=0.0, next_states=np.array([0]), probs=np.array([1.0]))]])
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-        value_iteration(g, 0.01, max_iter=50)
+        value_iteration(g, 0.01)
 
 
-def test_value_iteration_refuses_a_nan_tolerance():
+def test_value_iteration_refuses_a_nan_tolerance(monkeypatch):
+    monkeypatch.setattr(sg.exact, "VI_MAX_SWEEPS", 1000)
     g = random_game(4, 2, 0.9, seed=0)
     with pytest.raises(InputError, match="tol"):
-        value_iteration(g, float("nan"), max_iter=1000)
+        value_iteration(g, float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +404,7 @@ def test_policy_iteration_values_monotone_for_max_player():
     sigma = np.zeros(6, dtype=np.int64)
     prev = evaluate(g, sigma)
     while True:
-        new_sigma, trace = policy_iteration(g, sigma, max_iter=10 ** 6)
+        new_sigma, trace = policy_iteration(g, sigma)
         break
     # re-walk the trace by hand, checking each improvement raises the value
     sigma = np.zeros(6, dtype=np.int64)
@@ -572,10 +574,11 @@ def test_stationary_cesaro_fallback_handles_periodic_chain():
     np.testing.assert_allclose(lam, [0.5, 0.5, 0.0], atol=1e-9)
 
 
-def test_stationary_raises_when_iteration_cap_hit():
+def test_stationary_raises_when_iteration_cap_hit(monkeypatch):
+    monkeypatch.setattr(sg.exact, "STATIONARY_MAX_SWEEPS", 100)
     g = _fed_two_cycle()
     with pytest.raises(RuntimeError):
-        stationary_distribution(g, np.zeros(3, dtype=np.int64), max_iter=100)
+        stationary_distribution(g, np.zeros(3, dtype=np.int64))
 
 
 def test_flux_identity_chain():
@@ -639,7 +642,7 @@ def test_ratio_scan_sampled_within_enumerated():
 def test_ratio_scan_enumeration_cap():
     g = random_game(8, 6, 0.9, seed=29)
     with pytest.raises(ValueError):
-        list(enumerate_strategies(g, limit=10 ** 5))
+        list(enumerate_strategies(g))  # 6^8 strategies
 
 
 def test_ratio_scan_rejects_empty_sample():
@@ -683,7 +686,7 @@ def loop_scan(game, strategies):
             continue
         x = flux(game, sigma)
         scanned += 1
-        rows.append((",".join(str(int(a)) for a in sigma), lam, x))
+        rows.append(("|".join(str(int(a)) for a in sigma), lam, x))
     return scanned, skipped, rows
 
 
@@ -731,11 +734,13 @@ def test_stack_covers_periodic_chains_like_the_per_strategy_route():
     np.testing.assert_allclose(lam, [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]], atol=1e-9)
     assert_stack_matches_loop(g, sigmas, (lam, x))
     # with too few sweeps the periodic chain is skipped by both routes alike
-    lam, x = scan_stack(g, sigmas, max_iter=100)
-    assert np.isnan(lam[0]).all() and np.isnan(x[0]).all()
-    np.testing.assert_allclose(lam[1], [1.0, 0.0, 0.0], atol=1e-9)
-    with pytest.raises(RuntimeError):
-        stationary_distribution(g, sigmas[0], max_iter=100)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg.exact, "STATIONARY_MAX_SWEEPS", 100)
+        lam, x = scan_stack(g, sigmas)
+        assert np.isnan(lam[0]).all() and np.isnan(x[0]).all()
+        np.testing.assert_allclose(lam[1], [1.0, 0.0, 0.0], atol=1e-9)
+        with pytest.raises(RuntimeError):
+            stationary_distribution(g, sigmas[0])
     report = ratio_scan(g)
     assert (report.strategies_scanned, report.strategies_skipped) == (2, 0)
 
@@ -762,7 +767,7 @@ def test_sampled_scan_keeps_the_per_sample_draws():
     rng = np.random.default_rng(5)
     drawn = [rng.integers(0, g.space.n_actions) for _ in range(40)]
     assert [r[0] for r in report.per_strategy] == \
-        [",".join(str(int(a)) for a in sigma) for sigma in drawn]
+        ["|".join(str(int(a)) for a in sigma) for sigma in drawn]
 
 
 def test_scan_stack_rejects_invalid_strategies():
@@ -989,13 +994,14 @@ def test_evaluate_accepts_every_strategy_near_gamma_one():
         np.testing.assert_allclose(evaluate(g, sigma), want, rtol=1e-8, atol=0)
 
 
-def test_value_iteration_refuses_an_undiscounted_game():
+def test_value_iteration_refuses_an_undiscounted_game(monkeypatch):
     # the span bracket scales by gamma / (1 - gamma); gamma = 1 used to run
-    # every sweep of max_iter and then fail
+    # every sweep of the cap and then fail
+    monkeypatch.setattr(sg.exact, "VI_MAX_SWEEPS", 100)
     g = make_game(1.0, [MIN_PLAYER], [[
         Action(reward=1.0, next_states=np.array([0]), probs=np.array([1.0]))]])
     with pytest.raises(InputError, match="gamma"):
-        value_iteration(g, 1e-6, max_iter=100)
+        value_iteration(g, 1e-6)
 
 
 def two_state_cycle(gamma):
@@ -1068,7 +1074,8 @@ class FullChainSystem(PolicyLinearSystem):
 
     def __init__(self, game, sigma):
         super().__init__(game, sigma)
-        self.chain = game.layout.restrict(game.space.chosen_pairs(sigma))
+        lay, rows = game.layout, game.space.chosen_pairs(sigma)
+        self.chain = sg.game.ChainView(lay.trans[rows], lay.uniform_mask[rows], lay.weights)
         S = self.chain.trans
         active = np.diff(S.indptr) > 0
         if not active.all():
@@ -1183,22 +1190,30 @@ def test_a_policy_step_matches_the_full_chain_and_the_padded_grid(kind, data):
 
 
 def test_a_policy_step_gathers_only_the_strategys_explicit_rows(monkeypatch):
-    # a work count, not a timing: the n-row chain of a strategy is not built
+    # a work count, not a timing: a step reads the game's own table, builds
+    # no chain view of a strategy, and gathers the entries of its explicit
+    # rows only, not the n rows of its chain
     g, meta = build_hi2(10000)
-    gathered = []
-    restrict = sg.game.ChainView.restrict
+    gathered, built = [], []
+    entries, init = sg.game.ChainView.entries, sg.game.ChainView.__init__
 
     def spy(view, rows):
         gathered.append(len(rows))
-        return restrict(view, rows)
+        return entries(view, rows)
 
-    monkeypatch.setattr(sg.game.ChainView, "restrict", spy)
+    def count(view, *args, **kwargs):
+        built.append(view)
+        init(view, *args, **kwargs)
+
+    monkeypatch.setattr(sg.game.ChainView, "entries", spy)
+    monkeypatch.setattr(sg.game.ChainView, "__init__", count)
     sigma = meta.joint(5, 6, 3)
     explicit = int((np.diff(g.layout.trans.indptr)[g.space.chosen_pairs(sigma)] > 0).sum())
     v = evaluate(g, sigma)
     improve(g, v, sigma, g.owners == MIN_PLAYER)
     assert 0 < sum(gathered) <= explicit < 100
     assert g.n_states not in gathered
+    assert built == []
 
 
 def point_game(gamma, owners, rows):

@@ -290,14 +290,13 @@ def test_chain_view_matches_naive_matrix():
     # that only picks sparse rows
     mixed = g.space.chosen_pairs(np.array([len(acts) - 1 for acts in g.actions]))
     sparse = np.flatnonzero(~lay.uniform_mask)[:n]
-    for rows in (mixed, sparse):
-        view = lay.restrict(rows)
+    for rows, has_uniform in ((mixed, True), (sparse, False)):
+        view = sg.game.ChainView(lay.trans[rows], lay.uniform_mask[rows], lay.weights)
         z = rng.normal(size=rows.size)
         np.testing.assert_allclose(view.dense(), P[rows], rtol=0, atol=1e-15)
         np.testing.assert_allclose(view.p_dot(x), P[rows] @ x, rtol=0, atol=1e-13)
         np.testing.assert_allclose(view.pt_dot(z), P[rows].T @ z, rtol=0, atol=1e-13)
-    assert lay.restrict(mixed).has_uniform
-    assert not lay.restrict(sparse).has_uniform
+        assert view.has_uniform == has_uniform
 
 
 def test_loader_rejects_invalid_game():

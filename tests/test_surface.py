@@ -13,7 +13,7 @@ from pathlib import Path
 import sg
 
 MODULES = ("game", "exact", "sampler", "qvi", "checks", "hard", "generate")
-KNOBS = 55
+KNOBS = 49
 
 
 def public(name: str) -> bool:
