@@ -23,8 +23,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .game import (ActionSpace, InputError, MIN_PLAYER, StochasticGame, check_discount,
-                   prefer_dense)
+from .game import (ActionSpace, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame,
+                   check_discount, prefer_dense)
 
 EVAL_RESIDUAL_TOL = 1e-10
 STATIONARY_TOL = 1e-10
@@ -203,10 +203,19 @@ def half_from_q(space: ActionSpace, q: np.ndarray, pi: np.ndarray,
     return np.where(owned, q[space.chosen_pairs(pi)], opt)
 
 
+def _owned(game: StochasticGame, player: int) -> np.ndarray:
+    """The states ``player`` owns; a player neither MIN nor MAX is refused,
+    since it owns no state and so would fix nothing."""
+    if player not in (MIN_PLAYER, MAX_PLAYER):
+        raise InputError(f"player must be MIN_PLAYER ({MIN_PLAYER}) or "
+                         f"MAX_PLAYER ({MAX_PLAYER}), got {player!r}")
+    return game.owners == player
+
+
 def half_bellman(game: StochasticGame, v: np.ndarray, pi: np.ndarray,
                  player: int) -> np.ndarray:
     """Half operator: ``pi`` fixed on ``player``'s states, the rest optimized."""
-    return half_from_q(game.space, q_from_v(game, v), pi, game.owners == player)
+    return half_from_q(game.space, q_from_v(game, v), pi, _owned(game, player))
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +223,31 @@ def half_bellman(game: StochasticGame, v: np.ndarray, pi: np.ndarray,
 
 # A fixed strategy yields P_sigma = S + u w^T, with S the chosen pairs'
 # explicit rows, u the chosen restart rows and w = k / sum(k) the game's
-# restart law. A system builds no chain of its own: P x is the game table's
-# ``p_dot`` at the chosen pairs, and P^T y pushes y, put on the chosen pairs,
-# through the table's transpose and spreads u^T y by w. Let A be the states
-# with an explicit row and those they reach. Permuted, M = I - gamma*S is
+# restart law. The storage of the game's table picks the route.
+#
+# A table held densely (``ChainView.held_dense``) gives S as one gather of
+# the n chosen rows, an n x n array; n^2 <= n_pairs * n keeps it inside the
+# table's dense bound. Such a table is small or at least half full, so an
+# active block would save little there. M = I - gamma*(S + u w^T) is factored
+# once (LAPACK getrf) and solved by getrs, transposed for M^T; P x and P^T y
+# are n x n products with S plus the rank-one term, applied as ``p_dot``
+# applies it. Kept apart, the restart rows' w entries add no rounding to the
+# refinement's residuals: summed inside the product, on hi2 at T = 400 with
+# 400 restart rows, they left a transposed solve 2.2e-12 from the exact one,
+# against 3.8e-14 kept apart.
+#
+# A table held sparse is read in place: P x is the table's ``p_dot`` at the
+# chosen pairs, and P^T y pushes y, put on the chosen pairs, through the
+# table's transpose and spreads u^T y by w. Let A be the states with an
+# explicit row and those they reach. Permuted, I - gamma*S is
 # blockdiag(I - gamma*S_AA, I), so only the block on A is assembled, from the
-# entries ``ChainView.entries`` gathers, and factored, densely (LAPACK getrf)
-# or by SuperLU as ``prefer_dense`` picks for its size and fill; outside A the
-# solution is the right-hand side. The rank-one part is folded in by
-# Sherman-Morrison, with k and sum(k) read from the table, followed by
-# iterative refinement. On the worst-case instances and their quotients A is
-# the few dozen chain states.
+# entries ``ChainView.entries`` gathers, and factored, densely or by SuperLU
+# as ``prefer_dense`` picks for its size and fill; outside A the solution is
+# the right-hand side. The rank-one part is folded in by Sherman-Morrison,
+# with k and sum(k) read from the table. On the full worst-case instances A
+# is the few dozen chain states among 10^4 or more.
+#
+# Either route's solve is followed by iterative refinement.
 
 
 def _dense_lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -237,6 +260,12 @@ def _dense_lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
                       sla.LinAlgWarning, stacklevel=3)
     return lu, piv
+
+
+def _dense_solve(lu: tuple[np.ndarray, np.ndarray], b: np.ndarray,
+                 transpose: bool) -> np.ndarray:
+    x, _ = sla.lapack.dgetrs(*lu, b, trans=int(transpose))
+    return x
 
 
 class PolicyLinearSystem:
@@ -254,6 +283,11 @@ class PolicyLinearSystem:
         uniform = layout.uniform_mask.take(self._pairs)
         self._has_uniform = bool(uniform.any())
         self.u = uniform.astype(np.float64)
+        self._lu = None
+        # the chosen explicit rows, n x n, when the table holds its rows densely
+        self._S = layout.explicit(self._pairs) if layout.held_dense else None
+        if self._S is not None:
+            return
         # the states whose chosen row has entries, and those entries
         self._explicit = np.flatnonzero(layout.row_lengths.take(self._pairs))
         self._entries = layout.entries(self._pairs.take(self._explicit))
@@ -266,34 +300,42 @@ class PolicyLinearSystem:
         self._active = None if active.all() else np.flatnonzero(active)
         k = n if self._active is None else self._active.size
         self._dense = prefer_dense(k, k, targets.size)  # every entry of S lies in A x A
-        self._lu = None
 
     @property
     def lu(self):
-        # Factor I - gamma*S_AA lazily; transition-only uses never pay for it.
+        # Factored lazily; transition-only uses never pay for it.
         if self._lu is None:
-            lengths, cols, probs = self._entries
-            k, rows, A = self.n, self._explicit, self._active
-            if A is not None:  # rows and columns renumbered within A
-                k, rows, cols = A.size, np.searchsorted(A, rows), np.searchsorted(A, cols)
-            if self._dense:
-                # each entry added into its cell in row order, as a CSR toarray does
-                cells = np.repeat(rows * k, lengths) + cols
-                S_AA = np.bincount(cells, weights=probs, minlength=k * k).reshape(k, k)
-                self._lu = _dense_lu(np.eye(k) - self.gamma * S_AA)
-            else:
-                indptr = np.zeros(k + 1, dtype=lengths.dtype)
-                indptr[rows + 1] = lengths
-                np.cumsum(indptr, out=indptr)
-                S_AA = sp.csr_matrix((probs, cols, indptr), shape=(k, k))
-                self._lu = spla.splu(sp.identity(k, format="csc") - self.gamma * S_AA.tocsc())
+            self._lu = self._factor_block() if self._S is None else self._factor_chain()
         return self._lu
+
+    def _factor_chain(self) -> tuple[np.ndarray, np.ndarray]:
+        """LU of I - gamma*(S + u w^T); a restart row of S is zero and gets -gamma w."""
+        m = self._S * -self.gamma
+        if self._has_uniform:
+            m[self.u > 0] -= self.gamma * self._layout.spread(1.0)
+        m.flat[::self.n + 1] += 1.0
+        return _dense_lu(m)
+
+    def _factor_block(self):
+        """LU of I - gamma*S_AA, dense or by SuperLU."""
+        lengths, cols, probs = self._entries
+        k, rows, A = self.n, self._explicit, self._active
+        if A is not None:  # rows and columns renumbered within A
+            k, rows, cols = A.size, np.searchsorted(A, rows), np.searchsorted(A, cols)
+        if self._dense:
+            # each entry added into its cell in row order, as a CSR toarray does
+            cells = np.repeat(rows * k, lengths) + cols
+            S_AA = np.bincount(cells, weights=probs, minlength=k * k).reshape(k, k)
+            return _dense_lu(np.eye(k) - self.gamma * S_AA)
+        indptr = np.zeros(k + 1, dtype=lengths.dtype)
+        indptr[rows + 1] = lengths
+        np.cumsum(indptr, out=indptr)
+        S_AA = sp.csr_matrix((probs, cols, indptr), shape=(k, k))
+        return spla.splu(sp.identity(k, format="csc") - self.gamma * S_AA.tocsc())
 
     def _block_solve(self, b: np.ndarray, transpose: bool) -> np.ndarray:
         if self._dense:
-            lu, piv = self.lu
-            x, _ = sla.lapack.dgetrs(lu, piv, np.asarray_chkfinite(b), trans=int(transpose))
-            return x
+            return _dense_solve(self.lu, b, transpose)
         return self.lu.solve(b, trans="T" if transpose else "N")
 
     def _lu_solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -320,22 +362,33 @@ class PolicyLinearSystem:
 
     def _pt_dot(self, y: np.ndarray) -> np.ndarray:
         """P_sigma^T y: explicit rows push their mass, restart rows spread theirs by w."""
-        on_pairs = np.zeros(self._layout.trans.shape[0])
-        on_pairs[self._pairs] = y
-        out = self._layout.push(on_pairs)
+        if self._S is not None:
+            out = y @ self._S
+        else:
+            on_pairs = np.zeros(self._layout.trans.shape[0])
+            on_pairs[self._pairs] = y
+            out = self._layout.push(on_pairs)
         if self._has_uniform:
             out = out + self._layout.spread(float(self.u @ y))
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """(I - gamma * P_sigma) x, P_sigma x read off the table at the chosen pairs."""
-        return x - self.gamma * self._layout.p_dot(x).take(self._pairs)
+        """(I - gamma * P_sigma) x, P_sigma x from the gathered rows or, on a
+        table held sparse, read off the table at the chosen pairs."""
+        if self._S is None:
+            return x - self.gamma * self._layout.p_dot(x).take(self._pairs)
+        px = self._S @ x
+        if self._has_uniform:  # the rank-one part as ``p_dot`` applies it
+            px = px + self.u * (self._layout.k_dot(x) / self._layout.weight_sum)
+        return x - self.gamma * px
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """(I - gamma * P_sigma^T) y."""
         return y - self.gamma * self._pt_dot(y)
 
     def _solve_once(self, b: np.ndarray) -> np.ndarray:
+        if self._S is not None:
+            return _dense_solve(self.lu, b, False)
         x = self._lu_solve(b)
         if self._has_uniform:
             z, z_weight = self._fold
@@ -345,6 +398,8 @@ class PolicyLinearSystem:
         return x
 
     def _solve_t_once(self, b: np.ndarray) -> np.ndarray:
+        if self._S is not None:
+            return _dense_solve(self.lu, b, True)
         x = self._lu_solve(b, transpose=True)
         if self._has_uniform:
             z, z_mass = self._fold_t
@@ -538,6 +593,8 @@ def improve(game: StochasticGame, v: np.ndarray, sigma: np.ndarray,
     Returns (new strategy, flips as (state, old, new), max improvement).
     """
     space = game.space
+    if np.shape(improvable) != (game.n_states,) or np.asarray(improvable).dtype != bool:
+        raise InputError(f"improvable must be a boolean mask of shape ({game.n_states},)")
     tol = 1e-9 * (1.0 + float(np.abs(v).max(initial=0.0)))
     q_signed, best, first = _segment_best(space, q_from_v(game, v), tol)
     # a one-action state neither gains nor moves: only the choice states count
@@ -567,8 +624,8 @@ def _policy_iteration(game: StochasticGame, pi_init: np.ndarray,
     sigma = np.asarray(pi_init, dtype=np.int64).copy()
     if fixed is not None:
         player, fixed_sigma = fixed
+        owned = _owned(game, player)
         game.space.check_strategy(fixed_sigma)
-        owned = game.owners == player
         sigma[owned] = np.asarray(fixed_sigma)[owned]
         improvable = ~owned
     else:

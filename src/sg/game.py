@@ -225,6 +225,11 @@ class ChainView:
         rows.setflags(write=False)
         return rows
 
+    @property
+    def held_dense(self) -> bool:
+        """Whether the storage rule holds S as a dense array."""
+        return isinstance(self._rows, np.ndarray)
+
     @cached_property
     def _transpose(self) -> np.ndarray | sp.csr_matrix:
         rows = self._rows
@@ -247,6 +252,12 @@ class ChainView:
         if self.has_uniform:
             out = out + self.spread(float(self.uniform_mask @ y))
         return out
+
+    def explicit(self, rows: np.ndarray) -> np.ndarray:
+        """The explicit rows S at ``rows``, in the order given, as a dense array
+        of its own (a restart row is zero)."""
+        S = self._rows
+        return S.take(rows, axis=0) if self.held_dense else S[rows].toarray()
 
     def dense(self) -> np.ndarray:
         """P as a dense (n_rows, n_states) array."""

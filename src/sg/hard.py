@@ -26,9 +26,9 @@ strategy and form one class, and 10,077 states become 78 at ``T = 10000``.
 Strategies map down through each class's representative, and every flip is
 reported at its full-game state, so reports, flips, evaluation counts and
 phases are those of a full-game run. Over the 211 strategies evaluated at
-``T = 10000`` the values agree within 3.01e-11 relative (the forward bound
+``T = 10000`` the values agree within 1.84e-11 relative (the forward bound
 eps (1 + gamma)/(1 - gamma) is 3.6e-11 there), and the trace's residual
-column (each sweep's largest improvement) within 2.54e-12. The hi1 verifier,
+column (each sweep's largest improvement) within 2.89e-12. The hi1 verifier,
 :func:`hi1_distribution_bounds` and :func:`hi2_vbar_signs` stay on the full game.
 """
 
@@ -308,14 +308,13 @@ class Hi2Meta:
 
     def describe(self, sigma: np.ndarray) -> tuple[int, int, int] | None:
         """Recognize a joint strategy as (i_min, i_max, z_max) if it is one."""
-        def prefix_length(flags: list[bool]) -> int | None:
-            k = 0
-            while k < len(flags) and flags[k]:
-                k += 1
-            return None if any(flags[k:]) else k
+        def prefix_length(first: int) -> int | None:
+            # R on a chain's first k states and on no other
+            flags = sigma[first:first + self.s_prime] == R
+            k = int(flags.sum())
+            return k if flags[:k].all() else None
 
-        i = prefix_length([sigma[self.m(j)] == R for j in range(1, self.s_prime + 1)])
-        z = prefix_length([sigma[self.M(j)] == R for j in range(1, self.s_prime + 1)])
+        i, z = prefix_length(self.m(1)), prefix_length(self.M(1))
         if i is None or z is None:
             return None
         a = int(sigma[self.switch]) + 1
@@ -475,24 +474,24 @@ def verify_si_path_hi2(T: int, config: Hi2Config | None = None) -> tuple[SolveTr
     trace.changes = [[(full[s], old, new) for s, old, new in ch] for ch in trace.changes]
 
     # Replay the trace: apply each record's flips to the running strategy and
-    # compare the visited strategies with the predicted path.
+    # compare the visited strategies, each described as it is reached, with
+    # the predicted path.
     path = expected_si_path(meta)
-    visited = [sigma0.copy()]
     current = sigma0.copy()
+    described = [meta.describe(current)]
     for ch in trace.changes:
         if not ch:
             continue
         for s, old, new in ch:
             current[s] = new
-        visited.append(current.copy())
-    described = [meta.describe(s) for s in visited]
+        described.append(meta.describe(current))
     main = described[:len(path)]
     if main != path:
         first_bad = next((k for k, (got, want) in enumerate(zip(main, path))
                           if got != want), len(main))
         violations.append(Violation("si-path:sequence", (first_bad,), 0.0, 1.0, 0.0))
     # Anything after the predicted path may only touch the max player.
-    for k in range(len(path), len(visited)):
+    for k in range(len(path), len(described)):
         d = described[k]
         if d is None or d[0] != meta.s_prime:
             violations.append(Violation("si-path:tail", (k,), 0.0, 1.0, 0.0))

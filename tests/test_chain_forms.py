@@ -1,10 +1,13 @@
 """The form a chain is held and solved in is invisible to its users.
 
 ``sg.game.prefer_dense`` picks, per chain view, dense or CSR storage of the
-explicit rows, and, per strategy, dense LU or SuperLU for the active block of
-``PolicyLinearSystem``. Each route is checked here against a dense solve of
-``I - gamma P_sigma`` and under both forced forms.
+explicit rows. A ``PolicyLinearSystem`` on a table held densely factors its
+whole gathered chain; on a table held as CSR it factors the active block,
+by dense LU or SuperLU as the same rule picks. Each route is checked here
+against a dense solve of ``I - gamma P_sigma`` and under both forced forms.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -65,6 +68,14 @@ def cases():
 CASES = {name: (g, np.asarray(sigma, dtype=np.int64), d) for name, g, sigma, d in cases()}
 
 
+def fresh(game):
+    """``game`` over a new view of its table, so that the storage rule in
+    force is the one that picks how the table is held."""
+    lay = game.layout
+    return dataclasses.replace(game, layout=sg.game.ChainView(lay.trans, lay.uniform_mask,
+                                                              lay.weights))
+
+
 def assert_close(got, want, rtol=1e-12):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
@@ -72,6 +83,9 @@ def assert_close(got, want, rtol=1e-12):
 @pytest.mark.parametrize("name", CASES)
 def test_solves_match_a_dense_solve(name, form):
     game, sigma, discount = CASES[name]
+    game = fresh(game)
+    if form != "rule":
+        assert game.layout.held_dense == (form == "dense")
     sys = PolicyLinearSystem(game, sigma, discount=discount)
     d = game.gamma if discount is None else discount
     M = np.eye(game.n_states) - d * game.layout.dense()[game.space.chosen_pairs(sigma)]
@@ -81,10 +95,17 @@ def test_solves_match_a_dense_solve(name, form):
         assert_close(sys.solve_transpose(b), np.linalg.solve(M.T, b))
 
 
-def test_the_cases_cover_each_active_block():
+def test_the_cases_cover_each_route_and_active_block(monkeypatch):
+    # the rule gathers the whole chain of a table it holds densely; the
+    # active blocks are those of the route it takes for a table held as CSR
+    routes = {name: fresh(game).layout.held_dense for name, (game, _, _) in CASES.items()}
+    assert {name for name, dense in routes.items() if not dense} == {
+        "hi2-start", "hi2-rebuild", "hi2-tail-discount", "hi1-uniform", "hi1-extreme"}
+    monkeypatch.setattr(sg.game, "prefer_dense", lambda *shape: False)
+
     def active(name):
         game, sigma, discount = CASES[name]
-        return PolicyLinearSystem(game, sigma, discount=discount)._active
+        return PolicyLinearSystem(fresh(game), sigma, discount=discount)._active
 
     assert active("random") is None                    # every state
     assert active("uniform").size == 0                 # no explicit row

@@ -1,5 +1,6 @@
 """Exact solvers against independent oracles and closed forms."""
 
+import dataclasses
 import json
 from itertools import product
 
@@ -19,7 +20,7 @@ from sg.exact import (PolicyLinearSystem, apply_strategy, bellman, best_response
                       stationary_distribution, strategy_iteration,
                       value_iteration)
 from sg.game import (Action, InputError, MAX_PLAYER, MIN_PLAYER, from_json_dict, make_game,
-                     mirror, to_json_dict, with_gamma)
+                     mirror, quotient, to_json_dict, with_gamma)
 from sg.checks import MarkovianPlan, markovian_evaluate
 from sg.generate import clustered_game, random_game
 from sg.hard import build_hi1, build_hi2, hi1_mean_value, verify_si_path_hi2
@@ -451,6 +452,30 @@ def test_a_strategy_of_the_wrong_length_is_refused_before_indexing(call):
     # so a short strategy raised numpy's IndexError
     with pytest.raises(InputError, match="strategy shape"):
         call(random_game(4, 2, 0.9, seed=0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, s: best_response(g, s, 5),
+    lambda g, s: policy_iteration(g, s, fixed=(7, s)),
+    lambda g, s: half_bellman(g, np.zeros(6), s, 9),
+], ids=["best-response", "policy-iteration", "half-bellman"])
+def test_a_player_that_is_neither_min_nor_max_is_refused(call):
+    # such a player owns no state, so these fixed nothing and silently
+    # returned a joint optimisation or the plain Bellman operator
+    g = random_game(6, 2, 0.9, seed=0)
+    with pytest.raises(InputError, match="player must be"):
+        call(g, np.zeros(6, dtype=np.int64))
+
+
+@pytest.mark.parametrize("improvable", [np.ones(3, bool), np.ones((6, 1), bool),
+                                        np.ones(6, dtype=np.int64)],
+                         ids=["short", "column", "integer"])
+def test_improve_refuses_a_mask_that_is_not_one_flag_per_state(improvable):
+    # a short mask raised numpy's IndexError; an integer one would index states
+    g = random_game(6, 2, 0.9, seed=0)
+    sigma = np.zeros(6, dtype=np.int64)
+    with pytest.raises(InputError, match="improvable must be a boolean mask"):
+        improve(g, evaluate(g, sigma), sigma, improvable)
 
 
 @pytest.mark.parametrize("sigma", [np.full(4, 0.5), np.zeros(4, dtype=bool),
@@ -1067,10 +1092,12 @@ def test_a_policy_system_checks_the_discount_it_uses():
 
 
 class FullChainSystem(PolicyLinearSystem):
-    """The route a policy step took when it paid for every state: the chain
-    of every chosen pair read by ``p_dot``/``pt_dot``, the active block cut
-    from that n-row chain and factored by ``scipy.linalg.lu_factor``, and the
-    residual of ``evaluate`` from a second ``matvec``."""
+    """The route a policy step took when it paid for every state, whatever
+    the storage of the game's table: the chain of every chosen pair read by
+    ``p_dot``/``pt_dot``, the active block cut from that n-row chain and
+    factored by ``scipy.linalg.lu_factor`` or SuperLU, the restart law folded
+    in by Sherman-Morrison, and the residual of ``evaluate`` from a second
+    ``matvec``."""
 
     def __init__(self, game, sigma):
         super().__init__(game, sigma)
@@ -1081,6 +1108,9 @@ class FullChainSystem(PolicyLinearSystem):
         if not active.all():
             active[S.indices] = True
         self._active = None if active.all() else np.flatnonzero(active)
+        k = S.shape[0] if self._active is None else self._active.size
+        self._S = None  # never the gathered chain of a table held densely
+        self._dense = sg.exact.prefer_dense(k, k, S.nnz)
 
     @property
     def lu(self):
@@ -1142,14 +1172,23 @@ def step_games(draw, kind):
     return game, sigma
 
 
+def fresh(game):
+    """``game`` over a new view of its table, so that the storage rule in
+    force is the one that picks how the table is held."""
+    lay = game.layout
+    return dataclasses.replace(game, layout=sg.game.ChainView(lay.trans, lay.uniform_mask,
+                                                              lay.weights))
+
+
 def assert_step_matches_the_full_chain(g, sigma, bits):
     """Evaluate, flux, a chain step, greedy and improve against the full
     chain and the padded grid: bit for bit when ``bits``, else within the
     forward error bound of the solve."""
     new, old = PolicyLinearSystem(g, sigma), FullChainSystem(g, sigma)
-    assert (new._active is None) == (old._active is None)
-    if new._active is not None:
-        assert np.array_equal(new._active, old._active)
+    if bits:  # the block route: a table held as CSR
+        assert (new._active is None) == (old._active is None)
+        if new._active is not None:
+            assert np.array_equal(new._active, old._active)
     v, v_old = new.solve(new.r), old.solve(old.r)
     res, res_old = new.residual, old.r - old.matvec(v_old)
     x, x_old = new.solve_transpose(np.ones(g.n_states)), old.solve_transpose(np.ones(g.n_states))
@@ -1178,14 +1217,15 @@ def assert_step_matches_the_full_chain(g, sigma, bits):
 @given(data=st.data())
 def test_a_policy_step_matches_the_full_chain_and_the_padded_grid(kind, data):
     g, sigma = data.draw(step_games(kind))
-    if kind == "all-uniform":
-        assert PolicyLinearSystem(g, sigma)._active.size == 0
     # CSR rows sum each row on its own, so a chain of the explicit rows and
-    # one of every row give the same bits; a dense BLAS product rounds each
-    # row by the matrix's row count, so the storage rule is held to a bound
+    # one of every row give the same bits; a dense table's system solves its
+    # whole gathered chain, so the storage rule is held to a bound
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sg.game, "prefer_dense", lambda *shape: False)
-        assert_step_matches_the_full_chain(g, sigma, bits=True)
+        csr = fresh(g)
+        if kind == "all-uniform":
+            assert PolicyLinearSystem(csr, sigma)._active.size == 0
+        assert_step_matches_the_full_chain(csr, sigma, bits=True)
     assert_step_matches_the_full_chain(g, sigma, bits=False)
 
 
@@ -1214,6 +1254,91 @@ def test_a_policy_step_gathers_only_the_strategys_explicit_rows(monkeypatch):
     assert 0 < sum(gathered) <= explicit < 100
     assert g.n_states not in gathered
     assert built == []
+
+
+def chain_readings(g, sigma):
+    """evaluate, flux, the stationary law (None where it does not converge)
+    and one chain step of a fixed distribution."""
+    try:
+        lam = stationary_distribution(g, sigma)
+    except RuntimeError:
+        lam = None
+    step = PolicyLinearSystem(g, sigma).step_distribution(
+        np.random.default_rng(0).dirichlet(np.ones(g.n_states)))
+    return evaluate(g, sigma), flux(g, sigma), lam, step
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_dense_tables_gathered_chain_matches_the_block_route(kind, data):
+    # the same game held as CSR takes the active block and the rank-one fold
+    g, sigma = data.draw(step_games(kind))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg.game, "prefer_dense", lambda *shape: False)
+        csr = fresh(g)
+        block = chain_readings(csr, sigma)
+    assert g.layout.held_dense and not csr.layout.held_dense
+    gathered = chain_readings(g, sigma)
+    bound = 64 * np.finfo(float).eps * (1.0 + g.gamma) / (1.0 - g.gamma)
+    for a, b in zip(gathered, block):
+        assert (a is None) == (b is None)
+        if b is not None:
+            assert np.abs(a - b).max() <= bound * np.abs(b).max()
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_strategy_iteration_takes_the_same_path_on_either_route(seed):
+    g = exact_hard_game(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg.game, "prefer_dense", lambda *shape: False)
+        csr = fresh(g)
+        sigma_b, trace_b = strategy_iteration(csr, np.zeros(g.n_states, dtype=np.int64))
+    assert g.layout.held_dense and not csr.layout.held_dense
+    sigma, trace = strategy_iteration(g, np.zeros(g.n_states, dtype=np.int64))
+    assert same_bits(sigma, sigma_b)
+    assert (trace.changes, trace.policy_evaluations, trace.phases) == (
+        trace_b.changes, trace_b.policy_evaluations, trace_b.phases)
+    # each residual is a largest gain read off an evaluated value: it moves
+    # within the solve's forward bound, as CSR and dense rows round apart
+    bound = 64 * np.finfo(float).eps * (1.0 + g.gamma) / (1.0 - g.gamma)
+    res, res_b = np.array(trace.residuals), np.array(trace_b.residuals)
+    assert np.abs(res - res_b).max() <= bound * np.abs(res_b).max()
+
+
+@pytest.mark.parametrize("name", ["hi2-quotient", "random-300x4"])
+def test_a_policy_system_on_a_dense_table_gathers_no_entries_and_factors_once(
+        name, monkeypatch):
+    # a work count, not a timing: the chain is the table's n chosen rows, and
+    # one n x n LU serves every solve, transposed or not
+    if name == "hi2-quotient":
+        full, meta = build_hi2(10000)
+        g, classes = quotient(full)
+        sigma = meta.joint(5, 6, 3)[np.unique(classes, return_index=True)[1]]
+    else:
+        g = random_game(300, 4, 0.99, seed=1)
+        sigma = np.arange(300) % 4
+    gathered, factored = [], []
+    entries, dense_lu = sg.game.ChainView.entries, sg.exact._dense_lu
+
+    def spy(view, rows):
+        gathered.append(len(rows))
+        return entries(view, rows)
+
+    def count(m):
+        factored.append(m.shape)
+        return dense_lu(m)
+
+    monkeypatch.setattr(sg.game.ChainView, "entries", spy)
+    monkeypatch.setattr(sg.exact, "_dense_lu", count)
+    monkeypatch.setattr(sg.exact.spla, "splu", None)  # no sparse factor either
+    sys = PolicyLinearSystem(g, sigma)
+    v = sys.solve(sys.r)
+    sys.solve_transpose(np.ones(g.n_states))
+    sys.step_distribution(np.full(g.n_states, 1.0 / g.n_states))
+    assert g.layout.held_dense
+    assert gathered == [] and factored == [(g.n_states, g.n_states)]
+    assert same_bits(v, evaluate(g, sigma))
 
 
 def point_game(gamma, owners, rows):

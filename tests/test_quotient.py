@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sg.game
 from sg.exact import PolicyLinearSystem, evaluate, flux, strategy_iteration
 from sg.game import (Action, MAX_PLAYER, MIN_PLAYER, load_game, make_game, quotient,
                      save_game, validate)
@@ -202,20 +203,28 @@ def test_the_hi2_verifier_reports_the_full_game_run(T):
 
 def test_the_hi2_verifier_builds_every_policy_system_on_the_quotient(monkeypatch):
     # a silent fall back to the full game would build 418-state systems, and
-    # explicit restart rows would put every one of the quotient's states in
-    # each active block
-    sizes, blocks = [], []
+    # explicit restart rows would leave no restart row in any system and, on
+    # the block route of a table held as CSR, put every one of the
+    # quotient's states in each active block
+    sizes, restarts, blocks = [], [], []
     init = PolicyLinearSystem.__init__
 
     def counted(self, game, sigma, discount=None):
         init(self, game, sigma, discount)
         sizes.append(self.n)
-        blocks.append(self.n if self._active is None else self._active.size)
+        restarts.append(bool(self.u.any()))
+        if not game.layout.held_dense:
+            blocks.append(self.n if self._active is None else self._active.size)
 
     monkeypatch.setattr(PolicyLinearSystem, "__init__", counted)
-    trace, report = verify_si_path_hi2(400)
     q, _ = quotient(build_hi2(400)[0])
+    trace, report = verify_si_path_hi2(400)
     assert report.passed
     assert len(sizes) >= trace.total_policy_evaluations > 0
-    assert set(sizes) == {q.n_states}
+    assert set(sizes) == {q.n_states} and all(restarts)
+    assert blocks == []  # the quotient's table is held densely: whole chains
+    monkeypatch.setattr(sg.game, "prefer_dense", lambda *shape: False)
+    trace, report = verify_si_path_hi2(400)
+    assert report.passed
+    assert len(blocks) >= trace.total_policy_evaluations > 0
     assert max(blocks) < q.n_states
