@@ -94,9 +94,10 @@ def _optimal_value(game: StochasticGame, vstar: np.ndarray | None) -> np.ndarray
     return vstar
 
 
-def _refuse_unfit(game: StochasticGame, seq: VSSequence) -> None:
+def _refuse_unfit(game: StochasticGame, seq: VSSequence) -> np.ndarray:
     """Refuse a sequence with an unknown direction, arrays that do not fit
-    the game, non-finite numbers or out-of-range strategies."""
+    the game, non-finite numbers or out-of-range strategies; return its
+    strategies as int64."""
     if seq.direction not in (DECREASING, INCREASING):
         raise InputError(f"unknown sequence direction {seq.direction!r}")
     for name, width in (("values", game.n_states), ("strategies", game.n_states),
@@ -107,7 +108,7 @@ def _refuse_unfit(game: StochasticGame, seq: VSSequence) -> None:
                              f"{game.n_states} states and {game.n_pairs} pairs")
     if not all(np.isfinite(a).all() for a in (seq.values, seq.q_values, seq.error_bounds)):
         raise InputError("sequence holds non-finite numbers")
-    game.space.check_strategy(seq.strategies)
+    return game.space.check_strategy(seq.strategies)
 
 
 def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
@@ -117,7 +118,7 @@ def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
     Refuses an unfit sequence (:func:`_refuse_unfit`) or a non-finite
     ``eps_override`` before checking anything.
     """
-    _refuse_unfit(game, seq)
+    strategies = _refuse_unfit(game, seq)
     if eps_override is not None and not np.isfinite(eps_override).all():
         raise InputError("eps_override holds non-finite numbers")
     space = game.space
@@ -127,7 +128,7 @@ def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,
     # Q(v_i) of every entry as one (entries, n_pairs) stack; one q_from_v per
     # entry, since a stacked matvec would sum in another order
     q = np.array([q_from_v(game, v) for v in values]).reshape(seq.q_values.shape)
-    t_sigma = np.take_along_axis(q, space.chosen_pairs(seq.strategies), axis=1)
+    t_sigma = np.take_along_axis(q, space.chosen_pairs(strategies), axis=1)
     t_opt, _ = greedy_from_q(space, q)
     eps = seq.error_bounds[1:] if eps_override is None else np.asarray(eps_override, float)
     # One row per property: name, lhs, rhs, side and the entry of its first
@@ -214,6 +215,12 @@ class MarkovianPlan:
         return MarkovianPlan(tuple(np.asarray(p) for p in prefix), np.asarray(tail))
 
 
+def _checked(game: StochasticGame, plan: MarkovianPlan) -> MarkovianPlan:
+    """``plan`` with each strategy refused or made int64 by ``check_strategy``."""
+    check = game.space.check_strategy
+    return MarkovianPlan(tuple(map(check, plan.prefix)), check(plan.tail))
+
+
 def _var_under(game: StochasticGame, sigma: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per-state variance of v under the chosen action's transition."""
     return variance_of_value(game, v)[game.space.chosen_pairs(sigma)]
@@ -227,8 +234,7 @@ def markovian_evaluate(game: StochasticGame, plan: MarkovianPlan) -> tuple[list[
     per-state variance of the discounted return from stage 0, both computed
     by backward recursions on the first and second moments.
     """
-    for sigma in plan.prefix + (plan.tail,):
-        game.space.check_strategy(sigma)
+    plan = _checked(game, plan)
     gamma = game.gamma
 
     v_tail = evaluate(game, plan.tail)
@@ -255,6 +261,7 @@ def variance_bellman_residual(game: StochasticGame, plan: MarkovianPlan) -> floa
     sum_t gamma^(2(t+1)) P_0 ... P_{t-1} var(v_{t+1})_{sigma_t}, truncated
     once gamma^(2t) beta^2 drops below 1e-12.
     """
+    plan = _checked(game, plan)
     values, var_direct = markovian_evaluate(game, plan)
     gamma = game.gamma
     beta = 1.0 / (1.0 - gamma)

@@ -176,10 +176,8 @@ def cmd_flux(args) -> int:
     g = _load_game_arg(args)
     if args.sample is not None:
         _require(args.sample >= 1, "--sample must be at least 1")
-        report = exact.ratio_scan(g, enumerate_all=False, sample=args.sample,
-                                  seed=_need_seed(args))
-    else:
-        report = exact.ratio_scan(g, enumerate_all=True)
+        _need_seed(args)
+    report = exact.ratio_scan(g, sample=args.sample, seed=args.seed)
     print(f"strategies scanned: {report.strategies_scanned} "
           f"(skipped {report.strategies_skipped})")
     print(f"stationary extremes: [{report.c_min!r}, {report.c_max!r}] "

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice, product
 
 import numpy as np
@@ -189,16 +189,14 @@ def bellman(game: StochasticGame, v: np.ndarray) -> np.ndarray:
 
 def apply_strategy(game: StochasticGame, v: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """One strategy-restricted backup: r_sigma + gamma * P_sigma v."""
-    game.space.check_strategy(sigma)
-    q = q_from_v(game, v)
-    return q[game.space.chosen_pairs(sigma)]
+    pairs = game.space.chosen_pairs(game.space.check_strategy(sigma))
+    return q_from_v(game, v)[pairs]
 
 
 def half_from_q(space: ActionSpace, q: np.ndarray, pi: np.ndarray,
                 owned: np.ndarray) -> np.ndarray:
     """Half operator read off a flat Q: ``pi`` on ``owned`` states, the optimum elsewhere."""
-    pi = np.where(owned, pi, 0)
-    space.check_strategy(pi)
+    pi = space.check_strategy(np.where(owned, pi, 0))
     opt, _ = greedy_from_q(space, q)
     return np.where(owned, q[space.chosen_pairs(pi)], opt)
 
@@ -223,31 +221,23 @@ def half_bellman(game: StochasticGame, v: np.ndarray, pi: np.ndarray,
 
 # A fixed strategy yields P_sigma = S + u w^T, with S the chosen pairs'
 # explicit rows, u the chosen restart rows and w = k / sum(k) the game's
-# restart law. The storage of the game's table picks the route.
-#
-# A table held densely (``ChainView.held_dense``) gives S as one gather of
-# the n chosen rows, an n x n array; n^2 <= n_pairs * n keeps it inside the
-# table's dense bound. Such a table is small or at least half full, so an
-# active block would save little there. M = I - gamma*(S + u w^T) is factored
-# once (LAPACK getrf) and solved by getrs, transposed for M^T; P x and P^T y
-# are n x n products with S plus the rank-one term, applied as ``p_dot``
-# applies it. Kept apart, the restart rows' w entries add no rounding to the
-# refinement's residuals: summed inside the product, on hi2 at T = 400 with
-# 400 restart rows, they left a transposed solve 2.2e-12 from the exact one,
-# against 3.8e-14 kept apart.
-#
-# A table held sparse is read in place: P x is the table's ``p_dot`` at the
-# chosen pairs, and P^T y pushes y, put on the chosen pairs, through the
-# table's transpose and spreads u^T y by w. Let A be the states with an
-# explicit row and those they reach. Permuted, I - gamma*S is
-# blockdiag(I - gamma*S_AA, I), so only the block on A is assembled, from the
-# entries ``ChainView.entries`` gathers, and factored, densely or by SuperLU
-# as ``prefer_dense`` picks for its size and fill; outside A the solution is
-# the right-hand side. The rank-one part is folded in by Sherman-Morrison,
-# with k and sum(k) read from the table. On the full worst-case instances A
-# is the few dozen chain states among 10^4 or more.
-#
-# Either route's solve is followed by iterative refinement.
+# restart law. A system holds S as a block B, applies P x and P^T y as B
+# plus the rank-one term, and factors B on a set A of states; outside A,
+# I - gamma*S is the identity. Kept apart, w adds no rounding to the
+# refinement's residuals: summed into the product on hi2 at T = 400, it left
+# a transposed solve 2.2e-12 from the exact one, against 3.8e-14. The
+# table's storage decides, once, B, A and where w goes:
+# * held densely, B is the n chosen rows and the restart law goes into the
+#   dense LU; folded by Sherman-Morrison instead, over the 211 strategies
+#   the hi2 verifier evaluates on its quotient at T = 10^4, the values moved
+#   from 4.2e-13 to 3.9e-11 relative error against a solve refined in long
+#   double;
+# * held sparse, B is the rows with entries and the states they reach, kept
+#   as its entries (``_Entries``) and factored as ``prefer_dense`` picks, and
+#   the restart law is folded in by Sherman-Morrison, so that the states
+#   with only a restart row stay outside the factor. On the full worst-case
+#   instances A is the few dozen chain states among 10^4 or more.
+# Every solve is followed by iterative refinement.
 
 
 def _dense_lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,90 +252,107 @@ def _dense_lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
-def _dense_solve(lu: tuple[np.ndarray, np.ndarray], b: np.ndarray,
-                 transpose: bool) -> np.ndarray:
-    x, _ = sla.lapack.dgetrs(*lu, b, trans=int(transpose))
-    return x
+class _Entries:
+    """A sparse block as its entries in row order (row, column, probability),
+    repeated cells kept. A product adds them into each cell in that order,
+    as a CSR product does, so the bits match. A scipy matrix and its
+    transpose would cost about 16 and 18 us to build per system, where a
+    product on hi1's 9-entry block costs 2 us."""
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, probs: np.ndarray, k: int):
+        self.rows, self.cols, self.probs, self.shape = rows, cols, probs, (k, k)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = np.bincount(self.rows, weights=self.probs * x[self.cols], minlength=self.shape[0])
+        return out.astype(np.float64, copy=False)  # no entries: bincount counts, in int
+
+    @property
+    def T(self) -> "_Entries":
+        return _Entries(self.cols, self.rows, self.probs, self.shape[0])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        k = self.shape[0]
+        return np.bincount(self.rows * k + self.cols, weights=self.probs,
+                           minlength=k * k).reshape(k, k)
+
+
+class _DenseLU:
+    """LAPACK's LU of I - gamma*(B + restart) behind SuperLU's ``solve``;
+    ``restart`` is (rows, gamma*w), subtracted from those rows."""
+
+    def __init__(self, block, gamma: float, restart=None):
+        m = np.asarray(block) * -gamma
+        if restart is not None:
+            rows, gamma_w = restart
+            m[rows] -= gamma_w
+        m.flat[::m.shape[0] + 1] += 1.0
+        self._factors = _dense_lu(m)
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        x, _ = sla.lapack.dgetrs(*self._factors, b, trans=int(trans == "T"))
+        return x
+
+
+def _super_lu(block: _Entries, gamma: float, restart=None):
+    """SuperLU of I - gamma*B; the restart law is always folded here."""
+    k = block.shape[0]
+    indptr = np.zeros(k + 1, dtype=block.cols.dtype)
+    np.cumsum(np.bincount(block.rows, minlength=k), out=indptr[1:])
+    S = sp.csr_matrix((block.probs, block.cols, indptr), shape=(k, k))
+    return spla.splu(sp.identity(k, format="csc") - gamma * S.tocsc())
 
 
 class PolicyLinearSystem:
     def __init__(self, game: StochasticGame, sigma: np.ndarray,
                  discount: float | None = None):
         space, layout = game.space, game.layout
-        space.check_strategy(sigma)
-        n = game.n_states
-        self._pairs = space.chosen_pairs(np.asarray(sigma, dtype=np.int64))
+        self._pairs = space.chosen_pairs(space.check_strategy(sigma))
         self.gamma = game.gamma if discount is None else float(discount)
         check_discount(self.gamma)
-        self.n = n
+        n = self.n = game.n_states
         self._layout = layout
         self.r = space.rewards.take(self._pairs)
         uniform = layout.uniform_mask.take(self._pairs)
-        self._has_uniform = bool(uniform.any())
+        self._restarts = bool(np.count_nonzero(uniform))
         self.u = uniform.astype(np.float64)
         self._lu = None
-        # the chosen explicit rows, n x n, when the table holds its rows densely
-        self._S = layout.explicit(self._pairs) if layout.held_dense else None
-        if self._S is not None:
-            return
-        # the states whose chosen row has entries, and those entries
-        self._explicit = np.flatnonzero(layout.row_lengths.take(self._pairs))
-        self._entries = layout.entries(self._pairs.take(self._explicit))
-        targets = self._entries[1]
-        active = np.zeros(n, dtype=bool)
-        active[self._explicit] = True
-        if self._explicit.size < n:
-            active[targets] = True
-        # None when A is every state: the whole chain is the block
-        self._active = None if active.all() else np.flatnonzero(active)
-        k = n if self._active is None else self._active.size
-        self._dense = prefer_dense(k, k, targets.size)  # every entry of S lies in A x A
+        # the block B, applied over every state, and the LU of its part on A
+        # (None: every state), with the restart law inside unless folded
+        if layout.held_dense:
+            self._active, self._block = None, layout.explicit(self._pairs)
+            self._factor, self._folds = partial(_DenseLU, self._block), False
+        else:
+            rows = np.flatnonzero(layout.row_lengths.take(self._pairs))
+            lengths, cols, probs = layout.entries(self._pairs.take(rows))
+            active = np.zeros(n, dtype=bool)
+            active[rows] = True
+            if rows.size < n:
+                active[cols] = True
+            self._active = None if active.all() else np.flatnonzero(active)
+            rows = np.repeat(rows, lengths)
+            self._block = _Entries(rows, cols, probs, n)
+            k, A = n, self._active
+            if A is not None:  # rows and columns renumbered within A
+                k, rows, cols = A.size, np.searchsorted(A, rows), np.searchsorted(A, cols)
+            factor = _DenseLU if prefer_dense(k, k, cols.size) else _super_lu
+            self._factor = partial(factor, _Entries(rows, cols, probs, k))
+            self._folds = self._restarts
+        self._on = slice(None) if self._active is None else self._active
 
     @property
     def lu(self):
         # Factored lazily; transition-only uses never pay for it.
         if self._lu is None:
-            self._lu = self._factor_block() if self._S is None else self._factor_chain()
+            restart = None if self._folds else (self.u > 0, self.gamma * self._layout.spread(1.0))
+            self._lu = self._factor(self.gamma, restart)
         return self._lu
 
-    def _factor_chain(self) -> tuple[np.ndarray, np.ndarray]:
-        """LU of I - gamma*(S + u w^T); a restart row of S is zero and gets -gamma w."""
-        m = self._S * -self.gamma
-        if self._has_uniform:
-            m[self.u > 0] -= self.gamma * self._layout.spread(1.0)
-        m.flat[::self.n + 1] += 1.0
-        return _dense_lu(m)
-
-    def _factor_block(self):
-        """LU of I - gamma*S_AA, dense or by SuperLU."""
-        lengths, cols, probs = self._entries
-        k, rows, A = self.n, self._explicit, self._active
-        if A is not None:  # rows and columns renumbered within A
-            k, rows, cols = A.size, np.searchsorted(A, rows), np.searchsorted(A, cols)
-        if self._dense:
-            # each entry added into its cell in row order, as a CSR toarray does
-            cells = np.repeat(rows * k, lengths) + cols
-            S_AA = np.bincount(cells, weights=probs, minlength=k * k).reshape(k, k)
-            return _dense_lu(np.eye(k) - self.gamma * S_AA)
-        indptr = np.zeros(k + 1, dtype=lengths.dtype)
-        indptr[rows + 1] = lengths
-        np.cumsum(indptr, out=indptr)
-        S_AA = sp.csr_matrix((probs, cols, indptr), shape=(k, k))
-        return spla.splu(sp.identity(k, format="csc") - self.gamma * S_AA.tocsc())
-
-    def _block_solve(self, b: np.ndarray, transpose: bool) -> np.ndarray:
-        if self._dense:
-            return _dense_solve(self.lu, b, transpose)
-        return self.lu.solve(b, trans="T" if transpose else "N")
-
     def _lu_solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """(I - gamma*S)^-1 b, or (I - gamma*S^T)^-1 b: ``b`` outside A, the
-        block solve on A."""
-        if self._active is None:
-            return self._block_solve(b, transpose)
-        x = b.copy()
-        if self._active.size:
-            x[self._active] = self._block_solve(b[self._active], transpose)
+        """M^-1 b or M^-T b, M the matrix ``lu`` factors: the LU on A, ``b``
+        itself elsewhere."""
+        x, b_on = b.copy(), b[self._on]
+        if b_on.size:  # an empty block has no LU
+            x[self._on] = self.lu.solve(b_on, trans="T" if transpose else "N")
         return x
 
     @cached_property
@@ -360,37 +367,29 @@ class PolicyLinearSystem:
         z = self._lu_solve(self._layout.weights, transpose=True)
         return z, float(self.u @ z)
 
-    def _pt_dot(self, y: np.ndarray) -> np.ndarray:
-        """P_sigma^T y: explicit rows push their mass, restart rows spread theirs by w."""
-        if self._S is not None:
-            out = y @ self._S
-        else:
-            on_pairs = np.zeros(self._layout.trans.shape[0])
-            on_pairs[self._pairs] = y
-            out = self._layout.push(on_pairs)
-        if self._has_uniform:
-            out = out + self._layout.spread(float(self.u @ y))
-        return out
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """(I - gamma * P_sigma) x, P_sigma x from the gathered rows or, on a
-        table held sparse, read off the table at the chosen pairs."""
-        if self._S is None:
-            return x - self.gamma * self._layout.p_dot(x).take(self._pairs)
-        px = self._S @ x
-        if self._has_uniform:  # the rank-one part as ``p_dot`` applies it
-            px = px + self.u * (self._layout.k_dot(x) / self._layout.weight_sum)
+        """(I - gamma * P_sigma) x: the block's rows, plus the rank-one part
+        as ``p_dot`` applies it when the strategy picks a restart row."""
+        px = self._block @ x
+        if self._restarts:
+            px += self.u * (self._layout.k_dot(x) / self._layout.weight_sum)
         return x - self.gamma * px
+
+    def _pt_dot(self, y: np.ndarray) -> np.ndarray:
+        """P_sigma^T y: the block's rows push their mass, restart rows spread
+        theirs by w."""
+        out = self._block.T @ y
+        if self._restarts:
+            out += self._layout.spread(float(self.u @ y))
+        return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """(I - gamma * P_sigma^T) y."""
         return y - self.gamma * self._pt_dot(y)
 
     def _solve_once(self, b: np.ndarray) -> np.ndarray:
-        if self._S is not None:
-            return _dense_solve(self.lu, b, False)
         x = self._lu_solve(b)
-        if self._has_uniform:
+        if self._folds:
             z, z_weight = self._fold
             c = self.gamma / self._layout.weight_sum
             t = self._layout.k_dot(x) / (1.0 - c * z_weight)
@@ -398,10 +397,8 @@ class PolicyLinearSystem:
         return x
 
     def _solve_t_once(self, b: np.ndarray) -> np.ndarray:
-        if self._S is not None:
-            return _dense_solve(self.lu, b, True)
         x = self._lu_solve(b, transpose=True)
-        if self._has_uniform:
+        if self._folds:
             z, z_mass = self._fold_t
             c = self.gamma / self._layout.weight_sum
             s = float(self.u @ x) / (1.0 - c * z_mass)
@@ -593,6 +590,7 @@ def improve(game: StochasticGame, v: np.ndarray, sigma: np.ndarray,
     Returns (new strategy, flips as (state, old, new), max improvement).
     """
     space = game.space
+    sigma = space.check_strategy(sigma)
     if np.shape(improvable) != (game.n_states,) or np.asarray(improvable).dtype != bool:
         raise InputError(f"improvable must be a boolean mask of shape ({game.n_states},)")
     tol = 1e-9 * (1.0 + float(np.abs(v).max(initial=0.0)))
@@ -620,13 +618,11 @@ def _policy_iteration(game: StochasticGame, pi_init: np.ndarray,
     Returns the final strategy and its exact value (the last evaluation).
     """
     check_discount(game.gamma)
-    game.space.check_strategy(pi_init)
-    sigma = np.asarray(pi_init, dtype=np.int64).copy()
+    sigma = game.space.check_strategy(pi_init).copy()
     if fixed is not None:
         player, fixed_sigma = fixed
         owned = _owned(game, player)
-        game.space.check_strategy(fixed_sigma)
-        sigma[owned] = np.asarray(fixed_sigma)[owned]
+        sigma[owned] = game.space.check_strategy(fixed_sigma)[owned]
         improvable = ~owned
     else:
         owners = np.unique(game.owners)
@@ -675,8 +671,7 @@ def strategy_iteration(game: StochasticGame, sigma_init: np.ndarray) -> tuple[np
     no min-player switch improves on the value, so the result is an exact
     equilibrium.
     """
-    game.space.check_strategy(sigma_init)
-    sigma = np.asarray(sigma_init, dtype=np.int64).copy()
+    sigma = game.space.check_strategy(sigma_init).copy()
     trace = SolveTrace()
     min_states = game.owners == MIN_PLAYER
     for _ in range(SI_MAX_OUTER):
@@ -733,8 +728,7 @@ def scan_stack(game: StochasticGame, sigmas: np.ndarray) -> tuple[np.ndarray, np
     (k, n); the rows of chains that did not converge within
     ``STATIONARY_MAX_SWEEPS`` sweeps are NaN in both.
     """
-    game.space.check_strategy(sigmas)
-    sigmas = np.asarray(sigmas, dtype=np.int64)
+    sigmas = game.space.check_strategy(sigmas)
     k, n = sigmas.shape
     P = game.layout.dense()[game.space.chosen_pairs(sigmas)]
     running = P
@@ -773,24 +767,26 @@ def _scan_each(game: StochasticGame, sigmas: np.ndarray) -> tuple[np.ndarray, np
 
 
 def ratio_scan(game: StochasticGame,
-               enumerate_all: bool = True,
                sample: int | None = None,
                seed: int | None = None,
                keep_rows: bool = True) -> RatioReport:
     """Stationary-mass and flux extremes over pure stationary strategies.
 
-    ``enumerate_all=True`` scans every strategy (exact extrema);
-    otherwise ``sample`` strategies are drawn uniformly with ``seed``.
+    Without ``sample`` every strategy is scanned (exact extrema), and a
+    ``seed`` is refused, since it would draw nothing; with it, ``sample``
+    strategies are drawn uniformly with ``seed``.
     Strategies whose chain does not converge are skipped and counted.
     Strategies are scanned in chunks of at most ``STACK_FLOATS / n^2``: as
     one ``scan_stack`` per chunk when ``prefer_dense`` holds a strategy's chain
     densely (n x n with its mean explicit entries), else one chain at a time.
     """
     check_discount(game.gamma)
-    if enumerate_all:
+    if sample is None:
+        if seed is not None:
+            raise InputError("a `seed` draws a sampled scan: give `sample` with it")
         strategies = _strategy_product(game)
     else:
-        if sample is None or seed is None:
+        if seed is None:
             raise InputError("sampled scan needs both `sample` and `seed`")
         if sample < 1:
             raise InputError("sampled scan needs `sample` >= 1")

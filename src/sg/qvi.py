@@ -200,8 +200,7 @@ def _qvi_run(model: GenerativeModel, u: float, delta: float,
     space = model.space
     space.check_unit_rewards()
     v0 = space.value_vector(v0)
-    space.check_strategy(sigma0)
-    sigma0 = np.asarray(sigma0, dtype=np.int64)
+    sigma0 = space.check_strategy(sigma0)
     d = derive_constants(consts, u, delta, model.n_pairs, model.gamma)
     gamma, beta = model.gamma, d.beta
     r = model.rewards

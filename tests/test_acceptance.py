@@ -54,7 +54,7 @@ def five_state_scan():
         per_gamma = {}
         for gamma in (0.9, 0.99, 0.999):
             g = with_gamma(base, gamma)
-            per_gamma[gamma] = (g, ratio_scan(g, enumerate_all=True, keep_rows=False))
+            per_gamma[gamma] = (g, ratio_scan(g, keep_rows=False))
         data.append(per_gamma)
     return data
 

@@ -1,10 +1,13 @@
 """The form a chain is held and solved in is invisible to its users.
 
 ``sg.game.prefer_dense`` picks, per chain view, dense or CSR storage of the
-explicit rows. A ``PolicyLinearSystem`` on a table held densely factors its
-whole gathered chain; on a table held as CSR it factors the active block,
-by dense LU or SuperLU as the same rule picks. Each route is checked here
-against a dense solve of ``I - gamma P_sigma`` and under both forced forms.
+explicit rows. A ``PolicyLinearSystem`` reads that storage once, to pick its
+block and factor form: on a table held densely the whole gathered chain,
+with the restart law inside its LU; on a table held as CSR the block of the
+rows with entries and the states they reach, by dense LU or SuperLU as the
+same rule picks, with the restart law folded in by Sherman-Morrison. One
+apply and solve path serves both, and each form is checked here against a
+dense solve of ``I - gamma P_sigma`` and under both forced forms.
 """
 
 import dataclasses

@@ -125,6 +125,13 @@ def test_flux_sample_requires_seed(game_file, capsys):
     assert main(["flux", "--game", path, "--sample", "8"]) == 2
 
 
+def test_flux_seed_without_a_sample_exits_2(game_file, capsys):
+    # an exhaustive scan draws nothing, so a seed given to it is refused
+    _, path = game_file
+    assert main(["flux", "--game", path, "--seed", "5"]) == 2
+    assert "seed" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
 def test_check_accepts_valid_sequence(tmp_path, capsys):
     g = random_game(6, 2, 0.9, seed=2)
     gpath = tmp_path / "g.json"

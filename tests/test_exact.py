@@ -498,6 +498,22 @@ def test_a_strategy_that_is_not_integer_is_refused(sigma):
             call()
 
 
+def test_an_unsigned_strategy_reads_as_the_signed_one():
+    # check_strategy accepts unsigned integers, and int64 pair offsets plus
+    # uint64 actions make float indices: every caller reads the int64 array
+    # that the check returns
+    g = random_game(5, 3, 0.9, seed=2)
+    v = np.linspace(0.0, 1.0, 5)
+    calls = [lambda s: apply_strategy(g, v, s),
+             lambda s: improve(g, v, s, g.owners == MAX_PLAYER)[0],
+             lambda s: half_bellman(g, v, s, MIN_PLAYER),
+             lambda s: evaluate(g, s),
+             lambda s: best_response(g, s, MIN_PLAYER)[1],
+             lambda s: markovian_evaluate(g, MarkovianPlan.make([s], s))[1]]
+    for call in calls:
+        assert same_bits(call(np.zeros(5, np.uint64)), call(np.zeros(5, np.int64)))
+
+
 # ---------------------------------------------------------------------------
 # strategy iteration
 
@@ -627,7 +643,7 @@ def test_flux_approaches_stationary_scaled():
 
 def test_flux_sandwich_per_strategy():
     g = random_game(5, 2, 0.9, seed=26)
-    report = ratio_scan(g, enumerate_all=True)
+    report = ratio_scan(g)
     beta = 1.0 / (1.0 - g.gamma)
     lo = beta * report.c_min / report.c_max
     hi = beta * report.c_max / report.c_min
@@ -642,7 +658,7 @@ def test_ratio_scan_single_strategy_game():
     # one strategy, fully uniform rows: both extremal pairs collapse
     acts = [[Action(reward=0.0, uniform=True)] for _ in range(4)]
     g = make_game(0.9, [MIN_PLAYER] * 4, acts)
-    report = ratio_scan(g, enumerate_all=True)
+    report = ratio_scan(g)
     assert report.strategies_scanned == 1
     assert report.delta_min == pytest.approx(report.delta_max)
     assert report.c_min == pytest.approx(report.c_max)
@@ -650,18 +666,29 @@ def test_ratio_scan_single_strategy_game():
 
 def test_ratio_scan_hi1_ergodicity_bound():
     game, meta = build_hi1(48)
-    report = ratio_scan(game, enumerate_all=True, keep_rows=False)
+    report = ratio_scan(game, keep_rows=False)
     assert report.strategies_scanned == 2 ** meta.s_prime
     assert report.ergodicity_ratio <= 2 * (meta.s_prime + 1)
 
 
 def test_ratio_scan_sampled_within_enumerated():
     g = random_game(4, 2, 0.9, seed=28)
-    full = ratio_scan(g, enumerate_all=True)
-    part = ratio_scan(g, enumerate_all=False, sample=10, seed=0)
+    full = ratio_scan(g)
+    part = ratio_scan(g, sample=10, seed=0)
     assert full.c_min - 1e-12 <= part.c_min and part.c_max <= full.c_max + 1e-12
     assert full.delta_min - 1e-9 <= part.delta_min
     assert part.delta_max <= full.delta_max + 1e-9
+
+
+def test_a_scan_without_a_sample_is_exhaustive_and_takes_no_seed():
+    # only a sampled scan reads a seed, so one given alone is refused, not ignored
+    g = random_game(4, 2, 0.9, seed=28)
+    assert ratio_scan(g).strategies_scanned == 16
+    assert ratio_scan(g, sample=3, seed=1).strategies_scanned == 3
+    with pytest.raises(InputError, match="seed"):
+        ratio_scan(g, seed=5)
+    with pytest.raises(InputError, match="seed"):
+        ratio_scan(g, sample=3)
 
 
 def test_ratio_scan_enumeration_cap():
@@ -674,7 +701,7 @@ def test_ratio_scan_rejects_empty_sample():
     g = random_game(4, 2, 0.9, seed=28)
     for sample in (0, -3):
         with pytest.raises(ValueError):
-            ratio_scan(g, enumerate_all=False, sample=sample, seed=1)
+            ratio_scan(g, sample=sample, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +815,7 @@ def test_discounted_copies_share_the_layout_and_scan_alike():
 
 def test_sampled_scan_keeps_the_per_sample_draws():
     g = random_game(6, 3, 0.9, seed=31)
-    report = ratio_scan(g, enumerate_all=False, sample=40, seed=5)
+    report = ratio_scan(g, sample=40, seed=5)
     rng = np.random.default_rng(5)
     drawn = [rng.integers(0, g.space.n_actions) for _ in range(40)]
     assert [r[0] for r in report.per_strategy] == \
@@ -1097,7 +1124,9 @@ class FullChainSystem(PolicyLinearSystem):
     ``p_dot``/``pt_dot``, the active block cut from that n-row chain and
     factored by ``scipy.linalg.lu_factor`` or SuperLU, the restart law folded
     in by Sherman-Morrison, and the residual of ``evaluate`` from a second
-    ``matvec``."""
+    ``matvec``. Of the system it keeps ``gamma``, ``r``, ``u`` and the
+    refinement of ``solve``/``solve_transpose``, and overrides every hook
+    those call."""
 
     def __init__(self, game, sigma):
         super().__init__(game, sigma)
@@ -1107,28 +1136,44 @@ class FullChainSystem(PolicyLinearSystem):
         active = np.diff(S.indptr) > 0
         if not active.all():
             active[S.indices] = True
+        # its own active set, which the test compares with the system's
         self._active = None if active.all() else np.flatnonzero(active)
-        k = S.shape[0] if self._active is None else self._active.size
-        self._S = None  # never the gathered chain of a table held densely
-        self._dense = sg.exact.prefer_dense(k, k, S.nnz)
+        A = self._A = np.flatnonzero(active)
+        self._S_AA = sp.csr_matrix((S.data, np.searchsorted(A, S.indices),
+                                    np.append(S.indptr[A], S.nnz)), shape=(A.size, A.size))
+        self._by_lapack = sg.exact.prefer_dense(A.size, A.size, S.nnz)
+        self._full_lu = None
 
     @property
     def lu(self):
-        if self._lu is None:
-            S = self.chain.trans
-            if self._active is not None:
-                A = self._active
-                S = sp.csr_matrix((S.data, np.searchsorted(A, S.indices),
-                                   np.append(S.indptr[A], S.nnz)), shape=(A.size, A.size))
-            k = S.shape[0]
-            self._lu = (sla.lu_factor(np.eye(k) - self.gamma * S.toarray()) if self._dense
-                        else spla.splu(sp.identity(k, format="csc") - self.gamma * S.tocsc()))
-        return self._lu
+        if self._full_lu is None:
+            S, k = self._S_AA, self._A.size
+            self._full_lu = (sla.lu_factor(np.eye(k) - self.gamma * S.toarray()) if self._by_lapack
+                             else spla.splu(sp.identity(k, format="csc") - self.gamma * S.tocsc()))
+        return self._full_lu
 
-    def _block_solve(self, b, transpose):
-        if self._dense:
-            return sla.lu_solve(self.lu, b, trans=int(transpose))
-        return self.lu.solve(b, trans="T" if transpose else "N")
+    def _lu_solve(self, b, transpose=False):
+        """(I - gamma*S)^-1 b or its transpose: ``b`` outside A, the block solve on A."""
+        x, A = b.copy(), self._A
+        if A.size:
+            x[A] = (sla.lu_solve(self.lu, b[A], trans=int(transpose)) if self._by_lapack
+                    else self.lu.solve(b[A], trans="T" if transpose else "N"))
+        return x
+
+    def _solve_once(self, b):
+        x = self._lu_solve(b)
+        if self.u.any():
+            z, c = self._lu_solve(self.u), self.gamma / self.chain.weight_sum
+            x = x + c * (self.chain.k_dot(x) / (1.0 - c * self.chain.k_dot(z))) * z
+        return x
+
+    def _solve_t_once(self, b):
+        x = self._lu_solve(b, transpose=True)
+        if self.u.any():
+            z = self._lu_solve(self.chain.weights, transpose=True)
+            c = self.gamma / self.chain.weight_sum
+            x = x + c * (float(self.u @ x) / (1.0 - c * float(self.u @ z))) * z
+        return x
 
     def matvec(self, x):
         return x - self.gamma * self.chain.p_dot(x)
@@ -1254,6 +1299,31 @@ def test_a_policy_step_gathers_only_the_strategys_explicit_rows(monkeypatch):
     assert 0 < sum(gathered) <= explicit < 100
     assert g.n_states not in gathered
     assert built == []
+
+
+def test_a_policy_system_on_a_sparse_table_reads_only_its_block(monkeypatch):
+    # a work count, not a timing: on a table held sparse, evaluate, flux and
+    # the stationary law apply the strategy's own block, and no sweep or
+    # refinement pass reads every pair's row through P or P^T
+    g, meta = build_hi2(1600)
+    sigma = meta.joint(1, 1, 2)
+    applied = []
+
+    def spy(name):
+        method = getattr(sg.game.ChainView, name)
+
+        def counted(view, *args):
+            applied.append(name)
+            return method(view, *args)
+        return counted
+
+    for name in ("p_dot", "pt_dot"):
+        monkeypatch.setattr(sg.game.ChainView, name, spy(name))
+    v, x, lam = evaluate(g, sigma), flux(g, sigma), stationary_distribution(g, sigma)
+    assert not g.layout.held_dense
+    assert applied == []
+    assert "_transpose" not in vars(g.layout)  # nothing pushed through the table's transpose
+    assert np.isfinite(v).all() and np.isfinite(x).all() and np.isfinite(lam).all()
 
 
 def chain_readings(g, sigma):

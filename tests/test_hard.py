@@ -202,8 +202,7 @@ def test_hi2_flux_ratio_tracks_ergodicity_ratio():
     # on a modest strategy sample
     from sg.exact import ratio_scan
     game, _ = build_hi2(400)
-    report = ratio_scan(game, enumerate_all=False, sample=20, seed=1,
-                        keep_rows=False)
+    report = ratio_scan(game, sample=20, seed=1, keep_rows=False)
     ratio = report.flux_ratio / report.ergodicity_ratio
     assert 0.5 <= ratio <= 2.0
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import sg
 
 MODULES = ("game", "exact", "sampler", "qvi", "checks", "hard", "generate")
-KNOBS = 49
+KNOBS = 48
 
 
 def public(name: str) -> bool:
