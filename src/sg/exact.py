@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .game import (ActionSpace, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame,
-                   check_discount, prefer_dense)
+                   check_discount, check_int, prefer_dense)
 
 EVAL_RESIDUAL_TOL = 1e-10
 STATIONARY_TOL = 1e-10
@@ -193,14 +193,6 @@ def apply_strategy(game: StochasticGame, v: np.ndarray, sigma: np.ndarray) -> np
     return q_from_v(game, v)[pairs]
 
 
-def half_from_q(space: ActionSpace, q: np.ndarray, pi: np.ndarray,
-                owned: np.ndarray) -> np.ndarray:
-    """Half operator read off a flat Q: ``pi`` on ``owned`` states, the optimum elsewhere."""
-    pi = space.check_strategy(np.where(owned, pi, 0))
-    opt, _ = greedy_from_q(space, q)
-    return np.where(owned, q[space.chosen_pairs(pi)], opt)
-
-
 def _owned(game: StochasticGame, player: int) -> np.ndarray:
     """The states ``player`` owns; a player neither MIN nor MAX is refused,
     since it owns no state and so would fix nothing."""
@@ -208,12 +200,6 @@ def _owned(game: StochasticGame, player: int) -> np.ndarray:
         raise InputError(f"player must be MIN_PLAYER ({MIN_PLAYER}) or "
                          f"MAX_PLAYER ({MAX_PLAYER}), got {player!r}")
     return game.owners == player
-
-
-def half_bellman(game: StochasticGame, v: np.ndarray, pi: np.ndarray,
-                 player: int) -> np.ndarray:
-    """Half operator: ``pi`` fixed on ``player``'s states, the rest optimized."""
-    return half_from_q(game.space, q_from_v(game, v), pi, _owned(game, player))
 
 
 # ---------------------------------------------------------------------------
@@ -610,24 +596,22 @@ def improve(game: StochasticGame, v: np.ndarray, sigma: np.ndarray,
     return new_sigma, flips, max_gain
 
 
-def _policy_iteration(game: StochasticGame, pi_init: np.ndarray,
-                      fixed: tuple[int, np.ndarray] | None,
+def _policy_iteration(game: StochasticGame, sigma: np.ndarray, player: int | None,
                       trace: SolveTrace, phase: str) -> tuple[np.ndarray, np.ndarray]:
-    """Howard iteration over the states not owned by the fixed player.
+    """Howard iteration from ``sigma`` over the states ``player`` does not
+    own, whose actions stay those of ``sigma``; with ``player`` None, over
+    every state of a single-player game.
 
     Returns the final strategy and its exact value (the last evaluation).
     """
     check_discount(game.gamma)
-    sigma = game.space.check_strategy(pi_init).copy()
-    if fixed is not None:
-        player, fixed_sigma = fixed
-        owned = _owned(game, player)
-        sigma[owned] = game.space.check_strategy(fixed_sigma)[owned]
-        improvable = ~owned
+    sigma = game.space.check_strategy(sigma).copy()
+    if player is not None:
+        improvable = ~_owned(game, player)
+    elif np.unique(game.owners).size > 1:
+        raise InputError("policy_iteration requires a single-player game; "
+                         "best_response fixes one player of two")
     else:
-        owners = np.unique(game.owners)
-        if owners.size > 1:
-            raise InputError("policy_iteration without `fixed` requires a single-player game")
         improvable = np.ones(game.n_states, dtype=bool)
 
     evals = trace.policy_evaluations[-1] if trace.policy_evaluations else 0
@@ -642,17 +626,14 @@ def _policy_iteration(game: StochasticGame, pi_init: np.ndarray,
     raise RuntimeError(f"policy iteration exceeded {PI_MAX_ITER} iterations")
 
 
-def policy_iteration(game: StochasticGame, pi_init: np.ndarray,
-                     fixed: tuple[int, np.ndarray] | None = None) -> tuple[np.ndarray, SolveTrace]:
-    """Howard policy iteration with exact evaluations.
-
-    ``fixed=(player, strategy)`` freezes one player's actions, turning the
-    game into an MDP for the opponent; without it the game must be owned by
-    a single player. Each iteration evaluates exactly once and flips every
-    strictly improving state, keeping incumbents on ties.
+def policy_iteration(game: StochasticGame, pi_init: np.ndarray) -> tuple[np.ndarray, SolveTrace]:
+    """Howard policy iteration with exact evaluations on a game owned by a
+    single player (an MDP); :func:`best_response` runs it for one player
+    against the other's fixed actions. Each iteration evaluates exactly once
+    and flips every strictly improving state, keeping incumbents on ties.
     """
     trace = SolveTrace()
-    sigma, _ = _policy_iteration(game, pi_init, fixed, trace, "")
+    sigma, _ = _policy_iteration(game, pi_init, None, trace, "")
     return sigma, trace
 
 
@@ -675,7 +656,7 @@ def strategy_iteration(game: StochasticGame, sigma_init: np.ndarray) -> tuple[np
     trace = SolveTrace()
     min_states = game.owners == MIN_PLAYER
     for _ in range(SI_MAX_OUTER):
-        sigma, v = _policy_iteration(game, sigma, (MIN_PLAYER, sigma), trace, "max-pi")
+        sigma, v = _policy_iteration(game, sigma, MIN_PLAYER, trace, "max-pi")
         new_sigma, flips, residual = improve(game, v, sigma, min_states)
         trace.append(0, residual, flips, trace.policy_evaluations[-1], "min-greedy")
         if not flips:
@@ -691,7 +672,7 @@ def best_response(game: StochasticGame, sigma: np.ndarray, player: int) -> tuple
     taken from ``sigma`` on their states.
     """
     trace = SolveTrace()
-    joint, v = _policy_iteration(game, sigma, (player, sigma), trace, "")
+    joint, v = _policy_iteration(game, sigma, player, trace, "")
     return joint, v
 
 
@@ -710,11 +691,6 @@ def _strategy_product(game: StochasticGame):
         raise InputError(f"{total} pure strategies exceed the enumeration cap "
                          f"{MAX_ENUMERATED_STRATEGIES}")
     return product(*(range(int(k)) for k in game.space.n_actions))
-
-
-def enumerate_strategies(game: StochasticGame):
-    for combo in _strategy_product(game):
-        yield np.array(combo, dtype=np.int64)
 
 
 def scan_stack(game: StochasticGame, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -788,9 +764,8 @@ def ratio_scan(game: StochasticGame,
     else:
         if seed is None:
             raise InputError("sampled scan needs both `sample` and `seed`")
-        if sample < 1:
-            raise InputError("sampled scan needs `sample` >= 1")
-        rng = np.random.default_rng(seed)
+        sample = check_int(sample, "sample", 1)
+        rng = np.random.default_rng(check_int(seed, "seed", 0))
         counts = game.space.n_actions
         strategies = (rng.integers(0, counts) for _ in range(sample))
 

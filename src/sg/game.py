@@ -91,6 +91,15 @@ def check_discount(gamma: float) -> None:
         raise InputError(f"the exact solvers need gamma in [0, 1), got {gamma}")
 
 
+def check_int(value, name: str, least: int) -> int:
+    """``value`` as an int, refused unless it is an integer of at least
+    ``least``: a seed (0 up) or a number of draws (1 up). A bool or 2.5 is no
+    count, and numpy refuses a negative seed only with its own ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Action:
     """One action as :func:`make_game` takes it: reward plus a sparse
@@ -186,9 +195,9 @@ class ChainView:
 
     ``trans`` is a CSR table with the rows in the order given, repeated
     targets included (a game's table is read-only), which ``row_table`` (and
-    so the sampler) and ``entries`` read. ``P x``, ``P^T y`` and the dense
-    matrix read S in the form :func:`prefer_dense` picks for its shape and
-    fill, decided once per view: a read-only dense copy, or ``trans`` itself.
+    so the sampler) and ``entries`` read. ``P x`` and the dense matrix read S
+    in the form :func:`prefer_dense` picks for its shape and fill, decided
+    once per view: a read-only dense copy, or ``trans`` itself.
     A game has one view, its ``layout``, and every strategy's chain is read
     from it, with no per-strategy view or matrix.
     """
@@ -232,11 +241,6 @@ class ChainView:
         """Whether the storage rule holds S as a dense array."""
         return isinstance(self._rows, np.ndarray)
 
-    @cached_property
-    def _transpose(self) -> np.ndarray | sp.csr_matrix:
-        rows = self._rows
-        return rows.T if isinstance(rows, np.ndarray) else rows.T.tocsr()
-
     def p_dot(self, x: np.ndarray) -> np.ndarray:
         """P x: per-row expectation of ``x`` under one transition."""
         out = self._rows @ x
@@ -244,18 +248,10 @@ class ChainView:
             out = out + self.uniform_mask * (self.k_dot(x) / self.weight_sum)
         return out
 
-    def pt_dot(self, y: np.ndarray) -> np.ndarray:
-        """P^T y: the mass ``y`` on the rows pushed one step forward."""
-        out = self._transpose @ y
-        if self.has_uniform:
-            out = out + self.spread(float(self.uniform_mask @ y))
-        return out
-
     def explicit(self, rows: np.ndarray) -> np.ndarray:
-        """The explicit rows S at ``rows``, in the order given, as a dense array
-        of its own (a restart row is zero)."""
-        S = self._rows
-        return S.take(rows, axis=0) if self.held_dense else S[rows].toarray()
+        """The explicit rows S at ``rows`` of a dense-held table, in the order
+        given, as a dense array of its own (a restart row is zero)."""
+        return self._rows.take(rows, axis=0)
 
     def dense(self) -> np.ndarray:
         """P as a dense (n_rows, n_states) array."""
@@ -322,9 +318,6 @@ class StochasticGame:
     @property
     def n_pairs(self) -> int:
         return self.space.n_pairs
-
-    def n_actions_at(self, state: int) -> int:
-        return int(self.space.n_actions[state])
 
     @property
     def actions(self) -> tuple[tuple[Action, ...], ...]:

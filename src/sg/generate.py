@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .game import Action, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, make_game
+from .game import (Action, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, check_int,
+                   make_game)
 
 
 def random_game(n_states: int, n_actions: int, gamma: float, seed: int,
@@ -17,7 +18,7 @@ def random_game(n_states: int, n_actions: int, gamma: float, seed: int,
     makes sampling noise-free. Dense rows keep every strategy's chain
     irreducible and aperiodic, so stationary distributions always exist.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     if owners == "split":
         tags = np.array([MIN_PLAYER, MAX_PLAYER] * ((n_states + 1) // 2))[:n_states]
         rng.shuffle(tags)
@@ -53,7 +54,7 @@ def clustered_game(n_states: int, n_actions: int, gamma: float, seed: int) -> St
     range, so the variance-of-value vector is large; used by the
     sample-error scaling experiment where that variance must dominate.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     stickiness = 0.9  # share of each row's mass kept in its own cluster
     half = n_states // 2
     cluster = np.arange(n_states) < half

@@ -43,7 +43,8 @@ from .checks import CheckReport, Violation
 from .exact import (SolveTrace, evaluate, improve, policy_iteration,
                     stationary_distribution, strategy_iteration)
 from .game import (Action, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame,
-                   check_fields, finite_number, make_game, quotient, refuse_malformed)
+                   check_fields, check_int, finite_number, make_game, quotient,
+                   refuse_malformed)
 
 U, R = 0, 1  # action indices on two-action chain states
 HI1_MIN_T = 48   # smallest HI1 size with s_prime >= 2
@@ -70,7 +71,6 @@ class Hi1Meta:
     s_prime: int
     beta_factor: float
     gamma: float
-    r_top: float = 1.0
 
     @property
     def chain_states(self) -> range:
@@ -88,19 +88,9 @@ class Hi1Meta:
     def policy_extreme(self) -> np.ndarray:
         return self.policy_chain(self.s_prime)
 
-    def stationary_uniform(self) -> np.ndarray:
-        return np.full(self.T, 1.0 / self.T)
 
-    def stationary_extreme(self) -> np.ndarray:
-        """Closed form for the all-R policy's stationary distribution."""
-        lam = np.ones(self.T)
-        lam[self.T - 1 - self.s_prime:] = np.arange(1, self.s_prime + 2)
-        return lam / lam.sum()
-
-
-def build_hi1(T: int, beta_factor: float = 4.0,
-              r_top: float = 1.0) -> tuple[StochasticGame, Hi1Meta]:
-    """Maximization MDP: uniform restarts everywhere, one rewarded state,
+def build_hi1(T: int, beta_factor: float = 4.0) -> tuple[StochasticGame, Hi1Meta]:
+    """Maximization MDP: uniform restarts everywhere, one state rewarded 1,
     and a short right-moving chain in front of it.
 
     ``s_prime = floor(sqrt(T/12))`` keeps every policy's stationary mass
@@ -114,12 +104,11 @@ def build_hi1(T: int, beta_factor: float = 4.0,
     gamma = 1.0 - 1.0 / (beta_factor * T)
     if not (gamma < 1.0):
         raise InputError(f"beta_factor * T = {beta_factor * T} rounds gamma to 1")
-    meta = Hi1Meta(T=T, s_prime=s_prime, beta_factor=beta_factor, gamma=gamma,
-                   r_top=r_top)
+    meta = Hi1Meta(T=T, s_prime=s_prime, beta_factor=beta_factor, gamma=gamma)
 
     actions: list[list[Action]] = []
     for s in range(T):
-        reward = meta.r_top if s == T - 1 else 0.0
+        reward = 1.0 if s == T - 1 else 0.0
         acts = [Action(reward=reward, uniform=True)]
         if s in meta.chain_states:
             acts.append(Action(reward=0.0,
@@ -129,18 +118,6 @@ def build_hi1(T: int, beta_factor: float = 4.0,
     owners = np.full(T, MAX_PLAYER, dtype=np.int8)
     game = make_game(gamma, owners, actions)
     return game, meta
-
-
-def hi1_mean_value(meta: Hi1Meta, i: int) -> float:
-    """Closed-form average value of the policy with the top i states on R.
-
-    Derived from the fixed-point equations of that policy: the rewarded state
-    feeds a length-i chain, everything else restarts uniformly.
-    """
-    g, T, r = meta.gamma, meta.T, meta.r_top
-    num = r * (1.0 - g ** (i + 1))
-    den = T * (1.0 - g) ** 2 - g + (i + 1) * g * (1.0 - g) + g ** (i + 2)
-    return num / den
 
 
 def verify_pi_path_hi1(T: int, beta_factor: float = 4.0) -> tuple[SolveTrace, CheckReport]:
@@ -175,9 +152,8 @@ def verify_pi_path_hi1(T: int, beta_factor: float = 4.0) -> tuple[SolveTrace, Ch
     v_wit = evaluate(game, meta.policy_chain(i_wit))
     v_end = evaluate(game, meta.policy_extreme())
     gap = float(v_end[T - 1] - v_wit[T - 1])
-    if gap <= 0.1 * meta.r_top:
-        violations.append(Violation("pi-path:suboptimality", (i_wit,),
-                                    gap, 0.1 * meta.r_top, 0.0))
+    if gap <= 0.1:  # a tenth of the top reward
+        violations.append(Violation("pi-path:suboptimality", (i_wit,), gap, 0.1, 0.0))
 
     return trace, CheckReport(violations)
 
@@ -186,11 +162,12 @@ def hi1_distribution_bounds(T: int, num_policies: int, seed: int,
                             beta_factor: float = 4.0) -> CheckReport:
     """Stationary mass of random policies against the [1/(2T), (S'+1)/T] band."""
     game, meta = build_hi1(T, beta_factor)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     lo, hi = 1.0 / (2 * T), (meta.s_prime + 1) / T
     policies = [meta.policy_uniform(), meta.policy_extreme()]
     counts = game.space.n_actions
-    policies += [rng.integers(0, counts) for _ in range(num_policies)]
+    policies += [rng.integers(0, counts)
+                 for _ in range(check_int(num_policies, "num_policies", 0))]
     violations: list[Violation] = []
     for k, pi in enumerate(policies):
         try:

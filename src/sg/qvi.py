@@ -301,10 +301,6 @@ class SolveResult:
         return [s.constants.u for s in self.sequences]
 
     @property
-    def round_constants(self) -> list[DerivedConstants]:
-        return [s.constants for s in self.sequences]
-
-    @property
     def total_samples(self) -> int:
         return sum(s.samples_used for s in self.sequences + self.mirror_sequences)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import ActionSpace, InputError, StochasticGame, mirror
+from .game import ActionSpace, InputError, StochasticGame, check_int, mirror
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,8 @@ class GenerativeModel:
     """Sampling oracle over a fixed game with one seeded generator."""
 
     def __init__(self, game: StochasticGame, master_seed: int, _salt: int = 0):
-        if not isinstance(master_seed, (int, np.integer)):
-            raise InputError("master_seed must be an integer")
         self._game = game
-        self.master_seed = int(master_seed)
+        self.master_seed = check_int(master_seed, "master_seed", 0)
         self._salt = int(_salt)
         self._support, self._probs = game.layout.row_table()
         self._rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(

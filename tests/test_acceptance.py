@@ -3,13 +3,14 @@ tolerance. Each test prints a PASS/FAIL line so the whole gate is readable
 from the pytest -s output."""
 
 import time
+from itertools import product
 
 import numpy as np
 import pytest
 
 from sg.checks import check_mdvss, variance_bellman_residual, MarkovianPlan
 from sg.cli import SCALING_SLOPE_BAND, scaling_sweep
-from sg.exact import (bellman, best_response, enumerate_strategies, flux,
+from sg.exact import (bellman, best_response, flux,
                       ratio_scan, stationary_distribution, value_iteration)
 from sg.game import MIN_PLAYER, with_gamma
 from sg.generate import random_game
@@ -154,7 +155,7 @@ def test_criterion_8_flux_limit(five_state_scan):
         g999, rep999 = per_gamma[0.999]
         worst_rel = max(worst_rel, diffs[2] / rep999.ergodicity_ratio)
         # per-state normalization of the flux converges to the stationary law
-        for sigma in enumerate_strategies(g999):
+        for sigma in map(np.array, product(*(range(int(k)) for k in g999.space.n_actions))):
             lam = stationary_distribution(g999, sigma)
             x = flux(g999, sigma)
             worst_lim = max(worst_lim,

@@ -14,7 +14,7 @@ import pytest
 
 from sg.checks import (CHECK_SLACK, CheckReport, Violation, check_eps_optimal_implication,
                        check_mdvss, check_mivss)
-from sg.exact import best_response, greedy_from_q, half_from_q, q_from_v, value_iteration
+from sg.exact import best_response, greedy_from_q, q_from_v, value_iteration
 from sg.game import MAX_PLAYER, MIN_PLAYER
 from sg.generate import random_game
 from sg.hard import build_hi1
@@ -44,10 +44,11 @@ def reference_check(game, seq, sign, eps_override, vstar):
         if i == n_entries - 1:
             collect("1:optimal-bound", i, v_i, vstar, sign * (vstar - v_i) - CHECK_SLACK)
         q_i = q_from_v(game, v_i)
+        t_sigma, t_opt = q_i[chosen(sigma_i)], greedy_from_q(game.space, q_i)[0]
         for name, backup in (
-            ("2:T-sigma", q_i[chosen(sigma_i)]),
-            ("2:T", greedy_from_q(game.space, q_i)[0]),
-            ("2:half", half_from_q(game.space, q_i, sigma_i, owned)),
+            ("2:T-sigma", t_sigma),
+            ("2:T", t_opt),
+            ("2:half", np.where(owned, t_sigma, t_opt)),
         ):
             collect(name, i, backup, v_i, sign * (backup - v_i) - CHECK_SLACK)
         if i > 0:

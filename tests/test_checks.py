@@ -1,12 +1,14 @@
 """Sequence certification, Markovian plans, and the variance identity."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from sg.checks import (MarkovianPlan, check_eps_optimal_implication,
                        check_mdvss, check_mivss, markovian_evaluate,
                        variance_bellman_residual, variance_of_value)
-from sg.exact import enumerate_strategies, evaluate, q_from_v, value_iteration
+from sg.exact import evaluate, q_from_v, value_iteration
 from sg.game import Action, InputError, MIN_PLAYER, make_game
 from sg.generate import random_game
 from sg.qvi import DECREASING, INCREASING, VSSequence
@@ -204,8 +206,8 @@ def test_eps_optimal_implication_brute_force_two_state():
     eps = float(np.abs(seq.terminal_value - vstar).max())
     sigma = seq.terminal_strategy
     worst = np.full(2, -np.inf)
-    for cand in enumerate_strategies(g):
-        joint = cand.copy()
+    for cand in product(*(range(int(k)) for k in g.space.n_actions)):
+        joint = np.array(cand, dtype=np.int64)
         min_states = g.owners == MIN_PLAYER
         joint[min_states] = sigma[min_states]
         worst = np.maximum(worst, evaluate(g, joint))

@@ -230,6 +230,20 @@ def test_flux_sample_below_one_exits_2(sample, game_file, capsys):
     assert "--sample" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["flux", "--game", "{game}", "--sample", "3", "--seed", "-1"],
+    ["solve", "--game", "{game}", "--method", "qvi", "--seed", "-1", "--eps", "0.5"],
+    ["scaling", "--seed", "-1", "--trials", "1"],
+], ids=["flux", "solve-qvi", "scaling"])
+def test_a_negative_seed_exits_2(argv, game_file, capsys):
+    # numpy refused it with a traceback, which exits 1, the code of a failed check
+    _, path = game_file
+    assert main([path if a == "{game}" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be an integer >= 0" in json.loads(captured.err)["error"]
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_scaling_trials_below_one_exits_2(trials, capsys):
     assert main(["scaling", "--trials", trials, "--seed", "1"]) == 2

@@ -15,7 +15,7 @@ import sg.exact
 import sg.game
 from sg.cli import write_csv
 from sg.exact import (PolicyLinearSystem, apply_strategy, bellman, best_response,
-                      enumerate_strategies, evaluate, flux, greedy_from_q, half_bellman, improve,
+                      evaluate, flux, greedy_from_q, improve,
                       policy_iteration, q_from_v, ratio_scan, scan_stack,
                       stationary_distribution, strategy_iteration,
                       value_iteration)
@@ -23,7 +23,7 @@ from sg.game import (Action, InputError, MAX_PLAYER, MIN_PLAYER, from_json_dict,
                      mirror, quotient, to_json_dict, with_gamma)
 from sg.checks import MarkovianPlan, markovian_evaluate
 from sg.generate import clustered_game, random_game
-from sg.hard import build_hi1, build_hi2, hi1_mean_value, verify_si_path_hi2
+from sg.hard import build_hi1, build_hi2, verify_si_path_hi2
 from sg.qvi import qvi_mdvss
 from sg.sampler import GenerativeModel
 
@@ -41,8 +41,21 @@ def naive_q(game, v):
     return np.array(out)
 
 
+def all_strategies(game):
+    """Every pure strategy of ``game``, one int64 array each."""
+    return [np.array(combo, dtype=np.int64)
+            for combo in product(*(range(int(k)) for k in game.space.n_actions))]
+
+
+def half_bellman(game, v, pi, player):
+    """The half operator as the certifier's ``2:half`` row forms it: ``pi``
+    on ``player``'s states, the optimum of Q(v) elsewhere."""
+    q = q_from_v(game, v)
+    return np.where(game.owners == player, q[game.space.chosen_pairs(pi)], bellman(game, v))
+
+
 # ---------------------------------------------------------------------------
-# q_from_v / greedy_from_q / half_bellman
+# q_from_v / greedy_from_q / the half operator
 
 
 def test_q_zero_value_gives_rewards():
@@ -291,14 +304,6 @@ def test_half_bellman_matches_naive_two_state():
             assert got[s] == pytest.approx(expect, abs=1e-12)
 
 
-def test_half_bellman_rejects_invalid_pi():
-    g = random_game(3, 2, 0.9, seed=6)
-    bad = np.array([0, 5, 0])
-    owner_of_1 = int(g.owners[1])
-    with pytest.raises(ValueError):
-        half_bellman(g, np.zeros(3), bad, owner_of_1)
-
-
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -308,12 +313,6 @@ def test_evaluate_near_myopic_at_tiny_gamma():
     sigma = np.zeros(5, dtype=np.int64)
     r_sigma = g.space.rewards[g.space.chosen_pairs(sigma)]
     np.testing.assert_allclose(evaluate(g, sigma), r_sigma, atol=1e-10)
-
-
-def test_evaluate_matches_hi1_mean_value_formula():
-    game, meta = build_hi1(48)  # gamma = 1 - 1/(4T)
-    v = evaluate(game, meta.policy_chain(2))
-    assert abs(v.mean() - hi1_mean_value(meta, 2)) < 1e-8
 
 
 def test_evaluate_matches_iterative_oracle():
@@ -444,9 +443,8 @@ def test_policy_iteration_with_fixed_player_is_best_response():
 
 @pytest.mark.parametrize("call", [
     lambda g: best_response(g, np.zeros(3), MIN_PLAYER),
-    lambda g: policy_iteration(g, np.zeros(4, dtype=np.int64), fixed=(MIN_PLAYER, np.zeros(5))),
-    lambda g: policy_iteration(g, np.zeros(3, dtype=np.int64), fixed=(MIN_PLAYER, np.zeros(4))),
-], ids=["best-response", "short-fixed", "short-init"])
+    lambda g: policy_iteration(g, np.zeros(3, dtype=np.int64)),
+], ids=["best-response", "short-init"])
 def test_a_strategy_of_the_wrong_length_is_refused_before_indexing(call):
     # the fixed player's actions used to be copied in before any check,
     # so a short strategy raised numpy's IndexError
@@ -456,12 +454,10 @@ def test_a_strategy_of_the_wrong_length_is_refused_before_indexing(call):
 
 @pytest.mark.parametrize("call", [
     lambda g, s: best_response(g, s, 5),
-    lambda g, s: policy_iteration(g, s, fixed=(7, s)),
-    lambda g, s: half_bellman(g, np.zeros(6), s, 9),
-], ids=["best-response", "policy-iteration", "half-bellman"])
+], ids=["best-response"])
 def test_a_player_that_is_neither_min_nor_max_is_refused(call):
-    # such a player owns no state, so these fixed nothing and silently
-    # returned a joint optimisation or the plain Bellman operator
+    # such a player owns no state, so this fixed nothing and silently
+    # returned a joint optimisation
     g = random_game(6, 2, 0.9, seed=0)
     with pytest.raises(InputError, match="player must be"):
         call(g, np.zeros(6, dtype=np.int64))
@@ -506,7 +502,6 @@ def test_an_unsigned_strategy_reads_as_the_signed_one():
     v = np.linspace(0.0, 1.0, 5)
     calls = [lambda s: apply_strategy(g, v, s),
              lambda s: improve(g, v, s, g.owners == MAX_PLAYER)[0],
-             lambda s: half_bellman(g, v, s, MIN_PLAYER),
              lambda s: evaluate(g, s),
              lambda s: best_response(g, s, MIN_PLAYER)[1],
              lambda s: markovian_evaluate(g, MarkovianPlan.make([s], s))[1]]
@@ -590,14 +585,6 @@ def test_stationary_uniform_for_doubly_stochastic_chain():
     g = make_game(0.9, [MAX_PLAYER] * 3, acts)
     lam = stationary_distribution(g, np.zeros(3, dtype=np.int64))
     np.testing.assert_allclose(lam, 1.0 / 3.0, atol=1e-10)
-
-
-def test_stationary_hi1_closed_forms():
-    game, meta = build_hi1(48)
-    lam0 = stationary_distribution(game, meta.policy_uniform())
-    np.testing.assert_allclose(lam0, meta.stationary_uniform(), atol=1e-10)
-    lame = stationary_distribution(game, meta.policy_extreme())
-    np.testing.assert_allclose(lame, meta.stationary_extreme(), atol=1e-10)
 
 
 def _fed_two_cycle():
@@ -693,8 +680,8 @@ def test_a_scan_without_a_sample_is_exhaustive_and_takes_no_seed():
 
 def test_ratio_scan_enumeration_cap():
     g = random_game(8, 6, 0.9, seed=29)
-    with pytest.raises(ValueError):
-        list(enumerate_strategies(g))  # 6^8 strategies
+    with pytest.raises(InputError, match="enumeration cap"):
+        ratio_scan(g)  # 6^8 strategies
 
 
 def test_ratio_scan_rejects_empty_sample():
@@ -760,7 +747,7 @@ def test_stack_matches_per_strategy_route_on_mixed_rows():
         base = mixed_row_game(int(rng.integers(2, 7)), 0.9, rng)
         for gamma in (0.9, 0.99, 0.999):
             g = with_gamma(base, gamma)
-            sigmas = np.array(list(enumerate_strategies(g)))
+            sigmas = np.array(all_strategies(g))
             assert_stack_matches_loop(g, sigmas, scan_stack(g, sigmas))
             report = ratio_scan(g)
             scanned, skipped, rows = loop_scan(g, sigmas)
@@ -1040,7 +1027,7 @@ def test_evaluate_accepts_every_strategy_near_gamma_one():
     # |r| alone refused 4 of these 32 correct solves
     g = with_gamma(random_game(5, 2, 0.9, seed=3), 1 - 1e-6)
     P = g.layout.dense()
-    for sigma in enumerate_strategies(g):
+    for sigma in all_strategies(g):
         pairs = g.space.chosen_pairs(sigma)
         want = np.linalg.solve(np.eye(5) - g.gamma * P[pairs], g.space.rewards[pairs])
         np.testing.assert_allclose(evaluate(g, sigma), want, rtol=1e-8, atol=0)
@@ -1067,7 +1054,7 @@ ZEROS = np.zeros(2, dtype=np.int64)
 
 @pytest.mark.parametrize("solve", [
     lambda g: value_iteration(g, 1e-6),
-    lambda g: policy_iteration(g, ZEROS, fixed=(MIN_PLAYER, ZEROS)),
+    lambda g: policy_iteration(g, ZEROS),
     lambda g: strategy_iteration(g, ZEROS),
     lambda g: best_response(g, ZEROS, MIN_PLAYER),
     lambda g: ratio_scan(g),
@@ -1121,7 +1108,7 @@ def test_a_policy_system_checks_the_discount_it_uses():
 class FullChainSystem(PolicyLinearSystem):
     """The route a policy step took when it paid for every state, whatever
     the storage of the game's table: the chain of every chosen pair read by
-    ``p_dot``/``pt_dot``, the active block cut from that n-row chain and
+    ``p_dot`` and :func:`pt_dot`, the active block cut from that n-row chain and
     factored by ``scipy.linalg.lu_factor`` or SuperLU, the restart law folded
     in by Sherman-Morrison, and the residual of ``evaluate`` from a second
     ``matvec``. Of the system it keeps ``gamma``, ``r``, ``u`` and the
@@ -1179,10 +1166,20 @@ class FullChainSystem(PolicyLinearSystem):
         return x - self.gamma * self.chain.p_dot(x)
 
     def rmatvec(self, y):
-        return y - self.gamma * self.chain.pt_dot(y)
+        return y - self.gamma * pt_dot(self.chain, y)
 
     def step_distribution(self, lam):
-        return self.chain.pt_dot(lam)
+        return pt_dot(self.chain, lam)
+
+
+def pt_dot(view, y):
+    """P^T y on a chain view: its explicit rows, as the storage rule holds
+    them, transposed, and the mass on the restart rows spread by w."""
+    rows = view._rows
+    out = (rows.T if isinstance(rows, np.ndarray) else rows.T.tocsr()) @ y
+    if view.has_uniform:
+        out = out + view.spread(float(view.uniform_mask @ y))
+    return out
 
 
 STEP_KINDS = ("mixed", "one-action", "all-uniform", "all-choice")
@@ -1304,25 +1301,19 @@ def test_a_policy_step_gathers_only_the_strategys_explicit_rows(monkeypatch):
 def test_a_policy_system_on_a_sparse_table_reads_only_its_block(monkeypatch):
     # a work count, not a timing: on a table held sparse, evaluate, flux and
     # the stationary law apply the strategy's own block, and no sweep or
-    # refinement pass reads every pair's row through P or P^T
+    # refinement pass reads every pair's row through P
     g, meta = build_hi2(1600)
     sigma = meta.joint(1, 1, 2)
-    applied = []
+    applied, p_dot = [], sg.game.ChainView.p_dot
 
-    def spy(name):
-        method = getattr(sg.game.ChainView, name)
+    def spy(view, x):
+        applied.append(x.shape)
+        return p_dot(view, x)
 
-        def counted(view, *args):
-            applied.append(name)
-            return method(view, *args)
-        return counted
-
-    for name in ("p_dot", "pt_dot"):
-        monkeypatch.setattr(sg.game.ChainView, name, spy(name))
+    monkeypatch.setattr(sg.game.ChainView, "p_dot", spy)
     v, x, lam = evaluate(g, sigma), flux(g, sigma), stationary_distribution(g, sigma)
     assert not g.layout.held_dense
     assert applied == []
-    assert "_transpose" not in vars(g.layout)  # nothing pushed through the table's transpose
     assert np.isfinite(v).all() and np.isfinite(x).all() and np.isfinite(lam).all()
 
 

@@ -8,12 +8,13 @@ import pytest
 
 import sg
 import sg.cli
-from sg.game import (Action, MAX_PLAYER, MIN_PLAYER, affine_reward_map,
+from sg.game import (Action, InputError, MAX_PLAYER, MIN_PLAYER, affine_reward_map,
                      from_json_dict, load_game, make_game, mirror,
                      save_game, to_json_dict, validate, with_gamma)
-from sg.exact import evaluate, strategy_iteration, value_iteration
-from sg.generate import random_game
-from sg.hard import build_hi1, build_hi2
+from sg.exact import evaluate, ratio_scan, strategy_iteration, value_iteration
+from sg.generate import clustered_game, random_game
+from sg.hard import build_hi1, build_hi2, hi1_distribution_bounds
+from sg.sampler import GenerativeModel
 
 
 def one_state_loop(reward=0.5, gamma=0.9, p=1.0):
@@ -270,11 +271,8 @@ def test_chain_view_matches_naive_matrix():
     assert lay.uniform_mask.any() and not lay.uniform_mask.all()
 
     x = rng.normal(size=n)
-    y = rng.normal(size=g.n_pairs)
     np.testing.assert_allclose(lay.dense(), P, rtol=0, atol=1e-15)
     np.testing.assert_allclose(lay.p_dot(x), P @ x, rtol=0, atol=1e-13)
-    for _ in range(2):  # the second call reads the cached transpose
-        np.testing.assert_allclose(lay.pt_dot(y), P.T @ y, rtol=0, atol=1e-13)
     support, probs = lay.row_table()
     assert support.shape == probs.shape == (g.n_pairs, n)  # a uniform row is n wide
     for pair in range(g.n_pairs):
@@ -292,10 +290,8 @@ def test_chain_view_matches_naive_matrix():
     sparse = np.flatnonzero(~lay.uniform_mask)[:n]
     for rows, has_uniform in ((mixed, True), (sparse, False)):
         view = sg.game.ChainView(lay.trans[rows], lay.uniform_mask[rows], lay.weights)
-        z = rng.normal(size=rows.size)
         np.testing.assert_allclose(view.dense(), P[rows], rtol=0, atol=1e-15)
         np.testing.assert_allclose(view.p_dot(x), P[rows] @ x, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(view.pt_dot(z), P[rows].T @ z, rtol=0, atol=1e-13)
         assert view.has_uniform == has_uniform
 
 
@@ -362,3 +358,33 @@ def test_a_game_shares_only_rows_that_no_one_can_write():
     for theirs, ours in ((h.layout.trans.indices, lay.trans.indices),
                          (h.layout.trans.data, lay.trans.data), (h.owners, g.owners)):
         assert not np.shares_memory(theirs, ours)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: ratio_scan(g, sample=2.5, seed=1),
+    lambda g: ratio_scan(g, sample=True, seed=1),
+    lambda g: ratio_scan(g, sample=3, seed=1.5),
+    lambda g: ratio_scan(g, sample=3, seed=-1),
+    lambda g: GenerativeModel(g, -1),
+    lambda g: GenerativeModel(g, True),
+    lambda g: GenerativeModel(g, np.bool_(True)),
+    lambda g: random_game(3, 2, 0.9, seed=-1),
+    lambda g: clustered_game(4, 2, 0.9, seed=-1),
+    lambda g: hi1_distribution_bounds(48, 1, seed=-1),
+    lambda g: hi1_distribution_bounds(48, 2.5, seed=0),
+    lambda g: hi1_distribution_bounds(48, -1, seed=0),
+], ids=["sample-float", "sample-bool", "seed-float", "seed-negative-scan",
+        "seed-negative-model", "seed-bool-model", "seed-numpy-bool-model",
+        "seed-negative-random", "seed-negative-clustered", "seed-negative-hi1",
+        "policies-float-hi1", "policies-negative-hi1"])
+def test_a_seed_or_sample_that_is_no_count_is_refused(call):
+    # numpy raised TypeError or its own ValueError for these and took a bool
+    # as 0 or 1; a negative policy count drew none
+    with pytest.raises(InputError, match=r"must be an integer >= [01], got"):
+        call(random_game(3, 2, 0.9, seed=0))
+
+
+def test_a_numpy_integer_seed_and_sample_are_taken():
+    g = random_game(3, 2, 0.9, seed=np.uint32(0))
+    assert GenerativeModel(g, np.int64(7)).master_seed == 7
+    assert ratio_scan(g, sample=np.int64(2), seed=np.uint8(1)).strategies_scanned == 2

@@ -1,14 +1,17 @@
 """Worst-case instances: construction, closed forms, and path verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sg.exact
 import sg.hard
 from sg.exact import evaluate, policy_iteration, stationary_distribution
-from sg.game import InputError, MAX_PLAYER, MIN_PLAYER, affine_reward_map, validate
+from sg.game import (InputError, MAX_PLAYER, MIN_PLAYER, affine_reward_map, make_game,
+                     validate)
 from sg.hard import (Hi2Config, build_hi1, build_hi2, default_hi2_rewards,
-                     hi1_distribution_bounds, hi1_mean_value, hi2_vbar_signs,
+                     hi1_distribution_bounds, hi2_vbar_signs,
                      si_single_flip_count, verify_pi_path_hi1,
                      verify_si_path_hi2)
 
@@ -17,17 +20,41 @@ from sg.hard import (Hi2Config, build_hi1, build_hi2, default_hi2_rewards,
 # policy-iteration instance
 
 
+def stationary_uniform(meta):
+    """Closed form for the all-uniform policy's stationary distribution."""
+    return np.full(meta.T, 1.0 / meta.T)
+
+
+def stationary_extreme(meta):
+    """Closed form for the all-R policy's stationary distribution."""
+    lam = np.ones(meta.T)
+    lam[meta.T - 1 - meta.s_prime:] = np.arange(1, meta.s_prime + 2)
+    return lam / lam.sum()
+
+
+def hi1_mean_value(meta, i):
+    """Closed-form average value of the policy with the top i states on R.
+
+    Derived from the fixed-point equations of that policy: the rewarded state
+    (reward 1) feeds a length-i chain, everything else restarts uniformly.
+    """
+    g, T = meta.gamma, meta.T
+    num = 1.0 - g ** (i + 1)
+    den = T * (1.0 - g) ** 2 - g + (i + 1) * g * (1.0 - g) + g ** (i + 2)
+    return num / den
+
+
 def test_hi1_structure():
     game, meta = build_hi1(48)
     assert validate(game) == []
     assert meta.s_prime == 2
-    two_action = [s for s in range(48) if game.n_actions_at(s) == 2]
+    two_action = [s for s in range(48) if game.space.n_actions[s] == 2]
     assert two_action == list(meta.chain_states)
     assert len(two_action) == meta.s_prime
     assert (game.owners == MAX_PLAYER).all()
     # only the top state is rewarded
     rewards = game.space.rewards
-    assert rewards.sum() == meta.r_top
+    assert rewards.sum() == 1.0
     assert game.gamma == 1.0 - 1.0 / (4.0 * 48)
 
 
@@ -45,9 +72,9 @@ def test_hi1_rejects_a_beta_factor_without_a_discount_below_one(beta_factor):
 def test_hi1_stationary_closed_forms_exact():
     game, meta = build_hi1(48)
     lam0 = stationary_distribution(game, meta.policy_uniform())
-    np.testing.assert_allclose(lam0, meta.stationary_uniform(), atol=1e-10)
+    np.testing.assert_allclose(lam0, stationary_uniform(meta), atol=1e-10)
     lame = stationary_distribution(game, meta.policy_extreme())
-    np.testing.assert_allclose(lame, meta.stationary_extreme(), atol=1e-10)
+    np.testing.assert_allclose(lame, stationary_extreme(meta), atol=1e-10)
 
 
 def test_hi1_mean_value_formula():
@@ -74,7 +101,10 @@ def test_hi1_iteration_count_scales_like_sqrt():
 
 
 def test_hi1_zero_reward_degenerate():
-    game, meta = build_hi1(48, r_top=0.0)
+    hi1, meta = build_hi1(48)
+    game = make_game(hi1.gamma, hi1.owners,
+                     [[dataclasses.replace(act, reward=0.0) for act in acts]
+                      for acts in hi1.actions])
     sigma, trace = policy_iteration(game, meta.policy_uniform())
     assert trace.improving_steps() == []
     assert trace.total_policy_evaluations == 1
@@ -118,7 +148,7 @@ def test_hi2_ownership_split():
                for j in range(1, config.s_prime + 1))
     assert all(game.owners[meta.M(j)] == MAX_PLAYER
                for j in range(1, config.s_prime + 1))
-    assert game.n_actions_at(meta.switch) == config.s_prime
+    assert game.space.n_actions[meta.switch] == config.s_prime
 
 
 def test_hi2_value_chain_relations():

@@ -252,7 +252,8 @@ def test_solve_schedule_and_sample_accounting():
     beta = beta_of(g)
     n_rounds = math.ceil(math.log2(beta / 0.2))
     assert res.u_schedule == [beta / 2 ** j for j in range(n_rounds)]
-    expected = sum(g.n_pairs * (d.m1 + d.rounds * d.m2) for d in res.round_constants)
+    expected = sum(g.n_pairs * (d.m1 + d.rounds * d.m2)
+                   for d in [s.constants for s in res.sequences])
     assert res.total_samples == expected
     assert model.sample_count()[0] == expected
     assert sum(s.samples_used for s in res.sequences) == expected
@@ -290,7 +291,8 @@ def test_halving_rounds_are_logged(caplog):
     records = [r for r in caplog.records if r.name == "sg.qvi"]
     assert len(records) == len(res.u_schedule)
     for j, rec in enumerate(records):
-        d, seq = res.round_constants[j], res.sequences[j]
+        seq = res.sequences[j]
+        d = seq.constants
         msg = rec.getMessage()
         assert rec.levelno == logging.INFO and msg.startswith(f"halving round {j}:")
         for field in (f"u={res.u_schedule[j]:.6g}", f"rounds={d.rounds}",

@@ -1,10 +1,14 @@
-"""Knob ratchet: the library's settable surface is pinned, so adding or
-removing a knob shows in the diff of this file.
+"""Ratchets on the library's surface: its knobs and its unused names are
+pinned, so adding or removing either shows in the diff of this file.
 
 A knob is a defaulted parameter of a public function, of a public method
 (constructors included) of a public class, or a defaulted dataclass field,
 in the modules below. Parameters and fields whose names start with an
 underscore are private and not counted.
+
+An unused name is a public function, method or property of ``src/sg`` that
+nothing in ``src/sg`` references outside its own definition; an export from
+``sg/__init__.py`` counts as a reference.
 """
 
 import ast
@@ -13,7 +17,14 @@ from pathlib import Path
 import sg
 
 MODULES = ("game", "exact", "sampler", "qvi", "checks", "hard", "generate")
-KNOBS = 48
+KNOBS = 45
+# Each public name no library code reads, and why it stays.
+UNUSED = {
+    "checks.MarkovianPlan.make": "the public constructor of the plan markovian_evaluate takes",
+    "generate.random_game": "tests and perfbench generate their games with it",
+    "qvi.SolveResult.u_schedule": "the README documents it as a solve's halving schedule",
+    "sampler.GenerativeModel.sample_transition": "the README documents it as the single draw",
+}
 
 
 def public(name: str) -> bool:
@@ -51,3 +62,39 @@ def knobs(module: str) -> list[str]:
 def test_the_knob_count_is_pinned():
     found = [k for m in MODULES for k in knobs(m)]
     assert len(found) == KNOBS, "\n".join(found)
+
+
+def unused_names() -> list[str]:
+    """Public functions, methods and properties of ``src/sg`` that nothing in
+    it references outside their own definition. A module-level name counts
+    as referenced through a name or an attribute, a method or property only
+    through an attribute, so a local variable of the same name is no use."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(sg.__file__).parent.glob("*.py"))}
+    defined = []  # (qualified name, name, definition, is a method)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined.append((f"{module}.{node.name}", node.name, node, False))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{item.name}", item.name, item, True)
+                            for item in node.body if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")]
+    exported = {alias.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+
+    def referenced(name: str, definition: ast.AST, method: bool) -> bool:
+        own = {id(node) for node in ast.walk(definition)}
+        return any(id(node) not in own and (
+            (isinstance(node, ast.Attribute) and node.attr == name)
+            or (not method and isinstance(node, ast.Name) and node.id == name))
+            for node in nodes)
+
+    return sorted(qualified for qualified, name, definition, method in defined
+                  if not (not method and name in exported)
+                  and not referenced(name, definition, method))
+
+
+def test_the_unused_names_are_pinned():
+    assert unused_names() == sorted(UNUSED)
