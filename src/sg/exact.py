@@ -131,13 +131,17 @@ class RatioReport:
 
 
 def q_from_v(game: StochasticGame, v: np.ndarray) -> np.ndarray:
-    """Q(v) = r + gamma * P v as a flat per-pair array."""
-    v = game.space.value_vector(v)
-    return game.space.rewards + game.gamma * game.layout.p_dot(v)
+    """Q(v) = r + gamma * P v as a flat per-pair array; a stack of values
+    ``(k, n_states)`` gives a stack ``(k, n_pairs)``."""
+    space = game.space
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] != space.n_states:  # not a stack: one vector, or refused
+        v = space.value_vector(v)
+    return space.rewards + game.gamma * game.layout.p_dot(v)
 
 
 def _segment_best(space: ActionSpace, q: np.ndarray,
-                  slack: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  slack: float | np.ndarray = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each state's optimum and first near-optimal pair in a flat Q.
 
     ``q`` is one Q ``(n_pairs,)`` or a stack ``(k, n_pairs)``, reduced along
@@ -147,8 +151,9 @@ def _segment_best(space: ActionSpace, q: np.ndarray,
     one-action state's optimum is its own pair. Returns
     ``(q_signed, best, first)``: the signed Q, the signed optimum per state,
     and per state the flat index of its lowest action whose signed Q is
-    within ``slack`` of that optimum. Raises ValueError on a non-finite
-    optimum, where the tie break would find no action.
+    within ``slack`` of that optimum (a stack may give one slack per row,
+    as shape ``(k, 1)``). Raises ValueError on a non-finite optimum, where
+    the tie break would find no action.
     """
     offset = space.state_offset[:-1]
     states, pairs, starts = space.choice_states, space.choice_pairs, space.choice_starts
@@ -576,24 +581,39 @@ def improve(game: StochasticGame, v: np.ndarray, sigma: np.ndarray,
     Returns (new strategy, flips as (state, old, new), max improvement).
     """
     space = game.space
-    sigma = space.check_strategy(sigma)
+    v, sigma = space.value_vector(v), space.check_strategy(sigma)
     if np.shape(improvable) != (game.n_states,) or np.asarray(improvable).dtype != bool:
         raise InputError(f"improvable must be a boolean mask of shape ({game.n_states},)")
-    tol = 1e-9 * (1.0 + float(np.abs(v).max(initial=0.0)))
-    q_signed, best, first = _segment_best(space, q_from_v(game, v), tol)
-    # a one-action state neither gains nor moves: only the choice states count
+    new_sigma, moved, gain = _improved(game, v, sigma, improvable)
     states = space.choice_states
-    offset, incumbent = space.state_offset[states], sigma[states]
-    choice = first[states] - offset
-    gain = q_signed[offset + incumbent] - best[states]
-    may_move = improvable[states]
-    moved = np.flatnonzero(may_move & (gain > tol) & (choice != incumbent))
-    new_sigma = sigma.copy()
-    new_sigma[states[moved]] = choice[moved]
-    flips = list(zip(states[moved].tolist(), incumbent[moved].tolist(),
-                     choice[moved].tolist()))
-    max_gain = float(np.maximum(gain, 0.0)[may_move].max(initial=0.0))
+    flipped = states[moved]
+    flips = list(zip(flipped.tolist(), sigma[flipped].tolist(), new_sigma[flipped].tolist()))
+    max_gain = float(np.maximum(gain, 0.0)[improvable[states]].max(initial=0.0))
     return new_sigma, flips, max_gain
+
+
+def _improved(game: StochasticGame, v: np.ndarray, sigma: np.ndarray,
+              improvable: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The selection of :func:`improve` for one value and strategy or a stack
+    ``(k, n)`` of each, from one Q: a state in ``improvable`` moves to its
+    lowest action within the tie tolerance 1e-9 (1 + |v|_inf) of its row's
+    best, if that beats the incumbent by more than the tolerance.
+
+    Returns the new strategies and, over ``space.choice_states`` (a
+    one-action state neither gains nor moves), which states moved and each
+    incumbent's gain.
+    """
+    space = game.space
+    tol = 1e-9 * (1.0 + np.abs(v).max(axis=-1, initial=0.0))[..., None]
+    q_signed, best, first = _segment_best(space, q_from_v(game, v), tol)
+    states = space.choice_states
+    offset, incumbent = space.state_offset[states], sigma[..., states]
+    choice = first[..., states] - offset
+    gain = np.take_along_axis(q_signed, offset + incumbent, axis=-1) - best[..., states]
+    moved = improvable[states] & (gain > tol) & (choice != incumbent)
+    new_sigma = sigma.copy()
+    new_sigma[..., states] = np.where(moved, choice, incumbent)
+    return new_sigma, moved, gain
 
 
 def _policy_iteration(game: StochasticGame, sigma: np.ndarray, player: int | None,

@@ -214,9 +214,10 @@ class ChainView:
     def weight_sum(self) -> float:
         return float(self.weights.sum())
 
-    def k_dot(self, x: np.ndarray) -> float:
-        """k^T x, summed as ``x.sum()`` sums: with k = 1, k^T x / sum(k) is ``x.mean()``."""
-        return float((self.weights * x).sum())
+    def k_dot(self, x: np.ndarray) -> float | np.ndarray:
+        """k^T x, summed as ``x.sum()`` sums: with k = 1, k^T x / sum(k) is
+        ``x.mean()``. A stack ``(k, n)`` gives one sum per row."""
+        return (self.weights * x).sum(axis=-1)
 
     def spread(self, mass: float) -> np.ndarray:
         """w mass, as k mass / sum(k): ``mass`` on the restart rows pushed one step."""
@@ -242,10 +243,11 @@ class ChainView:
         return isinstance(self._rows, np.ndarray)
 
     def p_dot(self, x: np.ndarray) -> np.ndarray:
-        """P x: per-row expectation of ``x`` under one transition."""
-        out = self._rows @ x
+        """P x: per-row expectation of ``x`` under one transition. A stack
+        ``(k, n)`` gives ``(k, n_rows)``, one matrix product for all of it."""
+        out = (self._rows @ x.T).T
         if self.has_uniform:
-            out = out + self.uniform_mask * (self.k_dot(x) / self.weight_sum)
+            out = out + self.uniform_mask * (self.k_dot(x) / self.weight_sum)[..., None]
         return out
 
     def explicit(self, rows: np.ndarray) -> np.ndarray:
@@ -380,16 +382,11 @@ def make_game(gamma: float,
 
     Rows keep the order they are given in, repeated targets included, so
     :func:`validate` checks them as the caller wrote them. What the table
-    cannot hold raises InputError here: owner tags that do not cover every
-    state or do not fit an int8, index and probability arrays of different
-    shapes, and a target that is not an integer state index.
+    cannot hold raises InputError: here index and probability arrays of
+    different shapes and a target that is not an integer, and in
+    :func:`_array_game` owner tags that do not cover every state or do not
+    fit an int8 and a target outside the state range.
     """
-    tags = np.asarray(owners)
-    if tags.shape != (len(actions),):
-        _refuse("owner tags do not cover every state")
-    owners = _readonly(tags.astype(np.int8))
-    if (wrapped := np.flatnonzero(owners != tags)).size:  # 256 would wrap to MIN
-        _refuse(f"state {wrapped[0]} has invalid owner tag {tags[wrapped[0]]}")
     rewards, uniform, lengths = [], [], []
     targets, probs = [np.empty(0, dtype=np.int64)], [np.empty(0)]  # a game may have no rows
     for s, acts in enumerate(actions):
@@ -407,19 +404,43 @@ def make_game(gamma: float,
             lengths.append(idx.size)
             targets.append(idx)
             probs.append(p)
+    return _array_game(gamma, owners, np.array([len(acts) for acts in actions], dtype=np.int64),
+                       np.array(rewards, dtype=np.float64), np.array(uniform, dtype=bool),
+                       np.array(lengths, dtype=np.int64),
+                       np.concatenate(targets, dtype=np.int64, casting="unsafe"),
+                       np.concatenate(probs), np.ones(len(actions)))
 
-    space = _space(gamma, owners, np.array([len(acts) for acts in actions], dtype=np.int64),
-                   np.array(rewards, dtype=np.float64))
+
+def _array_game(gamma: float, owners: Sequence[int], n_actions: np.ndarray,
+                rewards: np.ndarray, uniform: np.ndarray, lengths: np.ndarray,
+                targets: np.ndarray, probs: np.ndarray, weights: np.ndarray) -> StochasticGame:
+    """A game from its row table as flat arrays, the one route by which
+    :func:`make_game` and the generators of :mod:`sg.hard` build a game.
+
+    Per state: its owner tag, its number of actions and its restart weight
+    k. Per pair, in flat order: its reward, whether its row is the restart
+    row, and the number of its explicit entries (0 for a restart row). Per
+    explicit entry, in row order: its int64 target and its probability. The
+    arrays must agree in length, as both callers build them; they become the
+    game's own and are made read-only. Refused with InputError: owner tags
+    that do not cover every state or do not fit an int8, and a target
+    outside the state range.
+    """
+    tags = np.asarray(owners)
+    if tags.shape != n_actions.shape:
+        _refuse("owner tags do not cover every state")
+    owners = _readonly(tags.astype(np.int8))
+    if (wrapped := np.flatnonzero(owners != tags)).size:  # 256 would wrap to MIN
+        _refuse(f"state {wrapped[0]} has invalid owner tag {tags[wrapped[0]]}")
+    space = _space(gamma, owners, n_actions, rewards)
     indptr = np.zeros(space.n_pairs + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    indices = np.concatenate(targets, dtype=np.int64, casting="unsafe")
-    if (bad := np.flatnonzero((indices < 0) | (indices >= space.n_states))).size:
+    if (bad := np.flatnonzero((targets < 0) | (targets >= space.n_states))).size:
         pair = int(np.searchsorted(indptr, bad[0], side="right")) - 1
         s = int(space.pair_state[pair])
         _refuse(f"transition target out of range at ({s},{pair - space.state_offset[s]})")
-    trans = sp.csr_matrix((np.concatenate(probs), indices, indptr),
-                          shape=(space.n_pairs, space.n_states))
-    return _table_game(owners, space, trans, np.array(uniform, dtype=bool), np.ones(space.n_states))
+    trans = sp.csr_matrix((probs, targets, indptr), shape=(space.n_pairs, space.n_states))
+    return _table_game(owners, space, trans, uniform, weights)
 
 
 def _table_game(owners: np.ndarray, space: ActionSpace, trans: sp.csr_matrix,
@@ -550,9 +571,11 @@ def quotient(game: StochasticGame) -> tuple[StochasticGame, np.ndarray]:
     member of each class, a strategy maps down as ``sigma[reps]`` and a
     value of ``q`` lifts as ``v_q[classes]``.
 
-    The quotient serves values and strategies only: a class's flux or
-    stationary mass is its members' total, so ``verify_pi_path_hi1``,
-    ``hi1_distribution_bounds`` and ``hi2_vbar_signs`` stay on the full game.
+    The quotient serves values and strategies: a class's flux or stationary
+    mass is its members' total, so ``hi1_distribution_bounds`` stays on the
+    full game, while the full game's mean value is the class-size weighted
+    mean ``k^T v_q / sum(k)`` (``hi2_vbar_signs``). The hi2 verifier builds
+    its quotient directly, and this fold is the oracle it is tested against.
     """
     space, layout = game.space, game.layout
     n = game.n_states

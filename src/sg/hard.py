@@ -19,17 +19,24 @@ once: the strategy-iteration run checks every move on its own path through
 the sequence it visits, and ``check_si_transitions`` probes only the rebuild
 moves the run never makes.
 
-The run and the probe solve on the instance's exact lumped quotient
-(:func:`sg.game.quotient`): the ``T`` restart dummies of hi2 have one
-action, reward 0 and the restart row, so they share one value under every
-strategy and form one class, and 10,077 states become 78 at ``T = 10000``.
-Strategies map down through each class's representative, and every flip is
-reported at its full-game state, so reports, flips, evaluation counts and
-phases are those of a full-game run. Over the 211 strategies evaluated at
-``T = 10000`` the values agree within 1.84e-11 relative (the forward bound
+Both instances are built from arrays through the table route of
+:func:`sg.game.make_game`, with no per-state Python loop. The hi2 run and
+probe, and :func:`hi2_vbar_signs`, solve on the instance's exact lumped
+quotient, built directly by the same builder: the ``T`` restart dummies of
+hi2 have one action, reward 0 and the restart row, so they share one value
+under every strategy and form one restart class of weight ``T``, and 10,077
+states become 78 at ``T = 10000``; the full game is never built. It is the
+game :func:`sg.game.quotient` folds from the instance, except that at
+``r_goal = 0`` it keeps the goal apart (see :func:`_hi2_game`). Strategies
+map down through each class's representative, and every flip is reported at
+its full-game state, so reports, flips, evaluation counts and phases are
+those of a full-game run. Over the 211 strategies evaluated at ``T = 10000``
+the values agree within 1.84e-11 relative (the forward bound
 eps (1 + gamma)/(1 - gamma) is 3.6e-11 there), and the trace's residual
-column (each sweep's largest improvement) within 2.89e-12. The hi1 verifier,
-:func:`hi1_distribution_bounds` and :func:`hi2_vbar_signs` stay on the full game.
+column (each sweep's largest improvement) within 2.89e-12. The full game's
+mean value is the class-size weighted mean k^T v_q / sum(k). The hi1
+verifier and :func:`hi1_distribution_bounds` stay on the full game, which is
+cheap there.
 """
 
 from __future__ import annotations
@@ -40,11 +47,10 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .checks import CheckReport, Violation
-from .exact import (SolveTrace, evaluate, improve, policy_iteration,
+from .exact import (SolveTrace, _improved, evaluate, policy_iteration,
                     stationary_distribution, strategy_iteration)
-from .game import (Action, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame,
-                   check_fields, check_int, finite_number, make_game, quotient,
-                   refuse_malformed)
+from .game import (InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, _array_game,
+                   check_fields, check_int, finite_number, refuse_malformed)
 
 U, R = 0, 1  # action indices on two-action chain states
 HI1_MIN_T = 48   # smallest HI1 size with s_prime >= 2
@@ -52,6 +58,41 @@ HI2_MIN_T = 400  # smallest HI2 size the default reward scaling supports
 # Largest gap between a scaled mean value and its first-order approximation
 # that ``hi2_vbar_signs`` accepts.
 VBAR_BAND = 10.0
+
+
+# ---------------------------------------------------------------------------
+# the instances' tables: every row is the restart row or one certain step
+
+RESTART = -1  # the target that marks a pair's row as the restart row
+
+
+def _restarts(count: int, reward: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` one-action states on the restart row, as the
+    ``(n_actions, rewards, targets)`` of :func:`_point_game`."""
+    return np.ones(count, np.int64), np.full(count, reward, np.float64), np.full(count, RESTART)
+
+
+def _steps(targets: np.ndarray, reward: float,
+           escape: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """States that step to ``targets`` with ``reward``; with ``escape`` each
+    has the restart row, reward 0, as its first action and the step second."""
+    n = targets.size
+    if not escape:
+        return np.ones(n, np.int64), np.full(n, reward, np.float64), targets
+    return (np.full(n, 2, np.int64),
+            np.column_stack([np.zeros(n), np.full(n, reward, np.float64)]).ravel(),
+            np.column_stack([np.full(n, RESTART), targets]).ravel())
+
+
+def _point_game(gamma: float, blocks: list, weights: np.ndarray) -> StochasticGame:
+    """The game of consecutive ``blocks`` of states, each
+    ``(owner, n_actions, rewards, targets)``: a pair's row steps to its
+    target with probability 1, or is the restart row at ``RESTART``."""
+    owners = np.concatenate([np.full(block[1].size, block[0], np.int8) for block in blocks])
+    n_actions, rewards, targets = (np.concatenate(column) for column in list(zip(*blocks))[1:])
+    step = targets != RESTART
+    return _array_game(gamma, owners, n_actions, rewards, ~step, step.astype(np.int64),
+                       targets[step], np.ones(np.count_nonzero(step)), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -105,18 +146,12 @@ def build_hi1(T: int, beta_factor: float = 4.0) -> tuple[StochasticGame, Hi1Meta
     if not (gamma < 1.0):
         raise InputError(f"beta_factor * T = {beta_factor * T} rounds gamma to 1")
     meta = Hi1Meta(T=T, s_prime=s_prime, beta_factor=beta_factor, gamma=gamma)
-
-    actions: list[list[Action]] = []
-    for s in range(T):
-        reward = 1.0 if s == T - 1 else 0.0
-        acts = [Action(reward=reward, uniform=True)]
-        if s in meta.chain_states:
-            acts.append(Action(reward=0.0,
-                               next_states=np.array([s + 1], dtype=np.int64),
-                               probs=np.array([1.0])))
-        actions.append(acts)
-    owners = np.full(T, MAX_PLAYER, dtype=np.int8)
-    game = make_game(gamma, owners, actions)
+    chain = meta.chain_states
+    game = _point_game(gamma, [
+        (MAX_PLAYER, *_restarts(chain.start, 0.0)),
+        (MAX_PLAYER, *_steps(np.arange(chain.start + 1, chain.stop + 1), 0.0, escape=True)),
+        (MAX_PLAYER, *_restarts(1, 1.0)),
+    ], np.ones(T))
     return game, meta
 
 
@@ -331,6 +366,14 @@ def build_hi2(T: int, config: Hi2Config | None = None) -> tuple[StochasticGame, 
     Rewards lie in [-1, 1]; apply an affine reward map before handing the
     game to sampling-based solvers that need [0, 1].
     """
+    meta = _hi2_meta(T, config)
+    return _hi2_game(meta, lumped=False), meta
+
+
+def _hi2_meta(T: int, config: Hi2Config | None) -> Hi2Meta:
+    """The instance's layout, refused unless ``config`` (by default
+    :func:`default_hi2_rewards`) was built for ``T`` and has chains the
+    instance can be laid out with."""
     config = config or default_hi2_rewards(T)
     if config.T != T:
         raise InputError(f"reward config was built for T={config.T}, not {T}")
@@ -342,42 +385,48 @@ def build_hi2(T: int, config: Hi2Config | None = None) -> tuple[StochasticGame, 
     # Reward ordering/range requirements are verified (and reported) by
     # verify_si_path_hi2 rather than enforced here, so deliberately broken
     # configurations can be used to witness path failures.
-    meta = Hi2Meta(config=config)
+    return Hi2Meta(config=config)
 
-    n = meta.n_states
-    owners = np.empty(n, dtype=np.int8)
-    actions: list[list[Action]] = [None] * n  # type: ignore[list-item]
 
-    def point(target: int, reward: float) -> Action:
-        return Action(reward=reward,
-                      next_states=np.array([target], dtype=np.int64),
-                      probs=np.array([1.0]))
+def _hi2_game(meta: Hi2Meta, lumped: bool) -> StochasticGame:
+    """The instance's table, the ``T`` restart dummies either as ``T`` states
+    of weight 1 (the instance itself) or, ``lumped``, as one restart class of
+    weight ``T``: the instance's exact lumped quotient, whose states stand
+    for the instance's states ``[0, T, T + 1, ...]`` (:func:`_hi2_quotient`).
 
-    uniform = Action(reward=0.0, uniform=True)
-
-    owners[:c.T] = MIN_PLAYER
-    actions[:c.T] = [[uniform]] * c.T
-    owners[meta.goal] = MIN_PLAYER
-    actions[meta.goal] = [Action(reward=-c.r_goal, uniform=True)]
-
+    The quotient equals ``sg.game.quotient`` of the instance bit for bit,
+    except at ``r_goal = 0``: the goal's reward -0.0 then equals the
+    dummies' 0.0 and ``quotient`` merges the goal into their class, while
+    here it stays a class of its own, a finer partition that is still exact.
+    """
+    c = meta.config
+    shift = c.T - 1 if lumped else 0  # each state's index below the instance's
+    m, b, M, B = meta.m(1) - shift, meta.b(1) - shift, meta.M(1) - shift, meta.B(1) - shift
+    goal, switch = meta.goal - shift, meta.switch - shift
+    weights = np.ones(switch + 1)
+    if lumped:
+        weights[0] = c.T
     # Each chain state j steps to state j - 1, its first state to the head
-    # target; an action chain (m, M) may also escape uniformly.
-    for state, length, owner, head, reward, escape in (
-            (meta.m, c.s_prime, MIN_PLAYER, meta.b(c.s_b), c.r_delta, True),
-            (meta.b, c.s_b, MIN_PLAYER, meta.goal, 0.0, False),
-            (meta.M, c.s_prime, MAX_PLAYER, meta.B(c.s_b_prime), -c.r_delta_prime, True),
-            (meta.B, c.s_b_prime, MAX_PLAYER, meta.switch, 0.0, False)):
-        for j in range(1, length + 1):
-            step = point(head if j == 1 else state(j - 1), reward)
-            owners[state(j)] = owner
-            actions[state(j)] = [uniform, step] if escape else [step]
+    # target; an action chain (m, M) may also escape by the restart row.
+    return _point_game(c.gamma, [
+        (MIN_PLAYER, *_restarts(c.T - shift, 0.0)),
+        (MIN_PLAYER, *_steps(np.r_[b + c.s_b - 1, m:m + c.s_prime - 1], c.r_delta, escape=True)),
+        (MIN_PLAYER, *_steps(np.r_[goal, b:b + c.s_b - 1], 0.0, escape=False)),
+        (MIN_PLAYER, *_restarts(1, -c.r_goal)),
+        (MAX_PLAYER, *_steps(np.r_[B + c.s_b_prime - 1, M:M + c.s_prime - 1],
+                             -c.r_delta_prime, escape=True)),
+        (MAX_PLAYER, *_steps(np.r_[switch, B:B + c.s_b_prime - 1], 0.0, escape=False)),
+        (MAX_PLAYER, np.array([c.s_prime]), np.array(c.switch_rewards, np.float64),
+         np.arange(m, m + c.s_prime)),
+    ], weights)
 
-    owners[meta.switch] = MAX_PLAYER
-    actions[meta.switch] = [point(meta.m(i), c.switch_rewards[i - 1])
-                            for i in range(1, c.s_prime + 1)]
 
-    game = make_game(c.gamma, owners, actions)
-    return game, meta
+def _hi2_quotient(T: int, config: Hi2Config | None) -> tuple[StochasticGame, Hi2Meta, np.ndarray]:
+    """The instance's exact lumped quotient, built directly, its meta, and
+    the instance's state behind each of its states, ``[0, T, T + 1, ...]``:
+    a strategy maps down as ``sigma[reps]``."""
+    meta = _hi2_meta(T, config)
+    return _hi2_game(meta, lumped=True), meta, np.r_[0, T:meta.n_states]
 
 
 def check_si_transitions(game: StochasticGame, meta: Hi2Meta,
@@ -394,16 +443,17 @@ def check_si_transitions(game: StochasticGame, meta: Hi2Meta,
 
     ``game`` is the instance or its quotient, and ``reps`` the instance's
     state behind each of its states (``arange(n)`` for the instance itself).
+    The cells are evaluated one at a time and improved together, from one
+    Q of the stacked values.
     """
-    max_states = game.owners == MAX_PLAYER
-    violations: list[Violation] = []
-    for i in range(1, meta.s_prime):
-        for z in range(meta.s_prime):
-            sigma = meta.joint(i, i, z)[reps]
-            got, _, _ = improve(game, evaluate(game, sigma), sigma, max_states)
-            if not np.array_equal(got, meta.joint(i, i + 1, 0)[reps]):
-                violations.append(Violation("si-rebuild", (i, z), 0.0, 1.0, 0.0))
-    return violations
+    cells = [(i, z) for i in range(1, meta.s_prime) for z in range(meta.s_prime)]
+    sigmas = np.array([meta.joint(i, i, z)[reps] for i, z in cells],
+                      dtype=np.int64).reshape(-1, game.n_states)
+    values = np.array([evaluate(game, sigma) for sigma in sigmas]).reshape(sigmas.shape)
+    got, _, _ = _improved(game, values, sigmas, game.owners == MAX_PLAYER)
+    rebuilt = {i: meta.joint(i, i + 1, 0)[reps] for i in range(1, meta.s_prime)}
+    return [Violation("si-rebuild", (i, z), 0.0, 1.0, 0.0)
+            for (i, z), sigma in zip(cells, got) if not np.array_equal(sigma, rebuilt[i])]
 
 
 def expected_si_path(meta: Hi2Meta) -> list[tuple[int, int, int]]:
@@ -429,12 +479,10 @@ def verify_si_path_hi2(T: int, config: Hi2Config | None = None) -> tuple[SolveTr
     tail after the path moves only the max player, and the count of
     single-action max-player corrections, which must land in
     [S'(S'-1), S'(S'+2)]. The probe and the run solve on the instance's
-    lumped quotient; the trace names full-game states.
+    lumped quotient, built directly; the trace names full-game states.
     """
-    config = config or default_hi2_rewards(T)
-    game, meta = build_hi2(T, config)
-    lumped, classes = quotient(game)
-    reps = np.unique(classes, return_index=True)[1]
+    lumped, meta, reps = _hi2_quotient(T, config)
+    config = meta.config
     violations: list[Violation] = []
     rs = config.switch_rewards
     for k, (r1, r2) in enumerate(zip(rs, rs[1:])):
@@ -498,21 +546,23 @@ def hi2_vbar_signs(T: int, config: Hi2Config | None = None) -> CheckReport:
     have negative scaled mean value (the switch route reaches the goal) and
     (min_i, max_(i+1,z)) positive (the switch route escapes it). The positive
     family is also compared against its first-order approximation
-    -(i + S_b + 1) r_goal + (1 + z + S_b') r within ``VBAR_BAND``.
+    -(i + S_b + 1) r_goal + (1 + z + S_b') r within ``VBAR_BAND``. Each
+    mean is read off the instance's lumped quotient (:func:`_scaled_mean`).
     """
-    config = config or default_hi2_rewards(T)
-    game, meta = build_hi2(T, config)
-    c = config
-    scale = (1.0 - c.gamma) * meta.n_states
+    game, meta, reps = _hi2_quotient(T, config)
+    c = meta.config
     violations: list[Violation] = []
+
+    def scaled_mean(i: int, a: int, z: int) -> float:
+        return _scaled_mean(game, evaluate(game, meta.joint(i, a, z)[reps]))
 
     for z in range(0, c.s_prime + 1):
         for i in range(1, c.s_prime + 1):
-            y = scale * float(evaluate(game, meta.joint(i, i, z)).mean())
+            y = scaled_mean(i, i, z)
             if y >= 0.0:
                 violations.append(Violation("vbar-sign:negative", (i, z), y, 0.0, y))
         for i in range(0, c.s_prime):
-            y = scale * float(evaluate(game, meta.joint(i, i + 1, z)).mean())
+            y = scaled_mean(i, i + 1, z)
             if y <= 0.0:
                 violations.append(Violation("vbar-sign:positive", (i, z), y, 0.0, -y))
             approx = (-(i + c.s_b + 1) * c.r_goal
@@ -521,3 +571,10 @@ def hi2_vbar_signs(T: int, config: Hi2Config | None = None) -> CheckReport:
                 violations.append(Violation("vbar-sign:band", (i, z), y, approx,
                                             abs(y - approx) - VBAR_BAND))
     return CheckReport(violations)
+
+
+def _scaled_mean(game: StochasticGame, v: np.ndarray) -> float:
+    """The instance's mean value scaled by (1 - gamma) n, read off a value
+    ``v`` of its quotient as (1 - gamma) k^T v: the mean is the class-size
+    weighted k^T v / sum(k), and sum(k) = n."""
+    return (1.0 - game.gamma) * float(game.layout.k_dot(v))
