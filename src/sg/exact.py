@@ -38,6 +38,8 @@ REFINE_RTOL = 1e-13
 REFINE_PASSES = 4
 # Power-iteration sweeps before Cesaro averaging takes over.
 PLAIN_SWEEPS = 10 ** 4
+# Power-iteration sweeps between two convergence tests (see ``_power_iteration``).
+POWER_BLOCK = 8
 # Most floats a scan's strategy stack may hold (k * n^2, 8 MB).
 STACK_FLOATS = 2 ** 20
 # Most pure strategies an exhaustive scan will enumerate.
@@ -442,31 +444,58 @@ def _check_flux(x: np.ndarray, gamma: float) -> None:
 def _power_iteration(push, k: int, n: int) -> np.ndarray:
     """Stationary distributions of k chains by power iteration from uniform.
 
-    ``push(y, rows)`` returns P_r^T y_r for the chains ``rows`` (indices into
-    the k chains) still running. A chain stops at its own first sweep with
-    max|P^T y - y| <= ``STATIONARY_TOL``; after ``PLAIN_SWEEPS`` sweeps each
-    iterate is averaged with the previous one (Cesaro) to cover periodic
-    chains. Rows of chains not converged within ``STATIONARY_MAX_SWEEPS``
-    sweeps are NaN.
+    Each chain's iterate is held as a (1, n) row. ``push(y, rows, out)``
+    writes P_r^T y_r into ``out`` for the chains ``rows`` (indices into the
+    k chains) still running, ``y`` and ``out`` being (len(rows), 1, n). A
+    sweep normalizes the last step into the iterate and pushes it one step;
+    after ``PLAIN_SWEEPS`` sweeps each iterate is first averaged with the
+    previous one (Cesaro) to cover periodic chains.
+
+    Sweeps run in blocks of ``POWER_BLOCK`` into two (nb, k, 1, n) buffers,
+    nb cut down (to 1 at least) where they would pass ``STACK_FLOATS``
+    floats; a block also ends at ``PLAIN_SWEEPS`` and at
+    ``STATIONARY_MAX_SWEEPS``. Convergence is tested once per block, in one
+    vectorized test: a chain's law is its iterate at its first sweep with
+    max|P^T y - y| <= ``STATIONARY_TOL``, bit for bit the iterate that a
+    test after every sweep would stop at. A converged chain makes at most
+    nb - 1 sweeps past it before it drops out. Rows are NaN for chains not
+    converged within ``STATIONARY_MAX_SWEEPS`` sweeps, and for chains whose
+    iterate or step turns non-finite first: such a chain never converges,
+    so it drops out at the end of that block. With k = 0 nothing is pushed.
     """
     out = np.full((k, n), np.nan)
+    if k == 0:
+        return out
+    nb = max(1, min(POWER_BLOCK, STACK_FLOATS // (2 * k * n)))
+    iterates, steps = np.empty((nb, k, 1, n)), np.empty((nb, k, 1, n))
     rows = np.arange(k)
-    lam = np.full((k, n), 1.0 / n)
-    nxt = push(lam, rows)
-    for it in range(STATIONARY_MAX_SWEEPS):
-        nxt /= nxt.sum(axis=1, keepdims=True)
-        if it >= PLAIN_SWEEPS:
-            nxt = 0.5 * (nxt + lam)
-            nxt /= nxt.sum(axis=1, keepdims=True)
-        step = push(nxt, rows)  # also the next sweep's first step
-        done = np.abs(step - nxt).max(axis=1) <= STATIONARY_TOL
-        if done.any():
-            out[rows[done]] = nxt[done]
-            running = ~done
-            rows, nxt, step = rows[running], nxt[running], step[running]
-            if rows.size == 0:
-                break
-        lam, nxt = nxt, step
+    lam, step = np.full((k, 1, n), 1.0 / n), np.empty((k, 1, n))
+    push(lam, rows, step)
+    it = 0
+    while it < STATIONARY_MAX_SWEEPS:
+        cesaro = it >= PLAIN_SWEEPS
+        b = min(nb, STATIONARY_MAX_SWEEPS - it, nb if cesaro else PLAIN_SWEEPS - it)
+        ys, ss = iterates[:b, :len(rows)], steps[:b, :len(rows)]
+        for y, s in zip(ys, ss):
+            if cesaro:
+                y_new = 0.5 * (step / np.add.reduce(step, axis=2, keepdims=True) + lam)
+                np.divide(y_new, np.add.reduce(y_new, axis=2, keepdims=True), out=y)
+            else:
+                np.divide(step, np.add.reduce(step, axis=2, keepdims=True), out=y)
+            push(y, rows, s)
+            lam, step = y, s
+        it += b
+        gap = np.abs(ss - ys).max(axis=(2, 3))  # (b, chains), NaN once non-finite
+        stop = (gap <= STATIONARY_TOL) | ~np.isfinite(gap)
+        if not stop.any():
+            continue
+        first, chains = stop.argmax(axis=0), np.arange(len(rows))
+        stopped = stop[first, chains]
+        won = stopped & (gap[first, chains] <= STATIONARY_TOL)
+        out[rows[won]] = ys[first[won], chains[won], 0]
+        if stopped.all():
+            break
+        rows, step, lam = rows[~stopped], step[~stopped], lam[~stopped]
     return out
 
 
@@ -505,12 +534,20 @@ def stationary_distribution(game: StochasticGame, sigma: np.ndarray) -> np.ndarr
     """Stationary distribution of P_sigma by power iteration.
 
     Falls back to Cesaro averaging after the first 10^4 sweeps to cover
-    periodic corner cases; raises if the chain has not converged within
-    ``STATIONARY_MAX_SWEEPS`` sweeps (reducible or periodic chain).
+    periodic corner cases. Convergence is tested once per block of up to
+    ``POWER_BLOCK`` sweeps (``_power_iteration``), so the chain makes at most
+    ``POWER_BLOCK - 1`` steps past the sweep it converged at, and the law
+    returned is that sweep's iterate. Raises if the chain has not converged
+    within ``STATIONARY_MAX_SWEEPS`` sweeps (reducible or periodic chain), or
+    at the first block's end if its iterate turned non-finite (a NaN in the
+    table, which ``sg.game.validate`` reports).
     """
     sys = PolicyLinearSystem(game, sigma)
-    lam = _power_iteration(lambda y, rows: sys.step_distribution(y[0])[None],
-                           1, game.n_states)[0]
+
+    def push(y: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+        out[0, 0] = sys.step_distribution(y[0, 0])
+
+    lam = _power_iteration(push, 1, game.n_states)[0]
     if np.isnan(lam[0]):
         raise RuntimeError("power iteration did not converge; chain may be periodic or reducible")
     return lam
@@ -720,20 +757,23 @@ def scan_stack(game: StochasticGame, sigmas: np.ndarray) -> tuple[np.ndarray, np
     chains are gathered once into a (k, n, n) stack; the stationary laws
     follow the power iteration of ``stationary_distribution`` row by row,
     and the fluxes come from one stacked solve of (I - gamma P^T) x = 1 with
-    the refinement and checks of ``flux``. Returns ``(lam, x)``, both
-    (k, n); the rows of chains that did not converge within
-    ``STATIONARY_MAX_SWEEPS`` sweeps are NaN in both.
+    the refinement and checks of ``flux``. The stack's convergence is tested
+    once per block of sweeps, and a converged chain leaves the stack at the
+    block's end. Returns ``(lam, x)``, both (k, n); the rows of chains that
+    did not converge within ``STATIONARY_MAX_SWEEPS`` sweeps, or whose
+    iterate turned non-finite, are NaN in both. An empty stack (k = 0)
+    returns at once.
     """
     sigmas = game.space.check_strategy(sigmas)
     k, n = sigmas.shape
     P = game.layout.dense()[game.space.chosen_pairs(sigmas)]
     running = P
 
-    def push(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def push(y: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
         nonlocal running
         if len(rows) < len(running):  # some chains finished: drop them
             running = P[rows]
-        return np.matmul(y[:, None, :], running)[:, 0, :]
+        np.matmul(y, running, out=out)
 
     lam = _power_iteration(push, k, n)
     ok = ~np.isnan(lam[:, 0])

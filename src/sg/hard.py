@@ -302,21 +302,25 @@ class Hi2Meta:
     def switch(self) -> int:
         return self.n_states - 1
 
-    def min_strategy(self, i: int) -> np.ndarray:
-        """Min part: R on m_1..m_i, U elsewhere (single-action states at 0)."""
-        pi = np.zeros(self.n_states, dtype=np.int64)
-        pi[self.m(1):self.m(1) + i] = R
-        return pi
-
-    def max_strategy(self, i: int, z: int) -> np.ndarray:
-        """Max part: switch plays a_i, R on M_1..M_z, U on the rest."""
-        pi = np.zeros(self.n_states, dtype=np.int64)
-        pi[self.switch] = i - 1
-        pi[self.M(1):self.M(1) + z] = R
-        return pi
-
     def joint(self, i_min: int, i_max: int, z_max: int) -> np.ndarray:
-        return self.min_strategy(i_min) + self.max_strategy(i_max, z_max)
+        """(min_i, max_(i,z)): R on m_1..m_{i_min} and on M_1..M_{z_max}, U
+        on the rest of both chains, the switch playing a_{i_max}, and every
+        single-action state at 0."""
+        return self._joint(self.n_states, i_min, i_max, z_max)
+
+    def _joint(self, n: int, i_min: int, i_max: int, z_max: int) -> np.ndarray:
+        """``joint`` on a table of ``n`` states: the instance, or its lumped
+        quotient, whose ``T`` dummies are one state. Every state a joint
+        strategy moves lies past the dummies and sits ``n_states - n`` below
+        its instance index there, so this is ``joint(...)[reps]`` built
+        straight at the quotient's states."""
+        shift = self.n_states - n
+        sigma = np.zeros(n, dtype=np.int64)
+        m, M = self.m(1) - shift, self.M(1) - shift
+        sigma[m:m + i_min] = R
+        sigma[M:M + z_max] = R
+        sigma[self.switch - shift] = i_max - 1
+        return sigma
 
     def describe(self, sigma: np.ndarray) -> tuple[int, int, int] | None:
         """Recognize a joint strategy as (i_min, i_max, z_max) if it is one."""
@@ -424,13 +428,13 @@ def _hi2_game(meta: Hi2Meta, lumped: bool) -> StochasticGame:
 def _hi2_quotient(T: int, config: Hi2Config | None) -> tuple[StochasticGame, Hi2Meta, np.ndarray]:
     """The instance's exact lumped quotient, built directly, its meta, and
     the instance's state behind each of its states, ``[0, T, T + 1, ...]``:
-    a strategy maps down as ``sigma[reps]``."""
+    a strategy maps down as ``sigma[reps]``, and ``Hi2Meta._joint`` builds
+    a named one there directly."""
     meta = _hi2_meta(T, config)
     return _hi2_game(meta, lumped=True), meta, np.r_[0, T:meta.n_states]
 
 
-def check_si_transitions(game: StochasticGame, meta: Hi2Meta,
-                         reps: np.ndarray) -> list[Violation]:
+def check_si_transitions(game: StochasticGame, meta: Hi2Meta) -> list[Violation]:
     """The predicted rebuild moves off the strategy-iteration path.
 
     From every cell (min_i, max_(i,z)) with 1 <= i < S' and 0 <= z < S', one
@@ -441,17 +445,17 @@ def check_si_transitions(game: StochasticGame, meta: Hi2Meta,
     :func:`verify_si_path_hi2`, which makes the identical sweep from each of
     them, so its visited sequence verifies them there.
 
-    ``game`` is the instance or its quotient, and ``reps`` the instance's
-    state behind each of its states (``arange(n)`` for the instance itself).
-    The cells are evaluated one at a time and improved together, from one
-    Q of the stacked values.
+    ``game`` is the instance or its lumped quotient, and each strategy is
+    laid out on its states (``Hi2Meta._joint``). The cells are evaluated one
+    at a time and improved together, from one Q of the stacked values.
     """
+    n = game.n_states
     cells = [(i, z) for i in range(1, meta.s_prime) for z in range(meta.s_prime)]
-    sigmas = np.array([meta.joint(i, i, z)[reps] for i, z in cells],
-                      dtype=np.int64).reshape(-1, game.n_states)
+    sigmas = np.array([meta._joint(n, i, i, z) for i, z in cells],
+                      dtype=np.int64).reshape(-1, n)
     values = np.array([evaluate(game, sigma) for sigma in sigmas]).reshape(sigmas.shape)
     got, _, _ = _improved(game, values, sigmas, game.owners == MAX_PLAYER)
-    rebuilt = {i: meta.joint(i, i + 1, 0)[reps] for i in range(1, meta.s_prime)}
+    rebuilt = {i: meta._joint(n, i, i + 1, 0) for i in range(1, meta.s_prime)}
     return [Violation("si-rebuild", (i, z), 0.0, 1.0, 0.0)
             for (i, z), sigma in zip(cells, got) if not np.array_equal(sigma, rebuilt[i])]
 
@@ -491,10 +495,9 @@ def verify_si_path_hi2(T: int, config: Hi2Config | None = None) -> tuple[SolveTr
     for k, r in enumerate(rs):
         if not (0.0 < r < config.r_goal):
             violations.append(Violation("si-config:reward-range", (k,), r, config.r_goal, 0.0))
-    violations += check_si_transitions(lumped, meta, reps)
+    violations += check_si_transitions(lumped, meta)
 
-    sigma0 = meta.joint(0, 1, 0)
-    _, trace = strategy_iteration(lumped, sigma0[reps])
+    _, trace = strategy_iteration(lumped, meta._joint(lumped.n_states, 0, 1, 0))
     full = reps.tolist()
     trace.changes = [[(full[s], old, new) for s, old, new in ch] for ch in trace.changes]
 
@@ -502,7 +505,7 @@ def verify_si_path_hi2(T: int, config: Hi2Config | None = None) -> tuple[SolveTr
     # compare the visited strategies, each described as it is reached, with
     # the predicted path.
     path = expected_si_path(meta)
-    current = sigma0.copy()
+    current = meta.joint(0, 1, 0)
     described = [meta.describe(current)]
     for ch in trace.changes:
         if not ch:
@@ -549,12 +552,12 @@ def hi2_vbar_signs(T: int, config: Hi2Config | None = None) -> CheckReport:
     -(i + S_b + 1) r_goal + (1 + z + S_b') r within ``VBAR_BAND``. Each
     mean is read off the instance's lumped quotient (:func:`_scaled_mean`).
     """
-    game, meta, reps = _hi2_quotient(T, config)
+    game, meta, _ = _hi2_quotient(T, config)
     c = meta.config
     violations: list[Violation] = []
 
     def scaled_mean(i: int, a: int, z: int) -> float:
-        return _scaled_mean(game, evaluate(game, meta.joint(i, a, z)[reps]))
+        return _scaled_mean(game, evaluate(game, meta._joint(game.n_states, i, a, z)))
 
     for z in range(0, c.s_prime + 1):
         for i in range(1, c.s_prime + 1):

@@ -8,6 +8,7 @@ game as ``quotient(build_hi2(T))``. The probe's stacked improvement sweep
 must pick the strategies that one ``improve`` per cell picks.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -136,6 +137,27 @@ def test_at_r_goal_zero_the_direct_quotient_keeps_the_goal_apart():
 def probe_cells(meta, reps):
     cells = [(i, z) for i in range(1, meta.s_prime) for z in range(meta.s_prime)]
     return np.array([meta.joint(i, i, z)[reps] for i, z in cells])
+
+
+def reference_joint(meta, i_min, i_max, z_max):
+    """(min_i, max_(i,z)) as the sum of its min part and its max part."""
+    lo, hi = np.zeros(meta.n_states, np.int64), np.zeros(meta.n_states, np.int64)
+    lo[meta.m(1):meta.m(1) + i_min] = 1
+    hi[meta.switch] = i_max - 1
+    hi[meta.M(1):meta.M(1) + z_max] = 1
+    return lo + hi
+
+
+@pytest.mark.parametrize("T", [400, 10_000])
+def test_named_strategies_laid_out_on_the_quotient_are_the_mapped_down_ones(T):
+    q, meta, reps = _hi2_quotient(T, None)
+    s = meta.s_prime
+    for i, a, z in itertools.product(range(s + 1), range(1, s + 1), range(s + 1)):
+        sigma = meta.joint(i, a, z)
+        np.testing.assert_array_equal(sigma, reference_joint(meta, i, a, z))
+        on_q = meta._joint(q.n_states, i, a, z)
+        assert on_q.dtype == sigma.dtype and on_q.shape == (q.n_states,)
+        np.testing.assert_array_equal(on_q, sigma[reps])
 
 
 @pytest.mark.parametrize("T", [400, 10_000])
