@@ -10,15 +10,16 @@ Subcommands:
 * ``scaling`` - sweep the big-batch size and report the error/log-slope
 
 Exit codes: 0 when every requested check passes, 1 when a check fails,
-2 on malformed input: an out-of-range argument, an unreadable or malformed
-JSON file, an output path that cannot be written, or solver constants whose
-plan cannot run. The library checks every argument and document (read by
+2 on malformed input: an unknown flag, an out-of-range argument, an
+unreadable or malformed JSON file, an output path that cannot be written, or
+solver constants whose plan cannot run. The harness only maps flags to
+library calls. The library checks every argument and document (read by
 ``sg.game.read_json``) and raises :class:`sg.game.InputError`, the one
 exception ``main`` maps, to exit 2 with a JSON error on stderr. The harness
-checks only the game-source count, ``--seed``, ``--sample``, ``--trials``
-and that the directory of ``--out`` exists, before any solve runs.
-All randomness flows from ``--seed``; commands that need randomness fail
-without it rather than fall back to a clock seed.
+checks only what no library call receives before the run: that exactly one
+game source is given, and that the directory of ``--out`` exists.
+All randomness flows from ``--seed``; the library refuses a randomized run
+without one rather than fall back to a clock seed.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import checks as checks_mod
 from . import exact, game as game_mod, hard, qvi
-from .game import InputError, read_json, write_text
+from .game import InputError, check_int, read_json, write_text
 from .generate import clustered_game
 from .sampler import GenerativeModel
 
@@ -55,7 +56,7 @@ def _load_game_arg(args) -> game_mod.StochasticGame:
     if args.game is not None:
         return game_mod.load_game(args.game)
     if args.hi1 is not None:
-        g, _ = hard.build_hi1(args.hi1, beta_factor=args.beta_factor)
+        g, _ = hard.build_hi1(args.hi1)
         return g
     g, _ = hard.build_hi2(args.hi2)
     # sampling-based methods need [0, 1] rewards
@@ -68,11 +69,6 @@ def _require(ok: bool, message: str) -> None:
     """Reject, with exit 2, an argument the library never receives."""
     if not ok:
         raise InputError(message)
-
-
-def _need_seed(args) -> int:
-    _require(args.seed is not None, "--seed is required for randomized runs")
-    return args.seed
 
 
 def write_csv(path: str | None, rows: list[str]) -> None:
@@ -100,39 +96,31 @@ def _print_value(v: np.ndarray, sigma: np.ndarray) -> None:
 
 def cmd_solve(args) -> int:
     g = _load_game_arg(args)
+    if args.method == "qvi":
+        return _solve_qvi(g, args)
     if args.method == "vi":
         v, sigma, trace = exact.value_iteration(g, args.eps)
-        _print_value(v, sigma)
-        print(f"iterations: {len(trace)} Bellman sweeps, until v* lay in a bracket "
-              f"at most {args.eps!r} wide; the value is its midpoint")
-        if args.out:
-            write_csv(args.out, trace.csv_rows())
-        return EXIT_OK
-
-    if args.method == "pi":
-        sigma, trace = exact.policy_iteration(g, np.zeros(g.n_states, dtype=np.int64))
-        _print_value(exact.evaluate(g, sigma), sigma)
-        print(f"policy evaluations: {trace.total_policy_evaluations}")
-        if args.out:
-            write_csv(args.out, trace.csv_rows())
-        return EXIT_OK
-
-    if args.method == "si":
-        sigma, trace = exact.strategy_iteration(g, np.zeros(g.n_states, dtype=np.int64))
+        notes = [f"iterations: {len(trace)} Bellman sweeps, until v* lay in a bracket "
+                 f"at most {args.eps!r} wide; the value is its midpoint"]
+    else:
+        run = exact.policy_iteration if args.method == "pi" else exact.strategy_iteration
+        sigma, trace = run(g, np.zeros(g.n_states, dtype=np.int64))
         v = exact.evaluate(g, sigma)
-        _print_value(v, sigma)
-        print(f"policy evaluations: {trace.total_policy_evaluations}")
-        residual = float(np.abs(exact.bellman(g, v) - v).max())
-        print(f"equilibrium residual: {residual!r}")
-        if args.out:
-            write_csv(args.out, trace.csv_rows())
-        return EXIT_OK
+        notes = [f"policy evaluations: {trace.total_policy_evaluations}"]
+        if args.method == "si":
+            residual = float(np.abs(exact.bellman(g, v) - v).max())
+            notes.append(f"equilibrium residual: {residual!r}")
+    _print_value(v, sigma)
+    print(*notes, sep="\n")
+    if args.out:
+        write_csv(args.out, trace.csv_rows())
+    return EXIT_OK
 
-    # qvi
-    seed = _need_seed(args)
+
+def _solve_qvi(g: game_mod.StochasticGame, args) -> int:
     consts = (read_json(args.constants, qvi.QviConstants.from_json_dict)
               if args.constants else qvi.QviConstants())
-    model = GenerativeModel(g, master_seed=seed)
+    model = GenerativeModel(g, master_seed=args.seed)
     result = qvi.solve(model, epsilon=args.eps, delta=args.delta, consts=consts)
     _print_value(result.value_estimate, result.min_strategy)
     print(f"samples: {result.total_samples}")
@@ -155,7 +143,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_hard_pi(args) -> int:
-    trace, report = hard.verify_pi_path_hi1(args.T, beta_factor=args.beta_factor)
+    trace, report = hard.verify_pi_path_hi1(args.T)
     print(report.summary())
     if args.out:
         write_csv(args.out, trace.csv_rows())
@@ -174,9 +162,6 @@ def cmd_hard_si(args) -> int:
 
 def cmd_flux(args) -> int:
     g = _load_game_arg(args)
-    if args.sample is not None:
-        _require(args.sample >= 1, "--sample must be at least 1")
-        _need_seed(args)
     report = exact.ratio_scan(g, sample=args.sample, seed=args.seed)
     print(f"strategies scanned: {report.strategies_scanned} "
           f"(skipped {report.strategies_skipped})")
@@ -212,6 +197,7 @@ def scaling_sweep(seed: int, trials: int,
     optimum, with constants chosen so the variance-driven shift dominates the
     other error terms. Returns (rows, slope) where rows are (m1, trial, err).
     """
+    trials = check_int(trials, "trials", 1)
     g = clustered_game(10, 3, 0.9, seed=seed)
     vstar, sstar = exact.optimal_value(g)
     u = 4.0
@@ -232,9 +218,7 @@ def scaling_sweep(seed: int, trials: int,
 
 
 def cmd_scaling(args) -> int:
-    seed = _need_seed(args)
-    _require(args.trials >= 1, "--trials must be at least 1")
-    rows, slope = scaling_sweep(seed, args.trials)
+    rows, slope = scaling_sweep(args.seed, args.trials)
     csv = ["m1,trial,error"]
     csv += [f"{m1},{t},{err!r}" for m1, t, err in rows]
     write_csv(args.out, csv)
@@ -258,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="policy-iteration hard instance of size T")
         p.add_argument("--hi2", type=int, metavar="T",
                        help="strategy-iteration hard instance of size T")
-        p.add_argument("--beta-factor", type=float, default=4.0,
-                       help="discount scale for --hi1 (gamma = 1 - 1/(bT))")
 
     p = sub.add_parser("solve", help="solve a game exactly or from samples")
     add_game_source(p)
@@ -281,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     hard_sub = p.add_subparsers(dest="hard_kind", required=True)
     hp = hard_sub.add_parser("pi", help="policy-iteration instance")
     hp.add_argument("--T", type=int, required=True)
-    hp.add_argument("--beta-factor", type=float, default=4.0)
     hp.add_argument("--out", help="trace CSV path")
     hp.set_defaults(func=cmd_hard_pi)
     hs = hard_sub.add_parser("si", help="strategy-iteration instance")

@@ -287,12 +287,22 @@ class _DenseLU:
 
 
 def _super_lu(block: _Entries, gamma: float, restart=None):
-    """SuperLU of I - gamma*B; the restart law is always folded here."""
-    k = block.shape[0]
-    indptr = np.zeros(k + 1, dtype=block.cols.dtype)
-    np.cumsum(np.bincount(block.rows, minlength=k), out=indptr[1:])
-    S = sp.csr_matrix((block.probs, block.cols, indptr), shape=(k, k))
-    return spla.splu(sp.identity(k, format="csc") - gamma * S.tocsc())
+    """SuperLU of I - gamma*B; the restart law is always folded here.
+
+    One CSC is built from the block's entries and the unit diagonal: each
+    cell is 1 or 0 minus the sum, in row order, of its entries times gamma,
+    and a cell that comes to exactly 0 is dropped, which is the matrix
+    scipy's ``identity - gamma * B`` makes, so the factors are the same."""
+    k, m = block.shape[0], block.rows.size
+    # each cell's key in column-major order: the m entries', then the diagonal's
+    keys = np.r_[block.cols.astype(np.int64) * k + block.rows, np.arange(0, k * k, k + 1)]
+    cells, at = np.unique(keys, return_inverse=True)
+    values = (np.bincount(at[m:], minlength=cells.size)
+              - np.bincount(at[:m], weights=gamma * block.probs, minlength=cells.size))
+    keep = values != 0
+    cells = cells[keep]
+    indptr = np.searchsorted(cells, np.arange(0, k * k + 1, k))
+    return spla.splu(sp.csc_matrix((values[keep], cells % k, indptr), shape=(k, k)))
 
 
 class PolicyLinearSystem:

@@ -133,7 +133,6 @@ class ActionSpace:
     n_states: int
     n_pairs: int
     gamma: float
-    is_max: np.ndarray        # (n_states,) bool
     n_actions: np.ndarray     # (n_states,) int
     state_offset: np.ndarray  # (n_states + 1,) int, pair range per state
     pair_state: np.ndarray    # (n_pairs,) int
@@ -351,19 +350,17 @@ def _space(gamma: float, owners: np.ndarray, n_actions: np.ndarray,
     np.cumsum(n_actions, out=state_offset[1:])
     n_pairs = int(state_offset[-1])
     pair_state = np.repeat(np.arange(n_actions.size, dtype=np.int64), n_actions)
-    is_max = owners.astype(bool)
     choice = n_actions > 1
     choice_starts = np.cumsum(n_actions[choice]) - n_actions[choice]
     return ActionSpace(
         n_states=n_actions.size,
         n_pairs=n_pairs,
         gamma=float(gamma),
-        is_max=_readonly(is_max),
         n_actions=_readonly(n_actions),
         state_offset=_readonly(state_offset),
         pair_state=_readonly(pair_state),
         rewards=_readonly(rewards),
-        pair_sign=_readonly(np.where(is_max[pair_state], -1.0, 1.0)),
+        pair_sign=_readonly(np.where(owners[pair_state] != MIN_PLAYER, -1.0, 1.0)),
         choice_states=_readonly(np.flatnonzero(choice)),
         choice_pairs=_readonly(np.flatnonzero(choice[pair_state])),
         choice_starts=_readonly(choice_starts),

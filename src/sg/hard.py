@@ -54,6 +54,7 @@ from .game import (InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, _array_ga
 
 U, R = 0, 1  # action indices on two-action chain states
 HI1_MIN_T = 48   # smallest HI1 size with s_prime >= 2
+HI1_HORIZON = 4.0  # HI1's horizon 1/(1 - gamma) in units of T
 HI2_MIN_T = 400  # smallest HI2 size the default reward scaling supports
 # Largest gap between a scaled mean value and its first-order approximation
 # that ``hi2_vbar_signs`` accepts.
@@ -105,12 +106,11 @@ class Hi1Meta:
 
     States are 0-based. The two-action states are the chain positions
     ``T - s_prime - 1 .. T - 2``; the rewarded state is ``T - 1``.
-    ``gamma = 1 - 1/(beta_factor * T)``.
+    ``gamma = 1 - 1/(HI1_HORIZON * T)``.
     """
 
     T: int
     s_prime: int
-    beta_factor: float
     gamma: float
 
     @property
@@ -130,22 +130,21 @@ class Hi1Meta:
         return self.policy_chain(self.s_prime)
 
 
-def build_hi1(T: int, beta_factor: float = 4.0) -> tuple[StochasticGame, Hi1Meta]:
+def build_hi1(T: int) -> tuple[StochasticGame, Hi1Meta]:
     """Maximization MDP: uniform restarts everywhere, one state rewarded 1,
     and a short right-moving chain in front of it.
 
     ``s_prime = floor(sqrt(T/12))`` keeps every policy's stationary mass
-    within [1/(2T), (s_prime+1)/T]. Requires T >= HI1_MIN_T so s_prime >= 2.
+    within [1/(2T), (s_prime+1)/T]. Requires T >= HI1_MIN_T so s_prime >= 2,
+    and a T small enough that gamma stays below 1 in floating point.
     """
     if not (T >= HI1_MIN_T):
         raise InputError(f"T must be at least {HI1_MIN_T}")
-    if not (beta_factor >= 1.0):
-        raise InputError("beta_factor must be >= 1")
     s_prime = int(math.isqrt(T // 12))
-    gamma = 1.0 - 1.0 / (beta_factor * T)
+    gamma = 1.0 - 1.0 / (HI1_HORIZON * T)
     if not (gamma < 1.0):
-        raise InputError(f"beta_factor * T = {beta_factor * T} rounds gamma to 1")
-    meta = Hi1Meta(T=T, s_prime=s_prime, beta_factor=beta_factor, gamma=gamma)
+        raise InputError(f"T = {T} rounds gamma = 1 - 1/({HI1_HORIZON:g} T) to 1")
+    meta = Hi1Meta(T=T, s_prime=s_prime, gamma=gamma)
     chain = meta.chain_states
     game = _point_game(gamma, [
         (MAX_PLAYER, *_restarts(chain.start, 0.0)),
@@ -155,14 +154,14 @@ def build_hi1(T: int, beta_factor: float = 4.0) -> tuple[StochasticGame, Hi1Meta
     return game, meta
 
 
-def verify_pi_path_hi1(T: int, beta_factor: float = 4.0) -> tuple[SolveTrace, CheckReport]:
+def verify_pi_path_hi1(T: int) -> tuple[SolveTrace, CheckReport]:
     """Run policy iteration from the all-uniform policy and check the path.
 
     Expected behavior: exactly ``s_prime`` improving iterations, each flipping
     the single state T-2, T-3, ... (0-based) in order, and the quarter-way
     policy still missing more than 0.1 of the final top-state value.
     """
-    game, meta = build_hi1(T, beta_factor)
+    game, meta = build_hi1(T)
     sigma, trace = policy_iteration(game, meta.policy_uniform())
     violations: list[Violation] = []
 
@@ -193,10 +192,9 @@ def verify_pi_path_hi1(T: int, beta_factor: float = 4.0) -> tuple[SolveTrace, Ch
     return trace, CheckReport(violations)
 
 
-def hi1_distribution_bounds(T: int, num_policies: int, seed: int,
-                            beta_factor: float = 4.0) -> CheckReport:
+def hi1_distribution_bounds(T: int, num_policies: int, seed: int) -> CheckReport:
     """Stationary mass of random policies against the [1/(2T), (S'+1)/T] band."""
-    game, meta = build_hi1(T, beta_factor)
+    game, meta = build_hi1(T)
     rng = np.random.default_rng(check_int(seed, "seed", 0))
     lo, hi = 1.0 / (2 * T), (meta.s_prime + 1) / T
     policies = [meta.policy_uniform(), meta.policy_extreme()]

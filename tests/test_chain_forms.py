@@ -14,6 +14,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 import sg.exact
 import sg.game
@@ -214,3 +217,47 @@ def test_entries_equal_scipy_row_indexing():
         got, want = layout.entries(rows), layout.trans[rows]
         for a, b in zip(got, (np.diff(want.indptr), want.indices, want.data)):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def reference_super_lu(block, gamma):
+    """SuperLU of I - gamma*B as scipy's matrix arithmetic builds it."""
+    k = block.shape[0]
+    indptr = np.zeros(k + 1, dtype=block.cols.dtype)
+    np.cumsum(np.bincount(block.rows, minlength=k), out=indptr[1:])
+    S = sp.csr_matrix((block.probs, block.cols, indptr), shape=(k, k))
+    return spla.splu(sp.identity(k, format="csc") - gamma * S.tocsc())
+
+
+@st.composite
+def sparse_blocks(draw):
+    """A block's entries in row order: repeated cells, diagonal entries and
+    zero probabilities included."""
+    k = draw(st.integers(1, 12))
+    m = draw(st.integers(0, 3 * k))
+    rows = np.sort(draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)))
+    cols = draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m))
+    probs = draw(st.lists(st.sampled_from([0.0, 0.1, 1 / 3, 0.7, 0.25]) | st.floats(0, 0.3),
+                          min_size=m, max_size=m))
+    return sg.exact._Entries(rows.astype(np.int64), np.array(cols, dtype=np.int64),
+                             np.array(probs, dtype=np.float64), k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sparse_blocks(), st.sampled_from([0.5, 0.9, 1 - 1e-6]))
+def test_super_lu_factors_the_matrix_scipy_builds(block, gamma):
+    got, want = sg.exact._super_lu(block, gamma), reference_super_lu(block, gamma)
+    assert np.array_equal(got.perm_r, want.perm_r) and np.array_equal(got.perm_c, want.perm_c)
+    for a, b in ((got.L, want.L), (got.U, want.U)):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def test_super_lu_keys_the_cells_of_a_wide_block_in_int64():
+    # scipy holds a small table's columns as int32: a key col * k + row
+    # past 2**31 must not wrap
+    k = 50_000
+    block = sg.exact._Entries(np.array([0, k - 1], dtype=np.int64),
+                              np.array([k - 1, k - 2], dtype=np.int32), np.array([0.5, 0.5]), k)
+    got, want = sg.exact._super_lu(block, 0.9), reference_super_lu(block, 0.9)
+    for a, b in ((got.L, want.L), (got.U, want.U)):
+        assert np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data)

@@ -7,12 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sg.cli import main, write_csv
-from sg.exact import SolveTrace, value_iteration
-from sg.game import InputError, make_game, save_game, write_json
-from sg.hard import default_hi2_rewards
+from sg.checks import check_mdvss
+from sg.cli import main, scaling_sweep, write_csv
+from sg.exact import (SolveTrace, bellman, evaluate, policy_iteration, strategy_iteration,
+                      value_iteration)
+from sg.game import InputError, affine_reward_map, make_game, save_game, write_json
+from sg.hard import build_hi1, build_hi2, default_hi2_rewards
 from sg.generate import random_game
-from sg.qvi import VSSequence, qvi_mdvss, QviConstants
+from sg.qvi import VSSequence, qvi_mdvss, QviConstants, solve
 from sg.sampler import GenerativeModel
 
 
@@ -161,12 +163,15 @@ def test_check_flags_broken_sequence(tmp_path, capsys):
                      strategies=np.tile(sstar, (2, 1)),
                      error_bounds=np.zeros((2, g.n_pairs)))
     seq.values[1][0] -= 0.05  # dip below the optimum: property-1 break
-    spath = tmp_path / "seq.json"
+    spath, rpath = tmp_path / "seq.json", tmp_path / "report.json"
     seq.save(str(spath))
-    code = main(["check", "--game", str(gpath), "--seq", str(spath)])
+    code = main(["check", "--game", str(gpath), "--seq", str(spath), "--out", str(rpath)])
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "1:" in out
+    report = check_mdvss(g, seq)
+    assert out == report.summary() + "\n"
+    assert json.loads(rpath.read_text()) == json.loads(json.dumps(report.to_json_dict()))
 
 
 def test_check_unknown_direction_exits_2(tmp_path, capsys):
@@ -226,8 +231,10 @@ def test_flux_over_enumeration_cap_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("sample", ["0", "-3"])
 def test_flux_sample_below_one_exits_2(sample, game_file, capsys):
     _, path = game_file
+    # ratio_scan refuses it; the harness only maps the refusal
     assert main(["flux", "--game", path, "--sample", sample, "--seed", "1"]) == 2
-    assert "--sample" in json.loads(capsys.readouterr().err.strip())["error"]
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        f"sample must be an integer >= 1, got {sample}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -246,8 +253,10 @@ def test_a_negative_seed_exits_2(argv, game_file, capsys):
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_scaling_trials_below_one_exits_2(trials, capsys):
+    # scaling_sweep refuses it before its first run
     assert main(["scaling", "--trials", trials, "--seed", "1"]) == 2
-    assert "--trials" in json.loads(capsys.readouterr().err.strip())["error"]
+    assert json.loads(capsys.readouterr().err)["error"] == (
+        f"trials must be an integer >= 1, got {trials}")
 
 
 def test_malformed_game_file_exits_2(tmp_path, capsys):
@@ -275,7 +284,7 @@ def test_out_of_range_argument_exits_2(argv, game_file, capsys):
     ["solve", "--hi1", "47"],
     ["solve", "--hi2", "399"],
     ["hard", "si", "--T", "399"],
-    ["solve", "--hi1", "48", "--beta-factor", "nan"],
+    ["solve", "--hi1", str(2 ** 60)],
     ["solve", "--game", "{game}", "--method", "vi", "--eps", "nan"],
     ["hard", "si", "--T", "500", "--rewards", "{config400}"],
     ["solve", "--game", "{reward15}", "--method", "qvi", "--seed", "1"],
@@ -361,3 +370,86 @@ def test_constants_whose_plan_cannot_run_exit_2(constants, named, game_file, tmp
     assert main(["solve", "--game", path, "--method", "qvi", "--seed", "1",
                  "--constants", str(big)]) == 2
     assert named in json.loads(capsys.readouterr().err)["error"]
+
+
+# ---------------------------------------------------------------------------
+# every branch of the harness prints and writes what the library returns
+
+
+def value_lines(v, sigma):
+    return ("value: " + " ".join(repr(float(x)) for x in v) + "\n"
+            + "strategy: " + " ".join(str(int(a)) for a in sigma) + "\n")
+
+
+def test_solve_vi_prints_and_writes_the_library_run(game_file, tmp_path, capsys):
+    g, path = game_file
+    out = tmp_path / "vi.csv"
+    assert main(["solve", "--game", path, "--method", "vi", "--eps", "0.01",
+                 "--out", str(out)]) == 0
+    v, sigma, trace = value_iteration(g, 0.01)
+    assert capsys.readouterr().out == value_lines(v, sigma) + (
+        f"iterations: {len(trace)} Bellman sweeps, until v* lay in a bracket "
+        f"at most 0.01 wide; the value is its midpoint\n")
+    assert out.read_text() == "\n".join(trace.csv_rows()) + "\n"
+
+
+def test_solve_pi_on_a_single_player_game(tmp_path, capsys):
+    g, meta = build_hi1(48)
+    out = tmp_path / "pi.csv"
+    assert main(["solve", "--hi1", "48", "--method", "pi", "--out", str(out)]) == 0
+    sigma, trace = policy_iteration(g, np.zeros(g.n_states, dtype=np.int64))
+    assert np.array_equal(sigma, meta.policy_extreme())
+    assert capsys.readouterr().out == value_lines(evaluate(g, sigma), sigma) + (
+        f"policy evaluations: {meta.s_prime + 1}\n")
+    assert trace.total_policy_evaluations == meta.s_prime + 1
+    assert out.read_text() == "\n".join(trace.csv_rows()) + "\n"
+
+
+@pytest.mark.parametrize("source", [["--game", "{game}"], ["--hi2", "400"]], ids=["game", "hi2"])
+def test_solve_si_prints_the_residual_and_writes_the_trace(source, game_file, tmp_path, capsys):
+    g, path = game_file
+    if source[0] == "--hi2":
+        g, _ = build_hi2(400)
+    out = tmp_path / "si.csv"
+    argv = ["solve", *[path if a == "{game}" else a for a in source], "--method", "si"]
+    assert main(argv + ["--out", str(out)]) == 0
+    sigma, trace = strategy_iteration(g, np.zeros(g.n_states, dtype=np.int64))
+    v = evaluate(g, sigma)
+    residual = float(np.abs(bellman(g, v) - v).max())
+    assert capsys.readouterr().out == value_lines(v, sigma) + (
+        f"policy evaluations: {trace.total_policy_evaluations}\n"
+        f"equilibrium residual: {residual!r}\n")
+    assert out.read_text() == "\n".join(trace.csv_rows()) + "\n"
+
+
+def test_solve_qvi_on_hi2_maps_rewards_into_the_unit_interval(tmp_path, capsys):
+    # hi2's rewards lie in [-1, 1]: unmapped, the sampler would refuse them
+    consts = {"m1_override": 20, "m2_override": 10, "rounds_override": 2}
+    cpath, out = tmp_path / "c.json", tmp_path / "seq.json"
+    cpath.write_text(json.dumps(consts))
+    assert main(["solve", "--hi2", "400", "--method", "qvi", "--seed", "1", "--eps", "0.5",
+                 "--constants", str(cpath), "--out", str(out)]) == 0
+    g = affine_reward_map(build_hi2(400)[0], scale=2.0, offset=1.0)
+    result = solve(GenerativeModel(g, master_seed=1), epsilon=0.5, delta=0.1,
+                   consts=QviConstants(**consts))
+    assert capsys.readouterr().out == value_lines(
+        result.value_estimate, result.min_strategy) + f"samples: {result.total_samples}\n"
+    assert json.loads(out.read_text()) == json.loads(
+        json.dumps(result.sequences[-1].to_json_dict()))
+
+
+def test_scaling_without_out_writes_its_csv_to_stdout(capsys):
+    code = main(["scaling", "--seed", "11", "--trials", "1"])
+    rows, slope = scaling_sweep(11, 1)
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[0] == "m1,trial,error"
+    assert lines[1:5] == [f"{m1},{t},{err!r}" for m1, t, err in rows]
+    assert lines[5] == f"log-log slope: {slope!r} (band [-0.65, -0.35])"
+    assert code == (0 if -0.65 <= slope <= -0.35 else 1)
+
+
+@pytest.mark.parametrize("flag", ["--no-such-flag", "--beta-factor"])
+def test_an_unknown_flag_exits_2(flag, capsys):
+    assert main(["solve", "--hi1", "48", flag, "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err

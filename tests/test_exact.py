@@ -160,19 +160,24 @@ def test_value_iteration_refuses_a_nan_tolerance(monkeypatch):
 # segmented greedy selection against the padded action grid
 
 
+def is_max(space):
+    """The MAX player's states, read off the sign of each state's first pair."""
+    return space.pair_sign[space.state_offset[:-1]] < 0
+
+
 def padded_grid(space, q):
     """Q spread into (n_states, a_max), missing actions at -inf (MAX) / +inf (MIN)."""
     cols = np.arange(space.n_pairs) - space.state_offset[space.pair_state]
-    grid = np.where(space.is_max[:, None], -np.inf, np.inf) \
+    grid = np.where(is_max(space)[:, None], -np.inf, np.inf) \
         * np.ones((1, int(space.n_actions.max())))
     grid[space.pair_state, cols] = q
     return grid
 
 
 def padded_greedy(space, q):
-    grid = padded_grid(space, q)
-    v = np.where(space.is_max, grid.max(axis=1), grid.min(axis=1))
-    sigma = np.where(space.is_max, grid.argmax(axis=1), grid.argmin(axis=1))
+    grid, top = padded_grid(space, q), is_max(space)
+    v = np.where(top, grid.max(axis=1), grid.min(axis=1))
+    sigma = np.where(top, grid.argmax(axis=1), grid.argmin(axis=1))
     return v, sigma.astype(np.int64)
 
 
@@ -180,11 +185,11 @@ def padded_improve(game, v, sigma, improvable):
     space = game.space
     tol = 1e-9 * (1.0 + float(np.abs(v).max(initial=0.0)))
     q = q_from_v(game, v)
-    grid = padded_grid(space, q)
+    grid, top = padded_grid(space, q), is_max(space)
     q_inc = q[space.chosen_pairs(sigma)]
-    best = np.where(space.is_max, grid.max(axis=1), grid.min(axis=1))
-    gain = np.where(space.is_max, best - q_inc, q_inc - best)
-    near_best = np.where(space.is_max[:, None], grid >= (best - tol)[:, None],
+    best = np.where(top, grid.max(axis=1), grid.min(axis=1))
+    gain = np.where(top, best - q_inc, q_inc - best)
+    near_best = np.where(top[:, None], grid >= (best - tol)[:, None],
                          grid <= (best + tol)[:, None])
     choice = near_best.argmax(axis=1)
     new_sigma = sigma.copy()

@@ -347,7 +347,7 @@ def test_a_game_shares_only_rows_that_no_one_can_write():
     for copy in (mirror(g), affine_reward_map(g, 2.0, 0.5), with_gamma(g, 0.5)):
         assert copy.layout is lay
     tables = (lay.trans.data, lay.trans.indices, lay.trans.indptr, lay.uniform_mask,
-              lay.weights, lay._rows, lay.row_lengths, g.owners, space.is_max, space.n_actions,
+              lay.weights, lay._rows, lay.row_lengths, g.owners, space.n_actions,
               space.state_offset, space.pair_state, space.rewards, space.pair_sign,
               space.choice_states, space.choice_pairs, space.choice_starts)
     assert not any(arr.flags.writeable for arr in tables)

@@ -63,10 +63,10 @@ def test_hi1_rejects_small_T():
         build_hi1(30)
 
 
-@pytest.mark.parametrize("beta_factor", [float("nan"), float("inf"), 1e300])
-def test_hi1_rejects_a_beta_factor_without_a_discount_below_one(beta_factor):
-    with pytest.raises(InputError, match="beta_factor"):
-        build_hi1(48, beta_factor=beta_factor)
+def test_hi1_rejects_a_T_whose_discount_rounds_to_one():
+    # 1/(4T) = 2**-62 is below half an ulp of 1
+    with pytest.raises(InputError, match="rounds gamma"):
+        build_hi1(2 ** 60)
 
 
 def test_hi1_stationary_closed_forms_exact():
@@ -120,6 +120,75 @@ def test_hi1_verifier_is_deterministic():
     t1, _ = verify_pi_path_hi1(48)
     t2, _ = verify_pi_path_hi1(48)
     assert t1.csv_rows() == t2.csv_rows()
+
+
+
+def doctored_pi(edit):
+    """``policy_iteration`` whose strategy and trace ``edit`` rewrites."""
+    def run(game, sigma0):
+        sigma, trace = policy_iteration(game, sigma0)
+        return edit(sigma, trace)
+    return run
+
+
+def drop_last_step(sigma, trace):
+    del trace.changes[trace.improving_steps()[-1]]
+    return sigma, trace
+
+
+def add_a_flip(sigma, trace):
+    trace.changes[trace.improving_steps()[1]].append((0, 0, 1))
+    return sigma, trace
+
+
+def swap_two_steps(sigma, trace):
+    a, b = trace.improving_steps()[:2]
+    trace.changes[a], trace.changes[b] = trace.changes[b], trace.changes[a]
+    return sigma, trace
+
+
+def stop_at_the_start(sigma, trace):
+    return np.zeros_like(sigma), trace
+
+
+@pytest.mark.parametrize("edit, want", [
+    (drop_last_step, [("pi-path:count", (), 3.0, 4.0)]),
+    (add_a_flip, [("pi-path:single-flip", (1,), 2.0, 1.0)]),
+    (swap_two_steps, [("pi-path:order", (0,), 189.0, 190.0),
+                      ("pi-path:order", (1,), 190.0, 189.0)]),
+    (stop_at_the_start, [("pi-path:terminal", (), 0.0, 1.0)]),
+], ids=["count", "single-flip", "order", "terminal"])
+def test_hi1_verifier_reports_a_doctored_path(edit, want, monkeypatch):
+    monkeypatch.setattr(sg.hard, "policy_iteration", doctored_pi(edit))
+    _, report = verify_pi_path_hi1(192)  # s_prime = 4: flips at states 190, 189, 188, 187
+    assert [(v.prop, v.index, v.lhs, v.rhs) for v in report.violations] == want
+
+
+def test_hi1_verifier_reports_a_witness_that_is_not_suboptimal(monkeypatch):
+    # every policy valued alike: the quarter-way policy misses nothing
+    monkeypatch.setattr(sg.hard, "evaluate", lambda game, pi: np.zeros(game.n_states))
+    _, report = verify_pi_path_hi1(192)
+    assert [(v.prop, v.index, v.lhs, v.rhs) for v in report.violations] == [
+        ("pi-path:suboptimality", (1,), 0.0, 0.1)]
+
+
+def test_hi1_distribution_bounds_reports_each_failing_law(monkeypatch):
+    T = 48
+    lo, hi = 1.0 / (2 * T), 3.0 / T  # s_prime = 2
+    laws = iter([None, np.full(T, 0.25 / T), np.r_[np.full(T - 1, 0.5 / T), 0.5 + 0.5 / T]])
+
+    def stationary(game, pi):
+        law = next(laws)
+        if law is None:
+            raise RuntimeError("did not converge")
+        return law
+
+    monkeypatch.setattr(sg.hard, "stationary_distribution", stationary)
+    report = hi1_distribution_bounds(T, 1, seed=0)
+    assert [(v.prop, v.index, v.lhs, v.rhs) for v in report.violations] == [
+        ("hi1-bounds:non-convergent", (0,), 0.0, 0.0),
+        ("hi1-bounds:lower", (1,), 0.25 / T, lo),
+        ("hi1-bounds:upper", (2,), 0.5 + 0.5 / T, hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +294,38 @@ def test_hi2_vbar_signs_out_of_regime_reports_not_crashes():
     # far from the gamma -> 1 regime the pattern may legitimately fail;
     # the point is that it is reported, not raised
     assert report.violations is not None
+
+
+
+@pytest.mark.parametrize("change, prop, cells", [
+    # a goal worth less than the switch: the reaching family is positive
+    ({"r_goal": 0.1}, "vbar-sign:negative", [(i, z) for z in range(3) for i in (1, 2)]),
+    # rewards far past the first-order regime: the escaping family leaves the band
+    ({"r_goal": 50.0, "switch_rewards": (40.0, 40.0)}, "vbar-sign:band",
+     [(i, z) for z in range(3) for i in (0, 1)]),
+], ids=["negative", "band"])
+def test_hi2_vbar_signs_reports_each_cell_out_of_pattern(change, prop, cells):
+    config = Hi2Config(**{**default_hi2_rewards(400).to_json_dict(), **change})
+    report = hi2_vbar_signs(400, config)
+    assert [(v.prop, v.index) for v in report.violations] == [(prop, c) for c in cells]
+    for v in report.violations:
+        if prop == "vbar-sign:negative":
+            assert v.lhs >= 0.0 and v.rhs == 0.0 and v.slack == v.lhs
+        else:
+            assert v.slack == abs(v.lhs - v.rhs) - sg.hard.VBAR_BAND > 0.0
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"s_b": 2}, "boosting chains must be longer"),
+    ({"s_b_prime": 1}, "boosting chains must be longer"),
+    ({"switch_rewards": (0.65, 0.65, 0.65)}, "one switch reward per min-chain state"),
+    ({"switch_rewards": (0.65,)}, "one switch reward per min-chain state"),
+], ids=["s_b", "s_b_prime", "three-rewards", "one-reward"])
+def test_hi2_refuses_a_config_it_cannot_lay_out(change, message):
+    config = Hi2Config(**{**default_hi2_rewards(400).to_json_dict(), **change})
+    for run in (build_hi2, verify_si_path_hi2, hi2_vbar_signs):
+        with pytest.raises(InputError, match=message):
+            run(400, config)
 
 
 def test_hi2_flux_ratio_tracks_ergodicity_ratio():

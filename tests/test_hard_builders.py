@@ -30,10 +30,10 @@ NEAR = Hi2Config(**{**default_hi2_rewards(400).to_json_dict(), "switch_rewards":
                     "r_delta": 0.025, "r_delta_prime": 0.1, "r_goal": 2.0})
 
 
-def reference_build_hi1(T, beta_factor=4.0):
+def reference_build_hi1(T):
     s_prime = int(math.isqrt(T // 12))
-    gamma = 1.0 - 1.0 / (beta_factor * T)
-    meta = Hi1Meta(T=T, s_prime=s_prime, beta_factor=beta_factor, gamma=gamma)
+    gamma = 1.0 - 1.0 / (4.0 * T)
+    meta = Hi1Meta(T=T, s_prime=s_prime, gamma=gamma)
     actions = []
     for s in range(T):
         reward = 1.0 if s == T - 1 else 0.0

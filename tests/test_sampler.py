@@ -173,7 +173,7 @@ def test_mirrored_model_shares_shape_but_not_counters():
     m2 = model.mirrored()
     assert m2.sample_count()[0] == 0
     np.testing.assert_allclose(m2.rewards, 1.0 - model.rewards)
-    assert np.array_equal(m2.space.is_max, ~model.space.is_max)
+    assert np.array_equal(m2.space.pair_sign, -model.space.pair_sign)
 
 
 def mixed_row_game(n=6, seed=19):

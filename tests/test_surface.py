@@ -17,7 +17,7 @@ from pathlib import Path
 import sg
 
 MODULES = ("game", "exact", "sampler", "qvi", "checks", "hard", "generate")
-KNOBS = 45
+KNOBS = 42
 # Each public name no library code reads, and why it stays.
 UNUSED = {
     "checks.MarkovianPlan.make": "the public constructor of the plan markovian_evaluate takes",
