@@ -15,7 +15,8 @@ unreadable or malformed JSON file, an output path that cannot be written, or
 solver constants whose plan cannot run. The harness only maps flags to
 library calls. The library checks every argument and document (read by
 ``sg.game.read_json``) and raises :class:`sg.game.InputError`, the one
-exception ``main`` maps, to exit 2 with a JSON error on stderr. The harness
+exception ``main`` maps, to exit 2 with a JSON error on stderr; the parser
+raises it for argparse's own usage errors too. The harness
 checks only what no library call receives before the run: that exactly one
 game source is given, and that the directory of ``--out`` exists.
 All randomness flows from ``--seed``; the library refuses a randomized run
@@ -231,9 +232,16 @@ def cmd_scaling(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise InputError, so that they
+    leave through ``main`` as a JSON error like every other exit 2."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sg", description="stochastic-game solver toolkit")
+    parser = _Parser(prog="sg", description="stochastic-game solver toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_game_source(p):
@@ -296,13 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes
-        return EXIT_BAD_INPUT if exc.code not in (0,) else 0
-    try:
+        args = build_parser().parse_args(argv)
         out = getattr(args, "out", None)
         _require(out is None or os.path.isdir(os.path.dirname(out) or "."),
                  f"--out directory of {out} does not exist")

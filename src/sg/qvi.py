@@ -18,7 +18,10 @@ variant).
 The driver halves the accuracy target u across rounds, feeding each run's
 terminal value-strategy pair to the next run, and reads the min-player
 strategy off the final sequence; the max player comes from the same machinery
-on the role-swapped game.
+on the role-swapped game. The two halving chains share no state (each has its
+own generator stream), so the driver runs them side by side, the max chain on
+a worker thread; numpy's multinomial draw releases the GIL, so on two cores
+a two-player solve takes about the time of one chain.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -326,27 +330,33 @@ def planned_samples(n_pairs: int, gamma: float, epsilon: float, delta: float,
 
 
 def _halving_chain(model: GenerativeModel, epsilon: float, delta: float,
-                   consts: QviConstants, player: str) -> tuple[list[VSSequence], list[bool]]:
-    """The decreasing runs of one halving chain and each run's invariant flag."""
+                   consts: QviConstants) -> tuple[list[VSSequence], list[bool], list[float]]:
+    """The decreasing runs of one halving chain, each run's invariant flag and
+    its wall seconds. It logs nothing, so that two chains can run at once."""
     beta = 1.0 / (1.0 - model.gamma)
     u_schedule, delta_round = _schedule(model.gamma, epsilon, delta)
     v = np.full(model.n_states, beta)
     sigma = np.zeros(model.n_states, dtype=np.int64)
-    oks, seqs = [], []
-    for j, u_j in enumerate(u_schedule):
+    oks, seqs, seconds = [], [], []
+    for u_j in u_schedule:
         start = time.perf_counter()
         seq = qvi_mdvss(model, u_j, delta_round, v, sigma, consts)
-        ok = bool((np.diff(seq.values, axis=0) <= 1e-12).all()
-                  and (seq.q_values >= -1e-12).all()
-                  and (seq.q_values <= beta + 1e-12).all())
+        oks.append(bool((np.diff(seq.values, axis=0) <= 1e-12).all()
+                        and (seq.q_values >= -1e-12).all()
+                        and (seq.q_values <= beta + 1e-12).all()))
+        seconds.append(time.perf_counter() - start)
+        v, sigma = seq.terminal_value.copy(), seq.terminal_strategy.copy()
+        seqs.append(seq)
+    return seqs, oks, seconds
+
+
+def _log_chain(player: str, seqs: list[VSSequence], oks: list[bool],
+               seconds: list[float]) -> None:
+    for j, (seq, ok, s) in enumerate(zip(seqs, oks, seconds)):
         d = seq.constants
         log.info("halving round %d: player=%s u=%.6g rounds=%d m1=%d m2=%d "
-                 "samples=%d seconds=%.3f round_ok=%s", j, player, u_j, d.rounds, d.m1, d.m2,
-                 seq.samples_used, time.perf_counter() - start, ok)
-        v, sigma = seq.terminal_value.copy(), seq.terminal_strategy.copy()
-        oks.append(ok)
-        seqs.append(seq)
-    return seqs, oks
+                 "samples=%d seconds=%.3f round_ok=%s", j, player, d.u, d.rounds, d.m1, d.m2,
+                 seq.samples_used, s, ok)
 
 
 def solve(model: GenerativeModel, epsilon: float, delta: float,
@@ -358,7 +368,12 @@ def solve(model: GenerativeModel, epsilon: float, delta: float,
     (u_j = beta / 2^j) and failure budget delta per run chain; the terminal
     strategy's min-player part is epsilon-optimal with probability at least
     1 - delta. The max player, when requested, comes from the identical
-    chain on the role-swapped game.
+    chain on the role-swapped game, run on a worker thread while the min
+    chain runs on the caller's. Each chain draws from its own model, so the
+    result is bit for bit that of running them one after the other. The
+    worker is joined before ``solve`` returns or raises (an error of the min
+    chain first), and the rounds are logged once both chains have ended, the
+    min chain's first.
     """
     if not (0.0 < epsilon < 1.0):
         raise InputError("epsilon must lie in (0, 1)")
@@ -366,8 +381,15 @@ def solve(model: GenerativeModel, epsilon: float, delta: float,
         raise InputError("delta must lie in (0, 1)")
     consts = consts or QviConstants()
 
-    seqs, oks = _halving_chain(model, epsilon, delta, consts, "min")
-    mirror_seqs: list[VSSequence] = []
     if both_players:
-        mirror_seqs, _ = _halving_chain(model.mirrored(), epsilon, delta, consts, "max")
-    return SolveResult(sequences=seqs, mirror_sequences=mirror_seqs, round_ok=oks)
+        mirrored = model.mirrored()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            max_chain = pool.submit(_halving_chain, mirrored, epsilon, delta, consts)
+            seqs, oks, seconds = _halving_chain(model, epsilon, delta, consts)
+        mirror = max_chain.result()
+    else:
+        seqs, oks, seconds = _halving_chain(model, epsilon, delta, consts)
+        mirror = [], [], []
+    _log_chain("min", seqs, oks, seconds)
+    _log_chain("max", *mirror)
+    return SolveResult(sequences=seqs, mirror_sequences=mirror[0], round_ok=oks)

@@ -452,4 +452,24 @@ def test_scaling_without_out_writes_its_csv_to_stdout(capsys):
 def test_an_unknown_flag_exits_2(flag, capsys):
     assert main(["solve", "--hi1", "48", flag, "4"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "unrecognized arguments" in captured.err
+    assert captured.out == ""
+    assert "unrecognized arguments" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hard", "pi", "--T", "abc"], "sg hard pi: argument --T: invalid int value: 'abc'"),
+    (["solve", "--method", "xx"], "sg solve: argument --method: invalid choice"),
+    (["hard"], "sg hard: the following arguments are required"),
+    ([], "sg: the following arguments are required: command"),
+])
+def test_a_usage_error_exits_2_with_a_json_error(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["error"].startswith(message)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sg solve")

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from sg.exact import best_response, greedy_from_q, q_from_v, value_iteration
 from sg.game import Action, InputError, MAX_PLAYER, make_game
 from sg.generate import random_game
 from sg.qvi import (DECREASING, INCREASING, QviConstants, VSSequence,
-                    derive_constants, planned_samples, qvi_mdvss, qvi_mivss,
-                    solve)
+                    _halving_chain, derive_constants, planned_samples, qvi_mdvss,
+                    qvi_mivss, solve)
 from sg.sampler import GenerativeModel
 
 
@@ -314,6 +315,68 @@ def test_halving_rounds_name_their_player(caplog):
     for j, msg in enumerate(records):
         player = "min" if j < n else "max"
         assert msg.startswith(f"halving round {j % n}: player={player} ")
+
+
+def test_solve_matches_two_serial_chains_bit_for_bit():
+    # the two chains run side by side, yet each keeps its own generator,
+    # counter and game, so the result is that of running them one by one
+    g = random_game(6, 2, 0.9, seed=8)
+    model = GenerativeModel(g, master_seed=9)
+    before = threading.active_count()
+    res = solve(model, epsilon=0.2, delta=0.1, consts=small_consts())
+    assert threading.active_count() == before
+
+    serial = GenerativeModel(g, master_seed=9)
+    seqs, oks, _ = _halving_chain(serial, 0.2, 0.1, small_consts())
+    mirror_seqs, _, _ = _halving_chain(serial.mirrored(), 0.2, 0.1, small_consts())
+    assert res.round_ok == oks
+    assert model.sample_count()[0] == serial.sample_count()[0]
+    np.testing.assert_array_equal(model.sample_count()[1], serial.sample_count()[1])
+    for got, want in zip(res.sequences + res.mirror_sequences, seqs + mirror_seqs,
+                         strict=True):
+        for field in ("values", "q_values", "strategies", "error_bounds"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        assert got.direction == want.direction
+        assert got.constants == want.constants
+        assert got.samples_used == want.samples_used
+
+
+def _failing_batch(event=None):
+    def estimate_diff_mean(*args):
+        if event is not None:
+            event.set()
+        raise RuntimeError("batch failed")
+    return estimate_diff_mean
+
+
+def test_solve_raises_the_max_chains_error_and_leaves_no_thread(monkeypatch):
+    model = GenerativeModel(random_game(6, 2, 0.9, seed=8), master_seed=9)
+    mirrored = model.mirrored()
+    monkeypatch.setattr(mirrored, "estimate_diff_mean", _failing_batch())
+    monkeypatch.setattr(model, "mirrored", lambda: mirrored)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="batch failed"):
+        solve(model, epsilon=0.2, delta=0.1, consts=small_consts())
+    assert threading.active_count() == before
+
+
+def test_solve_raises_the_min_chains_error_after_joining_the_max_chain(monkeypatch):
+    model = GenerativeModel(random_game(6, 2, 0.9, seed=8), master_seed=9)
+    mirrored = model.mirrored()
+    min_failed = threading.Event()
+    batch = mirrored.estimate_diff_mean
+
+    def slow_batch(*args):  # still running when the min chain raises
+        min_failed.wait(timeout=10)
+        return batch(*args)
+
+    monkeypatch.setattr(model, "estimate_diff_mean", _failing_batch(min_failed))
+    monkeypatch.setattr(mirrored, "estimate_diff_mean", slow_batch)
+    monkeypatch.setattr(model, "mirrored", lambda: mirrored)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="batch failed"):
+        solve(model, epsilon=0.2, delta=0.1, consts=small_consts())
+    assert threading.active_count() == before
 
 
 def test_solve_returns_both_players_epsilon_optimal():

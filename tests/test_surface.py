@@ -21,6 +21,7 @@ KNOBS = 42
 # Each public name no library code reads, and why it stays.
 UNUSED = {
     "checks.MarkovianPlan.make": "the public constructor of the plan markovian_evaluate takes",
+    "cli._Parser.error": "argparse calls it on a usage error, which it turns into an exit-2 JSON error",
     "game.quotient": "the README documents it; it is the oracle of the directly built hi2 quotient",
     "generate.random_game": "tests and perfbench generate their games with it",
     "qvi.SolveResult.u_schedule": "the README documents it as a solve's halving schedule",
