@@ -143,11 +143,14 @@ class ActionSpace:
     choice_starts: np.ndarray  # (n_choice,) int, each one's first index in choice_pairs
 
     def pair_index(self, state: int, action: int) -> int:
-        if not (0 <= state < self.n_states):
+        """Flat index of ``(state, action)``, refused unless both are integers
+        in range (a bool or 0.0 is no index)."""
+        state, action = check_int(state, "state", 0), check_int(action, "action", 0)
+        if state >= self.n_states:
             raise InputError(f"invalid state {state}")
-        if not (0 <= action < self.n_actions[state]):
+        if action >= self.n_actions[state]:
             raise InputError(f"invalid action {action} at state {state}")
-        return int(self.state_offset[state]) + int(action)
+        return int(self.state_offset[state]) + action
 
     def check_strategy(self, strategy: np.ndarray) -> np.ndarray:
         """Refuse a strategy (n_states,) or a stack of them (k, n_states)

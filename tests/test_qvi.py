@@ -318,27 +318,32 @@ def test_halving_rounds_name_their_player(caplog):
 
 
 def test_solve_matches_two_serial_chains_bit_for_bit():
-    # the two chains run side by side, yet each keeps its own generator,
-    # counter and game, so the result is that of running them one by one
-    g = random_game(6, 2, 0.9, seed=8)
-    model = GenerativeModel(g, master_seed=9)
-    before = threading.active_count()
-    res = solve(model, epsilon=0.2, delta=0.1, consts=small_consts())
-    assert threading.active_count() == before
+    # the two chains run side by side, yet each keeps its own generators,
+    # counter and game, so the result is that of running them one by one.
+    # On the 120 x 40 table each chain draws its two blocks in turn, while
+    # the serial chains below draw them on two threads.
+    for g in (random_game(6, 2, 0.9, seed=8), random_game(40, 3, 0.9, seed=8)):
+        model = GenerativeModel(g, master_seed=9)
+        before = threading.active_count()
+        res = solve(model, epsilon=0.2, delta=0.1, consts=small_consts())
+        assert threading.active_count() == before
+        assert model._threaded
 
-    serial = GenerativeModel(g, master_seed=9)
-    seqs, oks, _ = _halving_chain(serial, 0.2, 0.1, small_consts())
-    mirror_seqs, _, _ = _halving_chain(serial.mirrored(), 0.2, 0.1, small_consts())
-    assert res.round_ok == oks
-    assert model.sample_count()[0] == serial.sample_count()[0]
-    np.testing.assert_array_equal(model.sample_count()[1], serial.sample_count()[1])
-    for got, want in zip(res.sequences + res.mirror_sequences, seqs + mirror_seqs,
-                         strict=True):
-        for field in ("values", "q_values", "strategies", "error_bounds"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
-        assert got.direction == want.direction
-        assert got.constants == want.constants
-        assert got.samples_used == want.samples_used
+        serial = GenerativeModel(g, master_seed=9)
+        assert len(serial._rngs) == (1 if g.n_states == 6 else 2)
+        seqs, oks, _ = _halving_chain(serial, 0.2, 0.1, small_consts())
+        mirror_seqs, _, _ = _halving_chain(serial.mirrored(), 0.2, 0.1, small_consts())
+        assert threading.active_count() == before
+        assert res.round_ok == oks
+        assert model.sample_count()[0] == serial.sample_count()[0]
+        np.testing.assert_array_equal(model.sample_count()[1], serial.sample_count()[1])
+        for got, want in zip(res.sequences + res.mirror_sequences, seqs + mirror_seqs,
+                             strict=True):
+            for field in ("values", "q_values", "strategies", "error_bounds"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+            assert got.direction == want.direction
+            assert got.constants == want.constants
+            assert got.samples_used == want.samples_used
 
 
 def _failing_batch(event=None):

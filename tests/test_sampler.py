@@ -1,12 +1,14 @@
 """Generative-model facade: determinism, exactness, accounting."""
 
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
-from sg.game import Action, MAX_PLAYER, MIN_PLAYER, make_game
+from sg.game import Action, InputError, MAX_PLAYER, MIN_PLAYER, make_game
 from sg.generate import random_game
-from sg.sampler import GenerativeModel
+from sg.sampler import BLOCK_TABLE_MIN, GenerativeModel
 
 
 def point_mass_game():
@@ -176,13 +178,13 @@ def test_mirrored_model_shares_shape_but_not_counters():
     assert np.array_equal(m2.space.pair_sign, -model.space.pair_sign)
 
 
-def mixed_row_game(n=6, seed=19):
+def mixed_row_game(n=6, seed=19, most_actions=3):
     """Uniform and sparse rows side by side; sparse targets sorted and unique."""
     rng = np.random.default_rng(seed)
     actions = []
     for s in range(n):
         acts = []
-        for a in range(1 + s % 3):
+        for a in range(1 + s % most_actions):
             if (s + a) % 3 == 0:
                 acts.append(Action(reward=0.5, uniform=True))
             else:
@@ -210,6 +212,20 @@ def padded_rows(game):
     support = np.array([np.pad(sup, (0, width - sup.size), mode="edge") for sup, _ in rows])
     probs = np.array([np.pad(p, (0, width - p.size)) for _, p in rows])
     return support, probs
+
+
+def two_block_game():
+    """Mixed rows whose 210 x 20 table is at least BLOCK_TABLE_MIN entries."""
+    g = mixed_row_game(n=20, seed=41, most_actions=20)
+    assert g.layout.row_table()[1].size >= BLOCK_TABLE_MIN
+    assert g.layout.uniform_mask.any() and not g.layout.uniform_mask.all()
+    return g
+
+
+def test_acceptance_size_keeps_one_block():
+    # the acceptance gate's 20 x 4 games have an 80 x 20 table, under half the crossover
+    assert random_game(20, 4, 0.9, seed=0).layout.row_table()[1].size * 2 < BLOCK_TABLE_MIN
+    assert mixed_row_game().layout.row_table()[1].size < BLOCK_TABLE_MIN
 
 
 def model_and_salt(game, master_seed, mirrored):
@@ -267,30 +283,33 @@ def batch_counts(model, m, n):
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_batches_match_per_pair_substream_oracle_in_distribution(mirrored):
     """The former sampler, one generator per pair keyed (salt, pair), is kept
-    as an oracle: pooled counts agree in distribution, accounting exactly."""
-    g = mixed_row_game()
-    master_seed, n, m, batches = 29, g.n_states, 5, 400
-    model, salt = model_and_salt(g, master_seed, mirrored)
-    rows = reference_rows(g)
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        entropy=master_seed, spawn_key=(salt, pair)))) for pair in range(g.n_pairs)]
+    as an oracle: pooled counts agree in distribution, accounting exactly, on
+    a one-block and on a two-block table."""
+    for g in (mixed_row_game(), two_block_game()):
+        master_seed, n, m, batches = 29, g.n_states, 5, 400
+        model, salt = model_and_salt(g, master_seed, mirrored)
+        rows = reference_rows(g)
+        rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            entropy=master_seed, spawn_key=(salt, pair)))) for pair in range(g.n_pairs)]
 
-    pooled = np.zeros((g.n_pairs, n), dtype=np.int64)
-    oracle = np.zeros((g.n_pairs, n), dtype=np.int64)
-    for _ in range(batches):
-        counts = batch_counts(model, m, n)
-        assert (counts.sum(axis=1) == m).all()
-        pooled += counts
-        for pair, ((support, probs), rng) in enumerate(zip(rows, rngs)):
-            np.add.at(oracle[pair], support, rng.multinomial(m, probs))
-    for pair in range(g.n_pairs):
-        seen = (pooled[pair] + oracle[pair]) > 0
-        if seen.sum() > 1:
-            p = chi2_contingency(np.stack([pooled[pair, seen], oracle[pair, seen]])).pvalue
-            assert p > 1e-3, (pair, pooled[pair], oracle[pair])
-    total, table = model.sample_count()
-    assert np.array_equal(table, np.full(g.n_pairs, batches * m))
-    assert total == oracle.sum()
+        pooled = np.zeros((g.n_pairs, n), dtype=np.int64)
+        oracle = np.zeros((g.n_pairs, n), dtype=np.int64)
+        for _ in range(batches):
+            counts = batch_counts(model, m, n)
+            assert (counts.sum(axis=1) == m).all()
+            pooled += counts
+            for pair, ((support, probs), rng) in enumerate(zip(rows, rngs)):
+                np.add.at(oracle[pair], support, rng.multinomial(m, probs))
+        # 1e-3 per pair on the 12-pair game; the same family-wise rate on more pairs
+        alpha = 1e-3 * 12 / g.n_pairs
+        for pair in range(g.n_pairs):
+            seen = (pooled[pair] + oracle[pair]) > 0
+            if seen.sum() > 1:
+                p = chi2_contingency(np.stack([pooled[pair, seen], oracle[pair, seen]])).pvalue
+                assert p > alpha, (pair, pooled[pair], oracle[pair])
+        total, table = model.sample_count()
+        assert np.array_equal(table, np.full(g.n_pairs, batches * m))
+        assert total == oracle.sum()
 
 
 def test_padding_never_draws_outside_the_support():
@@ -308,3 +327,129 @@ def test_padding_never_draws_outside_the_support():
         outside[row[probs[pair] > 0]] = 0.0
         for _ in range(3):
             assert model.estimate_diff_mean(outside, zero, 10_000).mean[pair] == 0.0
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_two_block_batches_follow_block_serial_reference(mirrored):
+    """Bit-exact: a wide table's batch is one multinomial call per block of
+    contiguous pairs, block 0 then block 1, each on its generator keyed
+    (salt, block); a single draw uses its pair's block."""
+    g = two_block_game()
+    master_seed, n, cut = 43, g.n_states, g.n_pairs // 2
+    model, salt = model_and_salt(g, master_seed, mirrored)
+    support, probs = padded_rows(g)
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy=master_seed, spawn_key=(salt, b)))) for b in range(2)]
+    values = np.random.default_rng(1)
+    v, v0 = values.integers(0, 10, size=n) * 1.0, values.integers(0, 10, size=n) * 1.0
+    late = g.n_pairs - 1  # a block-1 pair
+    state = int(np.searchsorted(g.space.state_offset, late, side="right")) - 1
+    action = late - int(g.space.state_offset[state])
+
+    calls = [("var", 40), ("single", 3), ("diff", 7), ("single", 1), ("var", 1)]
+    for kind, m in calls:
+        if kind == "single":
+            for _ in range(m):
+                want = support[late, rngs[1].multinomial(1, probs[late]).argmax()]
+                assert model.sample_transition(state, action) == want
+            continue
+        counts = np.concatenate((rngs[0].multinomial(m, probs[:cut]),
+                                 rngs[1].multinomial(m, probs[cut:])))
+        if kind == "var":
+            mean = np.vecdot(v[support], counts) / m
+            est = model.estimate_mean_and_var(v, m)
+            var = np.maximum(np.vecdot((v * v)[support], counts) / m - mean ** 2, 0.0)
+            np.testing.assert_array_equal(est.variance, var)
+        else:
+            mean = np.vecdot((v - v0)[support], counts) / m
+            est = model.estimate_diff_mean(v, v0, m)
+        np.testing.assert_array_equal(est.mean, mean)
+    total, table = model.sample_count()
+    want = np.full(g.n_pairs, 48)
+    want[late] += 4
+    assert np.array_equal(table, want) and total == want.sum()
+
+
+def test_blocks_drawn_in_turn_give_the_threaded_draws():
+    g = two_block_game()
+    threaded, in_turn = GenerativeModel(g, master_seed=47), GenerativeModel(g, master_seed=47)
+    v = np.arange(g.n_states) * 1.0
+    with in_turn.blocks_in_turn():
+        for m in (30, 2, 11):
+            a, b = threaded.estimate_mean_and_var(v, m), in_turn.estimate_mean_and_var(v, m)
+            np.testing.assert_array_equal(a.mean, b.mean)
+            np.testing.assert_array_equal(a.variance, b.variance)
+    assert in_turn._threaded
+
+
+class FailingDraws:
+    def multinomial(self, *args):
+        raise RuntimeError("draw failed")
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_a_failed_block_draw_is_raised_on_the_caller_and_leaves_no_thread(monkeypatch,
+                                                                         block):
+    model = GenerativeModel(two_block_game(), master_seed=53)
+    v = np.zeros(model.n_states)
+    before = threading.active_count()
+    model.estimate_diff_mean(v, v, 5)
+    assert threading.active_count() == before
+    rngs = list(model._rngs)
+    rngs[block] = FailingDraws()
+    monkeypatch.setattr(model, "_rngs", rngs)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        model.estimate_diff_mean(v, v, 5)
+    assert threading.active_count() == before
+    total, table = model.sample_count()
+    assert total == 5 * model.n_pairs and (table == 5).all()
+
+
+def next_batch(model):
+    return model.estimate_diff_mean(np.arange(model.n_states) * 1.0,
+                                    np.zeros(model.n_states), 9).mean
+
+
+@pytest.mark.parametrize("make_game_", [mixed_row_game, two_block_game],
+                         ids=["one_block", "two_blocks"])
+@pytest.mark.parametrize("m", [True, 2.5, np.float64(3), 0, -1, "3", None])
+def test_bad_batch_sizes_are_refused_before_any_draw(make_game_, m):
+    g = make_game_()
+    model, fresh = GenerativeModel(g, master_seed=59), GenerativeModel(g, master_seed=59)
+    v = np.zeros(g.n_states)
+    with pytest.raises(InputError, match="batch size"):
+        model.estimate_diff_mean(v, v, m)
+    with pytest.raises(InputError, match="batch size"):
+        model.estimate_mean_and_var(v, m)
+    assert model.sample_count()[0] == 0
+    np.testing.assert_array_equal(next_batch(model), next_batch(fresh))
+
+
+@pytest.mark.parametrize("state, action", [(True, 0), (0.0, 0), (0, False),
+                                           (np.float64(1), 0), (1, 0.0), (-1, 0)])
+def test_non_integer_pairs_are_refused(state, action):
+    model = GenerativeModel(point_mass_game(), master_seed=61)
+    with pytest.raises(InputError):
+        model.sample_transition(state, action)
+    with pytest.raises(InputError):
+        model.space.pair_index(state, action)
+    assert model.sample_count()[0] == 0
+    assert model.sample_transition(np.int64(1), np.int32(1)) == 1
+
+
+def test_draw_counters_refuse_overflow_and_total_exactly():
+    model = GenerativeModel(random_game(4, 2, 0.9, seed=67), master_seed=71)  # 8 pairs
+    v = np.zeros(4)
+    model.estimate_diff_mean(v, v, 2 ** 62)
+    total, table = model.sample_count()
+    assert total == 8 * 2 ** 62 and (table == 2 ** 62).all()
+    with pytest.raises(InputError, match="draw counter"):
+        model.estimate_diff_mean(v, v, 2 ** 62)
+    model.estimate_diff_mean(v, v, 2 ** 62 - 1)
+    assert model.sample_count()[0] == 8 * (2 ** 63 - 1)
+    with pytest.raises(InputError, match="draw counter"):
+        model.sample_transition(0, 0)
+    with pytest.raises(InputError, match="draw counter"):
+        model.estimate_diff_mean(v, v, 2 ** 70)
+    total, table = model.sample_count()
+    assert total == 8 * (2 ** 63 - 1) and (table == 2 ** 63 - 1).all()
