@@ -21,13 +21,12 @@ strategy off the final sequence; the max player comes from the same machinery
 on the role-swapped game. The two halving chains share no state (each has its
 own generator streams), so ``solve`` runs them side by side, the max chain
 on a worker thread; numpy's multinomial draw releases the GIL, so on two cores
-a two-player solve takes about the time of one chain. A one-player solve on a
-table of at least ``sampler.BLOCK_TABLE_MIN`` entries uses the second core
-inside each batch instead: the model draws its two blocks of pairs on two
-threads (qvi-wide, 400 x 100, took 0.58x the time, BENCH_26.json). In a
-two-player solve each chain draws its blocks in turn, since the chains
-already fill both cores. Either way the draws are those of the blocks'
-own streams, so the results do not depend on how they were scheduled.
+a two-player solve takes about the time of one chain. On a table of at
+least ``sampler.BLOCK_TABLE_MIN`` entries the model also draws each batch in
+two blocks of pairs on two threads, so a one-player solve uses the second
+core too (qvi-wide, 400 x 100, took 0.58x the time, BENCH_26.json). The
+draws are those of the blocks' own streams, so the results do not depend on
+how they were scheduled.
 """
 
 from __future__ import annotations
@@ -375,9 +374,8 @@ def solve(model: GenerativeModel, epsilon: float, delta: float,
     strategy's min-player part is epsilon-optimal with probability at least
     1 - delta. The max player, when requested, comes from the identical
     chain on the role-swapped game, run on a worker thread while the min
-    chain runs on the caller's. Each chain draws from its own model (a wide
-    table's two blocks in turn, not on threads of their own), so the result
-    is bit for bit that of running them one after the other. The
+    chain runs on the caller's. Each chain draws from its own model, so the
+    result is bit for bit that of running them one after the other. The
     worker is joined before ``solve`` returns or raises (an error of the min
     chain first), and the rounds are logged once both chains have ended, the
     min chain's first.
@@ -390,9 +388,7 @@ def solve(model: GenerativeModel, epsilon: float, delta: float,
 
     if both_players:
         mirrored = model.mirrored()
-        # the two chains fill two cores, so neither starts block threads
-        with (model.blocks_in_turn(), mirrored.blocks_in_turn(),
-              ThreadPoolExecutor(max_workers=1) as pool):
+        with ThreadPoolExecutor(max_workers=1) as pool:
             max_chain = pool.submit(_halving_chain, mirrored, epsilon, delta, consts)
             seqs, oks, seconds = _halving_chain(model, epsilon, delta, consts)
         mirror = max_chain.result()

@@ -26,7 +26,6 @@ row, from its pair's block generator.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +70,6 @@ class GenerativeModel:
             entropy=self.master_seed, spawn_key=key))) for key in keys]
         self._draws = np.zeros(self.n_pairs, dtype=np.int64)
         self._most = 0  # the largest entry of _draws, kept off the batch path
-        self._threaded = True
 
     # -- public structure (no transition data) ---------------------------
 
@@ -102,17 +100,6 @@ class GenerativeModel:
 
     # -- sampling ---------------------------------------------------------
 
-    @contextmanager
-    def blocks_in_turn(self):
-        """Within the block, draw the two blocks one after the other on the
-        caller's thread, for a caller whose own threads already keep both
-        cores busy (a two-player solve). The draws are the same."""
-        before, self._threaded = self._threaded, False
-        try:
-            yield
-        finally:
-            self._threaded = before
-
     def _batch_means(self, m: int, *xs: np.ndarray) -> np.ndarray:
         """Per-pair means of each ``x(s')`` over one fresh m-sample batch.
 
@@ -131,13 +118,9 @@ class GenerativeModel:
 
     def _block_counts(self, m: int) -> np.ndarray:
         """Counts of both blocks, block 0 drawn on the caller's thread and
-        block 1 on a worker (or after block 0 within :meth:`blocks_in_turn`).
-        The worker is joined before this returns or raises, and its error is
-        raised here."""
+        block 1 on a worker. The worker is joined before this returns or
+        raises, and its error is raised here."""
         head, tail = self._probs[:self._cut], self._probs[self._cut:]
-        if not self._threaded:
-            return np.concatenate((self._rngs[0].multinomial(m, head),
-                                   self._rngs[1].multinomial(m, tail)))
         drawn = []
 
         def draw_tail():

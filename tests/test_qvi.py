@@ -320,14 +320,13 @@ def test_halving_rounds_name_their_player(caplog):
 def test_solve_matches_two_serial_chains_bit_for_bit():
     # the two chains run side by side, yet each keeps its own generators,
     # counter and game, so the result is that of running them one by one.
-    # On the 120 x 40 table each chain draws its two blocks in turn, while
-    # the serial chains below draw them on two threads.
+    # On the 120 x 40 table each chain also draws its two blocks on two
+    # threads, four draws at once.
     for g in (random_game(6, 2, 0.9, seed=8), random_game(40, 3, 0.9, seed=8)):
         model = GenerativeModel(g, master_seed=9)
         before = threading.active_count()
         res = solve(model, epsilon=0.2, delta=0.1, consts=small_consts())
         assert threading.active_count() == before
-        assert model._threaded
 
         serial = GenerativeModel(g, master_seed=9)
         assert len(serial._rngs) == (1 if g.n_states == 6 else 2)
