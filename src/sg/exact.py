@@ -40,7 +40,8 @@ REFINE_PASSES = 4
 PLAIN_SWEEPS = 10 ** 4
 # Power-iteration sweeps between two convergence tests (see ``_power_iteration``).
 POWER_BLOCK = 8
-# Most floats a scan's strategy stack may hold (k * n^2, 8 MB).
+# Most floats a scan's strategy stack may hold (k * n^2, 8 MB); ``scan_stack``
+# builds two matrices per chain from it and inverts them, so about 5x that.
 STACK_FLOATS = 2 ** 20
 # Most pure strategies an exhaustive scan will enumerate.
 MAX_ENUMERATED_STRATEGIES = 10 ** 6
@@ -451,62 +452,49 @@ def _check_flux(x: np.ndarray, gamma: float) -> None:
         raise RuntimeError("flux mass does not match n/(1-gamma)")
 
 
-def _power_iteration(push, k: int, n: int) -> np.ndarray:
-    """Stationary distributions of k chains by power iteration from uniform.
+def _power_iteration(push, n: int) -> np.ndarray:
+    """Stationary distribution of one chain by power iteration from uniform.
 
-    Each chain's iterate is held as a (1, n) row. ``push(y, rows, out)``
-    writes P_r^T y_r into ``out`` for the chains ``rows`` (indices into the
-    k chains) still running, ``y`` and ``out`` being (len(rows), 1, n). A
-    sweep normalizes the last step into the iterate and pushes it one step;
-    after ``PLAIN_SWEEPS`` sweeps each iterate is first averaged with the
-    previous one (Cesaro) to cover periodic chains.
+    ``push(y)`` returns P^T y. A sweep normalizes the last step into the
+    iterate and pushes it one step; after ``PLAIN_SWEEPS`` sweeps each
+    iterate is first averaged with the previous one (Cesaro) to cover
+    periodic chains.
 
-    Sweeps run in blocks of ``POWER_BLOCK`` into two (nb, k, 1, n) buffers,
-    nb cut down (to 1 at least) where they would pass ``STACK_FLOATS``
-    floats; a block also ends at ``PLAIN_SWEEPS`` and at
+    Sweeps run in blocks of ``POWER_BLOCK`` into two (POWER_BLOCK, n)
+    buffers; a block also ends at ``PLAIN_SWEEPS`` and at
     ``STATIONARY_MAX_SWEEPS``. Convergence is tested once per block, in one
-    vectorized test: a chain's law is its iterate at its first sweep with
+    vectorized test: the law is the iterate at the first sweep with
     max|P^T y - y| <= ``STATIONARY_TOL``, bit for bit the iterate that a
-    test after every sweep would stop at. A converged chain makes at most
-    nb - 1 sweeps past it before it drops out. Rows are NaN for chains not
-    converged within ``STATIONARY_MAX_SWEEPS`` sweeps, and for chains whose
-    iterate or step turns non-finite first: such a chain never converges,
-    so it drops out at the end of that block. With k = 0 nothing is pushed.
+    test after every sweep would stop at, so the chain makes at most
+    ``POWER_BLOCK - 1`` sweeps past it. The law is NaN when the chain has not
+    converged within ``STATIONARY_MAX_SWEEPS`` sweeps, and when its iterate
+    or step turns non-finite first: it then never converges, and stops at
+    the end of that block.
     """
-    out = np.full((k, n), np.nan)
-    if k == 0:
-        return out
-    nb = max(1, min(POWER_BLOCK, STACK_FLOATS // (2 * k * n)))
-    iterates, steps = np.empty((nb, k, 1, n)), np.empty((nb, k, 1, n))
-    rows = np.arange(k)
-    lam, step = np.full((k, 1, n), 1.0 / n), np.empty((k, 1, n))
-    push(lam, rows, step)
+    iterates, steps = np.empty((POWER_BLOCK, n)), np.empty((POWER_BLOCK, n))
+    lam = np.full(n, 1.0 / n)
+    step = push(lam)
     it = 0
     while it < STATIONARY_MAX_SWEEPS:
         cesaro = it >= PLAIN_SWEEPS
-        b = min(nb, STATIONARY_MAX_SWEEPS - it, nb if cesaro else PLAIN_SWEEPS - it)
-        ys, ss = iterates[:b, :len(rows)], steps[:b, :len(rows)]
+        b = min(POWER_BLOCK, STATIONARY_MAX_SWEEPS - it,
+                POWER_BLOCK if cesaro else PLAIN_SWEEPS - it)
+        ys, ss = iterates[:b], steps[:b]
         for y, s in zip(ys, ss):
             if cesaro:
-                y_new = 0.5 * (step / np.add.reduce(step, axis=2, keepdims=True) + lam)
-                np.divide(y_new, np.add.reduce(y_new, axis=2, keepdims=True), out=y)
+                y_new = 0.5 * (step / np.add.reduce(step) + lam)
+                np.divide(y_new, np.add.reduce(y_new), out=y)
             else:
-                np.divide(step, np.add.reduce(step, axis=2, keepdims=True), out=y)
-            push(y, rows, s)
+                np.divide(step, np.add.reduce(step), out=y)
+            s[...] = push(y)
             lam, step = y, s
         it += b
-        gap = np.abs(ss - ys).max(axis=(2, 3))  # (b, chains), NaN once non-finite
+        gap = np.abs(ss - ys).max(axis=1)  # NaN once non-finite
         stop = (gap <= STATIONARY_TOL) | ~np.isfinite(gap)
-        if not stop.any():
-            continue
-        first, chains = stop.argmax(axis=0), np.arange(len(rows))
-        stopped = stop[first, chains]
-        won = stopped & (gap[first, chains] <= STATIONARY_TOL)
-        out[rows[won]] = ys[first[won], chains[won], 0]
-        if stopped.all():
-            break
-        rows, step, lam = rows[~stopped], step[~stopped], lam[~stopped]
-    return out
+        if stop.any():
+            first = stop.argmax()
+            return ys[first].copy() if gap[first] <= STATIONARY_TOL else np.full(n, np.nan)
+    return np.full(n, np.nan)
 
 
 def evaluate(game: StochasticGame, sigma: np.ndarray) -> np.ndarray:
@@ -541,23 +529,23 @@ def flux(game: StochasticGame, sigma: np.ndarray) -> np.ndarray:
 
 
 def stationary_distribution(game: StochasticGame, sigma: np.ndarray) -> np.ndarray:
-    """Stationary distribution of P_sigma by power iteration.
+    """Stationary distribution of P_sigma by power iteration from uniform.
 
-    Falls back to Cesaro averaging after the first 10^4 sweeps to cover
-    periodic corner cases. Convergence is tested once per block of up to
-    ``POWER_BLOCK`` sweeps (``_power_iteration``), so the chain makes at most
-    ``POWER_BLOCK - 1`` steps past the sweep it converged at, and the law
-    returned is that sweep's iterate. Raises if the chain has not converged
-    within ``STATIONARY_MAX_SWEEPS`` sweeps (reducible or periodic chain), or
-    at the first block's end if its iterate turned non-finite (a NaN in the
-    table, which ``sg.game.validate`` reports).
+    The one-chain route, for a chain held sparse as well as dense (a
+    ``ratio_scan`` of dense chains solves for its laws in ``scan_stack``
+    instead). Falls back to Cesaro averaging after the first 10^4 sweeps to
+    cover periodic corner cases. Convergence is tested once per block of up
+    to ``POWER_BLOCK`` sweeps (``_power_iteration``), so the chain makes at
+    most ``POWER_BLOCK - 1`` steps past the sweep it converged at, and the
+    law returned is that sweep's iterate. A chain with several closed
+    classes gets the law that the uniform start flows into. Raises if the
+    chain has not converged within ``STATIONARY_MAX_SWEEPS`` sweeps
+    (reducible or periodic chain), or at the first block's end if its
+    iterate turned non-finite (a NaN in the table, which
+    ``sg.game.validate`` reports).
     """
     sys = PolicyLinearSystem(game, sigma)
-
-    def push(y: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-        out[0, 0] = sys.step_distribution(y[0, 0])
-
-    lam = _power_iteration(push, 1, game.n_states)[0]
+    lam = _power_iteration(sys.step_distribution, game.n_states)
     if np.isnan(lam[0]):
         raise RuntimeError("power iteration did not converge; chain may be periodic or reducible")
     return lam
@@ -764,38 +752,47 @@ def scan_stack(game: StochasticGame, sigmas: np.ndarray) -> tuple[np.ndarray, np
     """Stationary distributions and fluxes of a stack of strategies at once.
 
     ``sigmas`` is a (k, n) array, one pure strategy per row. Their dense
-    chains are gathered once into a (k, n, n) stack; the stationary laws
-    follow the power iteration of ``stationary_distribution`` row by row,
-    and the fluxes come from one stacked solve of (I - gamma P^T) x = 1 with
-    the refinement and checks of ``flux``. The stack's convergence is tested
-    once per block of sweeps, and a converged chain leaves the stack at the
-    block's end. Returns ``(lam, x)``, both (k, n); the rows of chains that
-    did not converge within ``STATIONARY_MAX_SWEEPS`` sweeps, or whose
-    iterate turned non-finite, are NaN in both. An empty stack (k = 0)
-    returns at once.
+    chains are gathered once into a (k, n, n) stack, and each chain gives two
+    linear systems: the bordered stationary system
+    (I - P^T + (1/n) 1 1^T) lam = (1/n) 1 (Paige, Styan & Wachter 1975;
+    Stewart, *Introduction to the Numerical Solution of Markov Chains*,
+    1994), which is nonsingular exactly when the chain has one closed class,
+    and the flux system (I - gamma P^T) x = 1. All 2k matrices are inverted
+    once, in one batched call, and every pass of the refinement of
+    ``_refined_solve`` reuses the inverses. A law is accepted, as the power
+    iteration's is, when it is finite and max|P^T lam - lam| <=
+    ``STATIONARY_TOL``, and when no entry is below -``STATIONARY_TOL``;
+    entries in [-``STATIONARY_TOL``, 0) are then set to 0. The fluxes get
+    the checks of ``flux``.
+
+    Returns ``(lam, x)``, both (k, n). A chain's rows are NaN in both when
+    its table rows are not finite, when either of its matrices is exactly
+    singular (an exactly zero pivot; a chain with several closed classes
+    may come out so), or when its law is refused.
     """
     sigmas = game.space.check_strategy(sigmas)
     k, n = sigmas.shape
-    P = game.layout.dense()[game.space.chosen_pairs(sigmas)]
-    running = P
-
-    def push(y: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-        nonlocal running
-        if len(rows) < len(running):  # some chains finished: drop them
-            running = P[rows]
-        np.matmul(y, running, out=out)
-
-    lam = _power_iteration(push, k, n)
-    ok = ~np.isnan(lam[:, 0])
-    x = np.full((k, n), np.nan)
-    if ok.any():
-        Pc = P[ok]
-        A = np.eye(n) - game.gamma * Pc.transpose(0, 2, 1)
-        x[ok], _ = _refined_solve(
-            lambda b: np.linalg.solve(A, b[..., None])[..., 0],
-            lambda y: y - game.gamma * np.matmul(y[:, None, :], Pc)[:, 0, :],
-            np.ones((len(Pc), n)))
-        _check_flux(x[ok], game.gamma)
+    lam, x = np.full((k, n), np.nan), np.full((k, n), np.nan)
+    table = game.layout.dense()
+    pairs = game.space.chosen_pairs(sigmas)
+    live = np.flatnonzero(np.isfinite(table).all(axis=1)[pairs].all(axis=1))
+    PT = table[pairs[live]].transpose(0, 2, 1)
+    # M[0] holds each live chain's bordered stationary matrix, M[1] its flux matrix
+    M = np.eye(n) - np.array([1.0, game.gamma])[:, None, None, None] * PT
+    M[0] += 1.0 / n
+    sign, _ = np.linalg.slogdet(M)  # 0 where the LU meets an exactly zero pivot
+    solvable = (sign != 0).all(axis=0)
+    live, PT, M = live[solvable], PT[solvable], M[:, solvable]
+    inverse = np.linalg.inv(M)
+    b = np.ones((2, live.size, n))
+    b[0] /= n
+    (law, flow), _ = _refined_solve(lambda r: np.matmul(inverse, r[..., None])[..., 0],
+                                    lambda y: np.matmul(M, y[..., None])[..., 0], b)
+    gap = np.abs(np.matmul(PT, law[..., None])[..., 0] - law).max(axis=1)
+    ok = (gap <= STATIONARY_TOL) & (law >= -STATIONARY_TOL).all(axis=1)
+    lam[live[ok]] = np.maximum(law[ok], 0.0)
+    x[live[ok]] = flow[ok]
+    _check_flux(x[live[ok]], game.gamma)
     return lam, x
 
 
@@ -821,10 +818,14 @@ def ratio_scan(game: StochasticGame,
     Without ``sample`` every strategy is scanned (exact extrema), and a
     ``seed`` is refused, since it would draw nothing; with it, ``sample``
     strategies are drawn uniformly with ``seed``.
-    Strategies whose chain does not converge are skipped and counted.
     Strategies are scanned in chunks of at most ``STACK_FLOATS / n^2``: as
     one ``scan_stack`` per chunk when ``prefer_dense`` holds a strategy's chain
-    densely (n x n with its mean explicit entries), else one chain at a time.
+    densely (n x n with its mean explicit entries), which solves for the
+    stationary laws, else one chain at a time by power iteration
+    (``stationary_distribution``). A strategy whose law is not found is
+    skipped and counted: on the dense route a refused or singular system,
+    on the per-chain route no convergence. A chain with several closed
+    classes may be skipped by the first and scanned by the second.
     """
     check_discount(game.gamma)
     if sample is None:

@@ -777,16 +777,45 @@ def test_stack_covers_periodic_chains_like_the_per_strategy_route():
     lam, x = scan_stack(g, sigmas)
     np.testing.assert_allclose(lam, [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]], atol=1e-9)
     assert_stack_matches_loop(g, sigmas, (lam, x))
-    # with too few sweeps the periodic chain is skipped by both routes alike
+    # with too few sweeps the power iteration gives up on the periodic
+    # chain, while the stack, which solves for its laws, still finds them
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sg.exact, "STATIONARY_MAX_SWEEPS", 100)
         lam, x = scan_stack(g, sigmas)
-        assert np.isnan(lam[0]).all() and np.isnan(x[0]).all()
-        np.testing.assert_allclose(lam[1], [1.0, 0.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(lam, [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]], atol=1e-9)
+        assert np.isfinite(x).all()
         with pytest.raises(RuntimeError):
             stationary_distribution(g, sigmas[0])
     report = ratio_scan(g)
     assert (report.strategies_scanned, report.strategies_skipped) == (2, 0)
+
+
+def test_a_singular_chain_is_skipped_and_counted_not_raised():
+    # states 0 and 1 absorb, state 2 picks one of them and state 3 goes to 2:
+    # two closed classes, so the bordered stationary matrix is singular
+    point = lambda t: Action(reward=0.0, next_states=np.array([t]), probs=np.array([1.0]))
+    g = make_game(0.9, [MAX_PLAYER] * 4, [[point(0)], [point(1)], [point(0), point(1)],
+                                          [point(2)]])
+    sigmas = np.array(all_strategies(g))
+    lam, x = scan_stack(g, sigmas)
+    assert np.isnan(lam).all() and np.isnan(x).all()
+    with pytest.raises(RuntimeError, match="no strategy produced"):
+        ratio_scan(g)
+    # one chain at a time, power iteration returns the law the uniform start flows into
+    np.testing.assert_allclose(stationary_distribution(g, sigmas[0]), [0.75, 0.25, 0, 0],
+                               atol=1e-9)
+    np.testing.assert_allclose(stationary_distribution(g, sigmas[1]), [0.25, 0.75, 0, 0],
+                               atol=1e-9)
+    # beside sound chains in the same stack, each singular one is skipped and counted;
+    # action 1 at state 1 leads to state 0, which leaves one closed class
+    g = make_game(0.9, [MAX_PLAYER] * 4, [[point(0)], [point(1), point(0)],
+                                          [point(0), point(1)], [point(2)]])
+    sigmas = np.array(all_strategies(g))
+    lam, _ = scan_stack(g, sigmas)
+    assert np.isnan(lam[:, 0]).tolist() == [True, True, False, False]
+    np.testing.assert_allclose(lam[2:], [[1.0, 0, 0, 0]] * 2, atol=1e-9)
+    report = ratio_scan(g)
+    assert (report.strategies_scanned, report.strategies_skipped) == (2, 2)
 
 
 def test_discounted_copies_share_the_layout_and_scan_alike():
@@ -1468,189 +1497,3 @@ def test_refinement_returns_the_residual_of_the_answer_it_returns():
         x, res = sg.exact._refined_solve(solve_once, lambda y: y, b)
         assert same_bits(res, b - x)
     assert np.abs(res).max() == 3.0 / 2 ** (sg.exact.REFINE_PASSES + 1)
-
-
-# ---------------------------------------------------------------------------
-# power iteration in blocks against the per-sweep loop
-
-
-def reference_power_iteration(push, k, n):
-    """The power iteration with a convergence test after every sweep: each
-    chain stops at its own first sweep with max|P^T y - y| <= tol, and a
-    chain stopped by neither the test nor the cap is NaN."""
-    def pushed(y, rows):
-        out = np.empty((len(rows), 1, n))
-        push(y[:, None, :], rows, out)
-        return out[:, 0, :]
-
-    out = np.full((k, n), np.nan)
-    rows = np.arange(k)
-    lam = np.full((k, n), 1.0 / n)
-    nxt = pushed(lam, rows)
-    for it in range(sg.exact.STATIONARY_MAX_SWEEPS):
-        nxt /= nxt.sum(axis=1, keepdims=True)
-        if it >= sg.exact.PLAIN_SWEEPS:
-            nxt = 0.5 * (nxt + lam)
-            nxt /= nxt.sum(axis=1, keepdims=True)
-        step = pushed(nxt, rows)  # also the next sweep's first step
-        done = np.abs(step - nxt).max(axis=1) <= sg.exact.STATIONARY_TOL
-        if done.any():
-            out[rows[done]] = nxt[done]
-            running = ~done
-            rows, nxt, step = rows[running], nxt[running], step[running]
-            if rows.size == 0:
-                break
-        lam, nxt = nxt, step
-    return out
-
-
-def counted_pushes(mp):
-    """Make ``_power_iteration`` count the chain steps it pushes; the count
-    is the length of the list returned."""
-    calls, real = [], sg.exact._power_iteration
-
-    def counted(push, k, n):
-        def push_counted(*args):
-            calls.append(None)
-            return push(*args)
-        return real(push_counted, k, n)
-
-    mp.setattr(sg.exact, "_power_iteration", counted)
-    return calls
-
-
-def periodic_and_absorbing_game():
-    """Action 0 at state 0 closes the 0 <-> 1 cycle (periodic, needs the
-    Cesaro phase); action 1 makes state 0 absorbing."""
-    point = lambda t: Action(reward=0.0, next_states=np.array([t]), probs=np.array([1.0]))
-    return make_game(0.9, [MAX_PLAYER] * 3, [[point(1), point(0)], [point(0)], [point(0)]])
-
-
-@st.composite
-def scan_games(draw):
-    kind = draw(st.sampled_from(["random", "mixed", "periodic"]))
-    if kind == "periodic":
-        return periodic_and_absorbing_game()
-    gamma = draw(st.sampled_from([0.9, 0.99, 0.999]))
-    seed = draw(st.integers(0, 2 ** 16))
-    if kind == "random":
-        return random_game(draw(st.integers(1, 5)), draw(st.integers(1, 2)), gamma, seed=seed)
-    return mixed_row_game(draw(st.integers(1, 5)), gamma, np.random.default_rng(seed))
-
-
-def power_readings(g, sigmas):
-    """scan_stack's (lam, x), then the stationary law of each strategy (NaN
-    where it raises) on the table as held and on the same table held as CSR."""
-    def laws(game):
-        rows = []
-        for sigma in sigmas:
-            try:
-                rows.append(stationary_distribution(game, sigma))
-            except RuntimeError:
-                rows.append(np.full(g.n_states, np.nan))
-        return np.array(rows)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sg.game, "prefer_dense", lambda *shape: False)
-        csr = fresh(g)
-        sparse_laws = laws(csr)
-    assert not csr.layout.held_dense
-    return (*scan_stack(g, sigmas), laws(g), sparse_laws)
-
-
-def blocked_and_reference(g, sigmas, **constants):
-    """power_readings with the blocked iteration and with the per-sweep
-    loop, under the module constants given, with the pushes each made."""
-    got = []
-    for power in (None, reference_power_iteration):
-        with pytest.MonkeyPatch.context() as mp:
-            for name, value in constants.items():
-                mp.setattr(sg.exact, name, value)
-            if power is not None:
-                mp.setattr(sg.exact, "_power_iteration", power)
-            calls = counted_pushes(mp)
-            got.append((power_readings(g, sigmas), len(calls)))
-    return got
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(scan_games())
-def test_blocked_power_iteration_is_the_per_sweep_loop_bit_for_bit(g):
-    # 13 and 101 are no multiples of the block, so the Cesaro switch and the
-    # cap fall inside what would be one block
-    sigmas = np.array(all_strategies(g))
-    (got, _), (want, _) = blocked_and_reference(g, sigmas, PLAIN_SWEEPS=13,
-                                                STATIONARY_MAX_SWEEPS=101)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b, equal_nan=True)
-
-
-def test_a_block_of_one_sweep_is_the_per_sweep_loop_push_for_push():
-    # too few floats for two buffers of one sweep: the block length falls to
-    # 1, and the iteration pushes exactly what the per-sweep loop does
-    rng = np.random.default_rng(5)
-    for g in (periodic_and_absorbing_game(), mixed_row_game(5, 0.9, rng),
-              random_game(4, 2, 0.99, seed=3)):
-        sigmas = np.array(all_strategies(g))
-        (got, pushes), (want, ref_pushes) = blocked_and_reference(
-            g, sigmas, STACK_FLOATS=1, PLAIN_SWEEPS=13, STATIONARY_MAX_SWEEPS=101)
-        assert pushes == ref_pushes
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b, equal_nan=True)
-
-
-def test_a_converged_chain_makes_fewer_than_a_block_of_extra_sweeps():
-    g = random_game(5, 2, 0.9, seed=11)
-    for sigma in all_strategies(g):
-        (_, pushes), (_, ref_pushes) = blocked_and_reference(g, sigma[None])
-        # one stationary_distribution on each holding, and one chain of the stack
-        assert 0 <= pushes - ref_pushes <= 3 * (sg.exact.POWER_BLOCK - 1)
-
-
-def test_an_empty_stack_pushes_nothing():
-    g = random_game(4, 2, 0.9, seed=28)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sg.exact, "STATIONARY_MAX_SWEEPS", 1000)
-        calls = counted_pushes(mp)
-        lam, x = scan_stack(g, np.zeros((0, 4), dtype=np.int64))
-    assert lam.shape == x.shape == (0, 4)
-    assert calls == []
-
-
-def nan_row_game():
-    """State 0's action 0 has a NaN probability (``validate`` reports it);
-    its action 1, which makes it absorbing, and the other states are sound."""
-    return make_game(0.9, [MAX_PLAYER] * 3, [
-        [Action(reward=0.0, next_states=np.array([0, 1]), probs=np.array([np.nan, 0.5])),
-         Action(reward=0.0, next_states=np.array([0]), probs=np.array([1.0]))],
-        [Action(reward=0.0, next_states=np.array([0]), probs=np.array([1.0]))],
-        [Action(reward=0.0, next_states=np.array([0, 2]), probs=np.array([0.5, 0.5]))]])
-
-
-@pytest.mark.parametrize("held", ["dense", "csr"])
-def test_a_non_finite_chain_stops_at_the_first_check(held):
-    g = nan_row_game()
-    assert sg.game.validate(g)
-    with pytest.MonkeyPatch.context() as mp:
-        if held == "csr":
-            mp.setattr(sg.game, "prefer_dense", lambda *shape: False)
-            g = fresh(g)
-        assert g.layout.held_dense == (held == "dense")
-        mp.setattr(sg.exact, "STATIONARY_MAX_SWEEPS", 1000)
-        calls = counted_pushes(mp)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            stationary_distribution(g, np.zeros(3, dtype=np.int64))
-        assert len(calls) <= sg.exact.POWER_BLOCK + 1
-        lam, x = scan_stack(g, np.array([[0, 0, 0], [1, 0, 0]]))
-        assert np.isnan(lam[0]).all() and np.isnan(x[0]).all()
-        np.testing.assert_allclose(lam[1], [1.0, 0.0, 0.0], atol=1e-9)
-        report = ratio_scan(g)
-        assert (report.strategies_scanned, report.strategies_skipped) == (1, 1)
-        nan_only = make_game(0.9, [MAX_PLAYER] * 3, [acts[:1] for acts in g.actions])
-        calls.clear()
-        with pytest.raises(RuntimeError, match="no strategy produced a convergent chain"):
-            ratio_scan(nan_only)
-        assert len(calls) <= sg.exact.POWER_BLOCK + 1
-        # the per-sweep loop, given its sweeps, reads the same
-        mp.setattr(sg.exact, "_power_iteration", reference_power_iteration)
-        assert ratio_scan(g).per_strategy == report.per_strategy
