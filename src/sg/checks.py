@@ -108,7 +108,7 @@ def _refuse_unfit(game: StochasticGame, seq: VSSequence) -> np.ndarray:
                              f"{game.n_states} states and {game.n_pairs} pairs")
     if not all(np.isfinite(a).all() for a in (seq.values, seq.q_values, seq.error_bounds)):
         raise InputError("sequence holds non-finite numbers")
-    return game.space.check_strategy(seq.strategies)
+    return game.space.check_strategies(seq.strategies)
 
 
 def _check_sequence(game: StochasticGame, seq: VSSequence, sign: float,

@@ -758,19 +758,21 @@ def scan_stack(game: StochasticGame, sigmas: np.ndarray) -> tuple[np.ndarray, np
     Stewart, *Introduction to the Numerical Solution of Markov Chains*,
     1994), which is nonsingular exactly when the chain has one closed class,
     and the flux system (I - gamma P^T) x = 1. All 2k matrices are inverted
-    once, in one batched call, and every pass of the refinement of
-    ``_refined_solve`` reuses the inverses. A law is accepted, as the power
-    iteration's is, when it is finite and max|P^T lam - lam| <=
-    ``STATIONARY_TOL``, and when no entry is below -``STATIONARY_TOL``;
-    entries in [-``STATIONARY_TOL``, 0) are then set to 0. The fluxes get
-    the checks of ``flux``.
+    in one batched call, each factored once, and every pass of the
+    refinement of ``_refined_solve`` reuses the inverses. Only when numpy
+    refuses the stack (some matrix is exactly singular) does a batched
+    ``slogdet`` find those matrices, and the rest are inverted without their
+    chains. A law is accepted, as the power iteration's is, when it is
+    finite and max|P^T lam - lam| <= ``STATIONARY_TOL``, and when no entry
+    is below -``STATIONARY_TOL``; entries in [-``STATIONARY_TOL``, 0) are
+    then set to 0. The fluxes get the checks of ``flux``.
 
     Returns ``(lam, x)``, both (k, n). A chain's rows are NaN in both when
     its table rows are not finite, when either of its matrices is exactly
     singular (an exactly zero pivot; a chain with several closed classes
     may come out so), or when its law is refused.
     """
-    sigmas = game.space.check_strategy(sigmas)
+    sigmas = game.space.check_strategies(sigmas)
     k, n = sigmas.shape
     lam, x = np.full((k, n), np.nan), np.full((k, n), np.nan)
     table = game.layout.dense()
@@ -780,10 +782,13 @@ def scan_stack(game: StochasticGame, sigmas: np.ndarray) -> tuple[np.ndarray, np
     # M[0] holds each live chain's bordered stationary matrix, M[1] its flux matrix
     M = np.eye(n) - np.array([1.0, game.gamma])[:, None, None, None] * PT
     M[0] += 1.0 / n
-    sign, _ = np.linalg.slogdet(M)  # 0 where the LU meets an exactly zero pivot
-    solvable = (sign != 0).all(axis=0)
-    live, PT, M = live[solvable], PT[solvable], M[:, solvable]
-    inverse = np.linalg.inv(M)
+    try:
+        inverse = np.linalg.inv(M)
+    except np.linalg.LinAlgError:  # some LU met an exactly zero pivot: drop those chains
+        sign, _ = np.linalg.slogdet(M)  # 0 where that matrix's LU meets one
+        solvable = (sign != 0).all(axis=0)
+        live, PT, M = live[solvable], PT[solvable], M[:, solvable]
+        inverse = np.linalg.inv(M)
     b = np.ones((2, live.size, n))
     b[0] /= n
     (law, flow), _ = _refined_solve(lambda r: np.matmul(inverse, r[..., None])[..., 0],

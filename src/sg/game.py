@@ -153,15 +153,27 @@ class ActionSpace:
         return int(self.state_offset[state]) + action
 
     def check_strategy(self, strategy: np.ndarray) -> np.ndarray:
-        """Refuse a strategy (n_states,) or a stack of them (k, n_states)
-        that is not integer or picks an action some state does not have;
-        return it as the int64 array the pair arithmetic indexes with."""
+        """Refuse anything but one strategy (n_states,) of integers that
+        picks an action every state has; return it as the int64 array the
+        pair arithmetic indexes with."""
+        return self._checked(strategy, 1)
+
+    def check_strategies(self, strategies: np.ndarray) -> np.ndarray:
+        """:meth:`check_strategy` for a stack (k, n_states), one strategy a row."""
+        return self._checked(strategies, 2)
+
+    def _checked(self, strategy: np.ndarray, ndim: int) -> np.ndarray:
+        """The one body of both checks; ``ndim`` is 1 for a strategy, 2 for a
+        stack. A wrong dtype and a wrong shape are both named when both occur."""
         strategy = np.asarray(strategy)
-        if strategy.ndim not in (1, 2) or strategy.shape[-1] != self.n_states:
-            raise InputError(f"strategy shape {strategy.shape} != ({self.n_states},) "
-                             f"or (k, {self.n_states})")
+        faults = []
         if strategy.dtype.kind not in "iu":  # 0.5 or True is refused, not truncated
-            raise InputError(f"strategy must hold integers, got {strategy.dtype} entries")
+            faults.append(f"strategy must hold integers, got {strategy.dtype} entries")
+        if strategy.ndim != ndim or strategy.shape[-1] != self.n_states:
+            want = f"({self.n_states},)" if ndim == 1 else f"(k, {self.n_states})"
+            faults.append(f"strategy shape {strategy.shape} != {want}")
+        if faults:
+            raise InputError("; ".join(faults))
         bad = (strategy < 0) | (strategy >= self.n_actions)
         if np.count_nonzero(bad):  # a third of ``bad.any()``'s cost on a hi2 strategy
             raise InputError("strategy picks invalid action at state "

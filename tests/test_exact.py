@@ -843,6 +843,96 @@ def test_sampled_scan_keeps_the_per_sample_draws():
         ["|".join(str(int(a)) for a in sigma) for sigma in drawn]
 
 
+def test_a_stack_where_one_strategy_is_meant_is_refused():
+    # each single-strategy entry point used to take the stack through its
+    # check and fail later in LAPACK or numpy; scan_stack failed to unpack one
+    g = random_game(4, 2, 0.9, seed=0)
+    stack, v, mask = np.zeros((2, 4), dtype=np.int64), np.zeros(4), np.ones(4, dtype=bool)
+    calls = [lambda: evaluate(g, stack), lambda: flux(g, stack),
+             lambda: best_response(g, stack, MIN_PLAYER), lambda: policy_iteration(g, stack),
+             lambda: strategy_iteration(g, stack), lambda: stationary_distribution(g, stack),
+             lambda: improve(g, v, stack, mask),
+             lambda: qvi_mdvss(GenerativeModel(g, master_seed=0), 1.0, 0.1,
+                               np.full(4, 10.0), stack)]
+    for call in calls:
+        with pytest.raises(InputError, match=r"strategy shape \(2, 4\) != \(4,\)"):
+            call()
+    with pytest.raises(InputError, match=r"strategy shape \(4,\) != \(k, 4\)"):
+        scan_stack(g, stack[0])
+
+
+def point(t):
+    """An action that moves to state ``t`` with probability one."""
+    return Action(reward=0.0, next_states=np.array([t]), probs=np.array([1.0]))
+
+
+def game_with_a_singular_chain():
+    """``random_game(4, 2, 0.9, seed=3)`` with a third action at every state
+    that, played everywhere, gives the chain where states 0 and 1 absorb,
+    state 2 goes to state 0 and state 3 to state 2: two closed classes, so
+    that strategy's bordered stationary matrix is exactly singular."""
+    base = random_game(4, 2, 0.9, seed=3)
+    extra = [point(0), point(1), point(0), point(2)]
+    return make_game(0.9, base.owners, [list(acts) + [a] for acts, a in zip(base.actions, extra)])
+
+
+def singular_mixed_stack():
+    """Every strategy of ``game_with_a_singular_chain`` on its first two
+    actions, with the singular one (action 2 everywhere) in the middle;
+    returns the stack and that one's index."""
+    regular = np.array(list(product(range(2), repeat=4)), dtype=np.int64)
+    at = len(regular) // 2
+    return np.insert(regular, at, 2, axis=0), at
+
+
+def test_a_singular_chain_in_a_stack_leaves_the_other_rows_bit_for_bit():
+    g = game_with_a_singular_chain()
+    sigmas, at = singular_mixed_stack()
+    lam, x = scan_stack(g, sigmas)
+    skipped = np.isnan(lam).any(axis=1)
+    assert np.flatnonzero(skipped).tolist() == [at]
+    assert np.isnan(lam[at]).all() and np.isnan(x[at]).all()
+    want_lam, want_x = scan_stack(g, np.delete(sigmas, at, axis=0))
+    assert np.isfinite(want_lam).all() and np.isfinite(want_x).all()
+    assert np.array_equal(np.delete(lam, at, axis=0), want_lam)
+    assert np.array_equal(np.delete(x, at, axis=0), want_x)
+    # the game whose every chain has two closed classes scans nothing
+    g = make_game(0.9, [MAX_PLAYER] * 4, [[point(0)], [point(1)], [point(0), point(1)],
+                                          [point(2)]])
+    with pytest.raises(RuntimeError, match="no strategy produced a convergent chain"):
+        ratio_scan(g)
+
+
+def counted_linalg(mp):
+    """Count the calls of ``np.linalg.inv`` and ``np.linalg.slogdet`` from here on."""
+    calls = {"inv": 0, "slogdet": 0}
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+    for name in calls:
+        mp.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    return calls
+
+
+def test_a_regular_stack_is_factored_once():
+    g = random_game(5, 2, 0.9, seed=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg.exact, "STACK_FLOATS", 8 * 5 * 5)  # 8 strategies a chunk: 4 chunks
+        calls = counted_linalg(mp)
+        report = ratio_scan(g)
+        assert report.strategies_scanned == 32
+        assert calls == {"inv": 4, "slogdet": 0}
+        # numpy refuses a stack with a singular matrix: one slogdet finds it
+        # and the rest are inverted again
+        singular = game_with_a_singular_chain()
+        calls.update(inv=0, slogdet=0)
+        scan_stack(singular, singular_mixed_stack()[0])
+        assert calls == {"inv": 2, "slogdet": 1}
+
+
 def test_scan_stack_rejects_invalid_strategies():
     g = random_game(4, 2, 0.9, seed=28)
     with pytest.raises(ValueError):
