@@ -19,9 +19,6 @@ from functools import cached_property, partial
 from itertools import islice, product
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .game import (ActionSpace, InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame,
                    check_discount, check_int, prefer_dense)
@@ -231,14 +228,17 @@ def _owned(game: StochasticGame, player: int) -> np.ndarray:
 #   the restart law is folded in by Sherman-Morrison, so that the states
 #   with only a restart row stay outside the factor. On the full worst-case
 #   instances A is the few dozen chain states among 10^4 or more.
-# Every solve is followed by iterative refinement.
+# Every solve is followed by iterative refinement. The factors are scipy's
+# (LAPACK's dgetrf/dgetrs and SuperLU), imported by the functions that make
+# and use them, so that importing sg, and running whatever factors nothing,
+# never loads scipy; the first factor does, once per process.
 
 
 def _dense_lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.linalg.lu_factor(m)`` without its wrapper's per-call cost: a
-    non-finite entry raises ValueError, an exactly singular m warns."""
-    if not np.isfinite(m).all():
-        raise ValueError("array must not contain infs or NaNs")
+    """``scipy.linalg.lu_factor(m)`` without its wrapper's per-call cost or
+    its finiteness test, which ``PolicyLinearSystem.lu`` makes on the
+    table's rows instead: an exactly singular m warns."""
+    import scipy.linalg as sla
     lu, piv, info = sla.lapack.dgetrf(m, overwrite_a=True)
     if info > 0:
         warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
@@ -283,6 +283,7 @@ class _DenseLU:
         self._factors = _dense_lu(m)
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        import scipy.linalg as sla
         x, _ = sla.lapack.dgetrs(*self._factors, b, trans=int(trans == "T"))
         return x
 
@@ -294,6 +295,8 @@ def _super_lu(block: _Entries, gamma: float, restart=None):
     cell is 1 or 0 minus the sum, in row order, of its entries times gamma,
     and a cell that comes to exactly 0 is dropped, which is the matrix
     scipy's ``identity - gamma * B`` makes, so the factors are the same."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     k, m = block.shape[0], block.rows.size
     # each cell's key in column-major order: the m entries', then the diagonal's
     keys = np.r_[block.cols.astype(np.int64) * k + block.rows, np.arange(0, k * k, k + 1)]
@@ -345,8 +348,11 @@ class PolicyLinearSystem:
 
     @property
     def lu(self):
-        # Factored lazily; transition-only uses never pay for it.
+        # Factored lazily; transition-only uses never pay for it. A chosen row
+        # that is not finite is refused here, as scipy's lu_factor refuses it.
         if self._lu is None:
+            if not self._layout.finite_rows.take(self._pairs).all():
+                raise ValueError("array must not contain infs or NaNs")
             restart = None if self._folds else (self.u > 0, self.gamma * self._layout.spread(1.0))
             self._lu = self._factor(self.gamma, restart)
         return self._lu
@@ -777,7 +783,7 @@ def scan_stack(game: StochasticGame, sigmas: np.ndarray) -> tuple[np.ndarray, np
     lam, x = np.full((k, n), np.nan), np.full((k, n), np.nan)
     table = game.layout.dense()
     pairs = game.space.chosen_pairs(sigmas)
-    live = np.flatnonzero(np.isfinite(table).all(axis=1)[pairs].all(axis=1))
+    live = np.flatnonzero(game.layout.finite_rows[pairs].all(axis=1))
     PT = table[pairs[live]].transpose(0, 2, 1)
     # M[0] holds each live chain's bordered stationary matrix, M[1] its flux matrix
     M = np.eye(n) - np.array([1.0, game.gamma])[:, None, None, None] * PT
@@ -798,6 +804,19 @@ def scan_stack(game: StochasticGame, sigmas: np.ndarray) -> tuple[np.ndarray, np
     lam[live[ok]] = np.maximum(law[ok], 0.0)
     x[live[ok]] = flow[ok]
     _check_flux(x[live[ok]], game.gamma)
+    return lam, x
+
+
+def _scan_dense(game: StochasticGame, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scan_stack``, with every chain it leaves NaN although its rows are
+    finite (an exactly singular system or a refused law: a chain with
+    several closed classes) scanned again by ``_scan_each``, so that such a
+    chain gets the law the uniform start flows into on either route."""
+    lam, x = scan_stack(game, sigmas)
+    again = np.isnan(lam[:, 0])
+    if again.any():
+        again &= game.layout.finite_rows[game.space.chosen_pairs(sigmas)].all(axis=1)
+        lam[again], x[again] = _scan_each(game, sigmas[again])
     return lam, x
 
 
@@ -827,10 +846,12 @@ def ratio_scan(game: StochasticGame,
     one ``scan_stack`` per chunk when ``prefer_dense`` holds a strategy's chain
     densely (n x n with its mean explicit entries), which solves for the
     stationary laws, else one chain at a time by power iteration
-    (``stationary_distribution``). A strategy whose law is not found is
-    skipped and counted: on the dense route a refused or singular system,
-    on the per-chain route no convergence. A chain with several closed
-    classes may be skipped by the first and scanned by the second.
+    (``stationary_distribution``). A chain the dense route leaves without a
+    law although its rows are finite (a singular or refused system, as a
+    chain with several closed classes may give) is scanned again one chain
+    at a time, so both routes give it the law the uniform start flows into.
+    A strategy whose law is still not found (no convergence, or rows that
+    are not finite) is skipped and counted.
     """
     check_discount(game.gamma)
     if sample is None:
@@ -847,7 +868,7 @@ def ratio_scan(game: StochasticGame,
 
     n, space = game.n_states, game.space
     e = float(game.layout.row_lengths @ (1.0 / space.n_actions[space.pair_state]))
-    scan = scan_stack if prefer_dense(n, n, e) else _scan_each
+    scan = _scan_dense if prefer_dense(n, n, e) else _scan_each
     chunk = max(1, STACK_FLOATS // (n * n))
     c_min, c_max = np.inf, -np.inf
     d_min, d_max = np.inf, -np.inf

@@ -38,7 +38,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 MIN_PLAYER = 0
 MAX_PLAYER = 1
@@ -63,6 +62,8 @@ DENSE_SMALL_CELLS = 2 ** 14
 DENSE_FILL = 0.5
 # Largest matrix held or factored densely: 2^22 floats, 32 MB.
 DENSE_MAX_CELLS = 2 ** 22
+# Largest index an int32 index array holds; a larger table indexes in int64.
+INT32_MAX = np.iinfo(np.int32).max
 
 
 def prefer_dense(n_rows: int, n_cols: int, nnz: int) -> bool:
@@ -199,6 +200,58 @@ class ActionSpace:
 
 
 @dataclass(frozen=True, eq=False)
+class CsrTable:
+    """A read-only table of sparse rows in compressed-row (CSR) form.
+
+    Row i holds the entries ``indptr[i]:indptr[i + 1]`` of ``indices`` (the
+    columns) and ``data``, in the order given, repeated columns included.
+    The arrays are those ``scipy.sparse.csr_matrix`` would hold for them:
+    float data and index arrays of int32 when every index and the shape fit
+    one, else int64 (:func:`_csr_table` picks), so scipy can wrap them as
+    they are wherever a sparse product is needed.
+    """
+
+    data: np.ndarray     # (nnz,) float
+    indices: np.ndarray  # (nnz,) int32 or int64, the column of each entry
+    indptr: np.ndarray   # (n_rows + 1,) the same dtype, where each row begins
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def toarray(self) -> np.ndarray:
+        """The table as a dense array, the entries of a row added into their
+        cells in row order from zero (``np.add.at`` adds in index order), as
+        ``csr_matrix.toarray`` adds them, so the bits are the same."""
+        n_rows, n_cols = self.shape
+        cells = np.repeat(np.arange(n_rows, dtype=np.int64) * n_cols, np.diff(self.indptr))
+        cells += self.indices
+        dense = np.zeros(n_rows * n_cols)
+        np.add.at(dense, cells, self.data)
+        return dense.reshape(self.shape)
+
+    def tocsr(self):
+        """A ``scipy.sparse.csr_matrix`` over the table's own arrays, for
+        sparse products and row gathers; this loads scipy."""
+        import scipy.sparse as sp
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
+
+def _csr_table(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+               shape: tuple[int, int]) -> CsrTable:
+    """The read-only table of these arrays, indexed in int32 when the entry
+    count and the shape (unless it is empty) fit one, as scipy's CSR
+    constructor picks."""
+    shape = (int(shape[0]), int(shape[1]))
+    bound = max(shape) if min(shape) else 0
+    index = np.int32 if max(bound, int(indptr[-1])) <= INT32_MAX else np.int64
+    return CsrTable(_readonly(np.asarray(data, dtype=np.float64)),
+                    _readonly(indices.astype(index, copy=False)),
+                    _readonly(indptr.astype(index, copy=False)), shape)
+
+
+@dataclass(frozen=True, eq=False)
 class ChainView:
     """Transition rows ``P = S + u w^T`` over ``n`` target states.
 
@@ -207,16 +260,18 @@ class ChainView:
     place the restart law ``w = k / sum(k)`` is defined: k = 1, the uniform
     row, in a game from :func:`make_game`, the class sizes in a :func:`quotient`.
 
-    ``trans`` is a CSR table with the rows in the order given, repeated
-    targets included (a game's table is read-only), which ``row_table`` (and
-    so the sampler) and ``entries`` read. ``P x`` and the dense matrix read S
-    in the form :func:`prefer_dense` picks for its shape and fill, decided
-    once per view: a read-only dense copy, or ``trans`` itself.
+    ``trans`` is a :class:`CsrTable`, plain numpy arrays with the rows in the
+    order given, repeated targets included (a game's table is read-only),
+    which ``row_table`` (and so the sampler) and ``entries`` read. ``P x``
+    and the dense matrix read S in the form :func:`prefer_dense` picks for
+    its shape and fill, decided once per view: a read-only dense copy, or a
+    ``scipy.sparse`` CSR matrix over the table's own arrays. Only the latter
+    loads scipy, at the view's first product.
     A game has one view, its ``layout``, and every strategy's chain is read
     from it, with no per-strategy view or matrix.
     """
 
-    trans: sp.csr_matrix          # (n_rows, n_states)
+    trans: CsrTable               # (n_rows, n_states)
     uniform_mask: np.ndarray      # (n_rows,) bool
     weights: np.ndarray           # (n_states,) float, k
 
@@ -243,13 +298,28 @@ class ChainView:
         return _readonly(np.diff(self.trans.indptr))
 
     @cached_property
-    def _rows(self) -> np.ndarray | sp.csr_matrix:
-        """S as the storage rule holds it."""
-        if not prefer_dense(*self.trans.shape, self.trans.nnz):
-            return self.trans
-        rows = self.trans.toarray()
-        rows.setflags(write=False)
-        return rows
+    def finite_rows(self) -> np.ndarray:
+        """Per row, whether its explicit entries (on a dense-held table, its
+        dense row, repeated targets summed) and, on a restart row, the
+        restart law are all finite; read-only. Read where a chain is factored
+        or scanned, so each game's table is tested once."""
+        t = self.trans
+        if self.held_dense:
+            finite = np.isfinite(self._rows).all(axis=1)
+        else:
+            finite = np.ones(t.shape[0], dtype=bool)
+            if (bad := np.flatnonzero(~np.isfinite(t.data))).size:
+                finite[np.searchsorted(t.indptr, bad, side="right") - 1] = False
+        if not np.isfinite(self.spread(1.0)).all():
+            finite &= ~self.uniform_mask
+        return _readonly(finite)
+
+    @cached_property
+    def _rows(self):
+        """S as the storage rule holds it: a read-only ndarray, or a scipy
+        CSR matrix that shares the table's arrays."""
+        t = self.trans
+        return _readonly(t.toarray()) if prefer_dense(*t.shape, t.nnz) else t.tocsr()
 
     @property
     def held_dense(self) -> bool:
@@ -271,8 +341,7 @@ class ChainView:
 
     def dense(self) -> np.ndarray:
         """P as a dense (n_rows, n_states) array."""
-        rows = self._rows
-        mat = rows.copy() if isinstance(rows, np.ndarray) else rows.toarray()
+        mat = self._rows.copy() if self.held_dense else self.trans.toarray()
         if self.has_uniform:
             mat = mat + np.outer(self.uniform_mask, self.spread(1.0))
         return mat
@@ -451,15 +520,13 @@ def _array_game(gamma: float, owners: Sequence[int], n_actions: np.ndarray,
         pair = int(np.searchsorted(indptr, bad[0], side="right")) - 1
         s = int(space.pair_state[pair])
         _refuse(f"transition target out of range at ({s},{pair - space.state_offset[s]})")
-    trans = sp.csr_matrix((probs, targets, indptr), shape=(space.n_pairs, space.n_states))
+    trans = _csr_table(probs, targets, indptr, (space.n_pairs, space.n_states))
     return _table_game(owners, space, trans, uniform, weights)
 
 
-def _table_game(owners: np.ndarray, space: ActionSpace, trans: sp.csr_matrix,
+def _table_game(owners: np.ndarray, space: ActionSpace, trans: CsrTable,
                 uniform_mask: np.ndarray, weights: np.ndarray) -> StochasticGame:
     """The game of a row table and restart weights, its arrays made read-only."""
-    for arr in (trans.data, trans.indices, trans.indptr):
-        arr.setflags(write=False)
     return StochasticGame(owners=owners, space=space,
                           layout=ChainView(trans, _readonly(uniform_mask), _readonly(weights)))
 
@@ -605,10 +672,13 @@ def quotient(game: StochasticGame) -> tuple[StochasticGame, np.ndarray]:
     reps = np.flatnonzero(is_rep)
     pairs = np.flatnonzero(is_rep[space.pair_state])
     # explicit entries summed into their targets' classes, in row order
+    import scipy.sparse as sp
     member = sp.csr_matrix((np.ones(n), classes, np.arange(n + 1)), shape=(n, reps.size))
+    folded = (layout.trans.tocsr()[pairs] @ member).sorted_indices()
     owners = _readonly(game.owners[reps])
     q_space = _space(space.gamma, owners, space.n_actions[reps], space.rewards[pairs])
-    return _table_game(owners, q_space, (layout.trans[pairs] @ member).sorted_indices(),
+    return _table_game(owners, q_space,
+                       _csr_table(folded.data, folded.indices, folded.indptr, folded.shape),
                        layout.uniform_mask[pairs],
                        np.bincount(classes, weights=layout.weights)), classes
 

@@ -27,6 +27,8 @@ from sg.hard import build_hi1, build_hi2
 from sg.qvi import QviConstants, solve
 from sg.sampler import GenerativeModel
 
+from csr_oracle import as_scipy, gathered
+
 
 @pytest.fixture(params=["rule", "dense", "sparse"])
 def form(request, monkeypatch):
@@ -131,7 +133,7 @@ def views():
                         (mixed, np.arange(7) % 2)):
         yield game.layout
         lay, rows = game.layout, game.space.chosen_pairs(sigma)
-        yield sg.game.ChainView(lay.trans[rows], lay.uniform_mask[rows], lay.weights)
+        yield sg.game.ChainView(gathered(lay.trans, rows), lay.uniform_mask[rows], lay.weights)
 
 
 def readings(view):
@@ -171,7 +173,11 @@ def test_the_rule_holds_full_rows_densely_and_sparse_rows_as_csr():
     full = random_game(300, 4, 0.99, seed=1).layout     # (1200, 300), every entry
     hi2 = build_hi2(10000)[0].layout                      # 85 entries in 10^8 cells
     assert isinstance(full._rows, np.ndarray) and not full._rows.flags.writeable
-    assert hi2._rows is hi2.trans
+    # a table held sparse is a scipy CSR over the table's own arrays
+    assert isinstance(hi2._rows, sp.csr_matrix) and hi2._rows.shape == hi2.trans.shape
+    for name in ("data", "indices", "indptr"):
+        held, own = getattr(hi2._rows, name), getattr(hi2.trans, name)
+        assert np.shares_memory(held, own) and np.array_equal(held, own)
     # a discounted copy shares the dense copy, and callers get their own matrix
     g = random_game(40, 4, 0.9, seed=1)
     copy = with_gamma(g, 0.5)
@@ -214,7 +220,7 @@ def gather_cases():
 
 def test_entries_equal_scipy_row_indexing():
     for name, layout, rows in gather_cases():
-        got, want = layout.entries(rows), layout.trans[rows]
+        got, want = layout.entries(rows), as_scipy(layout.trans)[rows]
         for a, b in zip(got, (np.diff(want.indptr), want.indices, want.data)):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
 

@@ -13,6 +13,8 @@ from sg.game import Action, InputError, MIN_PLAYER, make_game
 from sg.generate import random_game
 from sg.qvi import DECREASING, INCREASING, VSSequence
 
+from csr_oracle import as_scipy
+
 
 def with_uniform_rows(game, share, seed):
     """The same game with about ``share`` of its actions made uniform rows."""
@@ -267,7 +269,7 @@ def test_return_variance_matches_monte_carlo():
     dense, rew = [], []
     for sig in list(plan.prefix) + [plan.tail]:
         pairs = g.space.chosen_pairs(sig)
-        dense.append(np.cumsum(lay.trans[pairs].toarray(), axis=1))
+        dense.append(np.cumsum(as_scipy(lay.trans)[pairs].toarray(), axis=1))
         rew.append(g.space.rewards[pairs])
     for start in range(3):
         states = np.full(n_traj, start)

@@ -27,6 +27,8 @@ from sg.hard import build_hi1, build_hi2, verify_si_path_hi2
 from sg.qvi import qvi_mdvss
 from sg.sampler import GenerativeModel
 
+from csr_oracle import gathered
+
 
 def naive_q(game, v):
     """Per-entry dot-product oracle for r + gamma * P v."""
@@ -799,8 +801,7 @@ def test_a_singular_chain_is_skipped_and_counted_not_raised():
     sigmas = np.array(all_strategies(g))
     lam, x = scan_stack(g, sigmas)
     assert np.isnan(lam).all() and np.isnan(x).all()
-    with pytest.raises(RuntimeError, match="no strategy produced"):
-        ratio_scan(g)
+    assert_two_absorbing_laws(g)
     # one chain at a time, power iteration returns the law the uniform start flows into
     np.testing.assert_allclose(stationary_distribution(g, sigmas[0]), [0.75, 0.25, 0, 0],
                                atol=1e-9)
@@ -814,8 +815,23 @@ def test_a_singular_chain_is_skipped_and_counted_not_raised():
     lam, _ = scan_stack(g, sigmas)
     assert np.isnan(lam[:, 0]).tolist() == [True, True, False, False]
     np.testing.assert_allclose(lam[2:], [[1.0, 0, 0, 0]] * 2, atol=1e-9)
+    # ratio_scan scans those two again one chain at a time: the uniform start
+    # puts 3/4 on the absorbing state that states 2 and 3 flow into
     report = ratio_scan(g)
-    assert (report.strategies_scanned, report.strategies_skipped) == (2, 2)
+    assert (report.strategies_scanned, report.strategies_skipped) == (4, 0)
+    assert [row[1:3] for row in report.per_strategy] == [(0.0, 0.75), (0.0, 0.75),
+                                                         (0.0, 1.0), (0.0, 1.0)]
+
+
+def assert_two_absorbing_laws(g):
+    """``ratio_scan`` of the 4-state game with two absorbing states scans
+    both its strategies, though every stacked system is singular, with the
+    laws the uniform start flows into, as the power iteration gives them."""
+    report = ratio_scan(g)
+    assert (report.strategies_scanned, report.strategies_skipped) == (2, 0)
+    lam, _ = sg.exact._scan_dense(g, np.array(all_strategies(g)))
+    np.testing.assert_allclose(lam, [[0.75, 0.25, 0, 0], [0.25, 0.75, 0, 0]], atol=1e-9)
+    assert [row[1:3] for row in report.per_strategy] == [(0.0, 0.75), (0.0, 0.75)]
 
 
 def test_discounted_copies_share_the_layout_and_scan_alike():
@@ -896,11 +912,12 @@ def test_a_singular_chain_in_a_stack_leaves_the_other_rows_bit_for_bit():
     assert np.isfinite(want_lam).all() and np.isfinite(want_x).all()
     assert np.array_equal(np.delete(lam, at, axis=0), want_lam)
     assert np.array_equal(np.delete(x, at, axis=0), want_x)
-    # the game whose every chain has two closed classes scans nothing
+    # the game whose every chain has two closed classes leaves every stacked
+    # row NaN, and ratio_scan still finds each law
     g = make_game(0.9, [MAX_PLAYER] * 4, [[point(0)], [point(1)], [point(0), point(1)],
                                           [point(2)]])
-    with pytest.raises(RuntimeError, match="no strategy produced a convergent chain"):
-        ratio_scan(g)
+    assert np.isnan(scan_stack(g, np.array(all_strategies(g)))[0]).all()
+    assert_two_absorbing_laws(g)
 
 
 def counted_linalg(mp):
@@ -1242,7 +1259,8 @@ class FullChainSystem(PolicyLinearSystem):
     def __init__(self, game, sigma):
         super().__init__(game, sigma)
         lay, rows = game.layout, game.space.chosen_pairs(sigma)
-        self.chain = sg.game.ChainView(lay.trans[rows], lay.uniform_mask[rows], lay.weights)
+        self.chain = sg.game.ChainView(gathered(lay.trans, rows), lay.uniform_mask[rows],
+                                       lay.weights)
         S = self.chain.trans
         active = np.diff(S.indptr) > 0
         if not active.all():
@@ -1516,7 +1534,7 @@ def test_a_policy_system_on_a_dense_table_gathers_no_entries_and_factors_once(
 
     monkeypatch.setattr(sg.game.ChainView, "entries", spy)
     monkeypatch.setattr(sg.exact, "_dense_lu", count)
-    monkeypatch.setattr(sg.exact.spla, "splu", None)  # no sparse factor either
+    monkeypatch.setattr(spla, "splu", None)  # no sparse factor either
     sys = PolicyLinearSystem(g, sigma)
     v = sys.solve(sys.r)
     sys.solve_transpose(np.ones(g.n_states))
@@ -1551,6 +1569,18 @@ def test_a_non_finite_block_is_refused():
         [Action(reward=0.5, next_states=np.array([0]), probs=np.array([1.0]))]])
     with pytest.raises(ValueError, match="infs or NaNs"):
         evaluate(g, np.zeros(2, dtype=np.int64))
+
+
+def test_a_row_whose_repeated_targets_overflow_is_refused():
+    # each entry is finite, their sum in the one cell is not: the dense row
+    # the factor reads is refused as a non-finite one is
+    g = make_game(0.9, [MIN_PLAYER, MIN_PLAYER], [
+        [Action(reward=1.0, next_states=np.array([1, 1]), probs=np.array([1e308, 1e308]))],
+        [Action(reward=0.5, next_states=np.array([0]), probs=np.array([1.0]))]])
+    with np.errstate(over="ignore"):  # the dense row's sum
+        assert g.layout.held_dense
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            evaluate(g, np.zeros(2, dtype=np.int64))
 
 
 def test_a_singular_block_warns_and_evaluate_refuses_it():

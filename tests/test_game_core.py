@@ -16,6 +16,8 @@ from sg.generate import clustered_game, random_game
 from sg.hard import build_hi1, build_hi2, hi1_distribution_bounds
 from sg.sampler import GenerativeModel
 
+from csr_oracle import gathered
+
 
 def one_state_loop(reward=0.5, gamma=0.9, p=1.0):
     return make_game(gamma, [MAX_PLAYER], [[
@@ -289,7 +291,7 @@ def test_chain_view_matches_naive_matrix():
     mixed = g.space.chosen_pairs(np.array([len(acts) - 1 for acts in g.actions]))
     sparse = np.flatnonzero(~lay.uniform_mask)[:n]
     for rows, has_uniform in ((mixed, True), (sparse, False)):
-        view = sg.game.ChainView(lay.trans[rows], lay.uniform_mask[rows], lay.weights)
+        view = sg.game.ChainView(gathered(lay.trans, rows), lay.uniform_mask[rows], lay.weights)
         np.testing.assert_allclose(view.dense(), P[rows], rtol=0, atol=1e-15)
         np.testing.assert_allclose(view.p_dot(x), P[rows] @ x, rtol=0, atol=1e-13)
         assert view.has_uniform == has_uniform
