@@ -24,7 +24,12 @@ Strategies, value vectors and Q-functions are plain numpy arrays:
 
 Every library check of a caller-supplied argument or file raises
 :class:`InputError`; every JSON file goes through :func:`read_json` and
-:func:`write_json`, and every written file through :func:`write_text`.
+:func:`write_json`, and every written file through :func:`write_text`. A game
+document holds each explicit row as one list of targets and one of
+probabilities, ``{"s": [...], "p": [...]}``, which :func:`from_json_dict`
+reads in one pass into the flat arrays of :func:`_array_game`, the route every
+game is built by; the legacy per-entry rows ``[{"s": t, "p": p}, ...]`` still
+load, to the same table.
 """
 
 from __future__ import annotations
@@ -496,13 +501,14 @@ def _array_game(gamma: float, owners: Sequence[int], n_actions: np.ndarray,
                 rewards: np.ndarray, uniform: np.ndarray, lengths: np.ndarray,
                 targets: np.ndarray, probs: np.ndarray, weights: np.ndarray) -> StochasticGame:
     """A game from its row table as flat arrays, the one route by which
-    :func:`make_game` and the generators of :mod:`sg.hard` build a game.
+    :func:`make_game`, :func:`from_json_dict` and the generators of
+    :mod:`sg.hard` build a game.
 
     Per state: its owner tag, its number of actions and its restart weight
     k. Per pair, in flat order: its reward, whether its row is the restart
     row, and the number of its explicit entries (0 for a restart row). Per
     explicit entry, in row order: its int64 target and its probability. The
-    arrays must agree in length, as both callers build them; they become the
+    arrays must agree in length, as every caller builds them; they become the
     game's own and are made read-only. Refused with InputError: owner tags
     that do not cover every state or do not fit an int8, and a target
     outside the state range.
@@ -735,48 +741,130 @@ def write_text(path: str, text: str) -> None:
 
 
 def to_json_dict(game: StochasticGame) -> dict:
+    """The game as a JSON document: each explicit row as one list of targets
+    ``"s"`` and one of probabilities ``"p"``, each restart row as
+    ``"uniform": true``, a weighted restart law (a quotient's) as its explicit
+    row. Every number is the Python int or float of the table, so the
+    document reads back to the same table bit for bit."""
     states = []
     for s, acts in enumerate(game.actions):
-        state_acts = []
-        for act in acts:
-            entry: dict = {"reward": act.reward}
-            if act.uniform:
-                entry["uniform"] = True
-            else:
-                entry["next"] = [
-                    {"s": int(t), "p": float(p)}
-                    for t, p in zip(act.next_states, act.probs)
-                ]
-            state_acts.append(entry)
+        state_acts = [{"reward": act.reward, "uniform": True} if act.uniform else
+                      {"reward": act.reward,
+                       "next": {"s": act.next_states.tolist(), "p": act.probs.tolist()}}
+                      for act in acts]
         states.append({"owner": OWNER_NAMES[int(game.owners[s])],
                        "actions": state_acts})
     return {"gamma": game.gamma, "states": states}
 
 
+_GAME_KEYS = frozenset(("gamma", "states"))
+_STATE_KEYS = frozenset(("owner", "actions"))
+_RESTART_KEYS = frozenset(("reward", "uniform"))
+_EXPLICIT_KEYS = frozenset(("reward", "next"))
+_FLAGGED_KEYS = _EXPLICIT_KEYS | {"uniform"}  # an explicit row with "uniform": false
+_ROW_KEYS = frozenset(("s", "p"))
+_JSON_INT = frozenset((int,))
+_JSON_NUMBER = frozenset((int, float))
+
+
+def _object(node, keys: frozenset, where: str) -> dict:
+    """``node`` if it is a JSON object with exactly the keys ``keys``."""
+    if type(node) is not dict or node.keys() != keys:
+        got = sorted(map(str, node)) if type(node) is dict else type(node).__name__
+        raise InputError(f"{where} must be an object with keys {sorted(keys)}, got {got}")
+    return node
+
+
+def _array(node, where: str) -> list:
+    """``node`` if it is a JSON array."""
+    if type(node) is not list:
+        raise InputError(f"{where} must be a list, got {type(node).__name__}")
+    return node
+
+
+def _number(value, where: str) -> float:
+    """``value`` as a float if it is a JSON number: an int or a float, not a
+    bool or a string."""
+    if type(value) not in _JSON_NUMBER:
+        raise InputError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _entries(values: list, kinds: frozenset, what: str) -> list:
+    """``values`` if every one has an exact type in ``kinds``: one pass over
+    the types, and a second only to name the first that fails."""
+    if not set(map(type, values)) <= kinds:
+        bad = next(v for v in values if type(v) not in kinds)
+        raise InputError(f"{what}, got {bad!r}")
+    return values
+
+
+def _compact_row(entries: list, where: str) -> dict:
+    """A row in the legacy per-entry form ``[{"s": t, "p": p}, ...]`` as its
+    compact twin ``{"s": [t, ...], "p": [p, ...]}``."""
+    for entry in entries:
+        _object(entry, _ROW_KEYS, f"transition entry at {where}")
+    return {"s": [e["s"] for e in entries], "p": [e["p"] for e in entries]}
+
+
 def from_json_dict(doc: dict) -> StochasticGame:
+    """The game of a JSON document, read in one pass into the flat row arrays
+    of :func:`_array_game` and then validated.
+
+    An explicit row is ``{"s": [targets], "p": [probabilities]}``; a row in
+    the legacy per-entry form ``[{"s": t, "p": p}, ...]`` is read as its
+    compact twin and gives the same table. Refused with InputError: a key
+    missing or unknown at any level, ``uniform`` other than true or false, a
+    restart row that also has ``next``, ``gamma``, a reward or a probability
+    that is not a JSON number, a target that is not an int (``0.7``,
+    ``true``), ``s`` and ``p`` that are not lists of one length, what
+    :func:`_array_game` cannot build and every fault :func:`validate` reports.
+    """
     with refuse_malformed("game"):
-        gamma = float(doc["gamma"])
-        owners = []
-        actions = []
-        for state in doc["states"]:
-            owners.append(OWNER_CODES[state["owner"]])
-            acts = []
-            for entry in state["actions"]:
-                if entry.get("uniform", False):
-                    acts.append(Action(reward=float(entry["reward"]), uniform=True))
-                else:
-                    nxt = entry["next"]
-                    targets = [e["s"] for e in nxt]
-                    # exact type test: rejects floats such as 0.7 and booleans
-                    if not set(map(type, targets)) <= {int}:
-                        raise InputError(f"transition targets must be integers: {targets}")
-                    acts.append(Action(
-                        reward=float(entry["reward"]),
-                        next_states=np.array(targets, dtype=np.int64),
-                        probs=np.array([e["p"] for e in nxt], dtype=np.float64),
-                    ))
-            actions.append(acts)
-    return _valid(make_game(gamma, owners, actions))
+        _object(doc, _GAME_KEYS, "a game")
+        gamma = _number(doc["gamma"], "gamma")
+        owners, n_actions, rewards, uniform, lengths = [], [], [], [], []
+        targets, probs = [], []
+        for s, state in enumerate(_array(doc["states"], "states")):
+            owner = _object(state, _STATE_KEYS, f"state {s}")["owner"]
+            if type(owner) is not str or owner not in OWNER_CODES:
+                raise InputError(f"owner of state {s} must be 'min' or 'max', got {owner!r}")
+            owners.append(OWNER_CODES[owner])
+            acts = _array(state["actions"], f"actions of state {s}")
+            n_actions.append(len(acts))
+            for a, act in enumerate(acts):
+                where = f"({s},{a})"
+                if type(act) is not dict:
+                    raise InputError(f"action {where} must be an object, got {type(act).__name__}")
+                restart = act.get("uniform", False)
+                if type(restart) is not bool:
+                    raise InputError(f"uniform must be true or false at {where}, got {restart!r}")
+                keys = (_RESTART_KEYS if restart else
+                        _FLAGGED_KEYS if "uniform" in act else _EXPLICIT_KEYS)
+                rewards.append(_number(_object(act, keys, f"action {where}")["reward"],
+                                       f"reward at {where}"))
+                uniform.append(restart)
+                if restart:
+                    lengths.append(0)
+                    continue
+                row = act["next"]
+                if type(row) is list:
+                    row = _compact_row(row, where)
+                row = _object(row, _ROW_KEYS, f"transition row at {where}")
+                row_s, row_p = row["s"], row["p"]
+                if type(row_s) is not list or type(row_p) is not list or len(row_s) != len(row_p):
+                    raise InputError(f"transition row at {where} must be lists s and p "
+                                     "of one length")
+                # 0.7 and true are no state; "1.0" and true are no probability
+                targets += _entries(row_s, _JSON_INT, f"transition target at {where} "
+                                    "must be an integer")
+                probs += _entries(row_p, _JSON_NUMBER, f"transition probability at {where} "
+                                  "must be a number")
+                lengths.append(len(row_s))
+        rows = (np.array(n_actions, dtype=np.int64), np.array(rewards, dtype=np.float64),
+                np.array(uniform, dtype=bool), np.array(lengths, dtype=np.int64),
+                np.array(targets, dtype=np.int64), np.array(probs, dtype=np.float64))
+    return _valid(_array_game(gamma, owners, *rows, np.ones(len(owners))))
 
 
 def save_game(game: StochasticGame, path: str) -> None:

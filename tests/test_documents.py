@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sg.cli import main
-from sg.game import (InputError, from_json_dict, read_json, save_game, to_json_dict,
-                     write_json)
+from sg.game import (Action, InputError, MIN_PLAYER, OWNER_NAMES, from_json_dict, load_game,
+                     make_game, quotient, read_json, save_game, to_json_dict, write_json)
 from sg.generate import random_game
-from sg.hard import Hi2Config, default_hi2_rewards
+from sg.hard import Hi2Config, build_hi1, build_hi2, default_hi2_rewards
 from sg.qvi import QviConstants, VSSequence, qvi_mdvss
 from sg.sampler import GenerativeModel
 
@@ -24,19 +24,43 @@ HI2 = default_hi2_rewards(400)
 
 UNIFORM_GAME = {"gamma": 0.9, "states": [{"owner": "min", "actions": [
     {"reward": 0.5, "uniform": True},
-    {"reward": 0.25, "next": [{"s": 0, "p": 1.0}]}]}]}
+    {"reward": 0.25, "next": {"s": [0], "p": [1.0]}}]}]}
 
-# (parse, document of the parsed object, indent, valid base documents)
+
+def legacy_document(game) -> dict:
+    """The game as the writer wrote it before rows were compact: one
+    ``{"s": t, "p": p}`` object per transition entry."""
+    return {"gamma": game.gamma, "states": [
+        {"owner": OWNER_NAMES[int(owner)], "actions": [
+            {"reward": act.reward, "uniform": True} if act.uniform else
+            {"reward": act.reward,
+             "next": [{"s": int(t), "p": float(p)} for t, p in zip(act.next_states, act.probs)]}
+            for act in acts]}
+        for owner, acts in zip(game.owners, game.actions)]}
+
+
+LEGACY = random_game(2, 2, 0.7, seed=2)
+
+
+def stored(*docs):
+    """Valid base documents, each stored again as it is given."""
+    return [(doc, doc) for doc in docs]
+
+
+# (parse, document of the parsed object, indent, valid base documents, each
+# with the document it is stored again as)
 DOCUMENTS = {
     "game": (from_json_dict, to_json_dict, 1,
-             [to_json_dict(GAME), to_json_dict(random_game(2, 2, 0.8, seed=1, deterministic=True)),
-              UNIFORM_GAME]),
+             stored(to_json_dict(GAME),
+                    to_json_dict(random_game(2, 2, 0.8, seed=1, deterministic=True)),
+                    UNIFORM_GAME)
+             + [(legacy_document(LEGACY), to_json_dict(LEGACY))]),  # the compact twin
     "constants": (QviConstants.from_json_dict, asdict, None,
-                  [asdict(QviConstants(m1_override=7))]),
+                  stored(asdict(QviConstants(m1_override=7)))),
     "reward config": (Hi2Config.from_json_dict, Hi2Config.to_json_dict, None,
-                      [HI2.to_json_dict()]),
+                      stored(HI2.to_json_dict())),
     "sequence": (VSSequence.from_json_dict, VSSequence.to_json_dict, None,
-                 [SEQ.to_json_dict()]),
+                 stored(SEQ.to_json_dict())),
 }
 
 # What a fuzzed document may hold in place of a number: huge, subnormal and
@@ -66,13 +90,15 @@ def _slots(node):
 def fuzzed(draw, bases):
     """A valid document kept as is, a non-object in its place, or the document
     after one to four edits, each replacing a number by a number, replacing
-    any value, dropping a key or entry, or adding a key."""
-    doc = json.loads(json.dumps(draw(st.sampled_from(bases))))
+    any value, dropping a key or entry, or adding a key. Returned with the
+    document a kept one is stored again as, and None for any other."""
+    base, twin = draw(st.sampled_from(bases))
+    doc = json.loads(json.dumps(base))
     how = draw(st.sampled_from(["keep", "top", "edit", "edit", "edit"]))
     if how == "keep":
-        return doc, True
+        return doc, twin
     if how == "top":
-        return draw(JUNK), False
+        return draw(JUNK), None
     for edit in draw(st.lists(st.sampled_from(["number", "number", "replace", "drop", "add"]),
                               min_size=1, max_size=4)):
         slots = [(parent, key) for parent, key in _slots(doc) if edit != "number"
@@ -88,7 +114,7 @@ def fuzzed(draw, bases):
             del parent[key]
         else:
             (parent if isinstance(parent, dict) else doc)[draw(st.text(max_size=3))] = draw(JUNK)
-    return doc, False
+    return doc, None
 
 
 @pytest.mark.parametrize("kind", list(DOCUMENTS))
@@ -99,25 +125,45 @@ def test_a_fuzzed_document_round_trips_or_is_refused(kind, tmp_path_factory):
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(fuzzed(bases))
     def run(case):
-        doc, untouched = case
+        doc, twin = case
         write_json(path, doc, indent)
         try:
             obj = read_json(path, parse)
         except InputError:
-            assert not untouched
+            assert twin is None
             return
-        # an accepted document is stored again bit for bit; a valid one as given
+        # an accepted document is stored again bit for bit; a valid one as
+        # given, or a legacy game as its compact twin
         text = json.dumps(to_doc(obj))
         write_json(path, to_doc(obj), indent)
         assert json.dumps(to_doc(read_json(path, parse))) == text
-        if untouched:
-            assert text == json.dumps(doc)
+        if twin is not None:
+            assert text == json.dumps(twin)
 
     run()
 
 
 def _seq(**change) -> str:
     return json.dumps({**SEQ.to_json_dict(), **change})
+
+
+# a game in the per-entry row form, which every reader of game files accepts
+PLAIN_GAME = {"gamma": 0.9, "states": [
+    {"owner": "min", "actions": [{"reward": 0.5, "next": [{"s": 1, "p": 1.0}]}]},
+    {"owner": "max", "actions": [{"reward": 0.0, "uniform": True}]}]}
+
+
+def _game(path: tuple, value) -> str:
+    """PLAIN_GAME with ``value`` set at the key path ``path``."""
+    doc = json.loads(json.dumps(PLAIN_GAME))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)
+
+
+EXPLICIT, RESTART = ("states", 0, "actions", 0), ("states", 1, "actions", 0)
 
 
 BAD_DOCUMENTS = [
@@ -131,17 +177,37 @@ BAD_DOCUMENTS = [
     ("seq", _seq(constants={"u": 1})),
     ("seq", "[1]"),
     ("seq", _seq(strategies=np.full(SEQ.strategies.shape, 0.5).tolist())),
+    ("game", _game(RESTART + ("uniform",), "false")),
+    ("game", _game(RESTART + ("uniform",), 1)),
+    ("game", _game(RESTART + ("next",), [{"s": 0, "p": 1.0}])),
+    ("game", _game(("extra",), 1)),
+    ("game", _game(("states", 0, "extra"), 1)),
+    ("game", _game(EXPLICIT + ("extra",), 1)),
+    ("game", _game(EXPLICIT + ("next", 0, "extra"), 1)),
+    ("game", _game(EXPLICIT + ("reward",), "0.5")),
+    ("game", _game(EXPLICIT + ("reward",), True)),
+    ("game", _game(("gamma",), "0.9")),
+    ("game", _game(EXPLICIT + ("next", 0, "p"), "1.0")),
+    ("game", _game(EXPLICIT + ("next", 0, "p"), True)),
 ]
 BAD_IDS = ["c1-text", "c1-nan", "c2-negative", "m1-zero", "m1-fraction",
            "no-switch-rewards", "derived-constants-u-only", "top-level-list",
-           "half-strategies"]
+           "half-strategies", "uniform-text", "uniform-one", "uniform-with-next",
+           "game-extra-key", "state-extra-key", "action-extra-key", "entry-extra-key",
+           "reward-text", "reward-bool", "gamma-text", "p-text", "p-bool"]
 ROUTES = {
     "constants": (QviConstants.from_json_dict,
                   ["solve", "--game", "{game}", "--method", "qvi", "--seed", "1",
                    "--eps", "0.5", "--constants", "{doc}"]),
     "rewards": (Hi2Config.from_json_dict, ["hard", "si", "--T", "400", "--rewards", "{doc}"]),
     "seq": (VSSequence.from_json_dict, ["check", "--game", "{game}", "--seq", "{doc}"]),
+    "game": (from_json_dict, ["solve", "--game", "{doc}", "--method", "vi"]),
 }
+
+
+def test_the_plain_game_is_valid():
+    # so each bad game above is refused for its one edit
+    assert from_json_dict(PLAIN_GAME).n_states == 2
 
 
 @pytest.mark.parametrize("route, text", BAD_DOCUMENTS, ids=BAD_IDS)
@@ -173,6 +239,40 @@ def test_a_malformed_document_exits_2_with_one_json_line(route, text, tmp_path, 
 def test_a_library_caller_gets_the_refusal_a_file_gets(build):
     with pytest.raises(InputError, match="must be"):
         build()
+
+
+def table(game) -> list:
+    """Every array of a game's table as (dtype, bytes)."""
+    lay = game.layout
+    return [(a.dtype.str, a.tobytes()) for a in (
+        game.owners, game.space.rewards, lay.uniform_mask, lay.weights,
+        lay.trans.data, lay.trans.indices, lay.trans.indptr)]
+
+
+TABLE_GAMES = {
+    "dense": random_game(6, 3, 0.9, seed=4),
+    "deterministic": random_game(6, 3, 0.9, seed=5, deterministic=True),
+    "repeated-targets": make_game(0.9, [MIN_PLAYER, MIN_PLAYER], [
+        [Action(0.5, np.array([1, 1, 0]), np.array([0.25, 0.25, 0.5]))],
+        [Action(0.0, np.array([0, 0]), np.array([0.5, 0.5])), Action(1.0, uniform=True)]]),
+    "uniform-rows": build_hi1(48)[0],
+    # the class-weighted restart law is written as explicit rows
+    "weighted-quotient": quotient(build_hi2(400)[0])[0],
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_GAMES))
+def test_both_row_forms_load_to_the_same_table(name, tmp_path):
+    game = TABLE_GAMES[name]
+    want = table(from_json_dict(to_json_dict(game)))
+    assert table(from_json_dict(legacy_document(game))) == want
+    # files as the compact writer and the per-entry writer wrote them
+    compact, legacy = str(tmp_path / "compact.json"), str(tmp_path / "legacy.json")
+    save_game(game, compact)
+    write_json(legacy, legacy_document(game), indent=1)
+    assert table(load_game(compact)) == table(load_game(legacy)) == want
+    if name != "weighted-quotient":
+        assert want == table(game)
 
 
 def test_an_unreadable_file_is_refused(tmp_path):

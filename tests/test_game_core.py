@@ -298,17 +298,28 @@ def test_chain_view_matches_naive_matrix():
 
 
 def test_loader_rejects_invalid_game():
-    for target, prob in (
-        (0, 0.5),            # row sums to 0.5
-        (0, float("nan")),   # NaN slips past the row-sum tolerance
-        (0.7, 1.0),          # fractional target would truncate to state 0
-        (True, 1.0),         # a boolean is not a state index
-    ):
+    legacy = [
+        [{"s": 0, "p": 0.5}],             # row sums to 0.5
+        [{"s": 0, "p": float("nan")}],    # NaN slips past the row-sum tolerance
+        [{"s": 0.7, "p": 1.0}],           # fractional target would truncate to state 0
+        [{"s": True, "p": 1.0}],          # a boolean is not a state index
+    ]
+    compact = [
+        {"s": [0], "p": [0.5]},
+        {"s": [0], "p": [float("nan")]},
+        {"s": [0.7], "p": [1.0]},
+        {"s": [True], "p": [1.0]},
+        {"s": [0, 0], "p": [1.0]},        # lists of different lengths
+        {"s": 0, "p": [1.0]},             # targets not a list
+        {"s": [0], "p": 1.0},             # probabilities not a list
+        {"s": [0], "p": [[1.0]]},         # a nested list
+        {"s": [], "p": []},               # an empty row
+    ]
+    for row in legacy + compact:
         doc = {"gamma": 0.9, "states": [
-            {"owner": "max",
-             "actions": [{"reward": 0.0, "next": [{"s": target, "p": prob}]}]}
+            {"owner": "max", "actions": [{"reward": 0.0, "next": row}]}
         ]}
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             from_json_dict(doc)
 
 
