@@ -23,23 +23,25 @@ Strategies, value vectors and Q-functions are plain numpy arrays:
   holds the one check of each of these shapes.
 
 Every library check of a caller-supplied argument or file raises
-:class:`InputError`; every JSON file goes through :func:`read_json` and
-:func:`write_json`, and every written file through :func:`write_text`. A game
-document holds each explicit row as one list of targets and one of
-probabilities, ``{"s": [...], "p": [...]}``, which :func:`from_json_dict`
-reads in one pass into the flat arrays of :func:`_array_game`, the route every
-game is built by; the legacy per-entry rows ``[{"s": t, "p": p}, ...]`` still
-load, to the same table.
+:class:`InputError`; every JSON file goes through :func:`read_json`, which
+parses strict JSON with orjson, and :func:`write_json`, and every written
+file through :func:`write_text`. A game document holds each explicit row as
+one list of targets and one of probabilities, ``{"s": [...], "p": [...]}``,
+which :func:`from_json_dict` reads in one pass into the flat arrays of
+:func:`_array_game`, the route every game is built by; the legacy per-entry
+rows ``[{"s": t, "p": p}, ...]`` still load, to the same table.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +71,13 @@ DENSE_FILL = 0.5
 DENSE_MAX_CELLS = 2 ** 22
 # Largest index an int32 index array holds; a larger table indexes in int64.
 INT32_MAX = np.iinfo(np.int32).max
+# The deepest nesting of arrays and objects a JSON file may have. orjson
+# converts a document on the C stack with no depth limit of its own (3.8.3:
+# a valid document nested about 2 * 10^5 deep overflows it and kills the
+# process), so deeper text is refused before it is parsed. sg's documents
+# nest at most 7 deep, and at 256 the repr of a refused value stays well
+# inside Python's recursion limit.
+MAX_JSON_DEPTH = 256
 
 
 def prefer_dense(n_rows: int, n_cols: int, nnz: int) -> bool:
@@ -553,7 +562,10 @@ def validate(game: StochasticGame) -> list[str]:
 
     An empty list means the game is well-formed. This never raises; loaders
     that want hard failures should raise on a non-empty report. What the
-    table cannot hold at all, :func:`make_game` has refused already.
+    table cannot hold at all, :func:`make_game` has refused already. Each
+    check is one reduction over the flat table; a row's sum is the bits
+    ``probs.sum()`` gives, numpy's pairwise sum, which the rows of one
+    length get from one ``sum(axis=1)``.
     """
     if game.n_states < 1:
         return ["game has no states"]
@@ -562,29 +574,46 @@ def validate(game: StochasticGame) -> list[str]:
         report.append(f"gamma {game.gamma} outside (0, 1)")
     for s in np.flatnonzero(~np.isin(game.owners, (MIN_PLAYER, MAX_PLAYER))):
         report.append(f"state {s} has invalid owner tag {game.owners[s]}")
-    r_max = 0.0
-    for s, acts in enumerate(game.actions):
-        if len(acts) == 0:
-            report.append(f"state {s} has no actions")
-        for a, act in enumerate(acts):
-            if not np.isfinite(act.reward):
-                report.append(f"reward not finite at ({s},{a})")
-            else:
-                r_max = max(r_max, abs(act.reward))
-            if act.uniform:
-                continue
-            probs = act.probs
-            if probs.size == 0:
-                report.append(f"empty transition row at ({s},{a})")
-                continue
-            if not np.isfinite(probs).all():
-                report.append(f"transition probability not finite at ({s},{a})")
-                continue
-            if (probs < 0).any():
-                report.append(f"negative transition probability at ({s},{a})")
-            total = float(probs.sum())
-            if abs(total - 1.0) > PROB_TOL:
-                report.append(f"transition sum {total} != 1 at ({s},{a})")
+    space, lay = game.space, game.layout
+    offset, rewards = space.state_offset, space.rewards
+    ptr, data, lengths = lay.trans.indptr, lay.trans.data, lay.row_lengths
+
+    def rows_with(entries: np.ndarray) -> np.ndarray:
+        """The rows holding at least one of the flagged entries."""
+        hit = np.zeros(lengths.size, dtype=bool)
+        hit[np.searchsorted(ptr, np.flatnonzero(entries), side="right") - 1] = True
+        return hit
+
+    finite_reward = np.isfinite(rewards)
+    explicit = ~lay.uniform_mask
+    empty = explicit & (lengths == 0)
+    non_finite = explicit & ~empty & rows_with(~np.isfinite(data))
+    checked = explicit & ~empty & ~non_finite
+    sums = np.zeros(lengths.size)
+    with np.errstate(over="ignore"):  # a sum past the float range is reported as inf
+        widths = np.sort(lengths[checked])  # np.unique would import numpy.ma: 13 ms
+        for width in widths[np.diff(widths, prepend=-1) > 0]:
+            rows = np.flatnonzero(checked & (lengths == width))
+            sums[rows] = data[ptr[rows, None] + np.arange(width)].sum(axis=1)
+
+    def at(pair: int) -> str:
+        s = space.pair_state[pair]
+        return f"({s},{pair - offset[s]})"
+
+    # each fault keyed by its pair and its rank among that pair's checks; a
+    # state with no actions sorts before the pair its actions would begin at
+    faults = [((offset[s], 0), f"state {s} has no actions")
+              for s in np.flatnonzero(space.n_actions == 0)]
+    for rank, mask, fault in ((1, ~finite_reward, "reward not finite"),
+                              (2, empty, "empty transition row"),
+                              (2, non_finite, "transition probability not finite"),
+                              (3, checked & rows_with(data < 0),
+                               "negative transition probability")):
+        faults += [((pair, rank), f"{fault} at {at(pair)}") for pair in np.flatnonzero(mask)]
+    faults += [((pair, 4), f"transition sum {float(sums[pair])} != 1 at {at(pair)}")
+               for pair in np.flatnonzero(checked & (np.abs(sums - 1.0) > PROB_TOL))]
+    report += [text for _, text in sorted(faults, key=lambda f: f[0])]
+    r_max = float(np.abs(rewards[finite_reward]).max(initial=0.0))
     if 0.0 < game.gamma < 1.0 and r_max / (1.0 - game.gamma) > MAX_VALUE_SCALE:
         report.append(f"value scale max|r|/(1-gamma) = {r_max / (1.0 - game.gamma)} "
                       f"exceeds {MAX_VALUE_SCALE}")
@@ -716,14 +745,57 @@ def refuse_malformed(kind: str):
         raise InputError(f"malformed {kind} document: {detail}") from exc
 
 
+# The literals json.dumps writes for non-finite floats, which JSON lacks.
+_NON_FINITE = ("NaN", "Infinity", "-Infinity")
+_NOT_BRACKET_OR_QUOTE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_STRING = re.compile(rb'"[^"]*"')
+
+
 def read_json(path: str, parse):
-    """``parse`` of the JSON file ``path``; an unreadable or non-JSON file raises InputError."""
+    """``parse`` of the JSON file ``path``; a file that cannot be read, is not
+    strict JSON (RFC 8259: no ``NaN`` or ``Infinity``, no number past the
+    float range, UTF-8 without a byte order mark) or nests deeper than
+    :data:`MAX_JSON_DEPTH` raises InputError."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, RecursionError, ValueError) as exc:
+        doc = _parse_json(path)
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return parse(doc)
+
+
+def _parse_json(path: str):
+    """The document of the file ``path``, parsed by orjson, whose decimal to
+    double conversion is correctly rounded, so each float is the one
+    ``json.dumps`` wrote. orjson is imported here, so ``import sg`` never
+    loads it, and the file's bytes are dropped when this returns, before a
+    table is built from the document."""
+    import orjson
+    with open(path, "rb") as fh:
+        text = fh.read()
+    if (depth := _json_depth(text)) > MAX_JSON_DEPTH:
+        raise ValueError(f"nesting depth {depth} exceeds {MAX_JSON_DEPTH}")
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
+        for literal in _NON_FINITE:
+            if exc.doc.startswith(literal, exc.pos):
+                raise ValueError(f"non-finite number {literal} at line {exc.lineno} "
+                                 f"column {exc.colno}") from exc
+        raise
+
+
+def _json_depth(text: bytes) -> int:
+    """The deepest nesting of arrays and objects in the JSON text ``text``,
+    brackets inside strings not counted. Escaped backslashes and quotes are
+    dropped first (paired left to right, as a string reads them), then every
+    byte but brackets and quotes, then each string; one C pass over the
+    text and a short one over what is left."""
+    if b"\\" in text:
+        text = text.replace(b"\\\\", b"").replace(b'\\"', b"")
+    marks = np.frombuffer(_STRING.sub(b"", text.translate(None, _NOT_BRACKET_OR_QUOTE)),
+                          dtype=np.uint8)
+    steps = np.where((marks == ord("[")) | (marks == ord("{")), 1, -1)
+    return int(np.cumsum(steps).max(initial=0))
 
 
 def write_json(path: str, doc: dict, indent: int | None = None) -> None:
@@ -744,17 +816,27 @@ def to_json_dict(game: StochasticGame) -> dict:
     """The game as a JSON document: each explicit row as one list of targets
     ``"s"`` and one of probabilities ``"p"``, each restart row as
     ``"uniform": true``, a weighted restart law (a quotient's) as its explicit
-    row. Every number is the Python int or float of the table, so the
-    document reads back to the same table bit for bit."""
-    states = []
-    for s, acts in enumerate(game.actions):
-        state_acts = [{"reward": act.reward, "uniform": True} if act.uniform else
-                      {"reward": act.reward,
-                       "next": {"s": act.next_states.tolist(), "p": act.probs.tolist()}}
-                      for act in acts]
-        states.append({"owner": OWNER_NAMES[int(game.owners[s])],
-                       "actions": state_acts})
-    return {"gamma": game.gamma, "states": states}
+    row. Each row is the ``tolist()`` of its slice of the table's flat arrays
+    (15 ms on the 300 x 4 game, against 21 ms for one ``tolist()`` of the
+    whole table cut at ``indptr``), so every number is the Python int or
+    float of the table and the document reads back to the same table bit
+    for bit."""
+    space, lay = game.space, game.layout
+    k, ptr = lay.weights, lay.trans.indptr.tolist()
+    targets, probs = lay.trans.indices, lay.trans.data
+    law = None if (k == k[:1]).all() else (np.arange(k.size), lay.spread(1.0))
+
+    def row(reward: float, uniform: bool, lo: int, hi: int) -> dict:
+        if uniform and law is None:
+            return {"reward": reward, "uniform": True}
+        s, p = law if uniform else (targets[lo:hi], probs[lo:hi])
+        return {"reward": reward, "next": {"s": s.tolist(), "p": p.tolist()}}
+
+    rows = list(map(row, space.rewards.tolist(), lay.uniform_mask.tolist(), ptr, ptr[1:]))
+    off = space.state_offset.tolist()
+    return {"gamma": game.gamma,
+            "states": [{"owner": OWNER_NAMES[owner], "actions": rows[off[s]:off[s + 1]]}
+                       for s, owner in enumerate(game.owners.tolist())]}
 
 
 _GAME_KEYS = frozenset(("gamma", "states"))
@@ -824,7 +906,7 @@ def from_json_dict(doc: dict) -> StochasticGame:
         _object(doc, _GAME_KEYS, "a game")
         gamma = _number(doc["gamma"], "gamma")
         owners, n_actions, rewards, uniform, lengths = [], [], [], [], []
-        targets, probs = [], []
+        targets, probs = [], []  # the rows' own lists, read into arrays sized once
         for s, state in enumerate(_array(doc["states"], "states")):
             owner = _object(state, _STATE_KEYS, f"state {s}")["owner"]
             if type(owner) is not str or owner not in OWNER_CODES:
@@ -856,14 +938,19 @@ def from_json_dict(doc: dict) -> StochasticGame:
                     raise InputError(f"transition row at {where} must be lists s and p "
                                      "of one length")
                 # 0.7 and true are no state; "1.0" and true are no probability
-                targets += _entries(row_s, _JSON_INT, f"transition target at {where} "
-                                    "must be an integer")
-                probs += _entries(row_p, _JSON_NUMBER, f"transition probability at {where} "
-                                  "must be a number")
+                targets.append(_entries(row_s, _JSON_INT, f"transition target at {where} "
+                                        "must be an integer"))
+                probs.append(_entries(row_p, _JSON_NUMBER, f"transition probability at "
+                                      f"{where} must be a number"))
                 lengths.append(len(row_s))
+        # read into arrays sized once, not grown as two flat lists: that
+        # growth fragmented the heap, about 9 MB more peak RSS on the
+        # exact-hard pool
+        nnz = sum(lengths)
         rows = (np.array(n_actions, dtype=np.int64), np.array(rewards, dtype=np.float64),
                 np.array(uniform, dtype=bool), np.array(lengths, dtype=np.int64),
-                np.array(targets, dtype=np.int64), np.array(probs, dtype=np.float64))
+                np.fromiter(chain.from_iterable(targets), np.int64, count=nnz),
+                np.fromiter(chain.from_iterable(probs), np.float64, count=nnz))
     return _valid(_array_game(gamma, owners, *rows, np.ones(len(owners))))
 
 

@@ -186,10 +186,10 @@ class VSSequence:
             consts = doc.get("constants")
             return VSSequence(
                 direction=doc["direction"],
-                values=np.asarray(doc["values"], dtype=np.float64),
-                q_values=np.asarray(doc["q_values"], dtype=np.float64),
+                values=_finite_floats(doc, "values"),
+                q_values=_finite_floats(doc, "q_values"),
                 strategies=strategies.astype(np.int64),
-                error_bounds=np.asarray(doc["error_bounds"], dtype=np.float64),
+                error_bounds=_finite_floats(doc, "error_bounds"),
                 constants=DerivedConstants(**consts) if consts else None,
                 samples_used=int(doc.get("samples_used", 0)),
             )
@@ -200,6 +200,16 @@ class VSSequence:
     @staticmethod
     def load(path: str) -> "VSSequence":
         return read_json(path, VSSequence.from_json_dict)
+
+
+def _finite_floats(doc: dict, key: str) -> np.ndarray:
+    """``doc[key]`` as a float array, refused if an entry is null, which numpy
+    reads as NaN: a JSON file holds no other non-finite number, so the
+    array is written back as the same document."""
+    values = np.asarray(doc[key], dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise InputError(f"{key} holds a null or a non-finite number")
+    return values
 
 
 def _qvi_run(model: GenerativeModel, u: float, delta: float,

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sg.cli import main
-from sg.game import (Action, InputError, MIN_PLAYER, OWNER_NAMES, from_json_dict, load_game,
-                     make_game, quotient, read_json, save_game, to_json_dict, write_json)
+from sg.game import (Action, InputError, MAX_JSON_DEPTH, MIN_PLAYER, OWNER_NAMES,
+                     _json_depth, from_json_dict, load_game, make_game, quotient, read_json,
+                     save_game, to_json_dict, write_json)
 from sg.generate import random_game
 from sg.hard import Hi2Config, build_hi1, build_hi2, default_hi2_rewards
 from sg.qvi import QviConstants, VSSequence, qvi_mdvss
@@ -35,6 +36,18 @@ def legacy_document(game) -> dict:
             {"reward": act.reward, "uniform": True} if act.uniform else
             {"reward": act.reward,
              "next": [{"s": int(t), "p": float(p)} for t, p in zip(act.next_states, act.probs)]}
+            for act in acts]}
+        for owner, acts in zip(game.owners, game.actions)]}
+
+
+def actions_document(game) -> dict:
+    """The game as the writer wrote it while it walked ``game.actions``, one
+    ``Action`` per row, before it read the flat table."""
+    return {"gamma": game.gamma, "states": [
+        {"owner": OWNER_NAMES[int(owner)], "actions": [
+            {"reward": act.reward, "uniform": True} if act.uniform else
+            {"reward": act.reward,
+             "next": {"s": act.next_states.tolist(), "p": act.probs.tolist()}}
             for act in acts]}
         for owner, acts in zip(game.owners, game.actions)]}
 
@@ -177,6 +190,7 @@ BAD_DOCUMENTS = [
     ("seq", _seq(constants={"u": 1})),
     ("seq", "[1]"),
     ("seq", _seq(strategies=np.full(SEQ.strategies.shape, 0.5).tolist())),
+    ("seq", _seq(values=None)),  # numpy reads null as NaN, which no file can hold
     ("game", _game(RESTART + ("uniform",), "false")),
     ("game", _game(RESTART + ("uniform",), 1)),
     ("game", _game(RESTART + ("next",), [{"s": 0, "p": 1.0}])),
@@ -192,9 +206,9 @@ BAD_DOCUMENTS = [
 ]
 BAD_IDS = ["c1-text", "c1-nan", "c2-negative", "m1-zero", "m1-fraction",
            "no-switch-rewards", "derived-constants-u-only", "top-level-list",
-           "half-strategies", "uniform-text", "uniform-one", "uniform-with-next",
-           "game-extra-key", "state-extra-key", "action-extra-key", "entry-extra-key",
-           "reward-text", "reward-bool", "gamma-text", "p-text", "p-bool"]
+           "half-strategies", "values-null", "uniform-text", "uniform-one",
+           "uniform-with-next", "game-extra-key", "state-extra-key", "action-extra-key",
+           "entry-extra-key", "reward-text", "reward-bool", "gamma-text", "p-text", "p-bool"]
 ROUTES = {
     "constants": (QviConstants.from_json_dict,
                   ["solve", "--game", "{game}", "--method", "qvi", "--seed", "1",
@@ -273,6 +287,11 @@ def test_both_row_forms_load_to_the_same_table(name, tmp_path):
     assert table(load_game(compact)) == table(load_game(legacy)) == want
     if name != "weighted-quotient":
         assert want == table(game)
+    # the flat writer writes the text the per-row writer wrote, for the game
+    # and for the game read from the legacy file
+    for g in (game, load_game(legacy)):
+        assert (json.dumps(to_json_dict(g), indent=1)
+                == json.dumps(actions_document(g), indent=1))
 
 
 def test_an_unreadable_file_is_refused(tmp_path):
@@ -281,3 +300,91 @@ def test_an_unreadable_file_is_refused(tmp_path):
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe")
     with pytest.raises(InputError, match="cannot read"):
         read_json(str(tmp_path / "binary.json"), from_json_dict)
+
+
+def test_every_finite_float_and_64_bit_int_reads_back_bit_for_bit(tmp_path):
+    # json.dumps writes each float's shortest repr, which the reader must
+    # round back to the same double, and every int as its digits
+    path = str(tmp_path / "doc.json")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20),
+           st.lists(st.integers(-2 ** 63, 2 ** 64 - 1), max_size=20))
+    def run(floats, ints):
+        write_json(path, {"floats": floats, "ints": ints})
+        doc = read_json(path, lambda d: d)
+        assert [x.hex() for x in doc["floats"]] == [x.hex() for x in floats]
+        assert [type(i) for i in doc["ints"]] == [int] * len(ints) and doc["ints"] == ints
+
+    run()
+
+
+def _raw(path: tuple, text: str) -> str:
+    """PLAIN_GAME with the JSON text ``text`` at the key path ``path``."""
+    return _game(path, "@").replace('"@"', text)
+
+
+DEEP = 2 * 10 ** 5  # a valid document this deep overflows the C stack of orjson 3.8.3
+# Text the strict reader refuses, each also refused, after its parse, at
+# every reader before it.
+UNREADABLE = {
+    "nan": _raw(EXPLICIT + ("next", 0, "p"), "NaN"),
+    "infinity": _raw(EXPLICIT + ("reward",), "Infinity"),
+    "minus-infinity": _raw(("gamma",), "-Infinity"),
+    "1e400": _raw(EXPLICIT + ("next", 0, "p"), "1e400"),
+    "target-2**64": _game(EXPLICIT + ("next", 0, "s"), 2 ** 64),
+    "bom": "\ufeff" + json.dumps(PLAIN_GAME),
+    "lone-surrogate-owner": _game(("states", 0, "owner"), "\ud800"),
+    "nested-past-the-limit": _raw(EXPLICIT + ("reward",),
+                                  "[" * MAX_JSON_DEPTH + "]" * MAX_JSON_DEPTH),
+    "nested-2e5": _raw(EXPLICIT + ("reward",), "[" * DEEP + "]" * DEEP),
+}
+
+
+@pytest.mark.parametrize("name", list(UNREADABLE))
+def test_text_the_strict_reader_refuses_exits_2_with_one_json_line(name, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(UNREADABLE[name].encode())
+    with pytest.raises(InputError):
+        load_game(str(doc))
+    assert main(["solve", "--game", str(doc), "--method", "vi"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and json.loads(err)["error"]
+
+
+def test_a_non_finite_literal_is_named_where_it_stands(tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"gamma": 0.9,\n "states": -Infinity}')
+    with pytest.raises(InputError, match="non-finite number -Infinity at line 2 column 12"):
+        load_game(str(doc))
+
+
+def test_nesting_reads_up_to_the_limit_and_no_further(tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text("[" * MAX_JSON_DEPTH + "]" * MAX_JSON_DEPTH)
+    assert depth_of(read_json(str(doc), lambda d: d)) == MAX_JSON_DEPTH
+    doc.write_text("[" * (MAX_JSON_DEPTH + 1) + "]" * (MAX_JSON_DEPTH + 1))
+    with pytest.raises(InputError, match=f"nesting depth {MAX_JSON_DEPTH + 1} exceeds"):
+        read_json(str(doc), lambda d: d)
+
+
+# JSON values whose strings hold brackets, quotes and backslashes
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(alphabet='[]{}"\\ab,:'),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(alphabet='[]{}"\\a'), inner, max_size=3),
+    max_leaves=12)
+
+
+def depth_of(value) -> int:
+    if isinstance(value, list):
+        return 1 + max(map(depth_of, value), default=0)
+    if isinstance(value, dict):
+        return 1 + max(map(depth_of, value.values()), default=0)
+    return 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES, st.sampled_from([None, 1]))
+def test_the_depth_scan_reads_the_nesting_the_parser_builds(value, indent):
+    assert _json_depth(json.dumps(value, indent=indent).encode()) == depth_of(value)

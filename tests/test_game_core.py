@@ -8,8 +8,8 @@ import pytest
 
 import sg
 import sg.cli
-from sg.game import (Action, InputError, MAX_PLAYER, MIN_PLAYER, affine_reward_map,
-                     from_json_dict, load_game, make_game, mirror,
+from sg.game import (Action, InputError, MAX_PLAYER, MAX_VALUE_SCALE, MIN_PLAYER, PROB_TOL,
+                     affine_reward_map, from_json_dict, load_game, make_game, mirror,
                      save_game, to_json_dict, validate, with_gamma)
 from sg.exact import evaluate, ratio_scan, strategy_iteration, value_iteration
 from sg.generate import clustered_game, random_game
@@ -108,6 +108,82 @@ def test_validate_reports_every_fault_in_state_then_action_order():
         "negative transition probability at (3,1)",
         "reward not finite at (4,0)",
     ]
+
+
+def validate_by_rows(game) -> list[str]:
+    """validate as it read the game before its checks ran over the flat
+    table: one ``Action`` and about five numpy calls per row."""
+    report = []
+    if not (0.0 < game.gamma < 1.0):
+        report.append(f"gamma {game.gamma} outside (0, 1)")
+    for s in np.flatnonzero(~np.isin(game.owners, (MIN_PLAYER, MAX_PLAYER))):
+        report.append(f"state {s} has invalid owner tag {game.owners[s]}")
+    r_max = 0.0
+    for s, acts in enumerate(game.actions):
+        if len(acts) == 0:
+            report.append(f"state {s} has no actions")
+        for a, act in enumerate(acts):
+            if not np.isfinite(act.reward):
+                report.append(f"reward not finite at ({s},{a})")
+            else:
+                r_max = max(r_max, abs(act.reward))
+            if act.uniform:
+                continue
+            probs = act.probs
+            if probs.size == 0:
+                report.append(f"empty transition row at ({s},{a})")
+                continue
+            if not np.isfinite(probs).all():
+                report.append(f"transition probability not finite at ({s},{a})")
+                continue
+            if (probs < 0).any():
+                report.append(f"negative transition probability at ({s},{a})")
+            total = float(probs.sum())
+            if abs(total - 1.0) > PROB_TOL:
+                report.append(f"transition sum {total} != 1 at ({s},{a})")
+    if 0.0 < game.gamma < 1.0 and r_max / (1.0 - game.gamma) > MAX_VALUE_SCALE:
+        report.append(f"value scale max|r|/(1-gamma) = {r_max / (1.0 - game.gamma)} "
+                      f"exceeds {MAX_VALUE_SCALE}")
+    return report
+
+
+def faulty_game(rng):
+    """A game of up to 4 states with every kind of fault validate reports, at
+    random, and rows long enough for numpy's pairwise sum to block."""
+    n = int(rng.integers(1, 5))
+    odd = [0.5, 1.0, np.nan, np.inf, -np.inf, 1e160, -2.0, 0.0]
+    entries = [0.0, -0.1, 0.25, 1 / 3, 1.0, 1e-12, -0.0, np.nan, np.inf, 1e308]
+    actions = []
+    for _ in range(n):
+        acts = []
+        for _ in range(int(rng.integers(0, 4))):
+            reward = float(rng.choice(odd)) if rng.random() < 0.3 else float(rng.random())
+            if rng.random() < 0.2:
+                acts.append(Action(reward=reward, uniform=True))
+                continue
+            width = int(rng.choice([0, 1, 2, 7, 8, 9, 127, 128, 129, 300]))
+            probs = rng.random(width)
+            probs = (probs / probs.sum() if rng.random() < 0.6 else rng.choice(entries, width))
+            acts.append(Action(reward=reward, next_states=rng.integers(0, n, width),
+                               probs=probs))
+        actions.append(acts)
+    owners = rng.choice([MIN_PLAYER, MAX_PLAYER, MAX_PLAYER, 2], n)
+    return make_game(float(rng.choice([0.5, 0.9, 0.999999, 1.0, 0.0, 1.5])), owners, actions)
+
+
+def test_validate_reports_what_the_row_loop_reports():
+    # same faults, same order, same text, row sums to the bit
+    rng = np.random.default_rng(2024)
+    reports = []
+    with np.errstate(over="ignore"):  # a row of 1e308 entries sums past the float range
+        for _ in range(400):
+            game = faulty_game(rng)
+            reports.append(validate(game))
+            assert reports[-1] == validate_by_rows(game)
+    text = "\n".join(line for report in reports for line in report)
+    for fault in ("gamma", "owner tag", "no actions", "reward not finite", "empty",
+                  "probability not finite", "negative", "transition sum", "value scale"):
+        assert text.count(fault) > 10, fault
 
 
 @pytest.mark.parametrize("owners, actions, fault", [

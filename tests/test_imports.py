@@ -1,6 +1,7 @@
 """``import sg`` needs numpy only: scipy is imported inside the functions that
 factor a matrix, multiply a sparse one or fold a quotient, so the commands
-that do none of these never load it."""
+that do none of these never load it, and orjson inside the one JSON reader,
+so only a process that reads a file loads it."""
 
 import ast
 import json
@@ -44,6 +45,14 @@ def test_no_module_of_sg_imports_scipy_when_imported():
         assert scipy == [], f"{path.name} imports {scipy} at import time"
 
 
+def test_no_module_of_sg_imports_orjson_when_imported():
+    # orjson loads at the first read_json, so the import probe of setup_s
+    # pays neither its own import nor those of uuid and zoneinfo it pulls in
+    for path in sorted(SRC.glob("*.py")):
+        modules = import_time_modules(ast.parse(path.read_text()))
+        assert "orjson" not in modules, f"{path.name} imports orjson at import time"
+
+
 def test_the_guard_sees_a_module_level_import():
     tree = ast.parse("import numpy\nif True:\n    from scipy import linalg\n"
                      "class A:\n    import scipy.sparse\n"
@@ -60,9 +69,10 @@ from sg.game import load_game, save_game
 from sg.generate import random_game
 from sg.sampler import GenerativeModel
 
-loaded = {}
+loaded, parsed = {}, {}
 def mark(step):
     loaded[step] = "scipy" in sys.modules
+    parsed[step] = "orjson" in sys.modules
 
 mark("import")
 save_game(random_game(6, 3, 0.9, seed=1), "game.json")
@@ -88,18 +98,31 @@ exact.evaluate(g, np.zeros(g.n_states, dtype=np.int64))
 mark("evaluate")
 _, report = hard.verify_si_path_hi2(400)
 assert report.passed
+print(json.dumps(parsed))
 print(json.dumps(loaded))
 """
 
 
-def test_scipy_loads_at_the_first_factor_and_not_before(tmp_path):
+def run_fresh(tmp_path) -> list[str]:
+    """The lines RUN prints in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run([sys.executable, "-c", RUN], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout.splitlines()[-1])
+    return done.stdout.splitlines()
+
+
+def test_scipy_loads_at_the_first_factor_and_not_before(tmp_path):
+    loaded = json.loads(run_fresh(tmp_path)[-1])
     assert loaded == {"import": False, "load_game": False, "qvi.solve": False,
                       "value_iteration": False, "ratio_scan": False, "cli": False,
+                      "evaluate": True}
+
+
+def test_orjson_loads_at_the_first_read_and_not_before(tmp_path):
+    parsed = json.loads(run_fresh(tmp_path)[-2])
+    assert parsed == {"import": False, "load_game": True, "qvi.solve": True,
+                      "value_iteration": True, "ratio_scan": True, "cli": True,
                       "evaluate": True}
 
 

@@ -22,6 +22,7 @@ KNOBS = 42
 UNUSED = {
     "checks.MarkovianPlan.make": "the public constructor of the plan markovian_evaluate takes",
     "cli._Parser.error": "argparse calls it on a usage error, which it turns into an exit-2 JSON error",
+    "game.StochasticGame.actions": "the README documents it as the rows handed back in Action form",
     "game.quotient": "the README documents it; it is the oracle of the directly built hi2 quotient",
     "generate.random_game": "tests and perfbench generate their games with it",
     "qvi.SolveResult.u_schedule": "the README documents it as a solve's halving schedule",
