@@ -73,13 +73,13 @@ def _require(ok: bool, message: str) -> None:
 
 
 def write_csv(path: str | None, rows: list[str]) -> None:
-    """Write CSV rows to ``path`` (stdout when None); a NaN field is refused
-    before the file is opened, and a path that cannot be written raises
-    InputError."""
+    """Write CSV rows to ``path`` (stdout when None); a NaN or infinite field
+    is refused before the file is opened, and a path that cannot be written
+    raises InputError."""
     text = "\n".join(rows) + "\n"
     for row in rows:
-        if "nan" in row.lower().split(","):
-            raise RuntimeError("refusing to write NaN into a trace")
+        if not {"nan", "inf", "-inf"}.isdisjoint(row.lower().split(",")):
+            raise RuntimeError("refusing to write NaN or inf into a trace")
     if path is None:
         sys.stdout.write(text)
     else:

@@ -799,8 +799,14 @@ def _json_depth(text: bytes) -> int:
 
 
 def write_json(path: str, doc: dict, indent: int | None = None) -> None:
-    """Write ``doc`` to ``path`` as JSON and a newline; games and reports use indent 1."""
-    write_text(path, json.dumps(doc, indent=indent) + "\n")
+    """Write ``doc`` to ``path`` as JSON and a newline; games and reports use
+    indent 1. A non-finite float, which JSON lacks, is refused with
+    RuntimeError before the file is opened."""
+    try:
+        text = json.dumps(doc, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise RuntimeError(f"refusing to write NaN or inf into {path}: {exc}") from exc
+    write_text(path, text + "\n")
 
 
 def write_text(path: str, text: str) -> None:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .exact import greedy_from_q
-from .game import (InputError, check_fields, finite_number, read_json,
+from .game import (InputError, _object, check_fields, check_int, finite_number, read_json,
                    refuse_malformed, write_json)
 from .sampler import GenerativeModel
 
@@ -94,6 +94,11 @@ class DerivedConstants:
     log_factor: float   # L
     alpha1: float       # L / m1, <= 1
 
+    def __post_init__(self) -> None:
+        check_fields(self, "u delta beta log_factor alpha1", finite_number, "a finite number")
+        check_fields(self, "rounds m1 m2", lambda k: type(k) is int and k >= 0,
+                     "an integer >= 0")
+
 
 def _count(name: str, constant: str, override: int | None, planned: float) -> int:
     """``override``, or else ``ceil(planned)``; refused unless finite and below 2**63."""
@@ -130,6 +135,11 @@ def derive_constants(consts: QviConstants, u: float, delta: float,
     return DerivedConstants(u=u, delta=delta, beta=beta, rounds=int(rounds),
                             m1=int(m1), m2=int(m2), log_factor=log_factor,
                             alpha1=log_factor / m1)
+
+
+# The keys of a sequence document; the last two may be left out.
+_SEQ_REQUIRED = frozenset(("direction", "values", "q_values", "strategies", "error_bounds"))
+_SEQ_KEYS = _SEQ_REQUIRED | {"constants", "samples_used"}
 
 
 @dataclass
@@ -178,20 +188,20 @@ class VSSequence:
     @staticmethod
     def from_json_dict(doc: dict) -> "VSSequence":
         with refuse_malformed("sequence"):
+            _object(doc, _SEQ_KEYS.intersection(doc) | _SEQ_REQUIRED, "a sequence")
             if doc["direction"] not in (DECREASING, INCREASING):
                 raise InputError(f"unknown sequence direction {doc['direction']!r}")
             strategies = np.asarray(doc["strategies"])
             if strategies.dtype.kind != "i":  # 0.5 is refused, not truncated
                 raise InputError(f"strategies must be integers, got {strategies.dtype} entries")
-            consts = doc.get("constants")
             return VSSequence(
                 direction=doc["direction"],
                 values=_finite_floats(doc, "values"),
                 q_values=_finite_floats(doc, "q_values"),
                 strategies=strategies.astype(np.int64),
                 error_bounds=_finite_floats(doc, "error_bounds"),
-                constants=DerivedConstants(**consts) if consts else None,
-                samples_used=int(doc.get("samples_used", 0)),
+                constants=DerivedConstants(**doc["constants"]) if "constants" in doc else None,
+                samples_used=check_int(doc.get("samples_used", 0), "samples_used", 0),
             )
 
     def save(self, path: str) -> None:

@@ -215,7 +215,7 @@ def test_check_non_finite_sequence_exits_2(tmp_path, capsys):
                      error_bounds=np.zeros((2, g.n_pairs)))
     seq.q_values[1, 0] = np.nan
     spath = tmp_path / "seq.json"
-    seq.save(str(spath))
+    spath.write_text(json.dumps(seq.to_json_dict()))  # sg's writer refuses the NaN
     assert main(["check", "--game", str(gpath), "--seq", str(spath)]) == 2
     assert "non-finite" in json.loads(capsys.readouterr().err.strip())["error"]
 
@@ -323,13 +323,17 @@ def test_scaling_requires_seed(capsys):
 
 
 def test_nan_trace_is_refused_and_no_file_is_written(tmp_path):
-    trace = SolveTrace()
-    trace.append(1, 0.5, [], 0)
-    trace.append(2, float("nan"), [], 0)
-    path = tmp_path / "trace.csv"
-    with pytest.raises(RuntimeError, match="NaN"):
-        write_csv(str(path), trace.csv_rows())
-    assert not path.exists()
+    # a CSV trace and a JSON document alike, for NaN and both infinities
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        trace = SolveTrace()
+        trace.append(1, 0.5, [], 0)
+        trace.append(2, bad, [], 0)
+        path, doc = tmp_path / "trace.csv", tmp_path / "doc.json"
+        with pytest.raises(RuntimeError, match="NaN"):
+            write_csv(str(path), trace.csv_rows())
+        with pytest.raises(RuntimeError, match="NaN"):
+            write_json(str(doc), {"residuals": trace.residuals})
+        assert not path.exists() and not doc.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sg.cli import main
 from sg.game import (Action, InputError, MAX_JSON_DEPTH, MIN_PLAYER, OWNER_NAMES,
                      _json_depth, from_json_dict, load_game, make_game, quotient, read_json,
-                     save_game, to_json_dict, write_json)
+                     save_game, to_json_dict, write_json, write_text)
 from sg.generate import random_game
 from sg.hard import Hi2Config, build_hi1, build_hi2, default_hi2_rewards
 from sg.qvi import QviConstants, VSSequence, qvi_mdvss
@@ -139,7 +139,7 @@ def test_a_fuzzed_document_round_trips_or_is_refused(kind, tmp_path_factory):
     @given(fuzzed(bases))
     def run(case):
         doc, twin = case
-        write_json(path, doc, indent)
+        write_text(path, json.dumps(doc, indent=indent))  # sg's writer refuses NaN and inf
         try:
             obj = read_json(path, parse)
         except InputError:
@@ -191,6 +191,13 @@ BAD_DOCUMENTS = [
     ("seq", "[1]"),
     ("seq", _seq(strategies=np.full(SEQ.strategies.shape, 0.5).tolist())),
     ("seq", _seq(values=None)),  # numpy reads null as NaN, which no file can hold
+    ("seq", _seq(bogus=1)),
+    ("seq", _seq(samples_used=2.7)),
+    ("seq", _seq(samples_used=True)),
+    ("seq", _seq(samples_used=-1)),
+    ("seq", _seq(constants={**asdict(SEQ.constants), "u": "x"})),
+    ("seq", _seq(constants={**asdict(SEQ.constants), "m1": 2.5})),
+    ("seq", _seq(constants=None)),
     ("game", _game(RESTART + ("uniform",), "false")),
     ("game", _game(RESTART + ("uniform",), 1)),
     ("game", _game(RESTART + ("next",), [{"s": 0, "p": 1.0}])),
@@ -206,7 +213,10 @@ BAD_DOCUMENTS = [
 ]
 BAD_IDS = ["c1-text", "c1-nan", "c2-negative", "m1-zero", "m1-fraction",
            "no-switch-rewards", "derived-constants-u-only", "top-level-list",
-           "half-strategies", "values-null", "uniform-text", "uniform-one",
+           "half-strategies", "values-null", "seq-extra-key", "samples-used-fraction",
+           "samples-used-bool", "samples-used-negative", "derived-constants-u-text",
+           "derived-constants-m1-fraction", "derived-constants-null",
+           "uniform-text", "uniform-one",
            "uniform-with-next", "game-extra-key", "state-extra-key", "action-extra-key",
            "entry-extra-key", "reward-text", "reward-bool", "gamma-text", "p-text", "p-bool"]
 ROUTES = {

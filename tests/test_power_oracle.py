@@ -3,15 +3,15 @@
 ``reference_power_iteration`` is the per-sweep stacked loop: every chain of
 a stack is tested for convergence after every sweep and stops at its own
 first converged sweep. It is the oracle of both routes to a stationary law:
-``stationary_distribution``, which iterates one chain in blocks of sweeps,
-must read it bit for bit, and ``scan_stack``, which solves for the laws of a
+``stationary_distribution``, which iterates one chain, must read it bit for
+bit and push for push, and ``scan_stack``, which solves for the laws of a
 dense stack, must agree with it within 1e-9 on every chain with one closed
 class.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import sg.exact
@@ -19,6 +19,7 @@ import sg.game
 from sg.exact import ratio_scan, scan_stack, stationary_distribution
 from sg.game import Action, MAX_PLAYER, make_game
 from sg.generate import random_game
+from sg.hard import build_hi1
 
 from test_exact import all_strategies, fresh, mixed_row_game
 
@@ -155,8 +156,8 @@ def power_readings(g, sigmas):
     return laws(g), sparse_laws
 
 
-def blocked_and_reference(g, sigmas, **constants):
-    """power_readings with the blocked iteration and with the per-sweep
+def iteration_and_reference(g, sigmas, **constants):
+    """power_readings with ``_power_iteration`` and with the per-sweep
     loop, under the module constants given, with the pushes each made."""
     got = []
     for power in (None, reference_one_chain):
@@ -170,38 +171,46 @@ def blocked_and_reference(g, sigmas, **constants):
     return got
 
 
+def hi1_case():
+    """hi1 at T = 48, whose restart rows push the uniform law, with its
+    uniform, extreme and three seeded policies."""
+    g, meta = build_hi1(48)
+    seeded = np.random.default_rng(0).integers(0, g.space.n_actions, size=(3, g.n_states))
+    return g, np.array([meta.policy_uniform(), meta.policy_extreme(), *seeded])
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(scan_games())
-def test_blocked_power_iteration_is_the_per_sweep_loop_bit_for_bit(g):
-    # 13 and 101 are no multiples of the block, so the Cesaro switch and the
-    # cap fall inside what would be one block
-    sigmas = np.array(all_strategies(g))
-    (got, _), (want, _) = blocked_and_reference(g, sigmas, PLAIN_SWEEPS=13,
-                                                STATIONARY_MAX_SWEEPS=101)
+@given(scan_games().map(lambda g: (g, np.array(all_strategies(g)))))
+@example(hi1_case())
+def test_blocked_power_iteration_is_the_per_sweep_loop_bit_for_bit(case):
+    # 13 sweeps put the Cesaro switch and 101 the cap within reach
+    g, sigmas = case
+    (got, _), (want, _) = iteration_and_reference(g, sigmas, PLAIN_SWEEPS=13,
+                                                  STATIONARY_MAX_SWEEPS=101)
     for a, b in zip(got, want):
         assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_a_block_of_one_sweep_is_the_per_sweep_loop_push_for_push():
-    # with a block of one sweep the iteration pushes exactly what the
-    # per-sweep loop does
+    # the iteration pushes exactly what the per-sweep loop does, at the
+    # default constants and with the Cesaro switch and the cap brought near
     rng = np.random.default_rng(5)
     for g in (periodic_and_absorbing_game(), mixed_row_game(5, 0.9, rng),
               random_game(4, 2, 0.99, seed=3)):
         sigmas = np.array(all_strategies(g))
-        (got, pushes), (want, ref_pushes) = blocked_and_reference(
-            g, sigmas, POWER_BLOCK=1, PLAIN_SWEEPS=13, STATIONARY_MAX_SWEEPS=101)
-        assert pushes == ref_pushes
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b, equal_nan=True)
+        for constants in ({}, {"PLAIN_SWEEPS": 13, "STATIONARY_MAX_SWEEPS": 101}):
+            (got, pushes), (want, ref_pushes) = iteration_and_reference(g, sigmas, **constants)
+            assert pushes == ref_pushes
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_a_converged_chain_makes_fewer_than_a_block_of_extra_sweeps():
     g = random_game(5, 2, 0.9, seed=11)
     for sigma in all_strategies(g):
-        (_, pushes), (_, ref_pushes) = blocked_and_reference(g, sigma[None])
+        (_, pushes), (_, ref_pushes) = iteration_and_reference(g, sigma[None])
         # one stationary_distribution on each holding
-        assert 0 <= pushes - ref_pushes <= 2 * (sg.exact.POWER_BLOCK - 1)
+        assert pushes == ref_pushes
 
 
 def test_an_empty_stack_pushes_nothing():
@@ -240,7 +249,7 @@ def test_a_non_finite_chain_stops_at_the_first_check(held):
         calls = counted_pushes(mp)
         with pytest.raises(RuntimeError, match="did not converge"):
             stationary_distribution(g, np.zeros(3, dtype=np.int64))
-        assert len(calls) <= sg.exact.POWER_BLOCK + 1
+        assert len(calls) <= 2
         lam, x = scan_stack(g, np.array([[0, 0, 0], [1, 0, 0]]))
         assert np.isnan(lam[0]).all() and np.isnan(x[0]).all()
         np.testing.assert_allclose(lam[1], [1.0, 0.0, 0.0], atol=1e-9)
@@ -250,7 +259,7 @@ def test_a_non_finite_chain_stops_at_the_first_check(held):
         calls.clear()
         with pytest.raises(RuntimeError, match="no strategy produced a convergent chain"):
             ratio_scan(nan_only)
-        assert len(calls) <= sg.exact.POWER_BLOCK + 1
+        assert len(calls) <= 2
         # the per-sweep loop, given its sweeps, reads the same
         mp.setattr(sg.exact, "_power_iteration", reference_one_chain)
         assert ratio_scan(g).per_strategy == report.per_strategy
