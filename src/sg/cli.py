@@ -11,14 +11,16 @@ Subcommands:
 
 Exit codes: 0 when every requested check passes, 1 when a check fails,
 2 on malformed input: an unknown flag, an out-of-range argument, an
-unreadable or malformed JSON file, an output path that cannot be written, or
-solver constants whose plan cannot run. The harness only maps flags to
-library calls. The library checks every argument and document (read by
-``sg.game.read_json``) and raises :class:`sg.game.InputError`, the one
-exception ``main`` maps, to exit 2 with a JSON error on stderr; the parser
-raises it for argparse's own usage errors too. The harness
-checks only what no library call receives before the run: that exactly one
-game source is given, and that the directory of ``--out`` exists.
+unreadable or malformed JSON file, an output path that cannot be written,
+solver constants whose plan cannot run, or an instance too large for
+memory. The harness only maps flags to library calls. The library checks
+every argument and document (read by ``sg.game.read_json``) and raises
+:class:`sg.game.InputError`, which ``main`` maps to exit 2 with a JSON error
+on stderr; the parser raises it for argparse's own usage errors too.
+``main`` maps a ``MemoryError`` the same way, as ``out of memory: ...``. The
+harness checks only what no library call receives before the run: that
+exactly one game source is given, and that the directory of ``--out``
+exists.
 All randomness flows from ``--seed``; the library refuses a randomized run
 without one rather than fall back to a clock seed.
 """
@@ -30,14 +32,12 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import checks as checks_mod
 from . import exact, game as game_mod, hard, qvi
-from .game import InputError, check_int, read_json, write_text
-from .generate import clustered_game
+from .game import InputError, read_json, write_text
 from .sampler import GenerativeModel
 
 EXIT_OK = 0
@@ -186,44 +186,12 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-SCALING_M1 = (100, 1000, 10000, 100000)
-SCALING_SLOPE_BAND = (-0.65, -0.35)
-
-
-def scaling_sweep(seed: int, trials: int,
-                  m1_values: tuple[int, ...] = SCALING_M1):
-    """Sweep the big-batch size on a fixed high-variance 10-state game.
-
-    Runs a single monotone-decreasing pass per trial, starting u=4 above the
-    optimum, with constants chosen so the variance-driven shift dominates the
-    other error terms. Returns (rows, slope) where rows are (m1, trial, err).
-    """
-    trials = check_int(trials, "trials", 1)
-    g = clustered_game(10, 3, 0.9, seed=seed)
-    vstar, sstar = exact.optimal_value(g)
-    u = 4.0
-    consts = qvi.QviConstants(c1=8.0, c=0.01, big_c=0.01, c3=4.0)
-    rows = []
-    xs, ys = [], []
-    for m1 in m1_values:
-        for t in range(trials):
-            model = GenerativeModel(g, master_seed=seed * 10 ** 9 + m1 * 100 + t)
-            seq = qvi.qvi_mdvss(model, u, 0.1, vstar + u, sstar,
-                                replace(consts, m1_override=m1))
-            err = float(np.abs(seq.terminal_value - vstar).max())
-            rows.append((m1, t, err))
-            xs.append(np.log10(m1))
-            ys.append(np.log10(err))
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return rows, slope
-
-
 def cmd_scaling(args) -> int:
-    rows, slope = scaling_sweep(args.seed, args.trials)
+    rows, slope = qvi.scaling_sweep(args.seed, args.trials)
     csv = ["m1,trial,error"]
     csv += [f"{m1},{t},{err!r}" for m1, t, err in rows]
     write_csv(args.out, csv)
-    lo, hi = SCALING_SLOPE_BAND
+    lo, hi = qvi.SCALING_SLOPE_BAND
     print(f"log-log slope: {slope!r} (band [{lo}, {hi}])")
     return EXIT_OK if lo <= slope <= hi else EXIT_CHECK_FAILED
 
@@ -312,6 +280,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except InputError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
+        return EXIT_BAD_INPUT
+    except MemoryError as exc:
+        sys.stderr.write(json.dumps({"error": f"out of memory: {exc}"}) + "\n")
         return EXIT_BAD_INPUT
 
 

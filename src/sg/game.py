@@ -688,8 +688,8 @@ def quotient(game: StochasticGame) -> tuple[StochasticGame, np.ndarray]:
     The quotient serves values and strategies: a class's flux or stationary
     mass is its members' total, so ``hi1_distribution_bounds`` stays on the
     full game, while the full game's mean value is the class-size weighted
-    mean ``k^T v_q / sum(k)`` (``hi2_vbar_signs``). The hi2 verifier builds
-    its quotient directly, and this fold is the oracle it is tested against.
+    mean ``k^T v_q / sum(k)`` (``hi2_vbar_signs``). The hi2 verifier and
+    ``hi2_vbar_signs`` solve on this fold of the built instance.
     """
     space, layout = game.space, game.layout
     n = game.n_states

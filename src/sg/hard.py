@@ -21,16 +21,14 @@ moves the run never makes.
 
 Both instances are built from arrays through the table route of
 :func:`sg.game.make_game`, with no per-state Python loop. The hi2 run and
-probe, and :func:`hi2_vbar_signs`, solve on the instance's exact lumped
-quotient, built directly by the same builder: the ``T`` restart dummies of
-hi2 have one action, reward 0 and the restart row, so they share one value
+probe, and :func:`hi2_vbar_signs`, solve on :func:`sg.game.quotient` of the
+built instance, its exact lumped quotient: the ``T`` restart dummies of hi2
+have one action, reward 0 and the restart row, so they share one value
 under every strategy and form one restart class of weight ``T``, and 10,077
-states become 78 at ``T = 10000``; the full game is never built. It is the
-game :func:`sg.game.quotient` folds from the instance, except that at
-``r_goal = 0`` it keeps the goal apart (see :func:`_hi2_game`). Strategies
-map down through each class's representative, and every flip is reported at
-its full-game state, so reports, flips, evaluation counts and phases are
-those of a full-game run. Over the 211 strategies evaluated at ``T = 10000``
+states become 78 at ``T = 10000``. Strategies map down through each class's
+first member, ``meta.joint(...)[reps]``, and every flip is reported at its
+full-game state, so reports, flips, evaluation counts and phases are those
+of a full-game run. Over the 211 strategies evaluated at ``T = 10000``
 the values agree within 1.84e-11 relative (the forward bound
 eps (1 + gamma)/(1 - gamma) is 3.6e-11 there), and the trace's residual
 column (each sweep's largest improvement) within 2.89e-12. The full game's
@@ -50,7 +48,7 @@ from .checks import CheckReport, Violation
 from .exact import (SolveTrace, _improved, evaluate, policy_iteration,
                     stationary_distribution, strategy_iteration)
 from .game import (InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, _array_game,
-                   check_fields, check_int, finite_number, refuse_malformed)
+                   check_fields, check_int, finite_number, quotient, refuse_malformed)
 
 U, R = 0, 1  # action indices on two-action chain states
 HI1_MIN_T = 48   # smallest HI1 size with s_prime >= 2
@@ -85,7 +83,7 @@ def _steps(targets: np.ndarray, reward: float,
             np.column_stack([np.full(n, RESTART), targets]).ravel())
 
 
-def _point_game(gamma: float, blocks: list, weights: np.ndarray) -> StochasticGame:
+def _point_game(gamma: float, blocks: list) -> StochasticGame:
     """The game of consecutive ``blocks`` of states, each
     ``(owner, n_actions, rewards, targets)``: a pair's row steps to its
     target with probability 1, or is the restart row at ``RESTART``."""
@@ -93,7 +91,7 @@ def _point_game(gamma: float, blocks: list, weights: np.ndarray) -> StochasticGa
     n_actions, rewards, targets = (np.concatenate(column) for column in list(zip(*blocks))[1:])
     step = targets != RESTART
     return _array_game(gamma, owners, n_actions, rewards, ~step, step.astype(np.int64),
-                       targets[step], np.ones(np.count_nonzero(step)), weights)
+                       targets[step], np.ones(np.count_nonzero(step)), np.ones(owners.size))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +148,7 @@ def build_hi1(T: int) -> tuple[StochasticGame, Hi1Meta]:
         (MAX_PLAYER, *_restarts(chain.start, 0.0)),
         (MAX_PLAYER, *_steps(np.arange(chain.start + 1, chain.stop + 1), 0.0, escape=True)),
         (MAX_PLAYER, *_restarts(1, 1.0)),
-    ], np.ones(T))
+    ])
     return game, meta
 
 
@@ -304,20 +302,10 @@ class Hi2Meta:
         """(min_i, max_(i,z)): R on m_1..m_{i_min} and on M_1..M_{z_max}, U
         on the rest of both chains, the switch playing a_{i_max}, and every
         single-action state at 0."""
-        return self._joint(self.n_states, i_min, i_max, z_max)
-
-    def _joint(self, n: int, i_min: int, i_max: int, z_max: int) -> np.ndarray:
-        """``joint`` on a table of ``n`` states: the instance, or its lumped
-        quotient, whose ``T`` dummies are one state. Every state a joint
-        strategy moves lies past the dummies and sits ``n_states - n`` below
-        its instance index there, so this is ``joint(...)[reps]`` built
-        straight at the quotient's states."""
-        shift = self.n_states - n
-        sigma = np.zeros(n, dtype=np.int64)
-        m, M = self.m(1) - shift, self.M(1) - shift
-        sigma[m:m + i_min] = R
-        sigma[M:M + z_max] = R
-        sigma[self.switch - shift] = i_max - 1
+        sigma = np.zeros(self.n_states, dtype=np.int64)
+        sigma[self.m(1):self.m(1) + i_min] = R
+        sigma[self.M(1):self.M(1) + z_max] = R
+        sigma[self.switch] = i_max - 1
         return sigma
 
     def describe(self, sigma: np.ndarray) -> tuple[int, int, int] | None:
@@ -365,74 +353,48 @@ def default_hi2_rewards(T: int) -> Hi2Config:
 def build_hi2(T: int, config: Hi2Config | None = None) -> tuple[StochasticGame, Hi2Meta]:
     """Assemble the five state groups of the two-player instance.
 
-    Rewards lie in [-1, 1]; apply an affine reward map before handing the
-    game to sampling-based solvers that need [0, 1].
+    Refused unless ``config`` (by default :func:`default_hi2_rewards`) was
+    built for ``T`` and has chains the instance can be laid out with. Its
+    reward ordering and range are verified and reported by
+    :func:`verify_si_path_hi2` rather than enforced here, so deliberately
+    broken configurations can witness path failures. Rewards lie in
+    [-1, 1]; apply an affine reward map before handing the game to
+    sampling-based solvers that need [0, 1].
     """
-    meta = _hi2_meta(T, config)
-    return _hi2_game(meta, lumped=False), meta
-
-
-def _hi2_meta(T: int, config: Hi2Config | None) -> Hi2Meta:
-    """The instance's layout, refused unless ``config`` (by default
-    :func:`default_hi2_rewards`) was built for ``T`` and has chains the
-    instance can be laid out with."""
-    config = config or default_hi2_rewards(T)
-    if config.T != T:
-        raise InputError(f"reward config was built for T={config.T}, not {T}")
-    c = config
+    c = config or default_hi2_rewards(T)
+    if c.T != T:
+        raise InputError(f"reward config was built for T={c.T}, not {T}")
     if not (c.s_b > c.s_prime and c.s_b_prime > c.s_prime):
         raise InputError("boosting chains must be longer than the action chains")
     if len(c.switch_rewards) != c.s_prime:
         raise InputError("need one switch reward per min-chain state")
-    # Reward ordering/range requirements are verified (and reported) by
-    # verify_si_path_hi2 rather than enforced here, so deliberately broken
-    # configurations can be used to witness path failures.
-    return Hi2Meta(config=config)
-
-
-def _hi2_game(meta: Hi2Meta, lumped: bool) -> StochasticGame:
-    """The instance's table, the ``T`` restart dummies either as ``T`` states
-    of weight 1 (the instance itself) or, ``lumped``, as one restart class of
-    weight ``T``: the instance's exact lumped quotient, whose states stand
-    for the instance's states ``[0, T, T + 1, ...]`` (:func:`_hi2_quotient`).
-
-    The quotient equals ``sg.game.quotient`` of the instance bit for bit,
-    except at ``r_goal = 0``: the goal's reward -0.0 then equals the
-    dummies' 0.0 and ``quotient`` merges the goal into their class, while
-    here it stays a class of its own, a finer partition that is still exact.
-    """
-    c = meta.config
-    shift = c.T - 1 if lumped else 0  # each state's index below the instance's
-    m, b, M, B = meta.m(1) - shift, meta.b(1) - shift, meta.M(1) - shift, meta.B(1) - shift
-    goal, switch = meta.goal - shift, meta.switch - shift
-    weights = np.ones(switch + 1)
-    if lumped:
-        weights[0] = c.T
+    meta = Hi2Meta(config=c)
+    m, b, M, B = meta.m(1), meta.b(1), meta.M(1), meta.B(1)
     # Each chain state j steps to state j - 1, its first state to the head
     # target; an action chain (m, M) may also escape by the restart row.
     return _point_game(c.gamma, [
-        (MIN_PLAYER, *_restarts(c.T - shift, 0.0)),
+        (MIN_PLAYER, *_restarts(T, 0.0)),
         (MIN_PLAYER, *_steps(np.r_[b + c.s_b - 1, m:m + c.s_prime - 1], c.r_delta, escape=True)),
-        (MIN_PLAYER, *_steps(np.r_[goal, b:b + c.s_b - 1], 0.0, escape=False)),
+        (MIN_PLAYER, *_steps(np.r_[meta.goal, b:b + c.s_b - 1], 0.0, escape=False)),
         (MIN_PLAYER, *_restarts(1, -c.r_goal)),
         (MAX_PLAYER, *_steps(np.r_[B + c.s_b_prime - 1, M:M + c.s_prime - 1],
                              -c.r_delta_prime, escape=True)),
-        (MAX_PLAYER, *_steps(np.r_[switch, B:B + c.s_b_prime - 1], 0.0, escape=False)),
+        (MAX_PLAYER, *_steps(np.r_[meta.switch, B:B + c.s_b_prime - 1], 0.0, escape=False)),
         (MAX_PLAYER, np.array([c.s_prime]), np.array(c.switch_rewards, np.float64),
          np.arange(m, m + c.s_prime)),
-    ], weights)
+    ]), meta
 
 
 def _hi2_quotient(T: int, config: Hi2Config | None) -> tuple[StochasticGame, Hi2Meta, np.ndarray]:
-    """The instance's exact lumped quotient, built directly, its meta, and
-    the instance's state behind each of its states, ``[0, T, T + 1, ...]``:
-    a strategy maps down as ``sigma[reps]``, and ``Hi2Meta._joint`` builds
-    a named one there directly."""
-    meta = _hi2_meta(T, config)
-    return _hi2_game(meta, lumped=True), meta, np.r_[0, T:meta.n_states]
+    """The instance's exact lumped quotient, its meta, and the instance's
+    first state in each class: a strategy maps down as ``sigma[reps]``."""
+    game, meta = build_hi2(T, config)
+    q, classes = quotient(game)
+    return q, meta, np.unique(classes, return_index=True)[1]
 
 
-def check_si_transitions(game: StochasticGame, meta: Hi2Meta) -> list[Violation]:
+def check_si_transitions(game: StochasticGame, meta: Hi2Meta,
+                         reps: np.ndarray) -> list[Violation]:
     """The predicted rebuild moves off the strategy-iteration path.
 
     From every cell (min_i, max_(i,z)) with 1 <= i < S' and 0 <= z < S', one
@@ -443,17 +405,18 @@ def check_si_transitions(game: StochasticGame, meta: Hi2Meta) -> list[Violation]
     :func:`verify_si_path_hi2`, which makes the identical sweep from each of
     them, so its visited sequence verifies them there.
 
-    ``game`` is the instance or its lumped quotient, and each strategy is
-    laid out on its states (``Hi2Meta._joint``). The cells are evaluated one
-    at a time and improved together, from one Q of the stacked values.
+    ``game`` is the instance or its lumped quotient, and ``reps`` the
+    instance's state behind each of its states (``np.arange`` on the
+    instance), through which each strategy maps down. The cells are
+    evaluated one at a time and improved together, from one Q of the
+    stacked values.
     """
-    n = game.n_states
     cells = [(i, z) for i in range(1, meta.s_prime) for z in range(meta.s_prime)]
-    sigmas = np.array([meta._joint(n, i, i, z) for i, z in cells],
-                      dtype=np.int64).reshape(-1, n)
+    sigmas = np.array([meta.joint(i, i, z)[reps] for i, z in cells],
+                      dtype=np.int64).reshape(-1, game.n_states)
     values = np.array([evaluate(game, sigma) for sigma in sigmas]).reshape(sigmas.shape)
     got, _, _ = _improved(game, values, sigmas, game.owners == MAX_PLAYER)
-    rebuilt = {i: meta._joint(n, i, i + 1, 0) for i in range(1, meta.s_prime)}
+    rebuilt = {i: meta.joint(i, i + 1, 0)[reps] for i in range(1, meta.s_prime)}
     return [Violation("si-rebuild", (i, z), 0.0, 1.0, 0.0)
             for (i, z), sigma in zip(cells, got) if not np.array_equal(sigma, rebuilt[i])]
 
@@ -481,7 +444,7 @@ def verify_si_path_hi2(T: int, config: Hi2Config | None = None) -> tuple[SolveTr
     tail after the path moves only the max player, and the count of
     single-action max-player corrections, which must land in
     [S'(S'-1), S'(S'+2)]. The probe and the run solve on the instance's
-    lumped quotient, built directly; the trace names full-game states.
+    lumped quotient; the trace names full-game states.
     """
     lumped, meta, reps = _hi2_quotient(T, config)
     config = meta.config
@@ -493,9 +456,9 @@ def verify_si_path_hi2(T: int, config: Hi2Config | None = None) -> tuple[SolveTr
     for k, r in enumerate(rs):
         if not (0.0 < r < config.r_goal):
             violations.append(Violation("si-config:reward-range", (k,), r, config.r_goal, 0.0))
-    violations += check_si_transitions(lumped, meta)
+    violations += check_si_transitions(lumped, meta, reps)
 
-    _, trace = strategy_iteration(lumped, meta._joint(lumped.n_states, 0, 1, 0))
+    _, trace = strategy_iteration(lumped, meta.joint(0, 1, 0)[reps])
     full = reps.tolist()
     trace.changes = [[(full[s], old, new) for s, old, new in ch] for ch in trace.changes]
 
@@ -550,12 +513,12 @@ def hi2_vbar_signs(T: int, config: Hi2Config | None = None) -> CheckReport:
     -(i + S_b + 1) r_goal + (1 + z + S_b') r within ``VBAR_BAND``. Each
     mean is read off the instance's lumped quotient (:func:`_scaled_mean`).
     """
-    game, meta, _ = _hi2_quotient(T, config)
+    game, meta, reps = _hi2_quotient(T, config)
     c = meta.config
     violations: list[Violation] = []
 
     def scaled_mean(i: int, a: int, z: int) -> float:
-        return _scaled_mean(game, evaluate(game, meta._joint(game.n_states, i, a, z)))
+        return _scaled_mean(game, evaluate(game, meta.joint(i, a, z)[reps]))
 
     for z in range(0, c.s_prime + 1):
         for i in range(1, c.s_prime + 1):

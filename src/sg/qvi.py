@@ -35,13 +35,14 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .exact import greedy_from_q
+from .exact import greedy_from_q, optimal_value
 from .game import (InputError, _object, check_fields, check_int, finite_number, read_json,
                    refuse_malformed, write_json)
+from .generate import clustered_game
 from .sampler import GenerativeModel
 
 DECREASING = "decreasing"
@@ -418,3 +419,39 @@ def solve(model: GenerativeModel, epsilon: float, delta: float,
     _log_chain("min", seqs, oks, seconds)
     _log_chain("max", *mirror)
     return SolveResult(sequences=seqs, mirror_sequences=mirror[0], round_ok=oks)
+
+
+# ---------------------------------------------------------------------------
+# the big-batch scaling experiment
+
+SCALING_M1 = (100, 1000, 10000, 100000)
+SCALING_SLOPE_BAND = (-0.65, -0.35)
+
+
+def scaling_sweep(seed: int, trials: int) -> tuple[list[tuple[int, int, float]], float]:
+    """Sweep the big-batch size over ``SCALING_M1`` on a fixed high-variance
+    10-state game.
+
+    Runs a single monotone-decreasing pass per trial, starting u=4 above the
+    optimum, with constants chosen so the variance-driven shift dominates the
+    other error terms. Returns (rows, slope) where rows are (m1, trial, err)
+    and slope is the log-log slope of err against m1, expected inside
+    ``SCALING_SLOPE_BAND``.
+    """
+    trials = check_int(trials, "trials", 1)
+    g = clustered_game(10, 3, 0.9, seed=seed)
+    vstar, sstar = optimal_value(g)
+    u = 4.0
+    consts = QviConstants(c1=8.0, c=0.01, big_c=0.01, c3=4.0)
+    rows = []
+    xs, ys = [], []
+    for m1 in SCALING_M1:
+        for t in range(trials):
+            model = GenerativeModel(g, master_seed=seed * 10 ** 9 + m1 * 100 + t)
+            seq = qvi_mdvss(model, u, 0.1, vstar + u, sstar, replace(consts, m1_override=m1))
+            err = float(np.abs(seq.terminal_value - vstar).max())
+            rows.append((m1, t, err))
+            xs.append(np.log10(m1))
+            ys.append(np.log10(err))
+    slope = float(np.polyfit(xs, ys, 1)[0])
+    return rows, slope

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sg.checks import check_mdvss, variance_bellman_residual, MarkovianPlan
-from sg.cli import SCALING_SLOPE_BAND, scaling_sweep
+from sg.qvi import SCALING_SLOPE_BAND, scaling_sweep
 from sg.exact import (bellman, best_response, flux,
                       ratio_scan, stationary_distribution, value_iteration)
 from sg.game import MIN_PLAYER, with_gamma

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from sg.checks import check_mdvss
-from sg.cli import main, scaling_sweep, write_csv
+from sg.cli import main, write_csv
 from sg.exact import (SolveTrace, bellman, evaluate, policy_iteration, strategy_iteration,
                       value_iteration)
 from sg.game import InputError, affine_reward_map, make_game, save_game, write_json
 from sg.hard import build_hi1, build_hi2, default_hi2_rewards
 from sg.generate import random_game
-from sg.qvi import VSSequence, qvi_mdvss, QviConstants, solve
+from sg.qvi import VSSequence, qvi_mdvss, QviConstants, scaling_sweep, solve
 from sg.sampler import GenerativeModel
 
 
@@ -305,6 +305,21 @@ def test_library_input_checks_exit_2(argv, game_file, tmp_path, capsys):
 
 def test_missing_game_source_exits_2(capsys):
     assert main(["solve", "--method", "vi"]) == 2
+
+
+# T = 10^15 needs 7.11 PiB per array, past the address space, so the first
+# allocation fails at once and touches no memory
+@pytest.mark.parametrize("argv", [
+    ["hard", "pi", "--T", "1000000000000000"],
+    ["hard", "si", "--T", "1000000000000000"],
+    ["solve", "--hi2", "1000000000000000"],
+    ["flux", "--hi1", "1000000000000000"],
+], ids=["hard-pi", "hard-si", "solve-hi2", "flux-hi1"])
+def test_an_instance_too_large_for_memory_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"].startswith("out of memory: ")
 
 
 def test_scaling_emits_csv_and_slope(tmp_path, capsys):

@@ -1,11 +1,10 @@
 """The worst-case instances built from arrays, against the Action-loop builds
-they replaced and against the quotient folded from the full game.
+they replaced, and the hi2 verifier on the quotient folded from them.
 
 ``reference_build_hi1`` and ``reference_build_hi2`` are the former builders:
 one :class:`Action` per pair through ``make_game``. The array builds must
-give the same game bit for bit, and the hi2 quotient built directly the same
-game as ``quotient(build_hi2(T))``. The probe's stacked improvement sweep
-must pick the strategies that one ``improve`` per cell picks.
+give the same game bit for bit. The probe's stacked improvement sweep must
+pick the strategies that one ``improve`` per cell picks.
 """
 
 import itertools
@@ -109,23 +108,13 @@ def test_build_hi2_equals_its_action_loop_build(T, config):
     assert_bit_identical(game, ref)
 
 
-@pytest.mark.parametrize("T, config", [(400, None), (1600, None), (10_000, None), (400, NEAR)])
-def test_the_direct_hi2_quotient_equals_the_folded_one(T, config):
-    q, meta, reps = _hi2_quotient(T, config)
-    folded, classes = quotient(build_hi2(T, config)[0])
-    assert_bit_identical(q, folded)
-    np.testing.assert_array_equal(reps, np.unique(classes, return_index=True)[1])
-    assert q.layout.weight_sum == meta.n_states
-
-
-def test_at_r_goal_zero_the_direct_quotient_keeps_the_goal_apart():
+def test_at_r_goal_zero_the_fold_merges_the_goal_and_the_run_stays_exact():
     # the goal's reward -0.0 equals the dummies' 0.0, so the fold merges the
-    # goal into their class; the direct build keeps it a class of its own
+    # goal into their class
     config = Hi2Config(**{**default_hi2_rewards(400).to_json_dict(), "r_goal": 0.0})
-    q, meta, reps = _hi2_quotient(400, config)
-    game, _ = build_hi2(400, config)
+    game, meta = build_hi2(400, config)
     folded, classes = quotient(game)
-    assert folded.n_states == q.n_states - 1 and classes[meta.goal] == 0
+    assert folded.n_states == game.n_states - meta.T and classes[meta.goal] == 0
     # still exact: the verifier reports the full game's run
     _, full = strategy_iteration(game, meta.joint(0, 1, 0))
     trace, _ = verify_si_path_hi2(400, config)
@@ -149,15 +138,13 @@ def reference_joint(meta, i_min, i_max, z_max):
 
 
 @pytest.mark.parametrize("T", [400, 10_000])
-def test_named_strategies_laid_out_on_the_quotient_are_the_mapped_down_ones(T):
-    q, meta, reps = _hi2_quotient(T, None)
+def test_named_strategies_are_the_sum_of_their_min_and_max_parts(T):
+    meta = Hi2Meta(config=default_hi2_rewards(T))
     s = meta.s_prime
     for i, a, z in itertools.product(range(s + 1), range(1, s + 1), range(s + 1)):
         sigma = meta.joint(i, a, z)
+        assert sigma.dtype == np.int64 and sigma.shape == (meta.n_states,)
         np.testing.assert_array_equal(sigma, reference_joint(meta, i, a, z))
-        on_q = meta._joint(q.n_states, i, a, z)
-        assert on_q.dtype == sigma.dtype and on_q.shape == (q.n_states,)
-        np.testing.assert_array_equal(on_q, sigma[reps])
 
 
 @pytest.mark.parametrize("T", [400, 10_000])
@@ -195,20 +182,6 @@ def test_q_from_v_refuses_a_stack_of_the_wrong_width():
     game = random_game(4, 2, 0.9, seed=0)
     with pytest.raises(sg.game.InputError, match="value vector shape"):
         q_from_v(game, np.zeros((3, 5)))
-
-
-def test_the_hi2_verifier_builds_no_game_beyond_the_quotient(monkeypatch):
-    sizes = []
-    original = sg.game._table_game
-
-    def counted(owners, space, *rest):
-        sizes.append(space.n_states)
-        return original(owners, space, *rest)
-
-    monkeypatch.setattr(sg.game, "_table_game", counted)
-    _, report = verify_si_path_hi2(10_000)
-    assert report.passed
-    assert sizes and max(sizes) == 78
 
 
 def test_hi2_vbar_signs_reads_the_full_game_means_off_the_quotient(monkeypatch):

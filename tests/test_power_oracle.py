@@ -182,7 +182,7 @@ def hi1_case():
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(scan_games().map(lambda g: (g, np.array(all_strategies(g)))))
 @example(hi1_case())
-def test_blocked_power_iteration_is_the_per_sweep_loop_bit_for_bit(case):
+def test_the_power_iteration_is_the_per_sweep_loop_bit_for_bit(case):
     # 13 sweeps put the Cesaro switch and 101 the cap within reach
     g, sigmas = case
     (got, _), (want, _) = iteration_and_reference(g, sigmas, PLAIN_SWEEPS=13,
@@ -191,7 +191,7 @@ def test_blocked_power_iteration_is_the_per_sweep_loop_bit_for_bit(case):
         assert np.array_equal(a, b, equal_nan=True)
 
 
-def test_a_block_of_one_sweep_is_the_per_sweep_loop_push_for_push():
+def test_the_power_iteration_is_the_per_sweep_loop_push_for_push():
     # the iteration pushes exactly what the per-sweep loop does, at the
     # default constants and with the Cesaro switch and the cap brought near
     rng = np.random.default_rng(5)
@@ -205,7 +205,7 @@ def test_a_block_of_one_sweep_is_the_per_sweep_loop_push_for_push():
                 assert np.array_equal(a, b, equal_nan=True)
 
 
-def test_a_converged_chain_makes_fewer_than_a_block_of_extra_sweeps():
+def test_a_converged_chain_makes_the_per_sweep_loops_pushes():
     g = random_game(5, 2, 0.9, seed=11)
     for sigma in all_strategies(g):
         (_, pushes), (_, ref_pushes) = iteration_and_reference(g, sigma[None])
