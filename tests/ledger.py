@@ -6,9 +6,10 @@ Each case is one public call. Its outcome splits in two parts:
 * the integer-valued part (evaluation counts, every step's flips, phases,
   single-flip counts, violation kinds and indices, verdicts), which
   ``tests/test_ledger.py`` compares with the committed ``ledger.json``;
-* the float columns (residuals and the violations' numbers), which
-  ``--digest`` prints as one sha256 per column over ``float.hex`` of each
-  entry, so two trees can be compared bit for bit.
+* the float columns (residuals, the violations' numbers and a solved
+  strategy's value), which ``--digest`` prints as one sha256 per column
+  over ``float.hex`` of each entry, so two trees can be compared bit for
+  bit.
 
     python tests/ledger.py --digest   # one sha256 per float column
     python tests/ledger.py --write    # rewrite ledger.json from this tree
@@ -27,11 +28,15 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 if __name__ == "__main__":  # as a script, read this checkout's own sg
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from sg.exact import evaluate, strategy_iteration  # noqa: E402
+from sg.generate import random_game  # noqa: E402
 from sg.hard import (Hi2Config, default_hi2_rewards, hi2_vbar_signs,  # noqa: E402
-                     si_single_flip_count, verify_si_path_hi2)
+                     si_single_flip_count, verify_pi_path_hi1, verify_si_path_hi2)
 
 PINNED = Path(__file__).with_name("ledger.json")
 # A config off the defaults in every reward (the NEAR set of
@@ -51,14 +56,42 @@ def _report(report) -> tuple[dict, dict]:
     return ints, floats
 
 
+def _trace(trace) -> tuple[dict, dict]:
+    ints = {"policy_evaluations": trace.policy_evaluations, "phases": trace.phases,
+            "changes": [[list(flip) for flip in ch] for ch in trace.changes]}
+    return ints, {"residuals": trace.residuals}
+
+
 def _si(T: int, config: Hi2Config | None = None):
     def run() -> tuple[dict, dict]:
         trace, report = verify_si_path_hi2(T, config)
         ints, floats = _report(report)
-        ints.update(policy_evaluations=trace.policy_evaluations, phases=trace.phases,
-                    changes=[[list(flip) for flip in ch] for ch in trace.changes],
-                    single_flips=si_single_flip_count(trace))
-        floats["residuals"] = trace.residuals
+        trace_ints, trace_floats = _trace(trace)
+        ints.update(trace_ints, single_flips=si_single_flip_count(trace))
+        floats.update(trace_floats)
+        return ints, floats
+    return run
+
+
+def _pi_hi1(T: int):
+    def run() -> tuple[dict, dict]:
+        trace, report = verify_pi_path_hi1(T)
+        ints, floats = _report(report)
+        trace_ints, trace_floats = _trace(trace)
+        ints.update(trace_ints)
+        floats.update(trace_floats)
+        return ints, floats
+    return run
+
+
+def _si_random(seed: int):
+    """Strategy iteration from zeros on an exact-hard-sized game (300 states,
+    4 actions, gamma 0.99, dense rows): the dense factor's route."""
+    def run() -> tuple[dict, dict]:
+        game = random_game(300, 4, 0.99, seed=seed)
+        sigma, trace = strategy_iteration(game, np.zeros(game.n_states, dtype=np.int64))
+        ints, floats = _trace(trace)
+        floats["value"] = evaluate(game, sigma).tolist()
         return ints, floats
     return run
 
@@ -78,6 +111,9 @@ CASES = {
     "hi2_vbar_signs/T=1600": _vbar(1600),
     "hi2_vbar_signs/T=400,NEAR": _vbar(400, NEAR),
     "hi2_vbar_signs/T=400,GOAL_ZERO": _vbar(400, GOAL_ZERO),
+    "verify_pi_path_hi1/T=768": _pi_hi1(768),
+    "strategy_iteration/random_game(300,4,0.99,seed=1)": _si_random(1),
+    "strategy_iteration/random_game(300,4,0.99,seed=2)": _si_random(2),
 }
 
 
