@@ -218,26 +218,40 @@ def _owned(game: StochasticGame, player: int) -> np.ndarray:
 # table's storage decides, once, B, A and where w goes:
 # * held densely, B is the n chosen rows and the restart law goes into the
 #   dense LU; folded by Sherman-Morrison instead, over the 211 strategies
-#   the hi2 verifier evaluates on its quotient at T = 10^4, the values moved
-#   from 4.2e-13 to 3.9e-11 relative error against a solve refined in long
-#   double;
+#   the hi2 verifier evaluates on its quotient at T = 10^4, the median
+#   relative error against a solve refined in long double went from 3.0e-14
+#   to 2.7e-11, and 207 values instead of 2 were off by more than 1e-12;
 # * held sparse, B is the rows with entries and the states they reach, kept
 #   as its entries (``_Entries``) and factored as ``prefer_dense`` picks, and
 #   the restart law is folded in by Sherman-Morrison, so that the states
 #   with only a restart row stay outside the factor. On the full worst-case
 #   instances A is the few dozen chain states among 10^4 or more.
+# A dense factor is of M^T, not M, where M = I - gamma*(B + restart). A row
+# of P sums to 1 in a valid game (a row of B alone to at most 1) and
+# gamma < 1, so M is diagonally dominant by rows and M^T by columns, with
+# margin 1 - gamma in every row of M: partial pivoting on M^T
+# makes no row interchange, and its growth factor is at most 2 (Higham,
+# *Accuracy and Stability of Numerical Algorithms*, 2nd ed., sec. 9.5).
+# M is built in C order, so ``M.T`` is M^T in Fortran order, which dgetrf
+# overwrites in place; a solve with M is then dgetrs's transposed solve.
+# On M itself f2py first copied the C-order array to Fortran order and
+# dgetrf swapped rows: 1,125 interchanges over the 90 probe cells of the
+# hi2 quotient at T = 10^4 and 5 random strategies of 300-state games at
+# gamma 0.99, against none on M^T.
 # Every solve is followed by iterative refinement. The factors are scipy's
 # (LAPACK's dgetrf/dgetrs and SuperLU), imported by the functions that make
 # and use them, so that importing sg, and running whatever factors nothing,
 # never loads scipy; the first factor does, once per process.
 
 
-def _dense_lu(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.linalg.lu_factor(m)`` without its wrapper's per-call cost or
-    its finiteness test, which ``PolicyLinearSystem.lu`` makes on the
-    table's rows instead: an exactly singular m warns."""
+def _dense_lu(mt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK's dgetrf of ``mt``, overwritten in place when it is in Fortran
+    order, as ``M.T`` of a C-order M is: ``scipy.linalg.lu_factor`` without
+    its wrapper's per-call cost or its finiteness test, which
+    ``PolicyLinearSystem.lu`` makes on the table's rows instead. An exactly
+    singular matrix warns."""
     import scipy.linalg as sla
-    lu, piv, info = sla.lapack.dgetrf(m, overwrite_a=True)
+    lu, piv, info = sla.lapack.dgetrf(mt, overwrite_a=True)
     if info > 0:
         warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
                       sla.LinAlgWarning, stacklevel=3)
@@ -269,20 +283,28 @@ class _Entries:
 
 
 class _DenseLU:
-    """LAPACK's LU of I - gamma*(B + restart) behind SuperLU's ``solve``;
-    ``restart`` is (rows, gamma*w), subtracted from those rows."""
+    """LAPACK's LU of M^T, M = I - gamma*(B + restart), behind SuperLU's
+    ``solve``; ``restart`` is (rows, gamma*w), subtracted from those rows.
+
+    M is built in C order, so its ``.T`` is M^T in Fortran order, which
+    dgetrf factors in place with no copy. M^T is diagonally dominant by
+    columns, so partial pivoting makes no row interchange (``piv`` is
+    ``arange(n)``) and the growth factor is at most 2 (Higham, sec. 9.5;
+    see the comment above ``_dense_lu``)."""
 
     def __init__(self, block, gamma: float, restart=None):
-        m = np.asarray(block) * -gamma
+        m = np.multiply(block, -gamma, order="C")
         if restart is not None:
             rows, gamma_w = restart
             m[rows] -= gamma_w
-        m.flat[::m.shape[0] + 1] += 1.0
-        self._factors = _dense_lu(m)
+        diagonal = m.reshape(-1)[::m.shape[0] + 1]  # a view, as m is in C order
+        diagonal += 1.0
+        self._factors = _dense_lu(m.T)
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        # the factors are of M^T: M x = b is LAPACK's transposed solve
         import scipy.linalg as sla
-        x, _ = sla.lapack.dgetrs(*self._factors, b, trans=int(trans == "T"))
+        x, _ = sla.lapack.dgetrs(*self._factors, b, trans=int(trans == "N"))
         return x
 
 
@@ -342,7 +364,6 @@ class PolicyLinearSystem:
             factor = _DenseLU if prefer_dense(k, k, cols.size) else _super_lu
             self._factor = partial(factor, _Entries(rows, cols, probs, k))
             self._folds = self._restarts
-        self._on = slice(None) if self._active is None else self._active
 
     @property
     def lu(self):
@@ -351,16 +372,21 @@ class PolicyLinearSystem:
         if self._lu is None:
             if not self._layout.finite_rows.take(self._pairs).all():
                 raise ValueError("array must not contain infs or NaNs")
-            restart = None if self._folds else (self.u > 0, self.gamma * self._layout.spread(1.0))
+            restart = None
+            if self._restarts and not self._folds:
+                restart = (self.u > 0, self.gamma * self._layout.spread(1.0))
             self._lu = self._factor(self.gamma, restart)
         return self._lu
 
     def _lu_solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
         """M^-1 b or M^-T b, M the matrix ``lu`` factors: the LU on A, ``b``
         itself elsewhere."""
-        x, b_on = b.copy(), b[self._on]
+        trans = "T" if transpose else "N"
+        if self._active is None:
+            return self.lu.solve(b, trans=trans)
+        x, b_on = b.copy(), b[self._active]
         if b_on.size:  # an empty block has no LU
-            x[self._on] = self.lu.solve(b_on, trans="T" if transpose else "N")
+            x[self._active] = self.lu.solve(b_on, trans=trans)
         return x
 
     @cached_property
@@ -428,22 +454,29 @@ class PolicyLinearSystem:
         return self._pt_dot(lam)
 
 
+# each row's largest entry, kept as a (..., 1) column; 0 for an empty row
+_row_max = partial(np.maximum.reduce, axis=-1, keepdims=True, initial=0.0)
+
+
 def _refined_solve(solve_once, apply, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve ``apply(x) = b`` by ``solve_once`` plus iterative refinement.
 
     ``b`` is one right-hand side (n,) or a stack (k, n). Each row stops at
     its own first pass whose residual is within ``REFINE_RTOL * (1 + max|b|)``,
     at most ``REFINE_PASSES`` passes; a finished row gets a zero correction.
+    A row whose residual is NaN counts as finished, and its NaN residual is
+    returned for the caller to refuse.
     Returns ``(x, b - apply(x))``, the residual of the x returned.
     """
     x = solve_once(b)
-    scale = 1.0 + np.abs(b).max(axis=-1, initial=0.0, keepdims=True)
+    limit = REFINE_RTOL * (1.0 + _row_max(np.abs(b)))
     for _ in range(REFINE_PASSES):
         res = b - apply(x)
-        open_rows = np.abs(res).max(axis=-1, initial=0.0, keepdims=True) > REFINE_RTOL * scale
-        if not open_rows.any():
+        done = ~(_row_max(np.abs(res)) > limit)
+        if done.all():
             return x, res
-        x = x + solve_once(np.where(open_rows, res, 0.0))
+        np.copyto(res, 0.0, where=done)
+        x = x + solve_once(res)
     return x, b - apply(x)
 
 
@@ -627,12 +660,14 @@ def _improved(game: StochasticGame, v: np.ndarray, sigma: np.ndarray,
     incumbent's gain.
     """
     space = game.space
-    tol = 1e-9 * (1.0 + np.abs(v).max(axis=-1, initial=0.0))[..., None]
+    tol = 1e-9 * (1.0 + _row_max(np.abs(v)))
     q_signed, best, first = _segment_best(space, q_from_v(game, v), tol)
     states = space.choice_states
     offset, incumbent = space.state_offset[states], sigma[..., states]
     choice = first[..., states] - offset
-    gain = np.take_along_axis(q_signed, offset + incumbent, axis=-1) - best[..., states]
+    # each incumbent's flat index into q_signed, a row's pairs after the last's
+    rows = np.arange(0, q_signed.size, space.n_pairs).reshape(incumbent.shape[:-1] + (1,))
+    gain = q_signed.reshape(-1)[rows + offset + incumbent] - best[..., states]
     moved = improvable[states] & (gain > tol) & (choice != incumbent)
     new_sigma = sigma.copy()
     new_sigma[..., states] = np.where(moved, choice, incumbent)

@@ -35,6 +35,7 @@ rows ``[{"s": t, "p": p}, ...]`` still load, to the same table.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import re
 import sys
@@ -298,9 +299,10 @@ class ChainView:
         return float(self.weights.sum())
 
     def k_dot(self, x: np.ndarray) -> float | np.ndarray:
-        """k^T x, summed as ``x.sum()`` sums: with k = 1, k^T x / sum(k) is
-        ``x.mean()``. A stack ``(k, n)`` gives one sum per row."""
-        return (self.weights * x).sum(axis=-1)
+        """k^T x, summed as ``x.sum()`` sums, by the ``np.add.reduce`` it
+        calls: with k = 1, k^T x / sum(k) is ``x.mean()``. A stack ``(k, n)``
+        gives one sum per row."""
+        return np.add.reduce(self.weights * x, axis=-1)
 
     def spread(self, mass: float) -> np.ndarray:
         """w mass, as k mass / sum(k): ``mass`` on the restart rows pushed one step."""
@@ -726,6 +728,15 @@ def finite_number(x) -> bool:
     """True for a real number, not a bool, that fits a finite float."""
     return (isinstance(x, numbers.Real) and not isinstance(x, bool)
             and abs(x) <= sys.float_info.max)
+
+
+def finite_numbers(values) -> bool:
+    """:func:`finite_number` of every entry of a sequence, at C speed when
+    every entry is a float (for which the two tests agree), the common case
+    of a long one; any other sequence is tested entry by entry."""
+    if set(map(type, values)) <= {float}:
+        return all(map(math.isfinite, values))
+    return all(map(finite_number, values))
 
 
 def check_fields(obj, names: str, ok, rule: str) -> None:

@@ -25,16 +25,16 @@ probe, and :func:`hi2_vbar_signs`, solve on :func:`sg.game.quotient` of the
 built instance, its exact lumped quotient: the ``T`` restart dummies of hi2
 have one action, reward 0 and the restart row, so they share one value
 under every strategy and form one restart class of weight ``T``, and 10,077
-states become 78 at ``T = 10000``. Strategies map down through each class's
-first member, ``meta.joint(...)[reps]``, and every flip is reported at its
-full-game state, so reports, flips, evaluation counts and phases are those
-of a full-game run. Over the 211 strategies evaluated at ``T = 10000``
-the values agree within 1.84e-11 relative (the forward bound
-eps (1 + gamma)/(1 - gamma) is 3.6e-11 there), and the trace's residual
-column (each sweep's largest improvement) within 2.89e-12. The full game's
-mean value is the class-size weighted mean k^T v_q / sum(k). The hi1
-verifier and :func:`hi1_distribution_bounds` stay on the full game, which is
-cheap there.
+states become 78 at ``T = 10000``. Strategies are laid out over each
+class's first member, ``meta.joints(cells, reps)``, and every flip is
+reported at its full-game state, so reports, flips, evaluation counts and
+phases are those of a full-game run. Over the 211 strategies evaluated at
+``T = 10000`` the values agree within 4.6e-11 relative, near the forward
+bound eps (1 + gamma)/(1 - gamma) = 3.6e-11 there, and the trace's
+residual column (each sweep's largest improvement) within 1.3e-12
+absolute. The full game's mean value is the class-size weighted mean
+k^T v_q / sum(k). The hi1 verifier and :func:`hi1_distribution_bounds`
+stay on the full game, which is cheap there.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ from .checks import CheckReport, Violation
 from .exact import (SolveTrace, _improved, evaluate, policy_iteration,
                     stationary_distribution, strategy_iteration)
 from .game import (InputError, MAX_PLAYER, MIN_PLAYER, StochasticGame, _array_game,
-                   check_fields, check_int, finite_number, quotient, refuse_malformed)
+                   check_fields, check_int, finite_number, finite_numbers, quotient,
+                   refuse_malformed)
 
 U, R = 0, 1  # action indices on two-action chain states
 HI1_MIN_T = 48   # smallest HI1 size with s_prime >= 2
@@ -241,8 +242,8 @@ class Hi2Config:
         check_fields(self, "T s_prime s_b s_b_prime", lambda k: type(k) is int and k >= 1,
                      "a positive integer")
         check_fields(self, "r_goal r_delta r_delta_prime", finite_number, "a finite number")
-        check_fields(self, "switch_rewards", lambda rs: type(rs) is tuple
-                     and all(map(finite_number, rs)), "a tuple of finite numbers")
+        check_fields(self, "switch_rewards", lambda rs: type(rs) is tuple and finite_numbers(rs),
+                     "a tuple of finite numbers")
         check_fields(self, "gamma", lambda g: finite_number(g) and 0 < g < 1, "in (0, 1)")
 
     def to_json_dict(self) -> dict:
@@ -302,19 +303,25 @@ class Hi2Meta:
         """(min_i, max_(i,z)): R on m_1..m_{i_min} and on M_1..M_{z_max}, U
         on the rest of both chains, the switch playing a_{i_max}, and every
         single-action state at 0."""
-        sigma = np.zeros(self.n_states, dtype=np.int64)
-        sigma[self.m(1):self.m(1) + i_min] = R
-        sigma[self.M(1):self.M(1) + z_max] = R
-        sigma[self.switch] = i_max - 1
-        return sigma
+        return self.joints([(i_min, i_max, z_max)], np.arange(self.n_states))[0]
+
+    def joints(self, cells, states: np.ndarray) -> np.ndarray:
+        """``joint(i_min, i_max, z_max)[states]`` for every row
+        (i_min, i_max, z_max) of ``cells``, as a (len(cells), states.size)
+        stack laid out over ``states`` alone: a strategy of the lumped
+        quotient, with ``states`` its classes' first members."""
+        i_min, i_max, z_max = np.asarray(cells, dtype=np.int64).reshape(-1, 3).T[..., None]
+        on_m, on_M = states - self.m(1), states - self.M(1)
+        sigma = np.where(((0 <= on_m) & (on_m < i_min)) | ((0 <= on_M) & (on_M < z_max)), R, U)
+        return np.where(states == self.switch, i_max - 1, sigma)
 
     def describe(self, sigma: np.ndarray) -> tuple[int, int, int] | None:
         """Recognize a joint strategy as (i_min, i_max, z_max) if it is one."""
         def prefix_length(first: int) -> int | None:
             # R on a chain's first k states and on no other
             flags = sigma[first:first + self.s_prime] == R
-            k = int(flags.sum())
-            return k if flags[:k].all() else None
+            k = int(np.count_nonzero(flags))
+            return k if np.count_nonzero(flags[:k]) == k else None
 
         i, z = prefix_length(self.m(1)), prefix_length(self.M(1))
         if i is None or z is None:
@@ -407,18 +414,20 @@ def check_si_transitions(game: StochasticGame, meta: Hi2Meta,
 
     ``game`` is the instance or its lumped quotient, and ``reps`` the
     instance's state behind each of its states (``np.arange`` on the
-    instance), through which each strategy maps down. The cells are
-    evaluated one at a time and improved together, from one Q of the
-    stacked values.
+    instance), over which :meth:`Hi2Meta.joints` lays every cell out. The
+    cells are evaluated one at a time and improved together, from one Q of
+    the stacked values.
     """
     cells = [(i, z) for i in range(1, meta.s_prime) for z in range(meta.s_prime)]
-    sigmas = np.array([meta.joint(i, i, z)[reps] for i, z in cells],
-                      dtype=np.int64).reshape(-1, game.n_states)
+    sigmas = meta.joints([(i, i, z) for i, z in cells], reps)
     values = np.array([evaluate(game, sigma) for sigma in sigmas]).reshape(sigmas.shape)
     got, _, _ = _improved(game, values, sigmas, game.owners == MAX_PLAYER)
-    rebuilt = {i: meta.joint(i, i + 1, 0)[reps] for i in range(1, meta.s_prime)}
-    return [Violation("si-rebuild", (i, z), 0.0, 1.0, 0.0)
-            for (i, z), sigma in zip(cells, got) if not np.array_equal(sigma, rebuilt[i])]
+    rebuilt = meta.joints([(i, i + 1, 0) for i in range(1, meta.s_prime)], reps)
+    # the cells run i-major, S' of them per i
+    missed = (got.reshape(rebuilt.shape[0], meta.s_prime, game.n_states)
+              != rebuilt[:, None]).any(axis=-1).ravel()
+    return [Violation("si-rebuild", cell, 0.0, 1.0, 0.0)
+            for cell, miss in zip(cells, missed.tolist()) if miss]
 
 
 def expected_si_path(meta: Hi2Meta) -> list[tuple[int, int, int]]:
@@ -458,7 +467,7 @@ def verify_si_path_hi2(T: int, config: Hi2Config | None = None) -> tuple[SolveTr
             violations.append(Violation("si-config:reward-range", (k,), r, config.r_goal, 0.0))
     violations += check_si_transitions(lumped, meta, reps)
 
-    _, trace = strategy_iteration(lumped, meta.joint(0, 1, 0)[reps])
+    _, trace = strategy_iteration(lumped, meta.joints([(0, 1, 0)], reps)[0])
     full = reps.tolist()
     trace.changes = [[(full[s], old, new) for s, old, new in ch] for ch in trace.changes]
 
@@ -518,7 +527,7 @@ def hi2_vbar_signs(T: int, config: Hi2Config | None = None) -> CheckReport:
     violations: list[Violation] = []
 
     def scaled_mean(i: int, a: int, z: int) -> float:
-        return _scaled_mean(game, evaluate(game, meta.joint(i, a, z)[reps]))
+        return _scaled_mean(game, evaluate(game, meta.joints([(i, a, z)], reps)[0]))
 
     for z in range(0, c.s_prime + 1):
         for i in range(1, c.s_prime + 1):

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from sg.cli import main
 from sg.game import (Action, InputError, MAX_JSON_DEPTH, MIN_PLAYER, OWNER_NAMES,
-                     _json_depth, from_json_dict, load_game, make_game, quotient, read_json,
-                     save_game, to_json_dict, write_json, write_text)
+                     _json_depth, finite_number, finite_numbers, from_json_dict, load_game,
+                     make_game, quotient, read_json, save_game, to_json_dict, write_json,
+                     write_text)
 from sg.generate import random_game
 from sg.hard import Hi2Config, build_hi1, build_hi2, default_hi2_rewards
 from sg.qvi import QviConstants, VSSequence, qvi_mdvss
@@ -263,6 +264,28 @@ def test_a_malformed_document_exits_2_with_one_json_line(route, text, tmp_path, 
 def test_a_library_caller_gets_the_refusal_a_file_gets(build):
     with pytest.raises(InputError, match="must be"):
         build()
+
+
+SWITCH_REWARDS = [(0.5, 0.25), (1, 0.5), (0.5, np.float64(0.25)), (), (0.5, True),
+                  (0.5, float("nan")), (float("-inf"),), (0.5, "0.25"), (10 ** 400,), (None,)]
+
+
+@pytest.mark.parametrize("rewards", SWITCH_REWARDS, ids=repr)
+def test_switch_rewards_get_the_verdict_of_each_entry(rewards):
+    # a float, an int or a numpy float passes when finite; a bool, a string,
+    # None, NaN, an infinity and an int past the float range do not
+    doc = {**HI2.to_json_dict(), "switch_rewards": rewards}
+    if all(map(finite_number, rewards)):
+        assert Hi2Config(**doc).switch_rewards == rewards
+    else:
+        with pytest.raises(InputError, match="switch_rewards must be a tuple of finite numbers"):
+            Hi2Config(**doc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.floats(), st.integers(), st.booleans())))
+def test_finite_numbers_is_finite_number_of_every_entry(values):
+    assert finite_numbers(tuple(values)) == all(map(finite_number, values))
 
 
 def table(game) -> list:

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 import sg.exact
 import sg.game
 from sg.cli import write_csv
-from sg.exact import (PolicyLinearSystem, apply_strategy, bellman, best_response,
+from sg.exact import (EVAL_RESIDUAL_TOL, PolicyLinearSystem, apply_strategy, bellman,
+                      best_response,
                       evaluate, flux, greedy_from_q, improve,
                       policy_iteration, q_from_v, ratio_scan, scan_stack,
                       stationary_distribution, strategy_iteration,
@@ -1250,11 +1251,11 @@ class FullChainSystem(PolicyLinearSystem):
     """The route a policy step took when it paid for every state, whatever
     the storage of the game's table: the chain of every chosen pair read by
     ``p_dot`` and :func:`pt_dot`, the active block cut from that n-row chain and
-    factored by ``scipy.linalg.lu_factor`` or SuperLU, the restart law folded
-    in by Sherman-Morrison, and the residual of ``evaluate`` from a second
-    ``matvec``. Of the system it keeps ``gamma``, ``r``, ``u`` and the
-    refinement of ``solve``/``solve_transpose``, and overrides every hook
-    those call."""
+    factored by SuperLU or, transposed as the system's dense factor is, by
+    ``scipy.linalg.lu_factor``, the restart law folded in by Sherman-Morrison,
+    and the residual of ``evaluate`` from a second ``matvec``. Of the system
+    it keeps ``gamma``, ``r``, ``u`` and the refinement of
+    ``solve``/``solve_transpose``, and overrides every hook those call."""
 
     def __init__(self, game, sigma):
         super().__init__(game, sigma)
@@ -1277,7 +1278,8 @@ class FullChainSystem(PolicyLinearSystem):
     def lu(self):
         if self._full_lu is None:
             S, k = self._S_AA, self._A.size
-            self._full_lu = (sla.lu_factor(np.eye(k) - self.gamma * S.toarray()) if self._by_lapack
+            self._full_lu = (sla.lu_factor((np.eye(k) - self.gamma * S.toarray()).T)
+                             if self._by_lapack
                              else spla.splu(sp.identity(k, format="csc") - self.gamma * S.tocsc()))
         return self._full_lu
 
@@ -1285,7 +1287,7 @@ class FullChainSystem(PolicyLinearSystem):
         """(I - gamma*S)^-1 b or its transpose: ``b`` outside A, the block solve on A."""
         x, A = b.copy(), self._A
         if A.size:
-            x[A] = (sla.lu_solve(self.lu, b[A], trans=int(transpose)) if self._by_lapack
+            x[A] = (sla.lu_solve(self.lu, b[A], trans=int(not transpose)) if self._by_lapack
                     else self.lu.solve(b[A], trans="T" if transpose else "N"))
         return x
 
@@ -1411,6 +1413,80 @@ def test_a_policy_step_matches_the_full_chain_and_the_padded_grid(kind, data):
             assert PolicyLinearSystem(csr, sigma)._active.size == 0
         assert_step_matches_the_full_chain(csr, sigma, bits=True)
     assert_step_matches_the_full_chain(g, sigma, bits=False)
+
+
+@st.composite
+def factor_games(draw):
+    """A game of 1-8 states with explicit rows (repeated targets included)
+    and restart rows, and 0-3 restart dummies (one action, the restart row,
+    reward 0) that :func:`sg.game.quotient` folds into one class weighted by
+    their count, at a discount from 0.5 up to 1 - 1e-9; and a strategy."""
+    n, dummies = draw(st.integers(1, 8)), draw(st.integers(0, 3))
+    actions = []
+    for _ in range(n):
+        acts = []
+        for _ in range(draw(st.integers(1, 3))):
+            reward = draw(st.floats(0.0, 1.0))
+            if draw(st.integers(0, 2)) == 0:
+                acts.append(Action(reward=reward, uniform=True))
+                continue
+            targets = draw(st.lists(st.integers(0, n + dummies - 1), min_size=1,
+                                    max_size=2 * n))
+            weights = np.array(draw(st.lists(st.integers(1, 4), min_size=len(targets),
+                                             max_size=len(targets))), dtype=np.float64)
+            acts.append(Action(reward=reward, next_states=np.array(targets),
+                               probs=weights / weights.sum()))
+        actions.append(acts)
+    actions += [[Action(reward=0.0, uniform=True)] for _ in range(dummies)]
+    owners = draw(st.lists(st.sampled_from([MIN_PLAYER, MAX_PLAYER]), min_size=n + dummies,
+                           max_size=n + dummies))
+    gamma = draw(st.one_of(st.floats(0.5, 0.999), st.sampled_from([1 - 1e-6, 1 - 1e-9])))
+    game, _ = quotient(make_game(gamma, owners, actions))
+    sigma = np.array([draw(st.integers(0, int(k) - 1)) for k in game.space.n_actions],
+                     dtype=np.int64)
+    return game, sigma
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["held-dense", "held-sparse"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_dense_factor_is_of_m_transposed_with_no_interchange(dense, data):
+    # M = I - gamma P_sigma is diagonally dominant by rows, so M^T is by
+    # columns: partial pivoting keeps every pivot on the diagonal and the
+    # growth factor is at most 2 (Higham 2002, sec. 9.5)
+    g, sigma = data.draw(factor_games())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sg.game, "prefer_dense", lambda *shape: dense)
+        g = fresh(g)
+        assert g.layout.held_dense == dense
+        sys = PolicyLinearSystem(g, sigma)
+    lay, pairs, n, gamma = g.layout, g.space.chosen_pairs(sigma), g.n_states, g.gamma
+    v, x = evaluate(g, sigma), sys.solve_transpose(np.ones(n))
+    # flux makes that solve; its mass check, within FLUX_SUM_RTOL of
+    # n/(1 - gamma), cannot hold at 1 - 1e-9, where cond(M) eps alone is 1e-7
+    if gamma <= 1 - 1e-6:
+        assert same_bits(flux(g, sigma), x)
+    M = np.eye(n) - gamma * lay.dense()[pairs]
+    # the matrix the system factors: M itself on a dense table; on a sparse
+    # one, I - gamma S on the active states, the restart law folded outside
+    active = np.arange(n) if sys._active is None else sys._active
+    factored = M if dense else (np.eye(n) - gamma * lay.trans.toarray()[pairs])[np.ix_(active,
+                                                                                      active)]
+    if active.size:
+        assert isinstance(sys.lu, sg.exact._DenseLU)
+        lu, piv = sys.lu._factors
+        assert np.array_equal(piv, np.arange(active.size))
+        L, U = np.tril(lu, -1) + np.eye(active.size), np.triu(lu)
+        scale = np.abs(factored).max()
+        assert np.abs(L @ U - factored.T).max() <= 1e-14 * active.size * scale
+        assert np.abs(U).max() <= 2.0 * scale * (1.0 + 1e-12)
+    # both answers within evaluate's backward-error bound in the dense M and
+    # M^T that numpy solves, and so near numpy's solution
+    for got, mat, rhs in ((v, M, g.space.rewards[pairs]), (x, M.T, np.ones(n))):
+        bound = EVAL_RESIDUAL_TOL * (np.abs(rhs).max() + (1.0 + gamma) * np.abs(got).max())
+        assert np.abs(rhs - mat @ got).max() <= bound
+        inverse_norm = np.abs(np.linalg.inv(mat)).sum(axis=1).max()
+        assert np.abs(got - np.linalg.solve(mat, rhs)).max() <= 2.0 * inverse_norm * bound
 
 
 def test_a_policy_step_gathers_only_the_strategys_explicit_rows(monkeypatch):

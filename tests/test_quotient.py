@@ -187,7 +187,11 @@ def test_the_hi2_verifier_reports_the_full_game_run(T):
     assert trace.changes == full.changes
     assert trace.policy_evaluations == full.policy_evaluations
     assert trace.phases == full.phases
-    np.testing.assert_allclose(trace.residuals, full.residuals, rtol=1e-9)
+    # each residual is a largest gain read off an evaluated value, 0 up to
+    # rounding at a tie: it moves within the solve's forward bound
+    bound = 64 * np.finfo(float).eps * (1.0 + game.gamma) / (1.0 - game.gamma)
+    res, res_full = np.array(trace.residuals), np.array(full.residuals)
+    assert np.abs(res - res_full).max() <= bound * np.abs(res_full).max()
     # every strategy the run visits has the full game's value, lifted
     q, classes = quotient(game)
     reps = reps_of(classes)
