@@ -216,8 +216,9 @@ def _owned(game: StochasticGame, player: int) -> np.ndarray:
 # refinement's residuals: summed into the product on hi2 at T = 400, it left
 # a transposed solve 2.2e-12 from the exact one, against 3.8e-14. The
 # table's storage decides, once, B, A and where w goes:
-# * held densely, B is the n chosen rows and the restart law goes into the
-#   dense LU; folded by Sherman-Morrison instead, over the 211 strategies
+# * held densely, B is the n chosen rows and the dense LU factors them with
+#   the restart law written in (``ChainView.chain``); folded by
+#   Sherman-Morrison instead, over the 211 strategies
 #   the hi2 verifier evaluates on its quotient at T = 10^4, the median
 #   relative error against a solve refined in long double went from 3.0e-14
 #   to 2.7e-11, and 207 values instead of 2 were off by more than 1e-12;
@@ -226,7 +227,7 @@ def _owned(game: StochasticGame, player: int) -> np.ndarray:
 #   the restart law is folded in by Sherman-Morrison, so that the states
 #   with only a restart row stay outside the factor. On the full worst-case
 #   instances A is the few dozen chain states among 10^4 or more.
-# A dense factor is of M^T, not M, where M = I - gamma*(B + restart). A row
+# A dense factor is of M^T, not M, where M = I - gamma*(B + u w^T). A row
 # of P sums to 1 in a valid game (a row of B alone to at most 1) and
 # gamma < 1, so M is diagonally dominant by rows and M^T by columns, with
 # margin 1 - gamma in every row of M: partial pivoting on M^T
@@ -283,8 +284,9 @@ class _Entries:
 
 
 class _DenseLU:
-    """LAPACK's LU of M^T, M = I - gamma*(B + restart), behind SuperLU's
-    ``solve``; ``restart`` is (rows, gamma*w), subtracted from those rows.
+    """LAPACK's LU of M^T, M = I - gamma*block, behind SuperLU's ``solve``;
+    ``block`` is a strategy's rows of P on a dense-held table, the restart
+    law inside, or B on A on a sparse-held one.
 
     M is built in C order, so its ``.T`` is M^T in Fortran order, which
     dgetrf factors in place with no copy. M^T is diagonally dominant by
@@ -292,11 +294,8 @@ class _DenseLU:
     ``arange(n)``) and the growth factor is at most 2 (Higham, sec. 9.5;
     see the comment above ``_dense_lu``)."""
 
-    def __init__(self, block, gamma: float, restart=None):
+    def __init__(self, block, gamma: float):
         m = np.multiply(block, -gamma, order="C")
-        if restart is not None:
-            rows, gamma_w = restart
-            m[rows] -= gamma_w
         diagonal = m.reshape(-1)[::m.shape[0] + 1]  # a view, as m is in C order
         diagonal += 1.0
         self._factors = _dense_lu(m.T)
@@ -308,7 +307,7 @@ class _DenseLU:
         return x
 
 
-def _super_lu(block: _Entries, gamma: float, restart=None):
+def _super_lu(block: _Entries, gamma: float):
     """SuperLU of I - gamma*B; the restart law is always folded here.
 
     One CSC is built from the block's entries and the unit diagonal: each
@@ -329,6 +328,13 @@ def _super_lu(block: _Entries, gamma: float, restart=None):
     return spla.splu(sp.csc_matrix((values[keep], cells % k, indptr), shape=(k, k)))
 
 
+def _chain_lu(layout, pairs: np.ndarray, gamma: float) -> _DenseLU:
+    """``_DenseLU`` of a strategy's rows of P on a dense-held table, the
+    restart law written into its restart rows (``ChainView.chain``),
+    gathered when the system is first factored."""
+    return _DenseLU(layout.chain(pairs), gamma)
+
+
 class PolicyLinearSystem:
     def __init__(self, game: StochasticGame, sigma: np.ndarray,
                  discount: float | None = None):
@@ -347,7 +353,11 @@ class PolicyLinearSystem:
         # (None: every state), with the restart law inside unless folded
         if layout.held_dense:
             self._active, self._block = None, layout.explicit(self._pairs)
-            self._factor, self._folds = partial(_DenseLU, self._block), False
+            # the LU of the chosen rows of P, which are B's own when no
+            # restart row is chosen
+            self._factor = (partial(_chain_lu, layout, self._pairs) if self._restarts
+                            else partial(_DenseLU, self._block))
+            self._folds = False
         else:
             rows = np.flatnonzero(layout.row_lengths.take(self._pairs))
             lengths, cols, probs = layout.entries(self._pairs.take(rows))
@@ -372,10 +382,7 @@ class PolicyLinearSystem:
         if self._lu is None:
             if not self._layout.finite_rows.take(self._pairs).all():
                 raise ValueError("array must not contain infs or NaNs")
-            restart = None
-            if self._restarts and not self._folds:
-                restart = (self.u > 0, self.gamma * self._layout.spread(1.0))
-            self._lu = self._factor(self.gamma, restart)
+            self._lu = self._factor(self.gamma)
         return self._lu
 
     def _lu_solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:

@@ -355,6 +355,18 @@ class ChainView:
         given, as a dense array of its own (a restart row is zero)."""
         return self._rows.take(rows, axis=0)
 
+    def chain(self, rows: np.ndarray) -> np.ndarray:
+        """The rows of P at ``rows`` of a dense-held table, in the order
+        given, as a dense array of its own: ``explicit`` with the restart law
+        w in each restart row (0 + w, so w bit for bit)."""
+        return self._chain_rows.take(rows, axis=0)
+
+    @cached_property
+    def _chain_rows(self) -> np.ndarray:
+        """P = S + u w^T of a dense-held table, read-only; built at the first
+        ``chain``, which only a strategy that picks a restart row calls."""
+        return _readonly(self._rows + np.outer(self.uniform_mask, self.spread(1.0)))
+
     def dense(self) -> np.ndarray:
         """P as a dense (n_rows, n_states) array."""
         mat = self._rows.copy() if self.held_dense else self.trans.toarray()
