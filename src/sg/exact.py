@@ -217,11 +217,11 @@ def _owned(game: StochasticGame, player: int) -> np.ndarray:
 # a transposed solve 2.2e-12 from the exact one, against 3.8e-14. The
 # table's storage decides, once, B, A and where w goes:
 # * held densely, B is the n chosen rows and the dense LU factors them with
-#   the restart law written in (``ChainView.chain``); folded by
-#   Sherman-Morrison instead, over the 211 strategies
-#   the hi2 verifier evaluates on its quotient at T = 10^4, the median
-#   relative error against a solve refined in long double went from 3.0e-14
-#   to 2.7e-11, and 207 values instead of 2 were off by more than 1e-12;
+#   the restart law written in (``ChainView.chain``). Folded by
+#   Sherman-Morrison instead, over the 211 strategies the hi2 verifier
+#   evaluates on its quotient at T = 10^4, the median relative error against
+#   a solve refined in long double went from 3.0e-14 to 2.7e-11, and 207
+#   values instead of 2 were off by more than 1e-12;
 # * held sparse, B is the rows with entries and the states they reach, kept
 #   as its entries (``_Entries``) and factored as ``prefer_dense`` picks, and
 #   the restart law is folded in by Sherman-Morrison, so that the states
@@ -229,10 +229,10 @@ def _owned(game: StochasticGame, player: int) -> np.ndarray:
 #   instances A is the few dozen chain states among 10^4 or more.
 # A dense factor is of M^T, not M, where M = I - gamma*(B + u w^T). A row
 # of P sums to 1 in a valid game (a row of B alone to at most 1) and
-# gamma < 1, so M is diagonally dominant by rows and M^T by columns, with
-# margin 1 - gamma in every row of M: partial pivoting on M^T
-# makes no row interchange, and its growth factor is at most 2 (Higham,
-# *Accuracy and Stability of Numerical Algorithms*, 2nd ed., sec. 9.5).
+# gamma < 1, so M is diagonally dominant by rows, with margin at least
+# 1 - gamma in every row, and M^T by columns: partial pivoting on M^T makes
+# no row interchange, and its growth factor is at most 2 (Higham, *Accuracy
+# and Stability of Numerical Algorithms*, 2nd ed., sec. 9.5).
 # M is built in C order, so ``M.T`` is M^T in Fortran order, which dgetrf
 # overwrites in place; a solve with M is then dgetrs's transposed solve.
 # On M itself f2py first copied the C-order array to Fortran order and

@@ -363,9 +363,9 @@ class ChainView:
 
     @cached_property
     def _chain_rows(self) -> np.ndarray:
-        """P = S + u w^T of a dense-held table, read-only; built at the first
-        ``chain``, which only a strategy that picks a restart row calls."""
-        return _readonly(self._rows + np.outer(self.uniform_mask, self.spread(1.0)))
+        """``dense()``, read-only; built at the first ``chain``, which only a
+        strategy that picks a restart row on a dense-held table calls."""
+        return _readonly(self.dense())
 
     def dense(self) -> np.ndarray:
         """P as a dense (n_rows, n_states) array."""
