@@ -158,6 +158,16 @@ class ActionSpace:
     choice_pairs: np.ndarray   # (n_choice_pairs,) int, the pairs of those states
     choice_starts: np.ndarray  # (n_choice,) int, each one's first index in choice_pairs
 
+    @cached_property
+    def choice_pair_state(self) -> np.ndarray:
+        """The state of each of ``choice_pairs``, read-only."""
+        return _readonly(self.pair_state[self.choice_pairs])
+
+    @cached_property
+    def choice_offset(self) -> np.ndarray:
+        """The first pair of each of ``choice_states``, read-only."""
+        return _readonly(self.state_offset[self.choice_states])
+
     def pair_index(self, state: int, action: int) -> int:
         """Flat index of ``(state, action)``, refused unless both are integers
         in range (a bool or 0.0 is no index)."""
