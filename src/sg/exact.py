@@ -135,12 +135,7 @@ def q_from_v(game: StochasticGame, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] != space.n_states:  # not a stack: one vector, or refused
         v = space.value_vector(v)
-    return _q(game, v)
-
-
-def _q(game: StochasticGame, v: np.ndarray) -> np.ndarray:
-    """``q_from_v`` of a value or stack its caller has checked."""
-    return game.space.rewards + game.gamma * game.layout.p_dot(v)
+    return space.rewards + game.gamma * game.layout.p_dot(v)
 
 
 def _segment_best(space: ActionSpace, q: np.ndarray,
@@ -167,7 +162,7 @@ def _segment_best(space: ActionSpace, q: np.ndarray,
     if not np.isfinite(best).all():
         state = int(np.argwhere(~np.isfinite(best))[0, -1])
         raise ValueError(f"Q has a non-finite optimum at state {state}")
-    hit = q_choice <= (best + slack)[..., space.choice_pair_state]
+    hit = q_choice <= (best + slack)[..., space.pair_state[pairs]]
     first = np.empty(best.shape, dtype=np.int64)
     first[...] = offset
     first[..., states] = np.minimum.reduceat(np.where(hit, pairs, space.n_pairs), starts,
@@ -391,8 +386,8 @@ class PolicyLinearSystem:
         return self._lu
 
     def _lu_solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """M^-1 b or M^-T b, M the matrix ``lu`` factors: the LU on A, ``b``
-        itself elsewhere."""
+        """M^-1 b or M^-T b, M the matrix that ``lu`` solves with (a dense
+        LU holds M^T's factors): the solve on A, ``b`` itself elsewhere."""
         trans = "T" if transpose else "N"
         if self._active is None:
             return self.lu.solve(b, trans=trans)
@@ -673,9 +668,9 @@ def _improved(game: StochasticGame, v: np.ndarray, sigma: np.ndarray,
     """
     space = game.space
     tol = 1e-9 * (1.0 + _row_max(np.abs(v)))
-    q_signed, best, first = _segment_best(space, _q(game, v), tol)
+    q_signed, best, first = _segment_best(space, q_from_v(game, v), tol)
     states = space.choice_states
-    offset, incumbent = space.choice_offset, sigma[..., states]
+    offset, incumbent = space.state_offset[states], sigma[..., states]
     choice = first[..., states] - offset
     # each incumbent's flat index into q_signed, a row's pairs after the last's
     rows = np.arange(0, q_signed.size, space.n_pairs).reshape(incumbent.shape[:-1] + (1,))

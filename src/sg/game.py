@@ -158,16 +158,6 @@ class ActionSpace:
     choice_pairs: np.ndarray   # (n_choice_pairs,) int, the pairs of those states
     choice_starts: np.ndarray  # (n_choice,) int, each one's first index in choice_pairs
 
-    @cached_property
-    def choice_pair_state(self) -> np.ndarray:
-        """The state of each of ``choice_pairs``, read-only."""
-        return _readonly(self.pair_state[self.choice_pairs])
-
-    @cached_property
-    def choice_offset(self) -> np.ndarray:
-        """The first pair of each of ``choice_states``, read-only."""
-        return _readonly(self.state_offset[self.choice_states])
-
     def pair_index(self, state: int, action: int) -> int:
         """Flat index of ``(state, action)``, refused unless both are integers
         in range (a bool or 0.0 is no index)."""
@@ -309,10 +299,9 @@ class ChainView:
         return float(self.weights.sum())
 
     def k_dot(self, x: np.ndarray) -> float | np.ndarray:
-        """k^T x, summed as ``x.sum()`` sums, by the ``np.add.reduce`` it
-        calls: with k = 1, k^T x / sum(k) is ``x.mean()``. A stack ``(k, n)``
-        gives one sum per row."""
-        return np.add.reduce(self.weights * x, axis=-1)
+        """k^T x, summed as ``x.sum()`` sums: with k = 1, k^T x / sum(k) is
+        ``x.mean()``. A stack ``(k, n)`` gives one sum per row."""
+        return (self.weights * x).sum(axis=-1)
 
     def spread(self, mass: float) -> np.ndarray:
         """w mass, as k mass / sum(k): ``mass`` on the restart rows pushed one step."""
