@@ -14,7 +14,8 @@ Each case is one public call. Its outcome splits in two parts:
     python tests/ledger.py --digest   # one sha256 per float column
     python tests/ledger.py --write    # rewrite ledger.json from this tree
 
-Run as a script, it imports ``sg`` from the checkout's own ``src/``.
+Run as a script, it imports ``sg`` from the checkout's own ``src/`` and runs
+BLAS on one thread.
 
 Rewriting ``ledger.json`` changes a check: do it only with the cause of the
 changed outcome stated beside the change.
@@ -25,14 +26,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-if __name__ == "__main__":  # as a script, read this checkout's own sg
+if __name__ == "__main__":
+    # as a script, read this checkout's own sg, with BLAS on one thread: a
+    # threaded product's rounding depends on the host's thread count, and a
+    # digest compares two trees, not two hosts
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
 
+import numpy as np  # noqa: E402
 from sg.exact import evaluate, strategy_iteration  # noqa: E402
 from sg.generate import random_game  # noqa: E402
 from sg.hard import (Hi2Config, default_hi2_rewards, hi2_vbar_signs,  # noqa: E402
