@@ -328,13 +328,6 @@ def _super_lu(block: _Entries, gamma: float):
     return spla.splu(sp.csc_matrix((values[keep], cells % k, indptr), shape=(k, k)))
 
 
-def _chain_lu(layout, pairs: np.ndarray, gamma: float) -> _DenseLU:
-    """``_DenseLU`` of a strategy's rows of P on a dense-held table, the
-    restart law written into its restart rows (``ChainView.chain``),
-    gathered when the system is first factored."""
-    return _DenseLU(layout.chain(pairs), gamma)
-
-
 class PolicyLinearSystem:
     def __init__(self, game: StochasticGame, sigma: np.ndarray,
                  discount: float | None = None):
@@ -353,10 +346,12 @@ class PolicyLinearSystem:
         # (None: every state), with the restart law inside unless folded
         if layout.held_dense:
             self._active, self._block = None, layout.explicit(self._pairs)
-            # the LU of the chosen rows of P, which are B's own when no
-            # restart row is chosen
-            self._factor = (partial(_chain_lu, layout, self._pairs) if self._restarts
-                            else partial(_DenseLU, self._block))
+            # the LU of the chosen rows of P: B itself when no restart row is
+            # chosen, else gathered, the restart law in, at the first factor
+            # (a closure over locals, not self, so the system holds no cycle)
+            block, pairs, restarts = self._block, self._pairs, self._restarts
+            self._factor = lambda gamma: _DenseLU(
+                layout.chain(pairs) if restarts else block, gamma)
             self._folds = False
         else:
             rows = np.flatnonzero(layout.row_lengths.take(self._pairs))

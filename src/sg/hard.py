@@ -29,10 +29,12 @@ states become 78 at ``T = 10000``. Strategies are laid out over each
 class's first member, ``meta.joints(cells, reps)``, and every flip is
 reported at its full-game state, so reports, flips, evaluation counts and
 phases are those of a full-game run. Over the 211 strategies evaluated at
-``T = 10000`` the values agree within 4.6e-11 relative, near the forward
-bound eps (1 + gamma)/(1 - gamma) = 3.6e-11 there, and the trace's
-residual column (each sweep's largest improvement) within 1.3e-12
-absolute. The full game's mean value is the class-size weighted mean
+``T = 10000`` the values agree within 4.6e-11 relative, above the forward
+bound eps (1 + gamma)/(1 - gamma) = 3.6e-11 there: one strategy's value
+ends 4.9e-11 from a long-double solve, after a refinement pass that the
+stop rule asks for on a first solve already within the bound (ROADMAP item
+3). The trace's residual column (each sweep's largest improvement) agrees
+within 1.3e-12 absolute. The full game's mean value is the class-size weighted mean
 k^T v_q / sum(k). The hi1 verifier and :func:`hi1_distribution_bounds`
 stay on the full game, which is cheap there.
 """
@@ -303,7 +305,11 @@ class Hi2Meta:
         """(min_i, max_(i,z)): R on m_1..m_{i_min} and on M_1..M_{z_max}, U
         on the rest of both chains, the switch playing a_{i_max}, and every
         single-action state at 0."""
-        return self.joints([(i_min, i_max, z_max)], np.arange(self.n_states))[0]
+        sigma = np.zeros(self.n_states, dtype=np.int64)
+        sigma[self.m(1):self.m(1) + i_min] = R
+        sigma[self.M(1):self.M(1) + z_max] = R
+        sigma[self.switch] = i_max - 1
+        return sigma
 
     def joints(self, cells, states: np.ndarray) -> np.ndarray:
         """``joint(i_min, i_max, z_max)[states]`` for every row
@@ -320,8 +326,8 @@ class Hi2Meta:
         def prefix_length(first: int) -> int | None:
             # R on a chain's first k states and on no other
             flags = sigma[first:first + self.s_prime] == R
-            k = int(np.count_nonzero(flags))
-            return k if np.count_nonzero(flags[:k]) == k else None
+            k = int(flags.sum())
+            return k if flags[:k].all() else None
 
         i, z = prefix_length(self.m(1)), prefix_length(self.M(1))
         if i is None or z is None:

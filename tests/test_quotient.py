@@ -181,17 +181,21 @@ def test_the_hi2_quotient_is_one_class_of_dummies_and_the_rest_as_they_are():
 def test_the_hi2_verifier_reports_the_full_game_run(T):
     game, meta = build_hi2(T)
     sigma0 = meta.joint(0, 1, 0)
-    _, full = strategy_iteration(game, sigma0)
+    full_sigma, full = strategy_iteration(game, sigma0)
     trace, report = verify_si_path_hi2(T)
     assert report.passed, report.summary()
     assert trace.changes == full.changes
     assert trace.policy_evaluations == full.policy_evaluations
     assert trace.phases == full.phases
-    # each residual is a largest gain read off an evaluated value, 0 up to
-    # rounding at a tie: it moves within the solve's forward bound
-    bound = 64 * np.finfo(float).eps * (1.0 + game.gamma) / (1.0 - game.gamma)
+    # each residual is a sweep's largest gain, read off an evaluated value
     res, res_full = np.array(trace.residuals), np.array(full.residuals)
-    assert np.abs(res - res_full).max() <= bound * np.abs(res_full).max()
+    tie = res_full == 0.0
+    np.testing.assert_allclose(res[~tie], res_full[~tie], rtol=1e-9)
+    # at a tie the gain is 0 only up to rounding: a difference of two
+    # values, each within the forward bound eps (1 + gamma)/(1 - gamma) max|v|
+    # of the exact one
+    bound = 2 * np.finfo(float).eps * (1.0 + game.gamma) / (1.0 - game.gamma)
+    assert np.abs(res[tie]).max(initial=0.0) <= bound * np.abs(evaluate(game, full_sigma)).max()
     # every strategy the run visits has the full game's value, lifted
     q, classes = quotient(game)
     reps = reps_of(classes)
@@ -232,3 +236,56 @@ def test_the_hi2_verifier_builds_every_policy_system_on_the_quotient(monkeypatch
     assert report.passed
     assert len(blocks) >= trace.total_policy_evaluations > 0
     assert max(blocks) < q.n_states
+
+
+def test_joints_lays_each_joint_strategy_out_over_the_states_given():
+    game, meta = build_hi2(400)
+    reps = reps_of(quotient(game)[1])
+    every = np.arange(game.n_states)
+    cells = [(i, a, z) for i in range(meta.s_prime + 1) for a in (1, 2, meta.s_prime)
+             for z in (0, 1, meta.s_prime)]
+    for states in (every, reps, reps[::-3]):
+        got = meta.joints(cells, states)
+        assert got.shape == (len(cells), states.size)
+        for cell, sigma in zip(cells, got):
+            np.testing.assert_array_equal(sigma, meta.joint(*cell)[states])
+
+
+def long_double_value(game, sigma, v):
+    """``v`` refined in long double against the dense chain of ``sigma``."""
+    pairs = game.space.chosen_pairs(sigma)
+    p = game.layout.dense()[pairs]
+    m = np.eye(game.n_states) - game.gamma * p
+    m_long = np.eye(game.n_states, dtype=np.longdouble) - np.longdouble(game.gamma) * p
+    r, x = game.space.rewards[pairs].astype(np.longdouble), v.astype(np.longdouble)
+    for _ in range(4):
+        x = x + np.linalg.solve(m, (r - m_long @ x).astype(np.float64))
+    return x
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the refinement stop rule's limit scales with max|b|, not with |M||x|: on one "
+    "strategy a first solve already within the bound is refined once and lands "
+    "4.9e-11 off, against a bound of 3.6e-11 (ROADMAP item 3)"))
+def test_every_value_the_hi2_verifier_evaluates_at_t_10000_is_within_the_forward_bound():
+    game, meta = build_hi2(10_000)
+    q, classes = quotient(game)
+    reps = reps_of(classes)
+    trace, report = verify_si_path_hi2(10_000)
+    assert report.passed
+    sigma = meta.joint(0, 1, 0)
+    strategies = [sigma[reps]]
+    for ch in trace.changes:
+        for s, _, new in ch:
+            sigma[s] = new
+        if ch:
+            strategies.append(sigma[reps])
+    cells = [(i, i, z) for i in range(1, meta.s_prime) for z in range(meta.s_prime)]
+    strategies += list(meta.joints(cells, reps))
+    bound = np.finfo(float).eps * (1.0 + q.gamma) / (1.0 - q.gamma)
+    worst = 0.0
+    for sigma in strategies:
+        v = evaluate(q, sigma)
+        x = long_double_value(q, sigma, v)
+        worst = max(worst, float(np.abs(v - x).max() / np.abs(x).max()))
+    assert worst <= bound
