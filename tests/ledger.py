@@ -4,12 +4,13 @@ must leave alone, computed through public functions only.
 Each case is one public call. Its outcome splits in two parts:
 
 * the integer-valued part (evaluation counts, every step's flips, phases,
-  single-flip counts, violation kinds and indices, verdicts), which
+  single-flip counts, violation kinds and indices, verdicts, and a QVI
+  solve's sample counts, run plans and terminal strategies), which
   ``tests/test_ledger.py`` compares with the committed ``ledger.json``;
-* the float columns (residuals, the violations' numbers and a solved
-  strategy's value), which ``--digest`` prints as one sha256 per column
-  over ``float.hex`` of each entry, so two trees can be compared bit for
-  bit.
+* the float columns (residuals, the violations' numbers, a solved
+  strategy's value and each QVI run's sequence arrays), which
+  ``--digest`` prints as one sha256 per column over ``float.hex`` of each
+  entry, so two trees can be compared bit for bit.
 
     python tests/ledger.py --digest   # one sha256 per float column
     python tests/ledger.py --write    # rewrite ledger.json from this tree
@@ -42,6 +43,8 @@ from sg.exact import evaluate, strategy_iteration  # noqa: E402
 from sg.generate import random_game  # noqa: E402
 from sg.hard import (Hi2Config, default_hi2_rewards, hi2_vbar_signs,  # noqa: E402
                      si_single_flip_count, verify_pi_path_hi1, verify_si_path_hi2)
+from sg.qvi import solve  # noqa: E402
+from sg.sampler import GenerativeModel  # noqa: E402
 
 PINNED = Path(__file__).with_name("ledger.json")
 # A config off the defaults in every reward (the NEAR set of
@@ -101,6 +104,38 @@ def _si_random(seed: int):
     return run
 
 
+class _KeptMirror(GenerativeModel):
+    """A model that keeps the role-swapped model it hands ``solve``, so that
+    the max chain's per-pair draws can be read after the solve."""
+
+    def mirrored(self) -> GenerativeModel:
+        self.mirror = super().mirrored()
+        return self.mirror
+
+
+def _qvi(seed: int):
+    """``qvi.solve`` on a qvi-acceptance-sized game (20 states, 4 actions,
+    gamma 0.9, eps 0.05, delta 0.1, both players) from master seed ``seed``:
+    the sample counts, every run's plan and the terminal strategies are
+    pinned, and every run's arrays are float columns."""
+    def run() -> tuple[dict, dict]:
+        model = _KeptMirror(random_game(20, 4, 0.9, seed=seed), master_seed=seed)
+        result = solve(model, epsilon=0.05, delta=0.1, both_players=True)
+        ints = {"total_samples": result.total_samples,
+                "draws": [model.sample_count()[1].tolist(),
+                          model.mirror.sample_count()[1].tolist()],
+                "min_strategy": result.min_strategy.tolist(),
+                "max_strategy": result.max_strategy.tolist()}
+        floats = {}
+        for chain, seqs in (("min", result.sequences), ("max", result.mirror_sequences)):
+            ints[f"{chain}_runs"] = [[s.rounds, s.constants.m1, s.constants.m2] for s in seqs]
+            for j, s in enumerate(seqs):
+                for column in ("values", "q_values", "error_bounds", "strategies"):
+                    floats[f"{chain}{j}_{column}"] = getattr(s, column).ravel().tolist()
+        return ints, floats
+    return run
+
+
 def _vbar(T: int, config: Hi2Config | None = None):
     return lambda: _report(hi2_vbar_signs(T, config))
 
@@ -119,6 +154,7 @@ CASES = {
     "verify_pi_path_hi1/T=768": _pi_hi1(768),
     "strategy_iteration/random_game(300,4,0.99,seed=1)": _si_random(1),
     "strategy_iteration/random_game(300,4,0.99,seed=2)": _si_random(2),
+    "qvi.solve/random_game(20,4,0.9,seed=1)": _qvi(1),
 }
 
 
