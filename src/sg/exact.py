@@ -156,18 +156,25 @@ def _segment_best(space: ActionSpace, q: np.ndarray,
     offset = space.state_offset[:-1]
     states, pairs, starts = space.choice_states, space.choice_pairs, space.choice_starts
     q_signed = q * space.pair_sign
-    q_choice = q_signed[..., pairs]
-    best = q_signed[..., offset]
+    q_choice = q_signed.take(pairs, axis=-1)
+    best = q_signed.take(offset, axis=-1)
     best[..., states] = np.minimum.reduceat(q_choice, starts, axis=-1)
     if not np.isfinite(best).all():
         state = int(np.argwhere(~np.isfinite(best))[0, -1])
         raise ValueError(f"Q has a non-finite optimum at state {state}")
-    hit = q_choice <= (best + slack)[..., space.pair_state[pairs]]
+    hit = q_choice <= (best + slack).take(space.pair_state.take(pairs), axis=-1)
     first = np.empty(best.shape, dtype=np.int64)
     first[...] = offset
     first[..., states] = np.minimum.reduceat(np.where(hit, pairs, space.n_pairs), starts,
                                              axis=-1)
     return q_signed, best, first
+
+
+def _row_starts(a: np.ndarray) -> np.ndarray:
+    """The flat index of each row's first entry in ``a`` (n,) or (k, n), as a
+    ``(..., 1)`` column: ``a.take(index + _row_starts(a))`` reads ``a[..., index]``
+    row by row in one flat take."""
+    return np.arange(0, a.size, a.shape[-1]).reshape(a.shape[:-1] + (1,))
 
 
 def greedy_from_q(space: ActionSpace, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +188,7 @@ def greedy_from_q(space: ActionSpace, q: np.ndarray) -> tuple[np.ndarray, np.nda
     if q.ndim not in (1, 2) or q.shape[-1] != space.n_pairs:
         raise InputError(f"q shape {q.shape} != ({space.n_pairs},) or (k, {space.n_pairs})")
     _, _, first = _segment_best(space, q)
-    return np.take_along_axis(q, first, axis=-1), first - space.state_offset[:-1]
+    return q.take(first + _row_starts(q)), first - space.state_offset[:-1]
 
 
 def bellman(game: StochasticGame, v: np.ndarray) -> np.ndarray:
@@ -464,14 +471,19 @@ def _refined_solve(solve_once, apply, b: np.ndarray) -> tuple[np.ndarray, np.nda
     """Solve ``apply(x) = b`` by ``solve_once`` plus iterative refinement.
 
     ``b`` is one right-hand side (n,) or a stack (k, n). Each row stops at
-    its own first pass whose residual is within ``REFINE_RTOL * (1 + max|b|)``,
-    at most ``REFINE_PASSES`` passes; a finished row gets a zero correction.
-    A row whose residual is NaN counts as finished, and its NaN residual is
-    returned for the caller to refuse.
+    its own first pass whose residual is within
+    ``REFINE_RTOL * (1 + max|b| + 2 max|x|)``, x the first solve, at most
+    ``REFINE_PASSES`` passes; a finished row gets a zero correction. The
+    rounding of ``b - M x`` grows with |M||x| as well as with |b|, and
+    ``2 max|x|`` stands for ``||M||_inf max|x|`` (||I - gamma P||_inf <=
+    1 + gamma), so near gamma = 1, where |x| >> |b|, an accurate answer's
+    rounding noise is not taken for an error: a pass would add cond(M)
+    times that noise. A row whose residual is NaN counts as finished, and
+    its NaN residual is returned for the caller to refuse.
     Returns ``(x, b - apply(x))``, the residual of the x returned.
     """
     x = solve_once(b)
-    limit = REFINE_RTOL * (1.0 + _row_max(np.abs(b)))
+    limit = REFINE_RTOL * (1.0 + _row_max(np.abs(b)) + 2.0 * _row_max(np.abs(x)))
     for _ in range(REFINE_PASSES):
         res = b - apply(x)
         done = ~(_row_max(np.abs(res)) > limit)
@@ -667,9 +679,7 @@ def _improved(game: StochasticGame, v: np.ndarray, sigma: np.ndarray,
     states = space.choice_states
     offset, incumbent = space.state_offset[states], sigma[..., states]
     choice = first[..., states] - offset
-    # each incumbent's flat index into q_signed, a row's pairs after the last's
-    rows = np.arange(0, q_signed.size, space.n_pairs).reshape(incumbent.shape[:-1] + (1,))
-    gain = q_signed.reshape(-1)[rows + offset + incumbent] - best[..., states]
+    gain = q_signed.take(offset + incumbent + _row_starts(q_signed)) - best[..., states]
     moved = improvable[states] & (gain > tol) & (choice != incumbent)
     new_sigma = sigma.copy()
     new_sigma[..., states] = np.where(moved, choice, incumbent)

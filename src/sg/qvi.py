@@ -20,13 +20,21 @@ terminal value-strategy pair to the next run, and reads the min-player
 strategy off the final sequence; the max player comes from the same machinery
 on the role-swapped game. The two halving chains share no state (each has its
 own generator streams), so ``solve`` runs them side by side, the max chain
-on a worker thread; numpy's multinomial draw releases the GIL, so on two cores
-a two-player solve takes about the time of one chain. On a table of at
-least ``sampler.BLOCK_TABLE_MIN`` entries the model also draws each batch in
-two blocks of pairs on two threads, so a one-player solve uses the second
-core too (qvi-wide, 400 x 100, took 0.58x the time, BENCH_26.json). The
-draws are those of the blocks' own streams, so the results do not depend on
-how they were scheduled.
+on a worker thread. numpy's multinomial releases the GIL while it draws but
+not while it checks the row table, and the rest of a round holds it too. On
+the 20 x 4 acceptance game (an 80 x 20 table, 2-core host) a round of one
+chain took about 260 us: the draw about 210 us, of which a fixed cost of
+about 30 us held the GIL (two threads drawing one-sample batches made 1.2x
+the calls of one thread, 1.8x at the round's batch size), and the round's
+own calls (``greedy_from_q``, the repair, ``estimate_diff_mean``'s checks
+and reduction, the Q update) about 45 us, all holding it. So two chains on
+two cores overlap their draws but not the rest: a two-player solve took
+1.34x the time of one chain (0.290 against 0.216 s, medians of 30 in
+process, BENCH_35.json). On a table of at least ``sampler.BLOCK_TABLE_MIN``
+entries the model also draws each batch in two blocks of pairs on two
+threads, so a one-player solve uses the second core too (qvi-wide, 400 x
+100, took 0.58x the time, BENCH_26.json). The draws are those of the blocks'
+own streams, so the results do not depend on how they were scheduled.
 """
 
 from __future__ import annotations
@@ -251,20 +259,33 @@ def _qvi_run(model: GenerativeModel, u: float, delta: float,
     error_bounds = np.tile(xi, (n_entries, 1))
     values[0], q_values[0], strategies[0] = v0, q, sigma0
 
-    v_prev, sigma_prev = v0, sigma0
+    # Each round writes its entry in place. The per-state monotone repair
+    # keeps the previous value and strategy where the new value is no better
+    # in the run's direction (sign * v_new >= sign * v_prev, one comparison
+    # since negation is exact), so a strategy stays paired with the value it
+    # produced. The next Q, r + gamma (w + g), is built in ``q`` and clipped
+    # to [0, beta] by np.maximum and np.minimum, which differ from np.clip
+    # only on -0.0 (np.clip keeps it). The sum is -0.0 only if gamma (w + g)
+    # is, and w + g is +0.0 or far above the underflow range: w and g each
+    # carry a shift (the variance shift, the drift).
+    not_better = np.greater_equal if sign > 0 else np.less_equal
+    keep_old = np.empty(model.n_states, dtype=bool)
+    g_shift = sign * drift
     for i in range(1, n_entries):
-        v_new, sigma_new = greedy_from_q(model.space, q)
-        # Per-state monotone repair: never move against the run's direction,
-        # and keep the strategy paired with the value it produced.
-        keep_old = sign * v_new >= sign * v_prev
-        v_i = np.where(keep_old, v_prev, v_new)
-        sigma_i = np.where(keep_old, sigma_prev, sigma_new)
-        values[i], q_values[i], strategies[i] = v_i, q, sigma_i
+        q_values[i] = q
+        v_new, sigma_new = greedy_from_q(space, q)
+        not_better(v_new, values[i - 1], out=keep_old)
+        values[i], strategies[i] = v_new, sigma_new
+        np.copyto(values[i], values[i - 1], where=keep_old)
+        np.copyto(strategies[i], strategies[i - 1], where=keep_old)
 
-        diff = model.estimate_diff_mean(v_i, v0, d.m2)
-        g = diff.mean + sign * drift
-        q = np.clip(r + gamma * (w + g), 0.0, beta)
-        v_prev, sigma_prev = v_i, sigma_i
+        diff = model.estimate_diff_mean(values[i], v0, d.m2)
+        np.add(diff.mean, g_shift, out=q)
+        np.add(w, q, out=q)
+        np.multiply(gamma, q, out=q)
+        np.add(r, q, out=q)
+        np.maximum(q, 0.0, out=q)
+        np.minimum(q, beta, out=q)
 
     end_total, _ = model.sample_count()
     return VSSequence(

@@ -100,11 +100,14 @@ class GenerativeModel:
 
     # -- sampling ---------------------------------------------------------
 
-    def _batch_means(self, m: int, *xs: np.ndarray) -> np.ndarray:
-        """Per-pair means of each ``x(s')`` over one fresh m-sample batch.
+    def _batch_means(self, m: int, at_support: np.ndarray) -> np.ndarray:
+        """Per-pair means of a function ``x(s')`` over one fresh m-sample batch.
 
-        Returns an array of shape (len(xs), n_pairs). ``m`` is checked
-        before any draw, so a refused batch moves no generator or counter.
+        ``at_support`` is ``x[self._support]``, one function's values at each
+        pair's support ``(n_pairs, width)``, or a stack of them ``(k, n_pairs,
+        width)``; the means have shape ``(n_pairs,)`` or ``(k, n_pairs)``. ``m``
+        is checked before any draw, so a refused batch moves no generator or
+        counter.
         """
         m = check_int(m, "batch size", 1)
         self._check_room(m, self._most)
@@ -114,7 +117,7 @@ class GenerativeModel:
             counts = self._block_counts(m)
         self._draws += m
         self._most += m
-        return np.vecdot(np.stack(xs)[:, self._support], counts) / m
+        return np.vecdot(at_support, counts) / m
 
     def _block_counts(self, m: int) -> np.ndarray:
         """Counts of both blocks, block 0 drawn on the caller's thread and
@@ -161,13 +164,13 @@ class GenerativeModel:
     def estimate_mean_and_var(self, v: np.ndarray, m: int) -> BatchEstimate:
         """Empirical mean and variance of v(s') per pair from m fresh draws."""
         v = self.space.value_vector(v)
-        mean, second = self._batch_means(m, v, v * v)
+        mean, second = self._batch_means(m, np.stack((v, v * v))[:, self._support])
         return BatchEstimate(mean=mean, variance=np.maximum(second - mean * mean, 0.0))
 
     def estimate_diff_mean(self, v: np.ndarray, v0: np.ndarray, m: int) -> BatchEstimate:
         """Empirical mean of v(s') - v0(s') per pair from m fresh draws."""
         v, v0 = self.space.value_vector(v), self.space.value_vector(v0)
-        return BatchEstimate(mean=self._batch_means(m, v - v0)[0], variance=None)
+        return BatchEstimate(mean=self._batch_means(m, (v - v0)[self._support]), variance=None)
 
     # -- accounting --------------------------------------------------------
 

@@ -126,6 +126,39 @@ def test_greedy_on_a_stack_equals_greedy_row_by_row(game):
         assert v.tobytes() == v_row.tobytes() and np.array_equal(sigma, sigma_row)
 
 
+@st.composite
+def ragged_q_stacks(draw):
+    """A ragged MIN/MAX action space (1-4 actions a state) and a stack of Qs
+    rich in ties and signed zeros."""
+    n_actions = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))
+    owners = draw(st.lists(st.sampled_from([MIN_PLAYER, MAX_PLAYER]),
+                           min_size=len(n_actions), max_size=len(n_actions)))
+    point = Action(reward=0.0, next_states=np.array([0]), probs=np.array([1.0]))
+    space = make_game(0.9, owners, [[point] * k for k in n_actions]).space
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                      st.floats(-1e3, 1e3, allow_subnormal=False))
+    k = draw(st.integers(1, 4))
+    stack = np.array(draw(st.lists(entry, min_size=k * space.n_pairs,
+                                   max_size=k * space.n_pairs))).reshape(k, space.n_pairs)
+    return space, stack
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ragged_q_stacks())
+def test_greedy_values_are_the_q_of_the_chosen_pairs_bit_for_bit(case):
+    # the values are read by one flat take; np.take_along_axis at the chosen
+    # pairs is the former reading, for one Q and for a stack
+    space, stack = case
+    values, strategies = greedy_from_q(space, stack)
+    pairs = space.state_offset[:-1] + strategies
+    assert same_bits(values, np.take_along_axis(stack, pairs, axis=-1))
+    for q, v, sigma in zip(stack, values, strategies):
+        v_row, sigma_row = greedy_from_q(space, q)
+        assert same_bits(v_row, np.take_along_axis(q, space.state_offset[:-1] + sigma_row,
+                                                   axis=-1))
+        assert same_bits(v, v_row) and same_bits(sigma, sigma_row)
+
+
 def test_greedy_refuses_a_stack_of_the_wrong_shape():
     g = random_game(5, 3, 0.9, seed=4)
     for shape in ((2, g.n_pairs + 1), (2, 3, g.n_pairs), ()):

@@ -263,10 +263,6 @@ def long_double_value(game, sigma, v):
     return x
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the refinement stop rule's limit scales with max|b|, not with |M||x|: on one "
-    "strategy a first solve already within the bound is refined once and lands "
-    "4.9e-11 off, against a bound of 3.6e-11 (ROADMAP item 3)"))
 def test_every_value_the_hi2_verifier_evaluates_at_t_10000_is_within_the_forward_bound():
     game, meta = build_hi2(10_000)
     q, classes = quotient(game)

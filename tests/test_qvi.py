@@ -7,6 +7,8 @@ import threading
 import numpy as np
 import pytest
 
+import sg.qvi
+
 from sg.checks import check_mdvss, check_mivss
 from sg.exact import best_response, greedy_from_q, q_from_v, value_iteration
 from sg.game import Action, InputError, MAX_PLAYER, make_game
@@ -14,7 +16,9 @@ from sg.generate import random_game
 from sg.qvi import (DECREASING, INCREASING, QviConstants, VSSequence,
                     _halving_chain, derive_constants, planned_samples, qvi_mdvss,
                     qvi_mivss, solve)
-from sg.sampler import GenerativeModel
+from sg.sampler import BLOCK_TABLE_MIN, GenerativeModel
+
+from test_sampler import mixed_row_game, two_block_game
 
 
 def small_consts():
@@ -117,6 +121,103 @@ def test_deterministic_increasing_stays_below_optimum():
                         np.zeros(g.n_states, dtype=np.int64), small_consts())
         vstar, _, _ = value_iteration(g, 1e-10)
         assert (seq.terminal_value <= vstar + 1e-8).all()
+
+
+# ---------------------------------------------------------------------------
+# the round loop against its former body
+
+
+def reference_run(model, u, delta, v0, sigma0, consts, sign):
+    """The former body of ``_qvi_run``, kept as the reference of the one
+    that writes each round in place: every round builds fresh arrays,
+    repairs by ``sign * v_new >= sign * v_prev`` and ``np.where``, and clips
+    the next Q with ``np.clip``."""
+    space = model.space
+    d = derive_constants(consts, u, delta, model.n_pairs, model.gamma)
+    gamma, beta = model.gamma, d.beta
+    r = model.rewards
+    start_total, _ = model.sample_count()
+    init = model.estimate_mean_and_var(v0, d.m1)
+    shift = np.sqrt(d.alpha1 * init.variance) + d.alpha1 ** 0.75 * beta
+    w = init.mean + sign * shift
+    q = np.clip(r + gamma * w, 0.0, beta)
+    drift = consts.big_c * (1.0 - gamma) * u
+    xi = 2.0 * np.sqrt(d.alpha1 * init.variance) \
+        + 2.0 * (d.alpha1 ** 0.75 * beta + drift)
+    n_entries = d.rounds + 1
+    values = np.empty((n_entries, model.n_states))
+    q_values = np.empty((n_entries, model.n_pairs))
+    strategies = np.empty((n_entries, model.n_states), dtype=np.int64)
+    error_bounds = np.tile(xi, (n_entries, 1))
+    values[0], q_values[0], strategies[0] = v0, q, sigma0
+    v_prev, sigma_prev = v0, sigma0
+    for i in range(1, n_entries):
+        v_new, sigma_new = greedy_from_q(space, q)
+        keep_old = sign * v_new >= sign * v_prev
+        v_i = np.where(keep_old, v_prev, v_new)
+        sigma_i = np.where(keep_old, sigma_prev, sigma_new)
+        values[i], q_values[i], strategies[i] = v_i, q, sigma_i
+        diff = model.estimate_diff_mean(v_i, v0, d.m2)
+        g = diff.mean + sign * drift
+        q = np.clip(r + gamma * (w + g), 0.0, beta)
+        v_prev, sigma_prev = v_i, sigma_i
+    end_total, _ = model.sample_count()
+    return VSSequence(direction=DECREASING if sign > 0 else INCREASING, values=values,
+                      q_values=q_values, strategies=strategies, error_bounds=error_bounds,
+                      constants=d, samples_used=end_total - start_total)
+
+
+@pytest.mark.parametrize("run, sign", [(qvi_mdvss, 1.0), (qvi_mivss, -1.0)],
+                         ids=["decreasing", "increasing"])
+@pytest.mark.parametrize("make, two_blocks, one_action_states", [
+    (lambda: random_game(10, 3, 0.9, seed=5), False, False),
+    (mixed_row_game, False, True),
+    (two_block_game, True, True),
+], ids=["one-block", "one-action-states", "two-block"])
+@pytest.mark.parametrize("edge", [False, True], ids=["inside", "edge"])
+def test_a_run_is_its_former_round_loop_bit_for_bit(run, sign, make, two_blocks,
+                                                    one_action_states, edge, monkeypatch):
+    g = make()
+    assert (g.layout.row_table()[1].size >= BLOCK_TABLE_MIN) == two_blocks
+    assert (g.space.n_actions == 1).any() == one_action_states
+    beta = beta_of(g)
+    rng = np.random.default_rng(6)
+    sigma0 = (rng.integers(0, 4, g.n_states) % g.space.n_actions).astype(np.int64)
+    if edge:
+        # the driver's start, v0 = beta (0 when increasing) with u = beta:
+        # Q meets its clip on the random game, and tied values keep the
+        # start's strategy
+        u, v0 = beta, np.full(g.n_states, beta if sign > 0 else 0.0)
+    else:
+        # a start inside (0, beta): the repair keeps some states and moves others
+        u, v0 = beta / 2, rng.uniform(0.25, 0.75, g.n_states) * beta
+    want = reference_run(GenerativeModel(g, master_seed=3), u, 0.1, v0, sigma0,
+                         small_consts(), sign)
+
+    # each round makes one greedy_from_q call and one estimate_diff_mean call,
+    # the names a tracer wraps
+    calls = {"greedy": 0, "diff": 0}
+    greedy, diff_mean = sg.qvi.greedy_from_q, GenerativeModel.estimate_diff_mean
+
+    def counted_greedy(*args):
+        calls["greedy"] += 1
+        return greedy(*args)
+
+    def counted_diff_mean(*args):
+        calls["diff"] += 1
+        return diff_mean(*args)
+    monkeypatch.setattr(sg.qvi, "greedy_from_q", counted_greedy)
+    monkeypatch.setattr(GenerativeModel, "estimate_diff_mean", counted_diff_mean)
+    got = run(GenerativeModel(g, master_seed=3), u, 0.1, v0, sigma0, small_consts())
+    assert calls == {"greedy": got.rounds, "diff": got.rounds} and got.rounds > 1
+    for field in ("values", "q_values", "strategies", "error_bounds"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+    assert (got.direction, got.constants, got.samples_used) == \
+        (want.direction, want.constants, want.samples_used)
+    # the repair both kept and moved states
+    moved = np.diff(got.values, axis=0) != 0
+    assert moved.any() and not moved.all()
 
 
 # ---------------------------------------------------------------------------
