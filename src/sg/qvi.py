@@ -23,14 +23,14 @@ own generator streams), so ``solve`` runs them side by side, the max chain
 on a worker thread. numpy's multinomial releases the GIL while it draws but
 not while it checks the row table, and the rest of a round holds it too. On
 the 20 x 4 acceptance game (an 80 x 20 table, 2-core host) a round of one
-chain took about 260 us: the draw about 210 us, of which a fixed cost of
-about 30 us held the GIL (two threads drawing one-sample batches made 1.2x
-the calls of one thread, 1.8x at the round's batch size), and the round's
-own calls (``greedy_from_q``, the repair, ``estimate_diff_mean``'s checks
-and reduction, the Q update) about 45 us, all holding it. So two chains on
-two cores overlap their draws but not the rest: a two-player solve took
-1.34x the time of one chain (0.290 against 0.216 s, medians of 30 in
-process, BENCH_35.json). On a table of at least ``sampler.BLOCK_TABLE_MIN``
+chain took about 250 us: the draw about 210 us, of which a fixed cost of
+30-50 us mostly holds the GIL (two threads drawing one-sample batches made
+1.1-1.6x the calls of one thread, 1.8-2.0x at the round's batch size), and
+the round's own calls (``greedy_from_q``, the repair,
+``estimate_diff_mean``'s checks and reduction, the Q update) about 45 us,
+all holding it. So two chains on two cores overlap their draws but not the
+rest: a two-player solve took 1.32x the time of one chain (0.278 against
+0.211 s, medians of 30 in process, BENCH_35.json). On a table of at least ``sampler.BLOCK_TABLE_MIN``
 entries the model also draws each batch in two blocks of pairs on two
 threads, so a one-player solve uses the second core too (qvi-wide, 400 x
 100, took 0.58x the time, BENCH_26.json). The draws are those of the blocks'
