@@ -184,7 +184,7 @@ def test_a_run_is_its_former_round_loop_bit_for_bit(run, sign, make, two_blocks,
     rng = np.random.default_rng(6)
     sigma0 = (rng.integers(0, 4, g.n_states) % g.space.n_actions).astype(np.int64)
     if edge:
-        # the driver's start, v0 = beta (0 when increasing) with u = beta:
+        # the halving chain's start, v0 = beta (0 when increasing), u = beta:
         # Q meets its clip on the random game, and tied values keep the
         # start's strategy
         u, v0 = beta, np.full(g.n_states, beta if sign > 0 else 0.0)
